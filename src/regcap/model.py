@@ -166,11 +166,11 @@ def _collect_violations(items: tuple[Exposure, ...]) -> list[str]:
             violations.append(
                 f"exposure {e.id!r}: bank_short_term requires the short-term flag"
             )
-        if e.pd is not None and not 0 <= e.pd <= 1:
+        if e.pd is not None and not 0 <= e.pd.numerator <= e.pd.denominator:
             violations.append(f"exposure {e.id!r}: pd {e.pd} outside [0, 1]")
-        if e.lgd is not None and not 0 <= e.lgd <= 1:
+        if e.lgd is not None and not 0 <= e.lgd.numerator <= e.lgd.denominator:
             violations.append(f"exposure {e.id!r}: lgd {e.lgd} outside [0, 1]")
-        if e.maturity_years is not None and e.maturity_years <= 0:
+        if e.maturity_years is not None and e.maturity_years.numerator <= 0:
             violations.append(f"exposure {e.id!r}: maturity must be positive")
     if len(currencies) > 1:
         violations.append("mixed currencies: " + ", ".join(sorted(currencies)))

@@ -1,11 +1,17 @@
 """Fixed-point money arithmetic and exact rational helpers.
 
 Amounts are integer counts of minor units (cents at the default scale of 2),
-so addition and subtraction are exact. Multiplication by a rational factor
-goes through ``fractions.Fraction`` and rounds half-to-even back to minor
-units in a single step, which keeps regulatory figures reproducible
-bit-for-bit. Ratios between amounts are returned as exact ``Fraction``
-values and only formatted (2-decimal percentages) at render time.
+so addition and subtraction are exact. Factors stay exact
+``fractions.Fraction`` values, but products and roundings work on their
+integer numerator and denominator: one ``divmod`` and a half-to-even fix-up
+back to minor units, in a single step, which keeps regulatory figures
+reproducible bit-for-bit. Ratios between amounts are returned as exact
+``Fraction`` values and only formatted (2-decimal percentages, again by
+integer half-even division) at render time.
+
+Decimal input cells are bounded: a non-zero value must lie within
+``10**-MAX_DECIMAL_EXPONENT`` and ``10**(MAX_DECIMAL_EXPONENT + 1)`` in
+magnitude, so no cell can make the integer conversion run unbounded.
 """
 
 from __future__ import annotations
@@ -20,10 +26,36 @@ from .errors import CurrencyMismatch
 DEFAULT_CURRENCY = "EUR"
 DEFAULT_SCALE = 2
 
+# Largest decimal exponent, as Decimal.adjusted() counts it, of a non-zero
+# input cell in either direction: 31 integer digits leave room for any
+# balance sheet, and 30 fractional digits for any quoted factor.
+MAX_DECIMAL_EXPONENT = 30
+
+
+def _divide_half_even(numerator: int, denominator: int) -> int:
+    """numerator / denominator (denominator > 0), rounded ties to even."""
+    quotient, remainder = divmod(numerator, denominator)
+    twice = 2 * remainder
+    if twice > denominator or (twice == denominator and quotient & 1):
+        quotient += 1
+    return quotient
+
 
 def round_half_even(value: Fraction | int) -> int:
     """Round an exact rational to the nearest integer, ties to even."""
-    return round(Fraction(value))
+    return _divide_half_even(value.numerator, value.denominator)
+
+
+def _integer_ratio(dec: Decimal, text: str) -> tuple[int, int]:
+    """Exact (numerator, denominator) of a finite, bounded decimal."""
+    if not dec.is_finite():
+        raise ValueError(f"not a finite number: {text!r}")
+    if dec and not -MAX_DECIMAL_EXPONENT <= dec.adjusted() <= MAX_DECIMAL_EXPONENT:
+        raise ValueError(
+            f"magnitude of {text!r} outside 1e-{MAX_DECIMAL_EXPONENT}"
+            f"..1e{MAX_DECIMAL_EXPONENT + 1}"
+        )
+    return dec.as_integer_ratio()
 
 
 @functools.total_ordering
@@ -61,11 +93,9 @@ class Money:
             dec = Decimal(value)
         except InvalidOperation as exc:
             raise ValueError(f"not a decimal amount: {value!r}") from exc
-        if not dec.is_finite():
-            raise ValueError(f"not a finite amount: {value!r}")
-        scaled = dec.scaleb(scale)
-        units = int(scaled)
-        if scaled != units:
+        numerator, denominator = _integer_ratio(dec, str(value))
+        units, remainder = divmod(numerator * 10**scale, denominator)
+        if remainder:
             raise ValueError(f"amount {value!r} has more than {scale} decimal places")
         return cls(units, currency, scale)
 
@@ -96,7 +126,8 @@ class Money:
 
     def scaled(self, factor: Fraction | int) -> "Money":
         """Exact product with a rational factor, then one half-even rounding."""
-        return Money(round_half_even(Fraction(self.units) * factor), self.currency, self.scale)
+        units = _divide_half_even(self.units * factor.numerator, factor.denominator)
+        return Money(units, self.currency, self.scale)
 
     def ratio_to(self, other: "Money") -> Fraction:
         """Exact ratio of two amounts of the same currency."""
@@ -109,13 +140,20 @@ class Money:
     def is_negative(self) -> bool:
         return self.units < 0
 
+    def _render(self, grouping: str) -> str:
+        whole, minor = divmod(abs(self.units), 10**self.scale)
+        sign = "-" if self.units < 0 else ""
+        if not self.scale:
+            return f"{sign}{whole:{grouping}d}"
+        return f"{sign}{whole:{grouping}d}.{minor:0{self.scale}d}"
+
     def text(self) -> str:
         """Plain decimal string, no separators (machine documents)."""
-        return f"{self.amount:.{self.scale}f}"
+        return self._render("")
 
     def formatted(self) -> str:
         """Thousands-separated decimal string (human reports)."""
-        return f"{self.amount:,.{self.scale}f}"
+        return self._render(",")
 
     def __str__(self) -> str:
         return f"{self.text()} {self.currency}"
@@ -136,10 +174,11 @@ def parse_fraction(text: str) -> Fraction:
     if percent:
         token = token[:-1].strip()
     try:
-        value = Fraction(Decimal(token))
-    except (InvalidOperation, ValueError) as exc:
+        dec = Decimal(token)
+    except InvalidOperation as exc:
         raise ValueError(f"not a decimal fraction: {text!r}") from exc
-    return value / 100 if percent else value
+    numerator, denominator = _integer_ratio(dec, text)
+    return Fraction(numerator, denominator * 100 if percent else denominator)
 
 
 def to_fraction(value) -> Fraction:
@@ -190,7 +229,7 @@ def fraction_to_decimal_text(value: Fraction) -> str:
 def format_percent(value: Fraction, places: int = 2) -> str:
     """Half-even percentage rendering, fixed number of decimal places."""
     quantum = 10**places
-    scaled = round_half_even(value * 100 * quantum)
+    scaled = _divide_half_even(value.numerator * 100 * quantum, value.denominator)
     sign = "-" if scaled < 0 else ""
     digits = abs(scaled)
     return f"{sign}{digits // quantum}.{digits % quantum:0{places}d}%"

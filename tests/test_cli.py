@@ -56,12 +56,14 @@ class TestCompute:
         assert captured.err.startswith("error [input/config]:")
 
     def test_bad_capital_amount_exits_two(self, capsys):
-        status = main(
-            ["compute", "--portfolio", WORKED, "--capital", "lots"]
-        )
-        captured = capsys.readouterr()
-        assert status == 2
-        assert "--capital" in captured.err
+        for amount in ("lots", "Infinity", "1e5000"):
+            status = main(
+                ["compute", "--portfolio", WORKED, "--capital", amount]
+            )
+            captured = capsys.readouterr()
+            assert status == 2
+            assert "--capital" in captured.err
+            assert captured.err.count("\n") == 1
 
     def test_json_out_written(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -233,6 +235,21 @@ class TestValidate:
         captured = capsys.readouterr()
         assert status == 2
         assert captured.err.startswith("error [input/config]:")
+
+    @pytest.mark.parametrize(
+        "cells", ["100.00,Infinity", "100.00,inf%", "100.00,1e5000", "1e5000,1%"]
+    )
+    def test_non_finite_or_huge_cell_exits_two(self, capsys, tmp_path, cells):
+        portfolio = tmp_path / "p.csv"
+        portfolio.write_text(
+            f"id,class,rating,nominal,pd,position\nX1,corporate,AAA,{cells},on\n"
+        )
+        status = main(["validate", "--portfolio", str(portfolio)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error [input/config]: line 2, column")
+        assert captured.err.count("\n") == 1
 
     def test_unknown_config_key_reports_origin(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -25,6 +25,7 @@ from regcap import (
     run_disclose,
 )
 from regcap.engine import resolve_tables
+from regcap.irb import _FUNCTIONS
 from regcap.oprisk import _ADVANCED_HOOKS, register_advanced_hook
 
 from conftest import DATA_DIR, eur
@@ -163,6 +164,35 @@ class TestCompute:
         assert line.params.ead == eur("1000.00")
         # builtin constant function weighs every exposure at 100%
         assert result.credit.total_rwa == eur("1000.00")
+
+    def test_irb_weight_function_called_once_per_exposure(self, monkeypatch):
+        calls = []
+
+        def counting(params):
+            # Impure on purpose: a second call for the same exposure would
+            # return another weight than the one reported.
+            calls.append(params)
+            return Fraction(len(calls), 7)
+
+        monkeypatch.setitem(_FUNCTIONS, "counting", counting)
+        exposures = tuple(
+            Exposure(
+                id=f"E{i}",
+                counterparty=None,
+                rating=None,
+                nominal=eur(f"{1000 + i}.00"),
+                pd=Fraction(1, 100),
+            )
+            for i in range(10)
+        )
+        portfolio = Portfolio(exposures=exposures, currency="EUR")
+        config = EngineConfig(
+            credit_approach=CreditApproach.IRB_FOUNDATION, irb_function="counting"
+        )
+        result = run_compute(config, portfolio, CapitalBase(eur("100000.00")))
+        assert len(calls) == 10
+        for line in result.credit.irb_lines:
+            assert line.amount == line.params.ead.scaled(line.weight)
 
     def test_irb_advanced_requires_full_params(self):
         exposures = (

@@ -66,9 +66,11 @@ class TestTableRoundTrips:
 
     def test_bad_weight_token(self, tmp_path):
         path = tmp_path / "weights.tbl"
-        path.write_text("sovereign aaa_to_aa_minus lots\n")
-        with pytest.raises(ParseError):
-            load_risk_weights(path)
+        for token in ("lots", "Infinity", "inf%", "1e5000"):
+            path.write_text(f"sovereign aaa_to_aa_minus {token}\n")
+            with pytest.raises(ParseError) as excinfo:
+                load_risk_weights(path)
+            assert excinfo.value.column == "weight"
 
     def test_duplicate_cell_rejected(self, tmp_path):
         path = tmp_path / "weights.tbl"
@@ -115,6 +117,31 @@ class TestPortfolioCsv:
             load_portfolio(DATA_DIR / "bad_rating.csv")
         assert excinfo.value.line == 3
         assert excinfo.value.column == "rating"
+
+    @pytest.mark.parametrize(
+        "column, cells",
+        [
+            ("pd", "100.00,Infinity"),
+            ("pd", "100.00,inf%"),
+            ("pd", "100.00,NaN"),
+            ("pd", "100.00,1e5000"),
+            ("pd", "100.00,1e-5000"),
+            ("nominal", "1e5000,1%"),
+            ("nominal", "-Infinity,1%"),
+        ],
+    )
+    def test_non_finite_or_huge_cell_cites_line_and_column(
+        self, tmp_path, column, cells
+    ):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "id,class,rating,nominal,pd,position\n"
+            "X1,corporate,AAA,100.00,1%,on\n"
+            f"X2,corporate,AAA,{cells},on\n"
+        )
+        with pytest.raises(ParseError) as excinfo:
+            load_portfolio(path)
+        assert (excinfo.value.line, excinfo.value.column) == (3, column)
 
     def test_header_only_gives_empty_portfolio(self, tmp_path):
         path = tmp_path / "empty.csv"

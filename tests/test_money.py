@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regcap import CurrencyMismatch, Money
 from regcap.money import (
+    MAX_DECIMAL_EXPONENT,
     format_percent,
     fraction_to_decimal_text,
     parse_fraction,
@@ -30,6 +32,18 @@ class TestConstruction:
     def test_rejects_sub_minor_amounts(self):
         with pytest.raises(ValueError):
             Money.from_decimal(Decimal("1.005"), "EUR")
+
+    @pytest.mark.parametrize(
+        "token", ["Infinity", "-inf", "NaN", "1e5000", "-1e5000", "1e-5000", "1e31"]
+    )
+    def test_rejects_non_finite_and_out_of_range_amounts(self, token):
+        with pytest.raises(ValueError):
+            Money.from_decimal(token, "EUR")
+
+    def test_magnitude_bound_keeps_31_integer_digits_and_any_zero(self):
+        largest = "9" * (MAX_DECIMAL_EXPONENT + 1) + ".99"
+        assert Money.from_decimal(largest).text() == largest
+        assert Money.from_decimal("0e5000").units == 0
 
     def test_rejects_non_integer_units(self):
         with pytest.raises(TypeError):
@@ -111,8 +125,9 @@ class TestFractionHelpers:
         assert parse_fraction("8 %") == Fraction(2, 25)
 
     def test_parse_fraction_rejects_junk(self):
-        with pytest.raises(ValueError):
-            parse_fraction("half")
+        for token in ("half", "Infinity", "inf%", "-inf", "NaN", "1e5000", "1e-5000 %"):
+            with pytest.raises(ValueError):
+                parse_fraction(token)
 
     def test_to_fraction_float_uses_decimal_repr(self):
         assert to_fraction(0.1) == Fraction(1, 10)
@@ -146,3 +161,100 @@ class TestFormatting:
 
     def test_negative_rendering(self):
         assert (-eur("1.50")).text() == "-1.50"
+
+
+# The Fraction and Decimal implementations the integer kernel replaced. They
+# stay here as the oracle: the kernel must agree with them bit for bit.
+
+
+def reference_round(value) -> int:
+    return round(Fraction(value))
+
+
+def reference_scaled(units: int, factor: Fraction) -> int:
+    return round(Fraction(units) * factor)
+
+
+def reference_percent(value: Fraction, places: int) -> str:
+    quantum = 10**places
+    scaled = round(value * 100 * quantum)
+    sign = "-" if scaled < 0 else ""
+    digits = abs(scaled)
+    return f"{sign}{digits // quantum}.{digits % quantum:0{places}d}%"
+
+
+def reference_render(units: int, scale: int, grouping: str) -> str:
+    # Wide enough that Decimal rounds nothing; the default context keeps
+    # only 28 significant digits.
+    with localcontext(Context(prec=100)):
+        amount = Decimal(units).scaleb(-scale)
+        return f"{amount:{grouping}.{scale}f}"
+
+
+def reference_parse(text: str) -> Fraction:
+    token = text.strip()
+    percent = token.endswith("%")
+    if percent:
+        token = token[:-1].strip()
+    value = Fraction(Decimal(token))
+    return value / 100 if percent else value
+
+
+KERNEL = settings(max_examples=300, deadline=None)
+BIG = 10**40
+# Exact ties: an odd number of halves.
+ties = st.integers(-BIG, BIG).map(lambda n: Fraction(2 * n + 1, 2))
+rationals = st.one_of(
+    ties, st.fractions(max_denominator=10**12), st.integers(-BIG, BIG)
+)
+
+
+class TestKernelMatchesReference:
+    @KERNEL
+    @given(value=rationals)
+    def test_round_half_even(self, value):
+        assert round_half_even(value) == reference_round(value)
+
+    @KERNEL
+    @given(
+        units=st.integers(-BIG, BIG),
+        factor=st.one_of(ties, st.fractions(max_denominator=10**9), st.integers(-9, 9)),
+        scale=st.sampled_from([0, 2, 3]),
+    )
+    def test_scaled(self, units, factor, scale):
+        money = Money(units, "EUR", scale)
+        assert money.scaled(factor) == Money(reference_scaled(units, factor), "EUR", scale)
+
+    @KERNEL
+    @given(
+        value=st.one_of(
+            # ties at the last rendered place of 2 and of 3 places
+            st.integers(-BIG, BIG).map(lambda n: Fraction(2 * n + 1, 2 * 10**4)),
+            st.integers(-BIG, BIG).map(lambda n: Fraction(2 * n + 1, 2 * 10**5)),
+            st.fractions(max_denominator=10**9),
+        ),
+        places=st.sampled_from([0, 2, 3]),
+    )
+    def test_format_percent(self, value, places):
+        assert format_percent(value, places) == reference_percent(value, places)
+
+    @KERNEL
+    @given(
+        units=st.one_of(st.integers(-BIG, BIG), st.integers(-10**6, 10**6)),
+        scale=st.sampled_from([0, 2, 3]),
+    )
+    def test_text_and_formatted(self, units, scale):
+        money = Money(units, "EUR", scale)
+        assert money.text() == reference_render(units, scale, "")
+        assert money.formatted() == reference_render(units, scale, ",")
+
+    @KERNEL
+    @given(
+        mantissa=st.integers(-10**18, 10**18),
+        exponent=st.integers(-12, 12),
+        suffix=st.sampled_from(["", "%", " %"]),
+    )
+    def test_parse_fraction(self, mantissa, exponent, suffix):
+        for token in (f"{mantissa}e{exponent}", str(Decimal(mantissa).scaleb(exponent))):
+            text = token + suffix
+            assert parse_fraction(text) == reference_parse(text)
