@@ -109,7 +109,6 @@ from .money import (
 )
 from .oprisk import (
     ALPHA,
-    ApproachAssignment,
     ApproachKind,
     AnnualIncome,
     BetaTable,
@@ -123,11 +122,11 @@ from .oprisk import (
     advanced_hook,
     average_gross_income,
     bia_capital,
-    oprisk_capital,
     register_advanced_hook,
     registered_advanced_hooks,
     tsa_capital,
 )
+from .reporting import render_compute_text
 from .standardized import (
     BankOptionPolicy,
     CcfTable,

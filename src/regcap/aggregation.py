@@ -89,12 +89,15 @@ class SupervisoryAdjustment:
     justification: str = ""
 
     def __post_init__(self) -> None:
+        problems = []
         if self.minimum_ratio < MINIMUM_CAPITAL_RATIO:
-            raise InvalidOverride(
+            problems.append(
                 f"supervisory minimum {self.minimum_ratio} is below the 8% floor"
             )
         if self.addon is not None and self.addon.is_negative:
-            raise InvalidOverride(f"capital add-on must be non-negative, got {self.addon}")
+            problems.append(f"capital add-on must be non-negative, got {self.addon}")
+        if problems:
+            raise InvalidOverride("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -138,13 +141,12 @@ def compliance(
     inputs: PillarOneInputs,
     adjustment: SupervisoryAdjustment | None = None,
 ) -> CapitalReport:
-    """Judge own funds against max(8%, override) x denominator + add-on."""
+    """Judge own funds against minimum ratio x denominator + add-on.
+
+    The adjustment's minimum ratio is at least 8% by construction.
+    """
     if adjustment is None:
         adjustment = SupervisoryAdjustment()
-    if adjustment.minimum_ratio < MINIMUM_CAPITAL_RATIO:
-        raise InvalidOverride(
-            f"supervisory minimum {adjustment.minimum_ratio} is below the 8% floor"
-        )
     own_funds = capital.total_own_funds
     base = denominator(inputs)
     addon = (
@@ -152,9 +154,7 @@ def compliance(
         if adjustment.addon is not None
         else Money.zero(own_funds.currency, own_funds.scale)
     )
-    required_units = round_half_even(
-        max(MINIMUM_CAPITAL_RATIO, adjustment.minimum_ratio) * base.units
-    )
+    required_units = round_half_even(adjustment.minimum_ratio * base.units)
     min_required = Money(required_units, base.currency, base.scale) + addon
     surplus = own_funds - min_required
     mcdonough = own_funds.ratio_to(base) if base.units != 0 else None

@@ -15,13 +15,12 @@ from pathlib import Path
 
 from .config import EngineConfig, load_config
 from .engine import (
-    ComputeResult,
     resolve_tables,
     run_compare,
     run_compute,
     run_disclose,
 )
-from .errors import RegcapError
+from .errors import ConfigError, RegcapError
 from .fileio import (
     dump_betas,
     dump_ccf,
@@ -29,13 +28,13 @@ from .fileio import (
     load_income,
     load_portfolio,
 )
-from .model import CapitalBase
+from .model import CapitalBase, Portfolio
 from .money import Money
+from .oprisk import IncomeHistory
 from .reporting import (
     compare_document,
     compute_document,
     disclosure_document,
-    error_provenance,
     render_compare_text,
     render_compute_text,
     render_disclosure_text,
@@ -174,7 +173,7 @@ def _money_arg(text: str, currency: str, flag: str) -> Money:
         detail = str(exc) if isinstance(exc, ValueError) and str(exc) else (
             f"not a decimal amount: {text!r}"
         )
-        raise RegcapError(f"{flag}: {detail}") from exc
+        raise ConfigError(f"{flag}: {detail}") from exc
 
 
 def _capital_base(args: argparse.Namespace, currency: str) -> CapitalBase:
@@ -188,17 +187,22 @@ def _config_from_args(args: argparse.Namespace) -> EngineConfig:
     return load_config(args.config, _overrides(args))
 
 
-def _compute_from_args(args: argparse.Namespace) -> ComputeResult:
+def _run_inputs(
+    args: argparse.Namespace,
+) -> tuple[EngineConfig, Portfolio, CapitalBase, IncomeHistory | None, Money | None]:
+    """The positional arguments of run_compute and run_compare."""
     config = _config_from_args(args)
     portfolio = load_portfolio(args.portfolio, config.currency)
     income = load_income(args.income, config.currency) if args.income else None
     capital = _capital_base(args, config.currency)
-    market = (
-        _money_arg(args.market_charge, config.currency, "--market-charge")
-        if args.market_charge
-        else None
-    )
-    return run_compute(config, portfolio, capital, income, market)
+    market = None
+    if args.market_charge:
+        market = _money_arg(args.market_charge, config.currency, "--market-charge")
+        if market.is_negative:
+            raise ConfigError(
+                f"--market-charge: must be non-negative, got {args.market_charge!r}"
+            )
+    return config, portfolio, capital, income, market
 
 
 def _write_json(path: str, document: dict) -> None:
@@ -206,7 +210,7 @@ def _write_json(path: str, document: dict) -> None:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    result = _compute_from_args(args)
+    result = run_compute(*_run_inputs(args))
     sys.stdout.write(render_compute_text(result))
     if args.json_out:
         _write_json(args.json_out, compute_document(result))
@@ -214,16 +218,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    portfolio = load_portfolio(args.portfolio, config.currency)
-    income = load_income(args.income, config.currency) if args.income else None
-    capital = _capital_base(args, config.currency)
-    market = (
-        _money_arg(args.market_charge, config.currency, "--market-charge")
-        if args.market_charge
-        else None
-    )
-    comparison = run_compare(config, portfolio, capital, income, market)
+    comparison = run_compare(*_run_inputs(args))
     sys.stdout.write(render_compare_text(comparison))
     if args.json_out:
         _write_json(args.json_out, compare_document(comparison))
@@ -231,7 +226,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_disclose(args: argparse.Namespace) -> int:
-    result = _compute_from_args(args)
+    result = run_compute(*_run_inputs(args))
     disclosure = run_disclose(result.config, result)
     sys.stdout.write(render_disclosure_text(disclosure))
     if args.json_out:
@@ -282,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handler(args)
     except RegcapError as exc:
-        sys.stderr.write(f"error [{error_provenance(exc)}]: {exc}\n")
+        sys.stderr.write(f"error [{exc.layer}]: {exc}\n")
         return 2
     except OSError as exc:
         sys.stderr.write(f"error [input/config]: {exc}\n")

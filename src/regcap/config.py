@@ -15,7 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ConfigError
+from .aggregation import SupervisoryAdjustment
+from .errors import ConfigError, DowngradeWithoutOverride, InvalidOverride
 from .model import MINIMUM_CAPITAL_RATIO
 from .money import DEFAULT_CURRENCY, Money, parse_fraction
 from .oprisk import ApproachKind, NegativeGiPolicy, OpRiskApproach
@@ -53,7 +54,9 @@ class EngineConfig:
 
     The credit-only regime admits no operational-risk approach, no market
     charge, no internal-ratings approach, and no supervisory adjustment;
-    the full regime requires an operational-risk approach.
+    the full regime requires an operational-risk approach. The supervisory
+    floor and the downgrade rule (a simpler operational-risk approach than
+    the previous one needs the override) are checked here, at load time.
     """
 
     regime: Regime = Regime.BASEL2
@@ -95,16 +98,36 @@ class EngineConfig:
         else:
             if self.oprisk_approach is None:
                 problems.append("the full regime requires an operational-risk approach")
-        if self.min_ratio_override is not None and (
-            self.min_ratio_override < MINIMUM_CAPITAL_RATIO
-        ):
-            problems.append(
-                f"minimum-ratio override {self.min_ratio_override} is below the 8% floor"
-            )
-        if self.capital_addon is not None and self.capital_addon.is_negative:
-            problems.append("capital add-on must be non-negative")
+        try:
+            self.adjustment()
+        except InvalidOverride as exc:
+            problems.append(str(exc))
         if problems:
             raise ConfigError("; ".join(problems))
+        previous = self.previous_oprisk_approach
+        if (
+            self.oprisk_approach is not None
+            and previous is not None
+            and not self.downgrade_override
+            and self.oprisk_approach.complexity < previous.complexity
+        ):
+            raise DowngradeWithoutOverride(
+                "supervisory override required to revert to a simpler approach"
+            )
+
+    def adjustment(self) -> SupervisoryAdjustment | None:
+        """The supervisory adjustment, or None when neither knob is set."""
+        if self.min_ratio_override is None and self.capital_addon is None:
+            return None
+        return SupervisoryAdjustment(
+            minimum_ratio=(
+                self.min_ratio_override
+                if self.min_ratio_override is not None
+                else MINIMUM_CAPITAL_RATIO
+            ),
+            addon=self.capital_addon,
+            justification=self.adjustment_justification,
+        )
 
     @classmethod
     def basel1(cls, **kwargs) -> EngineConfig:

@@ -16,7 +16,6 @@ from fractions import Fraction
 from .aggregation import (
     CapitalReport,
     PillarOneInputs,
-    SupervisoryAdjustment,
     compliance,
 )
 from .config import CreditApproach, EngineConfig, Regime
@@ -30,10 +29,9 @@ from .irb import (
     risk_weight_function,
     rwa_irb,  # noqa: F401  not called here; perfbench's tracer spans it by this name
 )
-from .model import CapitalBase, MINIMUM_CAPITAL_RATIO, Portfolio
+from .model import CapitalBase, Portfolio
 from .money import Money, sum_money
 from .oprisk import (
-    ApproachAssignment,
     ApproachKind,
     BetaTable,
     DEFAULT_BETAS,
@@ -177,16 +175,6 @@ def _oprisk_block(
     config: EngineConfig, income: IncomeHistory | None, tables: TableSet, currency: str
 ) -> OpRiskResult:
     approach = config.oprisk_approach
-    assignment = ApproachAssignment(
-        approaches={"firm": approach},
-        previous=(
-            {"firm": config.previous_oprisk_approach}
-            if config.previous_oprisk_approach is not None
-            else None
-        ),
-        downgrade_override=config.downgrade_override,
-    )
-    assignment.check_downgrades()
     if income is None:
         return OpRiskResult(
             approach=approach,
@@ -226,20 +214,6 @@ def _oprisk_block(
     )
 
 
-def _adjustment(config: EngineConfig) -> SupervisoryAdjustment | None:
-    if config.min_ratio_override is None and config.capital_addon is None:
-        return None
-    return SupervisoryAdjustment(
-        minimum_ratio=(
-            config.min_ratio_override
-            if config.min_ratio_override is not None
-            else MINIMUM_CAPITAL_RATIO
-        ),
-        addon=config.capital_addon,
-        justification=config.adjustment_justification,
-    )
-
-
 def run_compute(
     config: EngineConfig,
     portfolio: Portfolio,
@@ -274,7 +248,7 @@ def run_compute(
         market_capital_charge=market if market is not None else zero,
         oprisk_capital_charge=oprisk.charge if oprisk is not None else zero,
     )
-    report = compliance(capital, inputs, _adjustment(config))
+    report = compliance(capital, inputs, config.adjustment())
     return ComputeResult(
         config=config,
         portfolio=portfolio,
@@ -314,9 +288,7 @@ class CompareResult:
 def _novelties(result: ComputeResult) -> tuple[Novelty, ...]:
     config = result.config
     oprisk = result.oprisk
-    adjustment_active = (
-        config.min_ratio_override is not None or config.capital_addon is not None
-    )
+    adjustment_active = config.adjustment() is not None
     market_units = result.market_charge.units if result.market_charge else 0
     return (
         Novelty(

@@ -1,4 +1,8 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine.
+
+Each type names the engine area it comes from in ``layer``; the command
+line prints that label in its one-line diagnostic.
+"""
 
 from __future__ import annotations
 
@@ -6,17 +10,25 @@ from __future__ import annotations
 class RegcapError(Exception):
     """Base class for every error raised by this package."""
 
+    layer = "engine"
+
 
 class CurrencyMismatch(RegcapError):
     """Arithmetic or comparison attempted across different currencies."""
+
+    layer = "core model"
 
 
 class UnknownRating(RegcapError):
     """Rating token outside the published bucket grammar."""
 
+    layer = "core model"
+
 
 class ValidationFailure(RegcapError):
     """Carries every violation found, never just the first."""
+
+    layer = "core model"
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
@@ -26,29 +38,43 @@ class ValidationFailure(RegcapError):
 class MissingCell(RegcapError):
     """Risk-weight table has no entry for a (class, bucket) pair."""
 
+    layer = "standardized credit"
+
 
 class UnknownCategory(RegcapError):
     """Off-balance category does not resolve in the active CCF table."""
+
+    layer = "standardized credit"
 
 
 class OutOfRange(RegcapError):
     """Probability or fraction outside its legal interval."""
 
+    layer = "internal ratings"
+
 
 class UnknownFunction(RegcapError):
     """No risk-weight function registered under the requested name."""
+
+    layer = "internal ratings"
 
 
 class NonFiniteWeight(RegcapError):
     """A risk-weight function returned a non-finite or negative weight."""
 
+    layer = "internal ratings"
+
 
 class IncompleteHistory(RegcapError):
     """Gross-income history does not cover exactly three consecutive years."""
 
+    layer = "operational risk"
+
 
 class MissingLine(RegcapError):
     """Business lines absent from a per-line income statement."""
+
+    layer = "operational risk"
 
     def __init__(self, lines: list[str]):
         self.lines = sorted(lines)
@@ -56,23 +82,33 @@ class MissingLine(RegcapError):
 
 
 class DowngradeWithoutOverride(RegcapError):
-    """Approach assignment moved to a simpler approach without the override flag."""
+    """Operational-risk approach moved to a simpler one without the override flag."""
+
+    layer = "operational risk"
 
 
 class UnregisteredAdvancedHook(RegcapError):
     """Advanced operational-risk approach selected but no estimator registered."""
 
+    layer = "operational risk"
+
 
 class EmptyDenominator(RegcapError):
     """Solvency ratio requested over a zero denominator."""
+
+    layer = "aggregation"
 
 
 class InvalidOverride(RegcapError):
     """Supervisory minimum-ratio override below the 8% floor."""
 
+    layer = "aggregation"
+
 
 class ParseError(RegcapError):
     """Input file violates its schema; cites the offending location."""
+
+    layer = "input/config"
 
     def __init__(self, reason: str, line: int | None = None, column: str | None = None):
         self.reason = reason
@@ -90,6 +126,10 @@ class ParseError(RegcapError):
 class MissingPeriod(RegcapError):
     """Disclosure requested without a reporting period."""
 
+    layer = "input/config"
+
 
 class ConfigError(RegcapError):
     """Engine configuration is internally inconsistent."""
+
+    layer = "input/config"

@@ -85,7 +85,9 @@ def load_risk_weights(path: str | Path) -> RiskWeightTable:
     path = Path(path)
     text = _read_text(path)
     cells: dict[tuple[CounterpartyClass, RatingBucket], WeightCell] = {}
-    for number, (class_key, bucket_key, weight_token) in _tokens3(text, str(path)):
+    for number, (class_key, bucket_key, weight_token) in _table_rows(
+        text, str(path), 3
+    ):
         try:
             counterparty = _CLASS_BY_KEY[class_key.lower()]
         except KeyError:
@@ -109,11 +111,6 @@ def load_risk_weights(path: str | Path) -> RiskWeightTable:
             )
         cells[key] = _parse_cell(weight_token, str(path), number)
     return RiskWeightTable(cells=cells, source=table_source(path, text))
-
-
-def _tokens3(text: str, origin: str):
-    for number, tokens in _table_rows(text, origin, 3):
-        yield number, tokens
 
 
 def dump_risk_weights(table: RiskWeightTable, path: str | Path) -> None:
@@ -188,7 +185,10 @@ def load_betas(path: str | Path) -> BetaTable:
             betas[line] = parse_fraction(beta_token)
         except ValueError as exc:
             raise ParseError(f"{exc} in {path}", line=number, column="beta") from exc
-    return BetaTable(betas=betas, source=table_source(path, text))
+    try:
+        return BetaTable(betas=betas, source=table_source(path, text))
+    except ValueError as exc:
+        raise ParseError(f"{exc} in {path}") from exc
 
 
 def dump_betas(table: BetaTable, path: str | Path) -> None:

@@ -172,36 +172,26 @@ def check_monotonicity(
     """Grid-check that a function never decreases in pd or in lgd."""
     pds = grid.pd_values()
     lgds = grid.lgd_values()
-    cache: dict[tuple[Fraction, Fraction], Fraction] = {}
+    cache: dict[tuple[Fraction, Fraction], tuple[IrbParams, Fraction]] = {}
 
-    def weight_at(pd: Fraction, lgd: Fraction) -> Fraction:
+    def point(pd: Fraction, lgd: Fraction) -> tuple[IrbParams, Fraction]:
         key = (pd, lgd)
         if key not in cache:
             params = IrbParams(pd=pd, lgd=lgd, ead=grid.ead,
                                maturity_years=grid.maturity_years)
-            cache[key] = evaluate_weight(fn, params)
+            cache[key] = (params, evaluate_weight(fn, params))
         return cache[key]
 
-    def params_at(pd: Fraction, lgd: Fraction) -> IrbParams:
-        return IrbParams(pd=pd, lgd=lgd, ead=grid.ead,
-                         maturity_years=grid.maturity_years)
-
-    for lgd in lgds:
-        for prev, cur in zip(pds, pds[1:]):
-            if weight_at(cur, lgd) < weight_at(prev, lgd):
-                return MonotonicityReport(
-                    passed=False,
-                    witness=(params_at(prev, lgd), params_at(cur, lgd)),
-                    weights=(weight_at(prev, lgd), weight_at(cur, lgd)),
-                )
-    for pd in pds:
-        for prev, cur in zip(lgds, lgds[1:]):
-            if weight_at(pd, cur) < weight_at(pd, prev):
-                return MonotonicityReport(
-                    passed=False,
-                    witness=(params_at(pd, prev), params_at(pd, cur)),
-                    weights=(weight_at(pd, prev), weight_at(pd, cur)),
-                )
+    steps = [((prev, lgd), (cur, lgd)) for lgd in lgds for prev, cur in zip(pds, pds[1:])]
+    steps += [((pd, prev), (pd, cur)) for pd in pds for prev, cur in zip(lgds, lgds[1:])]
+    for low, high in steps:
+        (low_params, low_weight), (high_params, high_weight) = point(*low), point(*high)
+        if high_weight < low_weight:
+            return MonotonicityReport(
+                passed=False,
+                witness=(low_params, high_params),
+                weights=(low_weight, high_weight),
+            )
     return MonotonicityReport(passed=True)
 
 

@@ -101,7 +101,7 @@ class Money:
 
     @property
     def amount(self) -> Decimal:
-        return Decimal(self.units).scaleb(-self.scale)
+        return Decimal(f"{self.units}E-{self.scale}")
 
     def _check_compatible(self, other: "Money") -> None:
         if self.currency != other.currency:

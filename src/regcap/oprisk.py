@@ -25,13 +25,12 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
-    DowngradeWithoutOverride,
     IncompleteHistory,
     MissingLine,
     UnregisteredAdvancedHook,
     ValidationFailure,
 )
-from .money import Money, round_half_even
+from .money import Money, round_half_even, sum_money
 
 # Firm-wide gross-income multiplier for the basic-indicator approach.
 ALPHA = Fraction(15, 100)
@@ -142,11 +141,7 @@ class AnnualIncome:
         if self.total is not None:
             return self.total.effective
         if self.per_line:
-            values = [record.effective for record in self.per_line.values()]
-            total = values[0]
-            for value in values[1:]:
-                total = total + value
-            return total
+            return sum_money(record.effective for record in self.per_line.values())
         raise IncompleteHistory(f"year {self.year} has no gross-income data")
 
 
@@ -326,38 +321,6 @@ class OpRiskApproach:
         return self.kind.value
 
 
-@dataclass(frozen=True)
-class ApproachAssignment:
-    """Per-scope approach choices, allowing mixed use across activities."""
-
-    approaches: Mapping[str, OpRiskApproach]
-    previous: Mapping[str, OpRiskApproach] | None = None
-    downgrade_override: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.approaches:
-            raise ValueError("at least one scope must be assigned an approach")
-
-    @classmethod
-    def single(cls, approach: OpRiskApproach, scope: str = "firm") -> ApproachAssignment:
-        return cls(approaches={scope: approach})
-
-    def check_downgrades(self) -> None:
-        if self.previous is None or self.downgrade_override:
-            return
-        downgraded = sorted(
-            scope
-            for scope, current in self.approaches.items()
-            if scope in self.previous
-            and current.complexity < self.previous[scope].complexity
-        )
-        if downgraded:
-            raise DowngradeWithoutOverride(
-                "supervisory override required to revert to a simpler approach "
-                f"for scope(s): {', '.join(downgraded)}"
-            )
-
-
 AdvancedEstimator = Callable[[IncomeHistory], Money]
 
 _ADVANCED_HOOKS: dict[str, AdvancedEstimator] = {}
@@ -380,38 +343,3 @@ def advanced_hook(name: str) -> AdvancedEstimator:
 def registered_advanced_hooks() -> tuple[str, ...]:
     return tuple(sorted(_ADVANCED_HOOKS))
 
-
-def oprisk_capital(
-    assignment: ApproachAssignment | OpRiskApproach,
-    histories: Mapping[str, IncomeHistory] | IncomeHistory,
-    betas: BetaTable = DEFAULT_BETAS,
-    policy: NegativeGiPolicy = NegativeGiPolicy.EXCLUDE_NEGATIVE_YEARS,
-) -> Money:
-    """Total operational charge across scopes, per each scope's approach.
-
-    Scopes are processed in sorted order so the total is deterministic.
-    """
-    if isinstance(assignment, OpRiskApproach):
-        assignment = ApproachAssignment.single(assignment)
-    if isinstance(histories, IncomeHistory):
-        histories = {scope: histories for scope in assignment.approaches}
-    assignment.check_downgrades()
-    total: Money | None = None
-    for scope in sorted(assignment.approaches):
-        approach = assignment.approaches[scope]
-        try:
-            history = histories[scope]
-        except KeyError:
-            raise IncompleteHistory(f"no income history for scope {scope!r}") from None
-        if approach.kind is ApproachKind.BASIC_INDICATOR:
-            charge = bia_capital(average_gross_income(history, policy))
-        elif approach.kind is ApproachKind.STANDARDIZED:
-            charge = tsa_capital(history, betas, policy).total
-        else:
-            charge = advanced_hook(approach.hook)(history)
-            if charge.is_negative:
-                raise ValueError(
-                    f"advanced estimator {approach.hook!r} returned a negative charge"
-                )
-        total = charge if total is None else total + charge
-    return total

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from . import errors
 from .aggregation import REFERENCE_ALLOCATION, CapitalReport
 from .config import CreditApproach, EngineConfig, Regime
 from .engine import (
@@ -49,26 +48,6 @@ TSA_FOOTNOTE = (
     " the published per-line activity measures (average assets, volumes) are"
     " not used by the charge formula."
 )
-
-
-def error_provenance(exc: BaseException) -> str:
-    """Name the engine area an error came from, for CLI error rendering."""
-    mapping = (
-        ((errors.ParseError, errors.ConfigError, errors.MissingPeriod), "input/config"),
-        ((errors.UnknownRating, errors.ValidationFailure, errors.CurrencyMismatch),
-         "core model"),
-        ((errors.MissingCell, errors.UnknownCategory), "standardized credit"),
-        ((errors.OutOfRange, errors.UnknownFunction, errors.NonFiniteWeight),
-         "internal ratings"),
-        ((errors.IncompleteHistory, errors.MissingLine,
-          errors.DowngradeWithoutOverride, errors.UnregisteredAdvancedHook),
-         "operational risk"),
-        ((errors.EmptyDenominator, errors.InvalidOverride), "aggregation"),
-    )
-    for types, label in mapping:
-        if isinstance(exc, types):
-            return label
-    return "engine"
 
 
 def _ratio_text(ratio: Fraction | None) -> str:

@@ -8,7 +8,9 @@ import pytest
 
 from regcap import (
     CapitalBase,
+    ConfigError,
     EmptyDenominator,
+    EngineConfig,
     InvalidOverride,
     Money,
     PillarOneInputs,
@@ -139,6 +141,9 @@ class TestCompliance:
     def test_override_below_floor_rejected(self):
         with pytest.raises(InvalidOverride):
             SupervisoryAdjustment(minimum_ratio=Fraction(6, 100))
+        # the config reports the same check, with every problem, at load time
+        with pytest.raises(ConfigError, match="8% floor; capital add-on"):
+            EngineConfig(min_ratio_override=Fraction(6, 100), capital_addon=-eur("1"))
 
     def test_negative_addon_rejected(self):
         with pytest.raises(InvalidOverride):

@@ -55,14 +55,25 @@ class TestCompute:
         assert status == 2
         assert captured.err.startswith("error [input/config]:")
 
-    def test_bad_capital_amount_exits_two(self, capsys):
-        for amount in ("lots", "Infinity", "1e5000"):
-            status = main(
-                ["compute", "--portfolio", WORKED, "--capital", amount]
-            )
+    def test_bad_capital_amount_exits_two(self, capsys, tmp_path):
+        betas = tmp_path / "betas.tbl"
+        betas.write_text(
+            "".join(f"{line.key} 1.5\n" for line in DEFAULT_BETAS.betas)
+        )
+        cases = [
+            (["--capital", amount], "--capital")
+            for amount in ("lots", "Infinity", "1e5000")
+        ]
+        cases += [
+            (["--capital", "1.00", "--market-charge", "-5"], "--market-charge"),
+            (["--capital", "1.00", "--betas", str(betas)], str(betas)),
+        ]
+        for flags, cited in cases:
+            status = main(["compute", "--portfolio", WORKED, *flags])
             captured = capsys.readouterr()
             assert status == 2
-            assert "--capital" in captured.err
+            assert captured.err.startswith("error [input/config]:")
+            assert cited in captured.err
             assert captured.err.count("\n") == 1
 
     def test_json_out_written(self, capsys, tmp_path):
@@ -250,6 +261,21 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err.startswith("error [input/config]: line 2, column")
         assert captured.err.count("\n") == 1
+
+    def test_downgrade_without_override_exits_two(self, capsys):
+        argv = [
+            "validate",
+            "--portfolio",
+            GOLDEN,
+            "--previous-oprisk-approach",
+            "standardized",
+        ]
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error [operational risk]:")
+        assert main([*argv, "--downgrade-override"]) == 0
 
     def test_unknown_config_key_reports_origin(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -113,16 +113,13 @@ class TestCompute:
         finally:
             _ADVANCED_HOOKS.pop("fixed_charge", None)
 
-    def test_downgrade_without_override_rejected(self, worked_portfolio, income):
-        config = EngineConfig(
-            oprisk_approach=OpRiskApproach.basic_indicator(),
-            previous_oprisk_approach=OpRiskApproach.standardized(),
-        )
+    def test_downgrade_without_override_rejected(self):
         from regcap import DowngradeWithoutOverride
 
         with pytest.raises(DowngradeWithoutOverride):
-            run_compute(
-                config, worked_portfolio, CapitalBase(eur("1")), income=income
+            EngineConfig(
+                oprisk_approach=OpRiskApproach.basic_indicator(),
+                previous_oprisk_approach=OpRiskApproach.standardized(),
             )
 
     def test_downgrade_with_override_runs(self, worked_portfolio, income):

@@ -51,6 +51,8 @@ class TestConstruction:
 
     def test_amount_round_trips(self):
         assert eur("1234.56").amount == Decimal("1234.56")
+        exact = Decimal("10000000000000000000000000000.01")
+        assert Money(10**30 + 1, "EUR").amount == exact
 
     def test_zero(self):
         assert Money.zero("EUR").units == 0

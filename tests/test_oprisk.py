@@ -10,11 +10,13 @@ import pytest
 from regcap import (
     ALPHA,
     AnnualIncome,
-    ApproachAssignment,
     BetaTable,
     BusinessLine,
+    CapitalBase,
+    ConfigError,
     DEFAULT_BETAS,
     DowngradeWithoutOverride,
+    EngineConfig,
     GrossIncomeRecord,
     IncompleteHistory,
     IncomeHistory,
@@ -22,12 +24,13 @@ from regcap import (
     Money,
     NegativeGiPolicy,
     OpRiskApproach,
+    Portfolio,
     UnregisteredAdvancedHook,
     ValidationFailure,
     average_gross_income,
     bia_capital,
-    oprisk_capital,
     register_advanced_hook,
+    run_compute,
     tsa_capital,
 )
 
@@ -287,72 +290,70 @@ class TestApproaches:
         assert bia.complexity < tsa.complexity < ama.complexity
 
     def test_downgrade_requires_override(self):
-        assignment = ApproachAssignment(
-            approaches={"firm": OpRiskApproach.basic_indicator()},
-            previous={"firm": OpRiskApproach.standardized()},
-        )
         with pytest.raises(DowngradeWithoutOverride):
-            assignment.check_downgrades()
+            EngineConfig(
+                oprisk_approach=OpRiskApproach.basic_indicator(),
+                previous_oprisk_approach=OpRiskApproach.standardized(),
+            )
 
     def test_downgrade_with_override_passes(self):
-        assignment = ApproachAssignment(
-            approaches={"firm": OpRiskApproach.basic_indicator()},
-            previous={"firm": OpRiskApproach.standardized()},
+        EngineConfig(
+            oprisk_approach=OpRiskApproach.basic_indicator(),
+            previous_oprisk_approach=OpRiskApproach.standardized(),
             downgrade_override=True,
         )
-        assignment.check_downgrades()
 
     def test_upgrade_needs_no_override(self):
-        assignment = ApproachAssignment(
-            approaches={"firm": OpRiskApproach.advanced_hook("model")},
-            previous={"firm": OpRiskApproach.basic_indicator()},
+        EngineConfig(
+            oprisk_approach=OpRiskApproach.advanced_hook("model"),
+            previous_oprisk_approach=OpRiskApproach.basic_indicator(),
         )
-        assignment.check_downgrades()
+
+
+def oprisk_charge(approach: OpRiskApproach, history: IncomeHistory) -> Money:
+    """The operational charge of a full run over an empty book."""
+    result = run_compute(
+        EngineConfig(oprisk_approach=approach),
+        Portfolio(exposures=(), currency="EUR"),
+        CapitalBase(eur("0")),
+        income=history,
+    )
+    return result.oprisk.charge
 
 
 class TestOpriskCapital:
     def test_bia_dispatch(self):
         history = totals_history(90000, 100000, 110000)
-        charge = oprisk_capital(OpRiskApproach.basic_indicator(), history)
+        charge = oprisk_charge(OpRiskApproach.basic_indicator(), history)
         assert charge == eur("150.00")
 
     def test_tsa_dispatch(self):
-        charge = oprisk_capital(OpRiskApproach.standardized(), uniform_history(10000))
+        charge = oprisk_charge(OpRiskApproach.standardized(), uniform_history(10000))
         assert charge == eur("120.00")
 
     def test_unregistered_advanced_hook(self):
         history = totals_history(100, 100, 100)
         with pytest.raises(UnregisteredAdvancedHook):
-            oprisk_capital(OpRiskApproach.advanced_hook("loss_model"), history)
+            oprisk_charge(OpRiskApproach.advanced_hook("loss_model"), history)
 
     def test_registered_hook_used(self):
         register_advanced_hook("flat_fee", lambda history: eur("42.00"))
         try:
             history = totals_history(100, 100, 100)
-            charge = oprisk_capital(OpRiskApproach.advanced_hook("flat_fee"), history)
+            charge = oprisk_charge(OpRiskApproach.advanced_hook("flat_fee"), history)
             assert charge == eur("42.00")
         finally:
             from regcap.oprisk import _ADVANCED_HOOKS
 
             _ADVANCED_HOOKS.pop("flat_fee", None)
 
-    def test_mixed_scopes_sum_per_scope(self):
-        assignment = ApproachAssignment(
-            approaches={
-                "retail": OpRiskApproach.basic_indicator(),
-                "trading": OpRiskApproach.standardized(),
-            }
-        )
-        histories = {
-            "retail": totals_history(90000, 100000, 110000),
-            "trading": uniform_history(10000),
-        }
-        charge = oprisk_capital(assignment, histories)
-        assert charge == eur("270.00")
+    def test_negative_advanced_charge_rejected(self):
+        register_advanced_hook("rebate", lambda history: eur("-1.00"))
+        try:
+            history = totals_history(100, 100, 100)
+            with pytest.raises(ConfigError, match="negative charge"):
+                oprisk_charge(OpRiskApproach.advanced_hook("rebate"), history)
+        finally:
+            from regcap.oprisk import _ADVANCED_HOOKS
 
-    def test_scope_without_history_is_incomplete(self):
-        assignment = ApproachAssignment(
-            approaches={"retail": OpRiskApproach.basic_indicator()}
-        )
-        with pytest.raises(IncompleteHistory):
-            oprisk_capital(assignment, {})
+            _ADVANCED_HOOKS.pop("rebate", None)

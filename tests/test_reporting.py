@@ -20,6 +20,7 @@ from regcap import (
     OutOfRange,
     ParseError,
     Portfolio,
+    RegcapError,
     UnknownRating,
     load_income,
     load_portfolio,
@@ -32,7 +33,6 @@ from regcap.reporting import (
     compare_document,
     compute_document,
     disclosure_document,
-    error_provenance,
     render_compare_text,
     render_compute_text,
     render_disclosure_text,
@@ -181,8 +181,27 @@ class TestProvenance:
             (IncompleteHistory("x"), "operational risk"),
             (EmptyDenominator("x"), "aggregation"),
             (InvalidOverride("x"), "aggregation"),
-            (RuntimeError("x"), "engine"),
+            (RegcapError("x"), "engine"),
         ],
     )
     def test_error_provenance(self, exc, label):
-        assert error_provenance(exc) == label
+        assert exc.layer == label
+
+    def test_every_error_type_declares_a_known_layer(self):
+        labels = {
+            "input/config",
+            "core model",
+            "standardized credit",
+            "internal ratings",
+            "operational risk",
+            "aggregation",
+        }
+        pending, subclasses = [RegcapError], []
+        while pending:
+            children = pending.pop().__subclasses__()
+            subclasses.extend(children)
+            pending.extend(children)
+        assert len(subclasses) >= 17
+        for cls in subclasses:
+            assert cls.__dict__.get("layer") in labels, cls.__name__
+        assert RegcapError.layer == "engine"
