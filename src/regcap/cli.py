@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .config import EngineConfig, load_config
+from .config import SETTINGS, EngineConfig, load_config
 from .engine import (
     resolve_tables,
     run_compare,
@@ -41,63 +40,19 @@ from .reporting import (
     render_json,
 )
 
-# (flag dest, config key) pairs: a given flag overrides the file value.
-_CONFIG_FLAG_KEYS = (
-    ("regime", "regime"),
-    ("credit_approach", "credit.approach"),
-    ("bank_policy", "credit.bank_policy"),
-    ("irb_function", "irb.function"),
-    ("oprisk_approach", "oprisk.approach"),
-    ("previous_oprisk_approach", "oprisk.previous_approach"),
-    ("downgrade_override", "oprisk.downgrade_override"),
-    ("negative_gi_policy", "oprisk.negative_gi_policy"),
-    ("risk_weights", "tables.risk_weights"),
-    ("ccf", "tables.ccf"),
-    ("betas", "tables.betas"),
-    ("min_ratio_override", "supervisor.min_ratio"),
-    ("capital_addon", "supervisor.addon"),
-    ("justification", "supervisor.justification"),
-    ("period", "disclosure.period"),
-    ("currency", "currency"),
-)
-
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("configuration overrides")
     group.add_argument("--config", help="config file path (else $REGCAP_CONFIG)")
-    group.add_argument("--regime", choices=["basel1", "basel2"])
-    group.add_argument(
-        "--credit-approach",
-        choices=["standardized", "irb_foundation", "irb_advanced"],
-    )
-    group.add_argument("--bank-policy", choices=["low_end", "high_end"])
-    group.add_argument("--irb-function", help="registered risk-weight function name")
-    group.add_argument(
-        "--oprisk-approach",
-        help="basic_indicator, standardized, or advanced:<hook>",
-    )
-    group.add_argument(
-        "--previous-oprisk-approach",
-        help="previously approved approach, for the downgrade rule",
-    )
-    group.add_argument(
-        "--downgrade-override",
-        action="store_const",
-        const="true",
-        help="supervisory override allowing a simpler approach than before",
-    )
-    group.add_argument(
-        "--negative-gi-policy",
-        choices=["exclude_negative_years", "include_all"],
-    )
-    group.add_argument("--risk-weights", help="risk-weight table file")
-    group.add_argument("--ccf", help="conversion-factor table file")
-    group.add_argument("--betas", help="business-line multiplier table file")
-    group.add_argument("--min-ratio-override", help="supervisory floor, e.g. 10%%")
-    group.add_argument("--capital-addon", help="supervisory capital add-on amount")
-    group.add_argument("--justification", help="supervisory adjustment rationale")
-    group.add_argument("--period", help="disclosure period, e.g. 2006-H2")
-    group.add_argument("--currency", help="ISO currency code (default EUR)")
+    for setting in SETTINGS:
+        if setting.parser is bool:
+            group.add_argument(
+                setting.flag, action="store_const", const="true", help=setting.help
+            )
+        else:
+            group.add_argument(
+                setting.flag, choices=setting.choices, help=setting.help
+            )
 
 
 def _add_run_inputs(parser: argparse.ArgumentParser, need_capital: bool) -> None:
@@ -158,22 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    for dest, key in _CONFIG_FLAG_KEYS:
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[key] = value
-    return overrides
+    """Config values given as flags; they win over the file key by key."""
+    values = {s.key: getattr(args, s.flag[2:].replace("-", "_")) for s in SETTINGS}
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _money_arg(text: str, currency: str, flag: str) -> Money:
     try:
-        return Money.from_decimal(Decimal(text), currency)
-    except (InvalidOperation, ValueError) as exc:
-        detail = str(exc) if isinstance(exc, ValueError) and str(exc) else (
-            f"not a decimal amount: {text!r}"
-        )
-        raise ConfigError(f"{flag}: {detail}") from exc
+        return Money.from_decimal(text, currency)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
 
 
 def _capital_base(args: argparse.Namespace, currency: str) -> CapitalBase:
@@ -190,10 +139,15 @@ def _config_from_args(args: argparse.Namespace) -> EngineConfig:
 def _run_inputs(
     args: argparse.Namespace,
 ) -> tuple[EngineConfig, Portfolio, CapitalBase, IncomeHistory | None, Money | None]:
-    """The positional arguments of run_compute and run_compare."""
+    """The positional arguments of run_compute and run_compare.
+
+    validate takes no capital flags; it prices against zero own funds.
+    """
     config = _config_from_args(args)
     portfolio = load_portfolio(args.portfolio, config.currency)
     income = load_income(args.income, config.currency) if args.income else None
+    if "capital" not in args:
+        return config, portfolio, CapitalBase(Money.zero(config.currency)), income, None
     capital = _capital_base(args, config.currency)
     market = None
     if args.market_charge:
@@ -251,12 +205,10 @@ def _cmd_dump_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    resolve_tables(config)
-    portfolio = load_portfolio(args.portfolio, config.currency)
+    config, portfolio, capital, income, market = _run_inputs(args)
+    run_compute(config, portfolio, capital, income, market)
     sys.stdout.write(f"portfolio OK: {len(portfolio)} exposure(s)\n")
-    if args.income:
-        income = load_income(args.income, config.currency)
+    if income is not None:
         sys.stdout.write(f"income OK: years {income.span()}\n")
     sys.stdout.write("config OK\n")
     return 0

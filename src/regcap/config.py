@@ -1,19 +1,19 @@
 """Engine configuration: regimes, approach selection, policy knobs.
 
 Config files are plain ``key = value`` lines with ``#`` comments. Every key
-has a matching CLI flag that overrides it. The default config path can be
-supplied via the REGCAP_CONFIG environment variable.
+has a matching CLI flag that overrides it; both are declared once, in
+``SETTINGS``. The default config path can be supplied via the REGCAP_CONFIG
+environment variable.
 """
 
 from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, field, replace
-from decimal import Decimal, InvalidOperation
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 from .aggregation import SupervisoryAdjustment
 from .errors import ConfigError, DowngradeWithoutOverride, InvalidOverride
@@ -134,9 +134,6 @@ class EngineConfig:
         kwargs.setdefault("oprisk_approach", None)
         return cls(regime=Regime.BASEL1, **kwargs)
 
-    def with_values(self, **kwargs) -> EngineConfig:
-        return replace(self, **kwargs)
-
 
 def _parse_bool(token: str) -> bool:
     lowered = token.strip().lower()
@@ -164,34 +161,102 @@ def _parse_approach(token: str) -> OpRiskApproach:
     )
 
 
-def _enum_by_value(cls, token: str):
-    try:
-        return cls(token.strip().lower())
-    except ValueError:
-        expected = ", ".join(member.value for member in cls)
-        raise ValueError(f"expected one of {expected}; got {token!r}") from None
+@dataclass(frozen=True)
+class Setting:
+    """One run setting: its config key, CLI flag and EngineConfig field.
+
+    ``parser`` turns the raw text into the field value. An enum class
+    accepts its values case-insensitively (and the flag offers them as
+    choices), ``bool`` makes the flag a switch, and ``Money`` reads an
+    amount in the run's currency. ``help`` is argparse text, so ``%`` is
+    doubled.
+    """
+
+    key: str
+    flag: str
+    field: str
+    parser: Callable[..., Any]
+    help: str | None = None
+
+    @property
+    def choices(self) -> list[str] | None:
+        if isinstance(self.parser, enum.EnumMeta):
+            return [member.value for member in self.parser]
+        return None
+
+    def parse(self, token: str, currency: str) -> Any:
+        if self.parser is Money:
+            return Money.from_decimal(token, currency)
+        if self.parser is bool:
+            return _parse_bool(token)
+        choices = self.choices
+        if choices is None:
+            return self.parser(token)
+        try:
+            return self.parser(token.strip().lower())
+        except ValueError:
+            raise ValueError(
+                f"expected one of {', '.join(choices)}; got {token!r}"
+            ) from None
 
 
-# Recognized config keys. Each entry maps the raw string to a constructor
-# argument; assembly and cross-field validation happen in build_config.
-CONFIG_KEYS = (
-    "regime",
-    "currency",
-    "credit.approach",
-    "credit.bank_policy",
-    "irb.function",
-    "oprisk.approach",
-    "oprisk.previous_approach",
-    "oprisk.downgrade_override",
-    "oprisk.negative_gi_policy",
-    "tables.risk_weights",
-    "tables.ccf",
-    "tables.betas",
-    "supervisor.min_ratio",
-    "supervisor.addon",
-    "supervisor.justification",
-    "disclosure.period",
+# Every run setting, in --help order. A flag overrides its key's file value.
+SETTINGS = (
+    Setting("regime", "--regime", "regime", Regime),
+    Setting("credit.approach", "--credit-approach", "credit_approach", CreditApproach),
+    Setting("credit.bank_policy", "--bank-policy", "bank_policy", BankOptionPolicy),
+    Setting(
+        "irb.function", "--irb-function", "irb_function", str,
+        "registered risk-weight function name",
+    ),
+    Setting(
+        "oprisk.approach", "--oprisk-approach", "oprisk_approach", _parse_approach,
+        "basic_indicator, standardized, or advanced:<hook>",
+    ),
+    Setting(
+        "oprisk.previous_approach", "--previous-oprisk-approach",
+        "previous_oprisk_approach", _parse_approach,
+        "previously approved approach, for the downgrade rule",
+    ),
+    Setting(
+        "oprisk.downgrade_override", "--downgrade-override", "downgrade_override",
+        bool, "supervisory override allowing a simpler approach than before",
+    ),
+    Setting(
+        "oprisk.negative_gi_policy", "--negative-gi-policy", "negative_gi_policy",
+        NegativeGiPolicy,
+    ),
+    Setting(
+        "tables.risk_weights", "--risk-weights", "risk_weights_path", str,
+        "risk-weight table file",
+    ),
+    Setting("tables.ccf", "--ccf", "ccf_path", str, "conversion-factor table file"),
+    Setting(
+        "tables.betas", "--betas", "betas_path", str,
+        "business-line multiplier table file",
+    ),
+    Setting(
+        "supervisor.min_ratio", "--min-ratio-override", "min_ratio_override",
+        parse_fraction, "supervisory floor, e.g. 10%%",
+    ),
+    Setting(
+        "supervisor.addon", "--capital-addon", "capital_addon", Money,
+        "supervisory capital add-on amount",
+    ),
+    Setting(
+        "supervisor.justification", "--justification", "adjustment_justification",
+        str, "supervisory adjustment rationale",
+    ),
+    Setting(
+        "disclosure.period", "--period", "disclosure_period", str,
+        "disclosure period, e.g. 2006-H2",
+    ),
+    Setting(
+        "currency", "--currency", "currency", str, "ISO currency code (default EUR)"
+    ),
 )
+
+_KEYS = frozenset(setting.key for setting in SETTINGS)
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -206,7 +271,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in CONFIG_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{origin}, line {number}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{origin}, line {number}: duplicate key {key!r}")
@@ -224,68 +289,24 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 
 
 def build_config(values: Mapping[str, str]) -> EngineConfig:
-    """Assemble an EngineConfig from raw key strings (file and/or flags)."""
-    unknown = sorted(set(values) - set(CONFIG_KEYS))
+    """Assemble an EngineConfig from raw key strings (file and/or flags).
+
+    An empty value leaves the field at its default.
+    """
+    unknown = sorted(set(values) - _KEYS)
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(unknown))
-
-    def take(key: str) -> str | None:
-        value = values.get(key)
-        return value if value not in (None, "") else None
-
+    currency = values.get("currency") or DEFAULT_CURRENCY
+    kwargs: dict[str, Any] = {}
     try:
-        regime = (
-            _enum_by_value(Regime, take("regime")) if take("regime") else Regime.BASEL2
-        )
-        currency = take("currency") or DEFAULT_CURRENCY
-        kwargs: dict = {"regime": regime, "currency": currency}
-        if take("credit.approach"):
-            kwargs["credit_approach"] = _enum_by_value(
-                CreditApproach, take("credit.approach")
-            )
-        if take("credit.bank_policy"):
-            kwargs["bank_policy"] = _enum_by_value(
-                BankOptionPolicy, take("credit.bank_policy")
-            )
-        if take("irb.function"):
-            kwargs["irb_function"] = take("irb.function")
-        if take("oprisk.approach"):
-            kwargs["oprisk_approach"] = _parse_approach(take("oprisk.approach"))
-        elif regime is Regime.BASEL1:
-            kwargs["oprisk_approach"] = None
-        if take("oprisk.previous_approach"):
-            kwargs["previous_oprisk_approach"] = _parse_approach(
-                take("oprisk.previous_approach")
-            )
-        if take("oprisk.downgrade_override"):
-            kwargs["downgrade_override"] = _parse_bool(take("oprisk.downgrade_override"))
-        if take("oprisk.negative_gi_policy"):
-            kwargs["negative_gi_policy"] = _enum_by_value(
-                NegativeGiPolicy, take("oprisk.negative_gi_policy")
-            )
-        for key, attr in (
-            ("tables.risk_weights", "risk_weights_path"),
-            ("tables.ccf", "ccf_path"),
-            ("tables.betas", "betas_path"),
-        ):
-            if take(key):
-                kwargs[attr] = take(key)
-        if take("supervisor.min_ratio"):
-            kwargs["min_ratio_override"] = parse_fraction(take("supervisor.min_ratio"))
-        if take("supervisor.addon"):
-            try:
-                amount = Decimal(take("supervisor.addon"))
-            except InvalidOperation:
-                raise ValueError(
-                    f"not a decimal amount: {take('supervisor.addon')!r}"
-                ) from None
-            kwargs["capital_addon"] = Money.from_decimal(amount, currency)
-        if take("supervisor.justification"):
-            kwargs["adjustment_justification"] = take("supervisor.justification")
-        if take("disclosure.period"):
-            kwargs["disclosure_period"] = take("disclosure.period")
+        for setting in SETTINGS:
+            token = values.get(setting.key)
+            if token:
+                kwargs[setting.field] = setting.parse(token, currency)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if kwargs.get("regime") is Regime.BASEL1:
+        kwargs.setdefault("oprisk_approach", None)
     return EngineConfig(**kwargs)
 
 

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ParseError, RegcapError
+from .errors import MissingLine, ParseError, RegcapError
 from .model import (
     CounterpartyClass,
     Exposure,
@@ -187,7 +186,7 @@ def load_betas(path: str | Path) -> BetaTable:
             raise ParseError(f"{exc} in {path}", line=number, column="beta") from exc
     try:
         return BetaTable(betas=betas, source=table_source(path, text))
-    except ValueError as exc:
+    except (MissingLine, ValueError) as exc:
         raise ParseError(f"{exc} in {path}") from exc
 
 
@@ -224,9 +223,16 @@ _TRUTHY = {"true", "yes", "1"}
 _FALSY = {"false", "no", "0", ""}
 
 
-def _read_header(row: list[str], path: Path) -> list[str]:
+def _read_header(
+    reader, path: Path, required: tuple[str, ...], optional: tuple[str, ...]
+) -> list[str]:
+    """The CSV header's column names: known, unique, and all required present."""
+    try:
+        row = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path} is empty; a header row is mandatory", line=1) from None
     names = [name.strip() for name in row]
-    known = set(PORTFOLIO_REQUIRED) | set(PORTFOLIO_OPTIONAL)
+    known = set(required) | set(optional)
     unknown = [name for name in names if name not in known]
     if unknown:
         raise ParseError(
@@ -239,7 +245,7 @@ def _read_header(row: list[str], path: Path) -> list[str]:
             f"duplicate column(s) {', '.join(repr(n) for n in duplicates)} in {path}",
             line=1,
         )
-    missing = [name for name in PORTFOLIO_REQUIRED if name not in names]
+    missing = [name for name in required if name not in names]
     if missing:
         raise ParseError(
             f"missing required column(s) {', '.join(repr(n) for n in missing)}"
@@ -257,8 +263,8 @@ def _parse_money_cell(
     token: str, currency: str, path: Path, line: int, column: str
 ) -> Money:
     try:
-        return Money.from_decimal(Decimal(token), currency)
-    except (InvalidOperation, ValueError) as exc:
+        return Money.from_decimal(token, currency)
+    except ValueError as exc:
         raise _cell_error(path, line, column, exc) from exc
 
 
@@ -343,11 +349,7 @@ def load_portfolio(path: str | Path, currency: str = DEFAULT_CURRENCY) -> Portfo
     path = Path(path)
     text = _read_text(path)
     reader = csv.reader(text.splitlines())
-    try:
-        header_row = next(reader)
-    except StopIteration:
-        raise ParseError(f"{path} is empty; a header row is mandatory", line=1) from None
-    names = _read_header(header_row, path)
+    names = _read_header(reader, path, PORTFOLIO_REQUIRED, PORTFOLIO_OPTIONAL)
     exposures: list[Exposure] = []
     for number, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
@@ -358,7 +360,7 @@ def load_portfolio(path: str | Path, currency: str = DEFAULT_CURRENCY) -> Portfo
             )
         record = dict(zip(names, row))
         exposures.append(_parse_exposure(record, path, number, currency))
-    return validate_portfolio(exposures)
+    return validate_portfolio(exposures, currency)
 
 
 def dump_portfolio_template(path: str | Path) -> None:
@@ -408,25 +410,7 @@ def load_income(path: str | Path, currency: str = DEFAULT_CURRENCY) -> IncomeHis
     path = Path(path)
     text = _read_text(path)
     reader = csv.reader(text.splitlines())
-    try:
-        header_row = next(reader)
-    except StopIteration:
-        raise ParseError(f"{path} is empty; a header row is mandatory", line=1) from None
-    names = [name.strip() for name in header_row]
-    known = set(INCOME_REQUIRED) | set(INCOME_OPTIONAL)
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        raise ParseError(
-            f"unknown column(s) {', '.join(repr(n) for n in unknown)} in {path}",
-            line=1,
-        )
-    missing = [name for name in INCOME_REQUIRED if name not in names]
-    if missing:
-        raise ParseError(
-            f"missing required column(s) {', '.join(repr(n) for n in missing)}"
-            f" in {path}",
-            line=1,
-        )
+    names = _read_header(reader, path, INCOME_REQUIRED, INCOME_OPTIONAL)
 
     totals: dict[int, GrossIncomeRecord] = {}
     per_line: dict[int, dict[BusinessLine, GrossIncomeRecord]] = {}

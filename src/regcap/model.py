@@ -127,30 +127,33 @@ class Portfolio:
         return iter(self.exposures)
 
 
-def validate_portfolio(exposures) -> Portfolio:
+def validate_portfolio(exposures, currency: str | None = None) -> Portfolio:
     """Check portfolio-level invariants, reporting every violation at once.
 
-    Idempotent: validating a Portfolio returns the same object.
+    ``currency`` is the book's currency; when omitted it is the first
+    exposure's, or the default for an empty book. Idempotent: validating a
+    Portfolio returns the same object.
     """
     if isinstance(exposures, Portfolio):
-        _raise_on_violations(exposures.exposures)
+        _raise_on_violations(exposures.exposures, exposures.currency)
         return exposures
     items = tuple(exposures)
-    _raise_on_violations(items)
-    currency = items[0].nominal.currency if items else Money.zero().currency
+    if currency is None:
+        currency = items[0].nominal.currency if items else Money.zero().currency
+    _raise_on_violations(items, currency)
     return Portfolio(exposures=items, currency=currency)
 
 
-def _raise_on_violations(items: tuple[Exposure, ...]) -> None:
-    violations = _collect_violations(items)
+def _raise_on_violations(items: tuple[Exposure, ...], currency: str) -> None:
+    violations = _collect_violations(items, currency)
     if violations:
         raise ValidationFailure(violations)
 
 
-def _collect_violations(items: tuple[Exposure, ...]) -> list[str]:
+def _collect_violations(items: tuple[Exposure, ...], currency: str) -> list[str]:
     violations: list[str] = []
     seen: set[str] = set()
-    currencies: set[str] = set()
+    currencies = {currency}
     for e in items:
         if e.id in seen:
             violations.append(f"duplicate id {e.id!r}")

@@ -60,13 +60,17 @@ class TestCompute:
         betas.write_text(
             "".join(f"{line.key} 1.5\n" for line in DEFAULT_BETAS.betas)
         )
+        partial_betas = tmp_path / "partial_betas.tbl"
+        partial_betas.write_text("corporate_finance 0.15\n")
         cases = [
             (["--capital", amount], "--capital")
-            for amount in ("lots", "Infinity", "1e5000")
+            for amount in ("lots", "Infinity", "1e5000", "1.234")
         ]
         cases += [
+            (["--capital", "1.234"], "--capital: amount '1.234' has more than 2"),
             (["--capital", "1.00", "--market-charge", "-5"], "--market-charge"),
             (["--capital", "1.00", "--betas", str(betas)], str(betas)),
+            (["--capital", "1.00", "--betas", str(partial_betas)], str(partial_betas)),
         ]
         for flags, cited in cases:
             status = main(["compute", "--portfolio", WORKED, *flags])
@@ -75,6 +79,19 @@ class TestCompute:
             assert captured.err.startswith("error [input/config]:")
             assert cited in captured.err
             assert captured.err.count("\n") == 1
+
+    def test_empty_book_takes_the_configured_currency(self, capsys, tmp_path):
+        portfolio = tmp_path / "empty.csv"
+        portfolio.write_text("id,class,rating,nominal,position\n")
+        for command in ("compute", "compare"):
+            status = main(
+                [command, "--portfolio", str(portfolio), "--capital", "1"]
+                + ["--currency", "USD"]
+            )
+            captured = capsys.readouterr()
+            assert status == 0
+            assert captured.err == ""
+            assert "USD" in captured.out
 
     def test_json_out_written(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -276,6 +293,30 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err.startswith("error [operational risk]:")
         assert main([*argv, "--downgrade-override"]) == 0
+
+    def test_table_that_cannot_price_the_book_exits_two(self, capsys, tmp_path):
+        risk_weights = tmp_path / "rw1.tbl"
+        risk_weights.write_text("corporate aaa_to_aa_minus 20%\n")
+        argv = ["--portfolio", WORKED, "--risk-weights", str(risk_weights)]
+        assert main(["compute", "--capital", "1.00", *argv]) == 2
+        compute_err = capsys.readouterr().err
+        status = main(["validate", *argv])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == compute_err
+        assert captured.err.startswith("error [standardized credit]:")
+
+    def test_income_under_credit_only_regime_exits_two(self, capsys):
+        status = main(
+            ["validate", "--portfolio", WORKED, "--regime", "basel1"]
+            + ["--income", INCOME]
+        )
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error [input/config]:")
+        assert "income" in captured.err
 
     def test_unknown_config_key_reports_origin(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"

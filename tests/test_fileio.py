@@ -128,6 +128,7 @@ class TestPortfolioCsv:
             ("pd", "100.00,1e-5000"),
             ("nominal", "1e5000,1%"),
             ("nominal", "-Infinity,1%"),
+            ("nominal", "1.234,1%"),
         ],
     )
     def test_non_finite_or_huge_cell_cites_line_and_column(
@@ -142,6 +143,7 @@ class TestPortfolioCsv:
         with pytest.raises(ParseError) as excinfo:
             load_portfolio(path)
         assert (excinfo.value.line, excinfo.value.column) == (3, column)
+        assert "Decimal(" not in str(excinfo.value)
 
     def test_header_only_gives_empty_portfolio(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -291,6 +293,16 @@ class TestIncomeCsv:
 
         with pytest.raises(IncompleteHistory):
             load_income(path)
+
+    def test_duplicate_column(self, tmp_path):
+        path = tmp_path / "income.csv"
+        path.write_text(
+            "year,line,amount,amount\n"
+            + "".join(f"{year},TOTAL,1.00,2.00\n" for year in (2004, 2005, 2006))
+        )
+        with pytest.raises(ParseError, match="duplicate column") as excinfo:
+            load_income(path)
+        assert excinfo.value.line == 1
 
     def test_bad_year_token(self, tmp_path):
         path = tmp_path / "income.csv"
