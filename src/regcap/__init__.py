@@ -14,7 +14,6 @@ from .aggregation import (
     PillarOneInputs,
     SupervisoryAdjustment,
     compliance,
-    cooke_ratio,
     denominator,
     denominator_shares,
     mcdonough_ratio,
@@ -63,7 +62,6 @@ from .errors import (
 from .fileio import (
     dump_betas,
     dump_ccf,
-    dump_portfolio_template,
     dump_risk_weights,
     load_betas,
     load_ccf,
@@ -75,7 +73,6 @@ from .irb import (
     FOUNDATION_LGD,
     FOUNDATION_MATURITY_YEARS,
     FOUNDATION_RECOVERY_RATE,
-    IrbMode,
     IrbParams,
     MonotonicityGrid,
     MonotonicityReport,
@@ -84,7 +81,6 @@ from .irb import (
     foundation_params,
     params_for_exposure,
     register_risk_weight_function,
-    registered_functions,
     risk_weight_function,
     rwa_irb,
 )
@@ -105,7 +101,6 @@ from .money import (
     parse_fraction,
     round_half_even,
     sum_money,
-    to_fraction,
 )
 from .oprisk import (
     ALPHA,
@@ -123,7 +118,6 @@ from .oprisk import (
     average_gross_income,
     bia_capital,
     register_advanced_hook,
-    registered_advanced_hooks,
     tsa_capital,
 )
 from .reporting import render_compute_text
@@ -135,9 +129,6 @@ from .standardized import (
     RiskWeightTable,
     RwaLine,
     WeightCell,
-    convert_off_balance,
-    lookup_weight,
-    required_capital_credit,
     rwa_exposure,
     rwa_portfolio,
 )

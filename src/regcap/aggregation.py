@@ -5,8 +5,8 @@ The denominator is credit RWA plus 12.5 times each capital-style charge
 inverse of the 8% floor, so converting a charge into the denominator and
 taking 8% of it again returns the charge exactly.
 
-A zero denominator is a typed "undefined ratio" state: the standalone ratio
-functions raise, while compliance() produces a report with the ratios marked
+A zero denominator is a typed "undefined ratio" state: mcdonough_ratio()
+raises, while compliance() produces a report with the ratios marked
 undefined rather than failing.
 """
 
@@ -60,7 +60,7 @@ class PillarOneInputs:
 def denominator(inputs: PillarOneInputs) -> Money:
     """credit RWA + 12.5 x market charge + 12.5 x oprisk charge, rounded once."""
     units = round_half_even(inputs.exact_denominator_units())
-    return Money(units, inputs.credit_rwa.currency, inputs.credit_rwa.scale)
+    return Money(units, inputs.credit_rwa.currency)
 
 
 def mcdonough_ratio(capital: CapitalBase, inputs: PillarOneInputs) -> Fraction:
@@ -69,15 +69,6 @@ def mcdonough_ratio(capital: CapitalBase, inputs: PillarOneInputs) -> Fraction:
     if base.units == 0:
         raise EmptyDenominator("no risk-bearing assets: ratio undefined")
     return capital.total_own_funds.ratio_to(base)
-
-
-def cooke_ratio(capital: CapitalBase, credit_rwa: Money) -> Fraction:
-    """Own funds over credit RWA alone (the pre-reform assiette), exact."""
-    if credit_rwa.is_negative:
-        raise ValueError(f"credit rwa must be non-negative, got {credit_rwa}")
-    if credit_rwa.units == 0:
-        raise EmptyDenominator("no risk-bearing assets: ratio undefined")
-    return capital.total_own_funds.ratio_to(credit_rwa)
 
 
 @dataclass(frozen=True)
@@ -116,10 +107,6 @@ class CapitalReport:
     compliant: bool
     shares: Mapping[str, Fraction] | None
 
-    @property
-    def ratio_defined(self) -> bool:
-        return self.mcdonough is not None
-
 
 def denominator_shares(inputs: PillarOneInputs) -> Mapping[str, Fraction] | None:
     """Each block's share of the exact denominator; None when it is zero.
@@ -152,10 +139,10 @@ def compliance(
     addon = (
         adjustment.addon
         if adjustment.addon is not None
-        else Money.zero(own_funds.currency, own_funds.scale)
+        else Money.zero(own_funds.currency)
     )
     required_units = round_half_even(adjustment.minimum_ratio * base.units)
-    min_required = Money(required_units, base.currency, base.scale) + addon
+    min_required = Money(required_units, base.currency) + addon
     surplus = own_funds - min_required
     mcdonough = own_funds.ratio_to(base) if base.units != 0 else None
     cooke = (

@@ -161,6 +161,14 @@ def _parse_approach(token: str) -> OpRiskApproach:
     )
 
 
+def _parse_currency(token: str) -> str:
+    if not (len(token) == 3 and token.isascii() and token.isalpha() and token.isupper()):
+        raise ValueError(
+            f"currency must be a three-letter ISO code such as EUR, got {token!r}"
+        )
+    return token
+
+
 @dataclass(frozen=True)
 class Setting:
     """One run setting: its config key, CLI flag and EngineConfig field.
@@ -252,7 +260,8 @@ SETTINGS = (
         "disclosure period, e.g. 2006-H2",
     ),
     Setting(
-        "currency", "--currency", "currency", str, "ISO currency code (default EUR)"
+        "currency", "--currency", "currency", _parse_currency,
+        "ISO currency code (default EUR)",
     ),
 )
 

@@ -22,7 +22,6 @@ from .config import CreditApproach, EngineConfig, Regime
 from .errors import ConfigError, MissingPeriod
 from .fileio import load_betas, load_ccf, load_risk_weights
 from .irb import (
-    IrbMode,
     IrbParams,
     evaluate_weight,
     params_for_exposure,
@@ -97,11 +96,6 @@ class CreditResult:
     total_rwa: Money
     lines: tuple[RwaLine, ...] = ()
     irb_lines: tuple[IrbLine, ...] = ()
-    irb_function: str | None = None
-
-    @property
-    def off_balance_under_irb(self) -> tuple[str, ...]:
-        return tuple(line.exposure_id for line in self.irb_lines if line.off_balance)
 
 
 @dataclass(frozen=True)
@@ -143,15 +137,10 @@ def _credit_block(
         return CreditResult(
             approach=config.credit_approach, total_rwa=total, lines=tuple(lines)
         )
-    mode = (
-        IrbMode.FOUNDATION
-        if config.credit_approach is CreditApproach.IRB_FOUNDATION
-        else IrbMode.ADVANCED
-    )
     fn = risk_weight_function(config.irb_function)
     irb_lines = []
     for exposure in portfolio:
-        params = params_for_exposure(exposure, mode)
+        params = params_for_exposure(exposure, config.credit_approach)
         weight = evaluate_weight(fn, params)
         irb_lines.append(
             IrbLine(
@@ -164,10 +153,7 @@ def _credit_block(
         )
     total = sum_money((line.amount for line in irb_lines), currency=currency)
     return CreditResult(
-        approach=config.credit_approach,
-        total_rwa=total,
-        irb_lines=tuple(irb_lines),
-        irb_function=config.irb_function,
+        approach=config.credit_approach, total_rwa=total, irb_lines=tuple(irb_lines)
     )
 
 

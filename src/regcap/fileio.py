@@ -69,14 +69,25 @@ def _table_rows(text: str, origin: str, fields: int):
         yield number, tokens
 
 
-def _parse_cell(token: str, origin: str, number: int) -> WeightCell:
+def _cell_error(path: Path, line: int, column: str, reason) -> ParseError:
+    return ParseError(f"{reason} in {path}", line=line, column=column)
+
+
+def _parse_fraction_cell(token: str, path: Path, line: int, column: str) -> Fraction:
     try:
-        if ".." in token:
-            low_text, _, high_text = token.partition("..")
-            return WeightCell(parse_fraction(low_text), parse_fraction(high_text))
-        return WeightCell.fixed(parse_fraction(token))
+        return parse_fraction(token)
     except ValueError as exc:
-        raise ParseError(f"{exc} in {origin}", line=number, column="weight") from exc
+        raise _cell_error(path, line, column, exc) from exc
+
+
+def _parse_cell(token: str, path: Path, number: int) -> WeightCell:
+    low_text, is_range, high_text = token.partition("..")
+    low = _parse_fraction_cell(low_text, path, number, "weight")
+    high = _parse_fraction_cell(high_text, path, number, "weight") if is_range else low
+    try:
+        return WeightCell(low, high)
+    except ValueError as exc:
+        raise _cell_error(path, number, "weight", exc) from exc
 
 
 def load_risk_weights(path: str | Path) -> RiskWeightTable:
@@ -108,7 +119,7 @@ def load_risk_weights(path: str | Path) -> RiskWeightTable:
             raise ParseError(
                 f"duplicate cell ({class_key}, {bucket_key}) in {path}", line=number
             )
-        cells[key] = _parse_cell(weight_token, str(path), number)
+        cells[key] = _parse_cell(weight_token, path, number)
     return RiskWeightTable(cells=cells, source=table_source(path, text))
 
 
@@ -145,18 +156,10 @@ def load_ccf(path: str | Path) -> CcfTable:
     for number, (category, factor_token) in _table_rows(text, str(path), 2):
         if category in factors:
             raise ParseError(f"duplicate category {category!r} in {path}", line=number)
-        try:
-            factor = parse_fraction(factor_token)
-        except ValueError as exc:
-            raise ParseError(
-                f"{exc} in {path}", line=number, column="factor"
-            ) from exc
+        factor = _parse_fraction_cell(factor_token, path, number, "factor")
         if not 0 <= factor <= 1:
-            raise ParseError(
-                f"conversion factor {factor_token} outside [0, 1] in {path}",
-                line=number,
-                column="factor",
-            )
+            reason = f"conversion factor {factor_token} outside [0, 1]"
+            raise _cell_error(path, number, "factor", reason)
         factors[category] = factor
     return CcfTable(factors=factors, source=table_source(path, text))
 
@@ -177,13 +180,10 @@ def load_betas(path: str | Path) -> BetaTable:
         try:
             line = BusinessLine.from_key(line_key)
         except ValueError as exc:
-            raise ParseError(f"{exc} in {path}", line=number, column="line") from exc
+            raise _cell_error(path, number, "line", exc) from exc
         if line in betas:
             raise ParseError(f"duplicate line {line_key!r} in {path}", line=number)
-        try:
-            betas[line] = parse_fraction(beta_token)
-        except ValueError as exc:
-            raise ParseError(f"{exc} in {path}", line=number, column="beta") from exc
+        betas[line] = _parse_fraction_cell(beta_token, path, number, "beta")
     try:
         return BetaTable(betas=betas, source=table_source(path, text))
     except (MissingLine, ValueError) as exc:
@@ -255,8 +255,27 @@ def _read_header(
     return names
 
 
-def _cell_error(path: Path, line: int, column: str, reason) -> ParseError:
-    return ParseError(f"{reason} in {path}", line=line, column=column)
+def _csv_records(path: Path, required: tuple[str, ...], optional: tuple[str, ...]):
+    """Yield (line number, {column: cell}) for each non-blank data row.
+
+    The header is checked by ``_read_header`` and every data row must have
+    one cell per column. A row the csv module cannot read (an oversized
+    cell, say) is a ParseError citing its line.
+    """
+    reader = csv.reader(_read_text(path).splitlines())
+    try:
+        names = _read_header(reader, path, required, optional)
+        for number, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(names):
+                raise ParseError(
+                    f"expected {len(names)} fields, got {len(row)} in {path}",
+                    line=number,
+                )
+            yield number, dict(zip(names, row))
+    except csv.Error as exc:
+        raise ParseError(f"{exc} in {path}", line=reader.line_num) from exc
 
 
 def _parse_money_cell(
@@ -264,13 +283,6 @@ def _parse_money_cell(
 ) -> Money:
     try:
         return Money.from_decimal(token, currency)
-    except ValueError as exc:
-        raise _cell_error(path, line, column, exc) from exc
-
-
-def _parse_fraction_cell(token: str, path: Path, line: int, column: str) -> Fraction:
-    try:
-        return parse_fraction(token)
     except ValueError as exc:
         raise _cell_error(path, line, column, exc) from exc
 
@@ -347,26 +359,11 @@ def _parse_exposure(
 def load_portfolio(path: str | Path, currency: str = DEFAULT_CURRENCY) -> Portfolio:
     """Read and validate a portfolio file; errors cite line and column."""
     path = Path(path)
-    text = _read_text(path)
-    reader = csv.reader(text.splitlines())
-    names = _read_header(reader, path, PORTFOLIO_REQUIRED, PORTFOLIO_OPTIONAL)
-    exposures: list[Exposure] = []
-    for number, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(names):
-            raise ParseError(
-                f"expected {len(names)} fields, got {len(row)} in {path}", line=number
-            )
-        record = dict(zip(names, row))
-        exposures.append(_parse_exposure(record, path, number, currency))
+    records = _csv_records(path, PORTFOLIO_REQUIRED, PORTFOLIO_OPTIONAL)
+    exposures = [
+        _parse_exposure(record, path, number, currency) for number, record in records
+    ]
     return validate_portfolio(exposures, currency)
-
-
-def dump_portfolio_template(path: str | Path) -> None:
-    """Write a header-only portfolio file showing every accepted column."""
-    header = ",".join(PORTFOLIO_REQUIRED + PORTFOLIO_OPTIONAL)
-    Path(path).write_text(header + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +405,9 @@ def _parse_income_record(
 def load_income(path: str | Path, currency: str = DEFAULT_CURRENCY) -> IncomeHistory:
     """Read a three-year income statement file into an IncomeHistory."""
     path = Path(path)
-    text = _read_text(path)
-    reader = csv.reader(text.splitlines())
-    names = _read_header(reader, path, INCOME_REQUIRED, INCOME_OPTIONAL)
-
     totals: dict[int, GrossIncomeRecord] = {}
     per_line: dict[int, dict[BusinessLine, GrossIncomeRecord]] = {}
-    for number, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(names):
-            raise ParseError(
-                f"expected {len(names)} fields, got {len(row)} in {path}", line=number
-            )
-        record = dict(zip(names, row))
+    for number, record in _csv_records(path, INCOME_REQUIRED, INCOME_OPTIONAL):
         year_token = record.get("year", "").strip()
         try:
             year = int(year_token)

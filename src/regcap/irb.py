@@ -9,31 +9,22 @@ in via configuration.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable
 
+from .config import CreditApproach
 from .errors import NonFiniteWeight, OutOfRange, UnknownFunction, ValidationFailure
 from .model import Exposure
-from .money import Money, to_fraction
+from .money import Money
 
 # Supervisory foundation inputs: 50% recovery, exposure at nominal value,
 # three-year maturity.
 FOUNDATION_RECOVERY_RATE = Fraction(1, 2)
 FOUNDATION_LGD = 1 - FOUNDATION_RECOVERY_RATE
 FOUNDATION_MATURITY_YEARS = Fraction(3)
-
-
-class IrbMode(enum.Enum):
-    FOUNDATION = "foundation"
-    ADVANCED = "advanced"
-
-    @property
-    def key(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -55,25 +46,12 @@ class IrbParams:
         if self.maturity_years.numerator <= 0:
             raise OutOfRange(f"maturity {self.maturity_years} must be positive")
 
-    @classmethod
-    def from_recovery(
-        cls, pd: Fraction, recovery_rate: Fraction, ead: Money, maturity_years: Fraction
-    ) -> IrbParams:
-        """Build params from a recovery rate; lgd = 1 - recovery."""
-        return cls(pd=pd, lgd=1 - to_fraction(recovery_rate), ead=ead,
-                   maturity_years=maturity_years)
-
 
 RiskWeightFunction = Callable[[IrbParams], Fraction]
 
 
-def foundation_params(pd, nominal: Money) -> IrbParams:
+def foundation_params(pd: Fraction, nominal: Money) -> IrbParams:
     """Foundation sourcing: bank supplies PD, supervisor fixes the rest."""
-    pd = to_fraction(pd)
-    if not 0 <= pd <= 1:
-        raise OutOfRange(f"pd {pd} outside [0, 1]")
-    if nominal.is_negative:
-        raise OutOfRange(f"nominal {nominal} is negative")
     return IrbParams(
         pd=pd,
         lgd=FOUNDATION_LGD,
@@ -82,11 +60,11 @@ def foundation_params(pd, nominal: Money) -> IrbParams:
     )
 
 
-def params_for_exposure(exposure: Exposure, mode: IrbMode) -> IrbParams:
-    """Source the risk components for one exposure under the given mode."""
+def params_for_exposure(exposure: Exposure, approach: CreditApproach) -> IrbParams:
+    """Source the risk components for one exposure under an IRB approach."""
     if exposure.pd is None:
         raise ValidationFailure([f"exposure {exposure.id!r}: pd required for irb"])
-    if mode is IrbMode.FOUNDATION:
+    if approach is CreditApproach.IRB_FOUNDATION:
         return foundation_params(exposure.pd, exposure.nominal)
     missing = [
         name
@@ -223,16 +201,12 @@ def risk_weight_function(name: str) -> RiskWeightFunction:
         raise UnknownFunction(f"no risk-weight function registered as {name!r}") from None
 
 
-def registered_functions() -> tuple[str, ...]:
-    return tuple(sorted(_FUNCTIONS))
-
-
 def rwa_irb(params: IrbParams, fn: RiskWeightFunction | str) -> Money:
     """Risk-weighted amount ead x f(params); exactly zero at zero ead."""
     if isinstance(fn, str):
         fn = risk_weight_function(fn)
     if params.ead.units == 0:
-        return Money.zero(params.ead.currency, params.ead.scale)
+        return Money.zero(params.ead.currency)
     return params.ead.scaled(evaluate_weight(fn, params))
 
 

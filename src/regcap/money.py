@@ -1,7 +1,9 @@
 """Fixed-point money arithmetic and exact rational helpers.
 
-Amounts are integer counts of minor units (cents at the default scale of 2),
-so addition and subtraction are exact. Factors stay exact
+Amounts are integer counts of minor units: every currency is kept to
+``MINOR_UNIT_DIGITS`` (2) decimal places, so one unit is a cent and
+addition and subtraction are exact. An amount carries only its currency
+code; there is no per-amount precision to configure. Factors stay exact
 ``fractions.Fraction`` values, but products and roundings work on their
 integer numerator and denominator: one ``divmod`` and a half-to-even fix-up
 back to minor units, in a single step, which keeps regulatory figures
@@ -24,7 +26,9 @@ from fractions import Fraction
 from .errors import CurrencyMismatch
 
 DEFAULT_CURRENCY = "EUR"
-DEFAULT_SCALE = 2
+
+# Decimal places of every amount: a minor unit is one cent.
+MINOR_UNIT_DIGITS = 2
 
 # Largest decimal exponent, as Decimal.adjusted() counts it, of a non-zero
 # input cell in either direction: 31 integer digits leave room for any
@@ -69,24 +73,18 @@ class Money:
 
     units: int
     currency: str = DEFAULT_CURRENCY
-    scale: int = DEFAULT_SCALE
 
     def __post_init__(self) -> None:
         if not isinstance(self.units, int):
             raise TypeError(f"units must be int, got {type(self.units).__name__}")
-        if self.scale < 0:
-            raise ValueError("scale must be non-negative")
 
     @classmethod
-    def zero(cls, currency: str = DEFAULT_CURRENCY, scale: int = DEFAULT_SCALE) -> "Money":
-        return cls(0, currency, scale)
+    def zero(cls, currency: str = DEFAULT_CURRENCY) -> "Money":
+        return cls(0, currency)
 
     @classmethod
     def from_decimal(
-        cls,
-        value: Decimal | str | int,
-        currency: str = DEFAULT_CURRENCY,
-        scale: int = DEFAULT_SCALE,
+        cls, value: Decimal | str | int, currency: str = DEFAULT_CURRENCY
     ) -> "Money":
         """Build from a decimal literal; rejects sub-minor-unit amounts."""
         try:
@@ -94,31 +92,27 @@ class Money:
         except InvalidOperation as exc:
             raise ValueError(f"not a decimal amount: {value!r}") from exc
         numerator, denominator = _integer_ratio(dec, str(value))
-        units, remainder = divmod(numerator * 10**scale, denominator)
+        units, remainder = divmod(numerator * 10**MINOR_UNIT_DIGITS, denominator)
         if remainder:
-            raise ValueError(f"amount {value!r} has more than {scale} decimal places")
-        return cls(units, currency, scale)
-
-    @property
-    def amount(self) -> Decimal:
-        return Decimal(f"{self.units}E-{self.scale}")
+            raise ValueError(
+                f"amount {value!r} has more than {MINOR_UNIT_DIGITS} decimal places"
+            )
+        return cls(units, currency)
 
     def _check_compatible(self, other: "Money") -> None:
         if self.currency != other.currency:
             raise CurrencyMismatch(f"{self.currency} vs {other.currency}")
-        if self.scale != other.scale:
-            raise CurrencyMismatch(f"minor-unit scale {self.scale} vs {other.scale}")
 
     def __add__(self, other: "Money") -> "Money":
         self._check_compatible(other)
-        return Money(self.units + other.units, self.currency, self.scale)
+        return Money(self.units + other.units, self.currency)
 
     def __sub__(self, other: "Money") -> "Money":
         self._check_compatible(other)
-        return Money(self.units - other.units, self.currency, self.scale)
+        return Money(self.units - other.units, self.currency)
 
     def __neg__(self) -> "Money":
-        return Money(-self.units, self.currency, self.scale)
+        return Money(-self.units, self.currency)
 
     def __lt__(self, other: "Money") -> bool:
         self._check_compatible(other)
@@ -127,7 +121,7 @@ class Money:
     def scaled(self, factor: Fraction | int) -> "Money":
         """Exact product with a rational factor, then one half-even rounding."""
         units = _divide_half_even(self.units * factor.numerator, factor.denominator)
-        return Money(units, self.currency, self.scale)
+        return Money(units, self.currency)
 
     def ratio_to(self, other: "Money") -> Fraction:
         """Exact ratio of two amounts of the same currency."""
@@ -141,11 +135,9 @@ class Money:
         return self.units < 0
 
     def _render(self, grouping: str) -> str:
-        whole, minor = divmod(abs(self.units), 10**self.scale)
+        whole, minor = divmod(abs(self.units), 10**MINOR_UNIT_DIGITS)
         sign = "-" if self.units < 0 else ""
-        if not self.scale:
-            return f"{sign}{whole:{grouping}d}"
-        return f"{sign}{whole:{grouping}d}.{minor:0{self.scale}d}"
+        return f"{sign}{whole:{grouping}d}.{minor:0{MINOR_UNIT_DIGITS}d}"
 
     def text(self) -> str:
         """Plain decimal string, no separators (machine documents)."""
@@ -159,12 +151,12 @@ class Money:
         return f"{self.text()} {self.currency}"
 
 
-def sum_money(items, currency: str = DEFAULT_CURRENCY, scale: int = DEFAULT_SCALE) -> Money:
+def sum_money(items, currency: str = DEFAULT_CURRENCY) -> Money:
     """Exact ordered sum; returns a zero of the given currency when empty."""
     total = None
     for item in items:
         total = item if total is None else total + item
-    return total if total is not None else Money.zero(currency, scale)
+    return total if total is not None else Money.zero(currency)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -179,24 +171,6 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"not a decimal fraction: {text!r}") from exc
     numerator, denominator = _integer_ratio(dec, text)
     return Fraction(numerator, denominator * 100 if percent else denominator)
-
-
-def to_fraction(value) -> Fraction:
-    """Coerce a number or decimal string to an exact Fraction.
-
-    Floats go through their decimal repr, so 0.1 means one tenth.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(Decimal(repr(value)))
-    if isinstance(value, Decimal):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_fraction(value)
-    raise TypeError(f"cannot interpret {type(value).__name__} as a fraction")
 
 
 def fraction_to_decimal_text(value: Fraction) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .errors import (
     IncompleteHistory,
@@ -176,27 +176,6 @@ class IncomeHistory:
         if violations:
             raise ValidationFailure(violations)
 
-    @classmethod
-    def from_totals(cls, first_year: int, totals: Iterable[Money]) -> IncomeHistory:
-        """Convenience: build a totals-only history from three amounts."""
-        annuals = tuple(
-            AnnualIncome(year=first_year + i, total=GrossIncomeRecord(amount=amount))
-            for i, amount in enumerate(totals)
-        )
-        if len(annuals) != 3:
-            raise IncompleteHistory(
-                f"need exactly three annual records, got {len(annuals)}"
-            )
-        return cls(years=annuals)
-
-    @property
-    def currency(self) -> str:
-        return self.years[0].effective_total().currency
-
-    @property
-    def scale(self) -> int:
-        return self.years[0].effective_total().scale
-
     def span(self) -> str:
         return f"{self.years[0].year}-{self.years[-1].year}"
 
@@ -220,13 +199,13 @@ def average_gross_income(
     """Three-year average of effective gross income under the policy."""
     totals = [annual.effective_total() for annual in history.years]
     mean = _policy_mean_units([t.units for t in totals], policy)
-    return Money(round_half_even(mean), totals[0].currency, totals[0].scale)
+    return Money(round_half_even(mean), totals[0].currency)
 
 
 def bia_capital(gi: Money) -> Money:
     """Basic-indicator charge: alpha times average income, floored at zero."""
     if gi.units <= 0:
-        return Money.zero(gi.currency, gi.scale)
+        return Money.zero(gi.currency)
     return gi.scaled(ALPHA)
 
 
@@ -260,16 +239,16 @@ def tsa_capital(
     )
     if absent:
         raise MissingLine(absent)
-    currency, scale = history.currency, history.scale
+    currency = history.years[0].effective_total().currency
     per_line: dict[BusinessLine, Money] = {}
     total_exact = Fraction(0)
     for line in BusinessLine:
         units = [annual.per_line[line].effective.units for annual in history.years]
         charge_exact = betas.beta(line) * _policy_mean_units(units, policy)
-        per_line[line] = Money(round_half_even(charge_exact), currency, scale)
+        per_line[line] = Money(round_half_even(charge_exact), currency)
         total_exact += charge_exact
     total_units = max(round_half_even(total_exact), 0)
-    return TsaResult(per_line=per_line, total=Money(total_units, currency, scale))
+    return TsaResult(per_line=per_line, total=Money(total_units, currency))
 
 
 class ApproachKind(enum.Enum):
@@ -338,8 +317,3 @@ def advanced_hook(name: str) -> AdvancedEstimator:
         raise UnregisteredAdvancedHook(
             f"no advanced estimator registered as {name!r}"
         ) from None
-
-
-def registered_advanced_hooks() -> tuple[str, ...]:
-    return tuple(sorted(_ADVANCED_HOOKS))
-

@@ -24,7 +24,7 @@ from .engine import (
     TableSet,
 )
 from .model import CapitalBase
-from .money import Money, format_percent, fraction_to_decimal_text
+from .money import format_percent, fraction_to_decimal_text
 from .oprisk import ApproachKind, BusinessLine
 
 RULE = "=" * 72
@@ -204,10 +204,6 @@ def render_compute_text(result: ComputeResult) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _money_doc(amount: Money) -> str:
-    return amount.text()
-
-
 def _ratio_doc(ratio: Fraction | None) -> str | None:
     return format_percent(ratio) if ratio is not None else None
 
@@ -232,7 +228,7 @@ def _config_doc(config: EngineConfig, tables: TableSet) -> dict:
     if config.min_ratio_override is not None:
         doc["min_ratio_override"] = format_percent(config.min_ratio_override)
     if config.capital_addon is not None:
-        doc["capital_addon"] = _money_doc(config.capital_addon)
+        doc["capital_addon"] = config.capital_addon.text()
     if config.adjustment_justification:
         doc["adjustment_justification"] = config.adjustment_justification
     if config.disclosure_period:
@@ -248,13 +244,13 @@ def compute_document(result: ComputeResult) -> dict:
         "config": _config_doc(result.config, result.tables),
         "credit": {
             "approach": credit.approach.key,
-            "total_rwa": _money_doc(credit.total_rwa),
+            "total_rwa": credit.total_rwa.text(),
             "lines": [
                 {
                     "id": line.exposure_id,
                     "ccf": format_percent(line.ccf),
                     "weight": format_percent(line.weight),
-                    "amount": _money_doc(line.amount),
+                    "amount": line.amount.text(),
                 }
                 for line in credit.lines
             ]
@@ -266,35 +262,35 @@ def compute_document(result: ComputeResult) -> dict:
                     "maturity_years": fraction_to_decimal_text(
                         irb_line.params.maturity_years
                     ),
-                    "ead": _money_doc(irb_line.params.ead),
+                    "ead": irb_line.params.ead.text(),
                     "weight": format_percent(irb_line.weight),
-                    "amount": _money_doc(irb_line.amount),
+                    "amount": irb_line.amount.text(),
                     "off_balance": irb_line.off_balance,
                 }
                 for irb_line in credit.irb_lines
             ],
         },
         "capital": {
-            "total_own_funds": _money_doc(result.capital.total_own_funds),
+            "total_own_funds": result.capital.total_own_funds.text(),
             "tier1": (
-                _money_doc(result.capital.tier1)
+                result.capital.tier1.text()
                 if result.capital.tier1 is not None
                 else None
             ),
             "tier2": (
-                _money_doc(result.capital.tier2)
+                result.capital.tier2.text()
                 if result.capital.tier2 is not None
                 else None
             ),
         },
         "solvency": {
-            "denominator": _money_doc(report.denominator),
+            "denominator": report.denominator.text(),
             "full_ratio": _ratio_doc(report.mcdonough),
             "credit_only_ratio": _ratio_doc(report.cooke),
             "minimum_ratio": format_percent(report.minimum_ratio),
-            "capital_addon": _money_doc(report.addon),
-            "min_required_capital": _money_doc(report.min_required_capital),
-            "surplus": _money_doc(report.surplus),
+            "capital_addon": report.addon.text(),
+            "min_required_capital": report.min_required_capital.text(),
+            "surplus": report.surplus.text(),
             "compliant": report.compliant,
             "shares": (
                 {
@@ -310,13 +306,13 @@ def compute_document(result: ComputeResult) -> dict:
         oprisk_doc: dict = {
             "approach": result.oprisk.approach.key,
             "negative_gi_policy": result.oprisk.policy.key,
-            "charge": _money_doc(result.oprisk.charge),
+            "charge": result.oprisk.charge.text(),
         }
         if result.oprisk.average_income is not None:
-            oprisk_doc["average_income"] = _money_doc(result.oprisk.average_income)
+            oprisk_doc["average_income"] = result.oprisk.average_income.text()
         if result.oprisk.tsa is not None:
             oprisk_doc["per_line"] = {
-                line.key: _money_doc(result.oprisk.tsa.per_line[line])
+                line.key: result.oprisk.tsa.per_line[line].text()
                 for line in BusinessLine
             }
         if result.oprisk.income_span:
@@ -325,7 +321,7 @@ def compute_document(result: ComputeResult) -> dict:
             oprisk_doc["note"] = result.oprisk.note
         doc["oprisk"] = oprisk_doc
     if result.market_charge is not None:
-        doc["market"] = {"capital_charge": _money_doc(result.market_charge)}
+        doc["market"] = {"capital_charge": result.market_charge.text()}
     return doc
 
 
@@ -385,7 +381,7 @@ def compare_document(comparison: CompareResult) -> dict:
     return {
         "credit_only": compute_document(comparison.credit_only),
         "full": compute_document(comparison.full),
-        "required_delta": _money_doc(comparison.required_delta),
+        "required_delta": comparison.required_delta.text(),
         "novelties": [
             {"name": n.name, "applied": n.applied, "note": n.note}
             for n in comparison.novelties

@@ -18,13 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import MissingCell, UnknownCategory
-from .model import (
-    MINIMUM_CAPITAL_RATIO,
-    CounterpartyClass,
-    Exposure,
-    Portfolio,
-    RatingBucket,
-)
+from .model import CounterpartyClass, Exposure, Portfolio, RatingBucket
 from .money import Money, sum_money
 
 
@@ -163,23 +157,6 @@ class RwaLine:
     amount: Money
 
 
-def lookup_weight(
-    counterparty: CounterpartyClass,
-    rating: RatingBucket,
-    policy: BankOptionPolicy,
-    table: RiskWeightTable = DEFAULT_RISK_WEIGHTS,
-) -> Fraction:
-    """Resolve the risk weight for a (class, bucket) pair under a policy."""
-    return table.weight(counterparty, rating, policy)
-
-
-def convert_off_balance(
-    nominal: Money, category: str, ccf: CcfTable = DEFAULT_CCF
-) -> Money:
-    """Convert an off-balance commitment to its credit-equivalent amount."""
-    return nominal.scaled(ccf.factor(category))
-
-
 def rwa_exposure(
     exposure: Exposure,
     table: RiskWeightTable = DEFAULT_RISK_WEIGHTS,
@@ -218,12 +195,3 @@ def rwa_portfolio(
             raise type(err)(f"exposure {exposure.id!r}: {err}") from err
     total = sum_money((line.amount for line in lines), currency=currency)
     return lines, total
-
-
-def required_capital_credit(
-    total_rwa: Money, ratio: Fraction = MINIMUM_CAPITAL_RATIO
-) -> Money:
-    """Own funds required against credit risk: RWA x ratio."""
-    if total_rwa.is_negative:
-        raise ValueError("risk-weighted assets must be non-negative")
-    return total_rwa.scaled(ratio)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from regcap import Money
+from regcap import AnnualIncome, GrossIncomeRecord, IncomeHistory, Money
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -16,6 +16,16 @@ DATA_DIR = Path(__file__).parent / "data"
 def eur(text: str | int) -> Money:
     """Money from a plain decimal literal, e.g. eur("10000000.00")."""
     return Money.from_decimal(Decimal(str(text)), "EUR")
+
+
+def history_of_totals(first_year: int, totals: list[Money]) -> IncomeHistory:
+    """A totals-only income history, one amount per year from first_year."""
+    return IncomeHistory(
+        years=tuple(
+            AnnualIncome(year=first_year + i, total=GrossIncomeRecord(amount=amount))
+            for i, amount in enumerate(totals)
+        )
+    )
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from regcap import (
     RWA_MULTIPLIER,
     SupervisoryAdjustment,
     compliance,
-    cooke_ratio,
     denominator,
     denominator_shares,
     mcdonough_ratio,
@@ -80,21 +79,23 @@ class TestRatios:
         assert ratio == Fraction(8, 100)
 
     def test_cooke_ignores_non_credit_risk(self):
-        assert cooke_ratio(CapitalBase(eur("80")), eur("1000")) == Fraction(8, 100)
-        assert cooke_ratio(CapitalBase(eur("160")), eur("1000")) == Fraction(16, 100)
+        full = inputs("1000", "8", "16")
+        assert compliance(CapitalBase(eur("80")), full).cooke == Fraction(8, 100)
+        assert compliance(CapitalBase(eur("160")), full).cooke == Fraction(16, 100)
 
     def test_ratios_collapse_when_only_credit(self):
         capital = CapitalBase(eur("123.45"))
-        credit = eur("987.00")
-        assert mcdonough_ratio(capital, inputs("987", "0", "0")) == cooke_ratio(
-            capital, credit
-        )
+        credit_only = inputs("987", "0", "0")
+        report = compliance(capital, credit_only)
+        assert mcdonough_ratio(capital, credit_only) == report.cooke
+        assert report.mcdonough == report.cooke
 
     def test_empty_denominator(self):
         with pytest.raises(EmptyDenominator):
             mcdonough_ratio(CapitalBase(eur("100")), inputs("0", "0", "0"))
-        with pytest.raises(EmptyDenominator):
-            cooke_ratio(CapitalBase(eur("100")), eur("0"))
+        no_credit = compliance(CapitalBase(eur("100")), inputs("0", "8", "0"))
+        assert no_credit.cooke is None
+        assert no_credit.mcdonough == Fraction(1)
 
 
 class TestShares:

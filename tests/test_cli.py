@@ -55,6 +55,26 @@ class TestCompute:
         assert status == 2
         assert captured.err.startswith("error [input/config]:")
 
+    @pytest.mark.parametrize("surface", ["portfolio", "income"])
+    def test_oversized_csv_cell_exits_two(self, capsys, tmp_path, surface):
+        # longer than the csv module's 131,072-character field limit
+        cell = "1" * 140_000
+        path = tmp_path / f"{surface}.csv"
+        if surface == "portfolio":
+            header = "id,class,rating,nominal,position"
+            path.write_text(f"{header}\nA1,corporate,AAA,{cell},on\n")
+            inputs = ["--portfolio", str(path)]
+        else:
+            path.write_text(f"year,line,amount\n2004,TOTAL,{cell}\n")
+            inputs = ["--portfolio", WORKED, "--income", str(path)]
+        status = main(["compute", "--capital", "1.00", *inputs])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error [input/config]: line 2: field larger")
+        assert captured.err.endswith(f" in {path}\n")
+        assert captured.err.count("\n") == 1
+
     def test_bad_capital_amount_exits_two(self, capsys, tmp_path):
         betas = tmp_path / "betas.tbl"
         betas.write_text(

@@ -106,8 +106,9 @@ class TestFileAndFlagAgree:
         ("oprisk.approach = fancy", "unknown operational-risk approach 'fancy'"),
         ("supervisor.min_ratio = lots", "not a decimal fraction: 'lots'"),
         ("supervisor.addon = 1.234", "amount '1.234' has more than 2 decimal"),
+        ("currency = not a code", "three-letter ISO code such as EUR, got 'not a"),
     ],
-    ids=["enum", "bool", "approach", "fraction", "amount"],
+    ids=["enum", "bool", "approach", "fraction", "amount", "currency"],
 )
 def test_bad_value_exits_two(capsys, tmp_path, line, detail):
     path = tmp_path / "bad.cfg"

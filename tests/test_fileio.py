@@ -17,7 +17,6 @@ from regcap import (
     ValidationFailure,
     dump_betas,
     dump_ccf,
-    dump_portfolio_template,
     dump_risk_weights,
     load_betas,
     load_ccf,
@@ -25,6 +24,7 @@ from regcap import (
     load_portfolio,
     load_risk_weights,
 )
+from regcap.fileio import PORTFOLIO_OPTIONAL, PORTFOLIO_REQUIRED
 
 from conftest import DATA_DIR, eur
 
@@ -153,7 +153,7 @@ class TestPortfolioCsv:
 
     def test_template_loads_back_empty(self, tmp_path):
         path = tmp_path / "template.csv"
-        dump_portfolio_template(path)
+        path.write_text(",".join(PORTFOLIO_REQUIRED + PORTFOLIO_OPTIONAL) + "\n")
         assert len(load_portfolio(path)) == 0
 
     def test_unknown_column_rejected(self, tmp_path):

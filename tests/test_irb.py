@@ -9,14 +9,20 @@ import pytest
 from regcap import (
     FOUNDATION_LGD,
     FOUNDATION_MATURITY_YEARS,
+    CounterpartyClass,
+    CreditApproach,
+    Exposure,
     IrbParams,
     MonotonicityGrid,
     NonFiniteWeight,
     OutOfRange,
+    RatingBucket,
     UnknownFunction,
+    ValidationFailure,
     check_monotonicity,
     evaluate_weight,
     foundation_params,
+    params_for_exposure,
     register_risk_weight_function,
     risk_weight_function,
     rwa_irb,
@@ -67,6 +73,40 @@ class TestFoundationParams:
             assert params.ead == eur("7.77")
 
 
+class TestParamsForExposure:
+    def exposure(self, **irb_fields) -> Exposure:
+        return Exposure(
+            id="I1",
+            counterparty=CounterpartyClass.CORPORATE,
+            rating=RatingBucket.UNRATED,
+            nominal=eur("1000.00"),
+            **irb_fields,
+        )
+
+    def test_foundation_keeps_only_the_bank_pd(self):
+        exposure = self.exposure(pd=Fraction(1, 100), lgd=Fraction(1, 5))
+        params = params_for_exposure(exposure, CreditApproach.IRB_FOUNDATION)
+        assert params == foundation_params(Fraction(1, 100), eur("1000.00"))
+
+    def test_advanced_takes_all_four_components(self):
+        exposure = self.exposure(
+            pd=Fraction(1, 100), lgd=Fraction(1, 5), ead=eur("900.00"),
+            maturity_years=Fraction(5, 2),
+        )
+        params = params_for_exposure(exposure, CreditApproach.IRB_ADVANCED)
+        assert params == IrbParams(
+            Fraction(1, 100), Fraction(1, 5), eur("900.00"), Fraction(5, 2)
+        )
+
+    def test_missing_components_are_all_named(self):
+        with pytest.raises(ValidationFailure, match="pd required"):
+            params_for_exposure(self.exposure(), CreditApproach.IRB_FOUNDATION)
+        exposure = self.exposure(pd=Fraction(1, 100))
+        with pytest.raises(ValidationFailure) as excinfo:
+            params_for_exposure(exposure, CreditApproach.IRB_ADVANCED)
+        assert len(excinfo.value.violations) == 3
+
+
 class TestIrbParamsValidation:
     def test_all_fields_checked(self):
         good = dict(pd=Fraction(1, 100), lgd=Fraction(1, 2), ead=eur("1"),
@@ -78,12 +118,6 @@ class TestIrbParamsValidation:
             IrbParams(**{**good, "maturity_years": Fraction(0)})
         with pytest.raises(OutOfRange):
             IrbParams(**{**good, "ead": -eur("1")})
-
-    def test_from_recovery(self):
-        params = IrbParams.from_recovery(
-            Fraction(1, 100), Fraction(3, 10), eur("1"), Fraction(3)
-        )
-        assert params.lgd == Fraction(7, 10)
 
 
 class TestRwaIrb:

@@ -34,7 +34,7 @@ from regcap import (
     tsa_capital,
 )
 
-from conftest import eur
+from conftest import eur, history_of_totals
 
 EXCLUDE = NegativeGiPolicy.EXCLUDE_NEGATIVE_YEARS
 INCLUDE = NegativeGiPolicy.INCLUDE_ALL
@@ -45,9 +45,7 @@ def record(units: int) -> GrossIncomeRecord:
 
 
 def totals_history(*unit_totals: int, start_year: int = 2004) -> IncomeHistory:
-    return IncomeHistory.from_totals(
-        start_year, [Money(units, "EUR") for units in unit_totals]
-    )
+    return history_of_totals(start_year, [Money(units, "EUR") for units in unit_totals])
 
 
 def per_line_history(rows: dict[BusinessLine, tuple[int, int, int]],
@@ -91,7 +89,7 @@ def tsa_oracle_units(history: IncomeHistory, betas: BetaTable,
 class TestIncomeHistory:
     def test_exactly_three_years(self):
         with pytest.raises(IncompleteHistory):
-            IncomeHistory.from_totals(2004, [eur("1"), eur("2")])
+            history_of_totals(2004, [eur("1"), eur("2")])
 
     def test_years_must_be_consecutive(self):
         annuals = tuple(

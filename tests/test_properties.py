@@ -13,16 +13,16 @@ from regcap import (
     CapitalBase,
     CounterpartyClass,
     DEFAULT_CCF,
+    DEFAULT_RISK_WEIGHTS,
     Exposure,
     Money,
     PillarOneInputs,
     Portfolio,
     RatingBucket,
     UnknownRating,
-    cooke_ratio,
+    compliance,
     denominator,
     foundation_params,
-    lookup_weight,
     mcdonough_ratio,
     parse_rating,
     round_half_even,
@@ -105,8 +105,8 @@ class TestStandardizedInvariants:
     def test_rating_monotonicity_within_class(self, counterparty, policy, i, j):
         if i > j:
             i, j = j, i
-        stronger = lookup_weight(counterparty, RATED_BUCKETS[i], policy)
-        weaker = lookup_weight(counterparty, RATED_BUCKETS[j], policy)
+        stronger = DEFAULT_RISK_WEIGHTS.weight(counterparty, RATED_BUCKETS[i], policy)
+        weaker = DEFAULT_RISK_WEIGHTS.weight(counterparty, RATED_BUCKETS[j], policy)
         assert stronger <= weaker
 
     @MANY
@@ -198,17 +198,13 @@ class TestRatioInvariants:
                 oprisk_capital_charge=Money(2 * oprisk_half * scale, "EUR"),
             )
 
-        base_ratio = mcdonough_ratio(CapitalBase(Money(capital, "EUR")), build(1))
-        scaled_ratio = mcdonough_ratio(
-            CapitalBase(Money(capital * k, "EUR")), build(k)
+        base = compliance(CapitalBase(Money(capital, "EUR")), build(1))
+        scaled = compliance(CapitalBase(Money(capital * k, "EUR")), build(k))
+        assert base.mcdonough == scaled.mcdonough
+        assert base.mcdonough == mcdonough_ratio(
+            CapitalBase(Money(capital, "EUR")), build(1)
         )
-        assert base_ratio == scaled_ratio
-        if credit > 0:
-            assert cooke_ratio(
-                CapitalBase(Money(capital, "EUR")), Money(credit, "EUR")
-            ) == cooke_ratio(
-                CapitalBase(Money(capital * k, "EUR")), Money(credit * k, "EUR")
-            )
+        assert base.cooke == scaled.cooke
 
     @MANY
     @given(units=st.integers(0, 10**9))
@@ -235,9 +231,8 @@ class TestRatioInvariants:
             oprisk_capital_charge=Money(0, "EUR"),
         )
         base = CapitalBase(Money(capital, "EUR"))
-        assert mcdonough_ratio(base, inputs) == cooke_ratio(
-            base, Money(credit, "EUR")
-        )
+        report = compliance(base, inputs)
+        assert mcdonough_ratio(base, inputs) == report.cooke == report.mcdonough
 
 
 class TestRatingParser:

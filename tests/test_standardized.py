@@ -8,19 +8,20 @@ import pytest
 
 from regcap import (
     BankOptionPolicy,
+    CapitalBase,
     CcfTable,
     CounterpartyClass,
     DEFAULT_CCF,
     DEFAULT_RISK_WEIGHTS,
     Exposure,
     MissingCell,
+    Money,
+    PillarOneInputs,
     RatingBucket,
     RiskWeightTable,
     UnknownCategory,
     WeightCell,
-    convert_off_balance,
-    lookup_weight,
-    required_capital_credit,
+    compliance,
     rwa_exposure,
     rwa_portfolio,
     validate_portfolio,
@@ -56,8 +57,8 @@ class TestDefaultTableFidelity:
         ids=lambda v: getattr(v, "name", str(v)).lower(),
     )
     def test_all_cells_under_both_policies(self, counterparty, bucket, low, high):
-        assert lookup_weight(counterparty, bucket, LOW) == low
-        assert lookup_weight(counterparty, bucket, HIGH) == high
+        assert DEFAULT_RISK_WEIGHTS.weight(counterparty, bucket, LOW) == low
+        assert DEFAULT_RISK_WEIGHTS.weight(counterparty, bucket, HIGH) == high
 
     def test_table_has_exactly_28_cells(self):
         assert len(DEFAULT_RISK_WEIGHTS.cells) == 28
@@ -72,13 +73,13 @@ class TestDefaultTableFidelity:
         ]
 
     def test_one_policy_resolves_both_range_cells_together(self):
-        bbb = lookup_weight(CounterpartyClass.BANK, RatingBucket.BBB_PLUS_TO_BBB_MINUS, LOW)
-        unrated = lookup_weight(CounterpartyClass.BANK, RatingBucket.UNRATED, LOW)
+        weight = DEFAULT_RISK_WEIGHTS.weight
+        bank = CounterpartyClass.BANK
+        bbb = weight(bank, RatingBucket.BBB_PLUS_TO_BBB_MINUS, LOW)
+        unrated = weight(bank, RatingBucket.UNRATED, LOW)
         assert bbb == unrated == Fraction(1, 2)
-        bbb_high = lookup_weight(
-            CounterpartyClass.BANK, RatingBucket.BBB_PLUS_TO_BBB_MINUS, HIGH
-        )
-        unrated_high = lookup_weight(CounterpartyClass.BANK, RatingBucket.UNRATED, HIGH)
+        bbb_high = weight(bank, RatingBucket.BBB_PLUS_TO_BBB_MINUS, HIGH)
+        unrated_high = weight(bank, RatingBucket.UNRATED, HIGH)
         assert bbb_high == unrated_high == Fraction(1)
 
 
@@ -105,30 +106,6 @@ class TestTableValidation:
         assert cell.resolve(LOW) == Fraction(2)
 
 
-class TestConvertOffBalance:
-    def test_worked_conversion(self):
-        credit_equivalent = convert_off_balance(
-            eur("10000000.00"), "medium_term_confirmed_facility"
-        )
-        assert credit_equivalent == eur("5000000.00")
-
-    def test_zero_nominal(self):
-        assert convert_off_balance(eur("0"), "guarantee") == eur("0")
-
-    def test_identity_factor(self):
-        assert convert_off_balance(eur("1000.00"), "documentary_credit") == eur(
-            "1000.00"
-        )
-
-    def test_unknown_category(self):
-        with pytest.raises(UnknownCategory):
-            convert_off_balance(eur("1"), "revolving_underwriting_facility")
-
-    def test_factor_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            CcfTable(factors={"x": Fraction(3, 2)})
-
-
 def exposure(id="E", cls=CounterpartyClass.CORPORATE, rating=RatingBucket.UNRATED,
              nominal="100.00", category=None, short_term=False) -> Exposure:
     return Exposure(
@@ -140,6 +117,33 @@ def exposure(id="E", cls=CounterpartyClass.CORPORATE, rating=RatingBucket.UNRATE
         short_term=short_term,
     )
 
+
+
+class TestConvertOffBalance:
+    """The credit equivalent, nominal x CCF, seen through a 100% weight line."""
+
+    def test_worked_conversion(self):
+        line = rwa_exposure(
+            exposure(nominal="10000000.00", category="medium_term_confirmed_facility")
+        )
+        assert line.ccf == Fraction(1, 2)
+        assert line.amount == eur("5000000.00")
+
+    def test_zero_nominal(self):
+        line = rwa_exposure(exposure(nominal="0", category="guarantee"))
+        assert line.amount == eur("0")
+
+    def test_identity_factor(self):
+        line = rwa_exposure(exposure(nominal="1000.00", category="documentary_credit"))
+        assert line.amount == eur("1000.00")
+
+    def test_unknown_category(self):
+        with pytest.raises(UnknownCategory):
+            rwa_exposure(exposure(category="revolving_underwriting_facility"))
+
+    def test_factor_bounds_enforced(self):
+        with pytest.raises(ValueError):
+            CcfTable(factors={"x": Fraction(3, 2)})
 
 class TestRwaExposure:
     def test_worked_example_line(self):
@@ -249,6 +253,16 @@ class TestRwaPortfolio:
             rwa_portfolio(book)
 
 
+def required_capital(credit_rwa: Money) -> Money:
+    """Minimum own funds with credit as the only risk, as compliance() sets it."""
+    inputs = PillarOneInputs(
+        credit_rwa=credit_rwa,
+        market_capital_charge=eur("0"),
+        oprisk_capital_charge=eur("0"),
+    )
+    return compliance(CapitalBase(eur("0")), inputs).min_required_capital
+
+
 class TestRequiredCapital:
     def test_sub_b_minus_sovereign_needs_12_percent(self):
         line = rwa_exposure(
@@ -256,17 +270,17 @@ class TestRequiredCapital:
                      nominal="100.00")
         )
         assert line.amount == eur("150.00")
-        assert required_capital_credit(line.amount) == eur("12.00")
+        assert required_capital(line.amount) == eur("12.00")
 
     def test_zero(self):
-        assert required_capital_credit(eur("0")) == eur("0")
+        assert required_capital(eur("0")) == eur("0")
 
     def test_worked_example_capital(self):
-        assert required_capital_credit(eur("1000000.00")) == eur("80000.00")
+        assert required_capital(eur("1000000.00")) == eur("80000.00")
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            required_capital_credit(-eur("1"))
+            required_capital(-eur("1"))
 
 
 class TestProperties:
@@ -282,5 +296,6 @@ class TestProperties:
         rated = [b for b in RatingBucket if b is not RatingBucket.UNRATED]
         for counterparty in CounterpartyClass:
             for policy in (LOW, HIGH):
-                weights = [lookup_weight(counterparty, b, policy) for b in rated]
+                weights = [DEFAULT_RISK_WEIGHTS.weight(counterparty, b, policy)
+                           for b in rated]
                 assert weights == sorted(weights), (counterparty, policy)
