@@ -3,7 +3,7 @@
 Subcommands: compute, compare, disclose, dump-tables, validate. Flags mirror
 config-file keys and override them one by one. Exit status: 0 when every
 computed compliance flag holds, 1 on non-compliance, 2 on input or config
-errors.
+errors and on any unexpected failure.
 """
 
 from __future__ import annotations
@@ -233,6 +233,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         sys.stderr.write(f"error [input/config]: {exc}\n")
+        return 2
+    except Exception as exc:
+        # A fault in regcap or in a registered function, never an input
+        # error: one line and exit 2, since exit 1 means a capital shortfall.
+        message = " ".join(str(exc).splitlines())
+        sys.stderr.write(f"error [internal]: {type(exc).__name__}: {message}\n")
         return 2
 
 

@@ -294,6 +294,8 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
     return parse_config_text(text, origin=str(path))
 
 

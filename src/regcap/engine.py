@@ -77,7 +77,7 @@ def resolve_tables(config: EngineConfig) -> TableSet:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IrbLine:
     """Per-exposure internal-ratings record: the components and the outcome."""
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -219,6 +221,9 @@ PORTFOLIO_OPTIONAL = (
     "maturity",
 )
 
+# C0, DEL and C1: an id holding one would break the fixed-width text report.
+_CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f]")
+
 _TRUTHY = {"true", "yes", "1"}
 _FALSY = {"false", "no", "0", ""}
 
@@ -258,22 +263,24 @@ def _read_header(
 def _csv_records(path: Path, required: tuple[str, ...], optional: tuple[str, ...]):
     """Yield (line number, {column: cell}) for each non-blank data row.
 
+    The line number is the physical line on which the row ends, so a quoted
+    cell spanning lines keeps its line breaks and shifts no later citation.
     The header is checked by ``_read_header`` and every data row must have
     one cell per column. A row the csv module cannot read (an oversized
     cell, say) is a ParseError citing its line.
     """
-    reader = csv.reader(_read_text(path).splitlines())
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
         names = _read_header(reader, path, required, optional)
-        for number, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(names):
                 raise ParseError(
                     f"expected {len(names)} fields, got {len(row)} in {path}",
-                    line=number,
+                    line=reader.line_num,
                 )
-            yield number, dict(zip(names, row))
+            yield reader.line_num, dict(zip(names, row))
     except csv.Error as exc:
         raise ParseError(f"{exc} in {path}", line=reader.line_num) from exc
 
@@ -288,11 +295,21 @@ def _parse_money_cell(
 
 
 def _parse_exposure(
-    record: dict[str, str], path: Path, line: int, currency: str
+    record: dict[str, str],
+    path: Path,
+    line: int,
+    currency: str,
+    fractions: dict[str, Fraction],
 ) -> Exposure:
+    """One portfolio row; ``fractions`` maps each token already parsed in
+    this file to its value, so repeated pd, lgd and maturity cells share one."""
     exposure_id = record.get("id", "").strip()
     if not exposure_id:
         raise ParseError(f"empty id in {path}", line=line, column="id")
+    if _CONTROL_CHARACTER.search(exposure_id):
+        raise _cell_error(
+            path, line, "id", f"id {exposure_id!r} contains a control character"
+        )
 
     class_key = record.get("class", "").strip().lower()
     counterparty = _CLASS_BY_KEY.get(class_key)
@@ -337,7 +354,12 @@ def _parse_exposure(
 
     def optional_fraction(column: str) -> Fraction | None:
         token = record.get(column, "").strip()
-        return _parse_fraction_cell(token, path, line, column) if token else None
+        if not token:
+            return None
+        value = fractions.get(token)
+        if value is None:
+            value = fractions[token] = _parse_fraction_cell(token, path, line, column)
+        return value
 
     ead_token = record.get("ead", "").strip()
     return Exposure(
@@ -360,8 +382,10 @@ def load_portfolio(path: str | Path, currency: str = DEFAULT_CURRENCY) -> Portfo
     """Read and validate a portfolio file; errors cite line and column."""
     path = Path(path)
     records = _csv_records(path, PORTFOLIO_REQUIRED, PORTFOLIO_OPTIONAL)
+    fractions: dict[str, Fraction] = {}
     exposures = [
-        _parse_exposure(record, path, number, currency) for number, record in records
+        _parse_exposure(record, path, number, currency, fractions)
+        for number, record in records
     ]
     return validate_portfolio(exposures, currency)
 

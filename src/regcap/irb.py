@@ -27,7 +27,7 @@ FOUNDATION_LGD = 1 - FOUNDATION_RECOVERY_RATE
 FOUNDATION_MATURITY_YEARS = Fraction(3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IrbParams:
     """The four risk components; every field explicit, no silent defaults."""
 

@@ -88,7 +88,7 @@ def parse_rating(text: str) -> RatingBucket:
         raise UnknownRating(f"unknown rating token {text.strip()!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exposure:
     """One on- or off-balance-sheet engagement.
 

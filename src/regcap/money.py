@@ -63,7 +63,7 @@ def _integer_ratio(dec: Decimal, text: str) -> tuple[int, int]:
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Money:
     """An exact amount of one currency, stored in minor units.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .aggregation import REFERENCE_ALLOCATION, CapitalReport
 from .config import CreditApproach, EngineConfig, Regime
@@ -325,8 +326,51 @@ def compute_document(result: ComputeResult) -> dict:
     return doc
 
 
+def _encode(value, indent: str) -> str:
+    """One JSON value laid out as json.dumps(sort_keys=True, indent=2) does.
+
+    Each container joins its members' finished texts once, so the document
+    is never held as millions of small fragments.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        parts = ["{"]
+        separator = "\n"
+        for key, member in sorted(value.items()):
+            parts.append(f"{separator}{inner}{encode_basestring_ascii(key)}: ")
+            parts.append(_encode(member, inner))
+            separator = ",\n"
+        parts.append(f"\n{indent}}}")
+        return "".join(parts)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        parts = ["["]
+        separator = "\n"
+        for member in value:
+            parts.append(f"{separator}{inner}")
+            parts.append(_encode(member, inner))
+            separator = ",\n"
+        parts.append(f"\n{indent}]")
+        return "".join(parts)
+    return json.dumps(value)
+
+
 def render_json(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    """The machine document: byte-identical to json.dumps(document,
+    sort_keys=True, indent=2) plus a final newline."""
+    return _encode(document, "") + "\n"
 
 
 def render_compare_text(comparison: CompareResult) -> str:

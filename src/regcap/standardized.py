@@ -147,7 +147,7 @@ DEFAULT_CCF = CcfTable(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RwaLine:
     """Per-exposure weighting record: both factors applied, plus the amount."""
 

@@ -9,6 +9,7 @@ import pytest
 from regcap import DEFAULT_BETAS, DEFAULT_CCF, DEFAULT_RISK_WEIGHTS
 from regcap.cli import main
 from regcap.fileio import load_betas, load_ccf, load_risk_weights
+from regcap.irb import _FUNCTIONS
 
 from conftest import DATA_DIR
 
@@ -112,6 +113,28 @@ class TestCompute:
             assert status == 0
             assert captured.err == ""
             assert "USD" in captured.out
+
+    def test_unexpected_exception_exits_two_with_one_line(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def failing(params):
+            raise RuntimeError("weight table\nunavailable")
+
+        monkeypatch.setitem(_FUNCTIONS, "failing", failing)
+        portfolio = tmp_path / "p.csv"
+        portfolio.write_text(
+            "id,class,rating,nominal,position,pd\nX1,corporate,AAA,100.00,on,1%\n"
+        )
+        status = main(
+            [
+                "compute", "--portfolio", str(portfolio), "--capital", "1.00",
+                "--credit-approach", "irb_foundation", "--irb-function", "failing",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == "error [internal]: RuntimeError: weight table unavailable\n"
 
     def test_json_out_written(self, capsys, tmp_path):
         out = tmp_path / "report.json"

@@ -120,3 +120,15 @@ def test_bad_value_exits_two(capsys, tmp_path, line, detail):
     assert captured.err.startswith("error [input/config]:")
     assert detail in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_non_utf8_config_exits_two(capsys, tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"regime = basel2\xff\n")
+    status = main(["validate", "--config", str(path), "--portfolio", WORKED])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error [input/config]: config file ")
+    assert "is not valid UTF-8" in captured.err
+    assert captured.err.count("\n") == 1

@@ -224,6 +224,51 @@ class TestPortfolioCsv:
         assert exposure.ead == eur("90.00")
         assert exposure.maturity_years == Fraction(5, 2)
 
+    @pytest.mark.parametrize(
+        "cell", ['"A\n1"', '"A\r\n1"', '"A\t1"', "A\x001", "A\x7f1", "A\x851"]
+    )
+    def test_id_with_control_character_rejected(self, tmp_path, cell):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            f"id,class,rating,nominal,position\n{cell},corporate,AAA,1.00,on\n",
+            newline="",
+        )
+        with pytest.raises(ParseError, match="contains a control character") as excinfo:
+            load_portfolio(path)
+        assert excinfo.value.line == 2 + cell.count("\n")
+        assert excinfo.value.column == "id"
+
+    def test_lines_counted_physically_after_a_multi_line_cell(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "id,class,rating,nominal,position\n"
+            'X1,corporate,AAA,"100.00\n",on\n'
+            "X2,corporate,CCC,100.00,on\n"
+        )
+        with pytest.raises(ParseError) as excinfo:
+            load_portfolio(path)
+        assert (excinfo.value.line, excinfo.value.column) == (4, "rating")
+        path.write_text(
+            "id,class,rating,nominal,position\n"
+            'X1,corporate,AAA,"100.00\n",on\n'
+            "X2,corporate,AAA,100.00\n"
+        )
+        with pytest.raises(ParseError, match="expected 5 fields") as excinfo:
+            load_portfolio(path)
+        assert excinfo.value.line == 4
+
+    def test_repeated_fraction_tokens_share_one_value(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "id,class,rating,nominal,position,pd,lgd,ead,maturity\n"
+            "X1,corporate,AAA,100.00,on,1%,0.45,90.00,2.5\n"
+            "X2,corporate,AAA,100.00,on,1%, 0.45 ,90.00,2.5\n"
+        )
+        first, second = load_portfolio(path)
+        assert first.pd is second.pd
+        assert first.lgd is second.lgd
+        assert first.maturity_years is second.maturity_years
+
     def test_blank_rows_skipped(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text(

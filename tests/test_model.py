@@ -10,8 +10,12 @@ from regcap import (
     CapitalBase,
     CounterpartyClass,
     Exposure,
+    IrbLine,
+    IrbParams,
+    Money,
     Portfolio,
     RatingBucket,
+    RwaLine,
     UnknownRating,
     ValidationFailure,
     parse_rating,
@@ -149,3 +153,29 @@ class TestCapitalBase:
     def test_negative_total_rejected(self):
         with pytest.raises(ValidationFailure):
             CapitalBase(-eur("1"))
+
+
+def _one_of_each_record():
+    params = IrbParams(
+        pd=Fraction(1, 100), lgd=Fraction(1, 2), ead=Money(1), maturity_years=Fraction(3)
+    )
+    return [
+        Money(1),
+        Exposure(
+            id="E1",
+            counterparty=CounterpartyClass.CORPORATE,
+            rating=RatingBucket.UNRATED,
+            nominal=Money(1),
+        ),
+        params,
+        IrbLine(exposure_id="E1", params=params, weight=Fraction(1), amount=Money(1)),
+        RwaLine(exposure_id="E1", ccf=Fraction(1), weight=Fraction(1), amount=Money(1)),
+    ]
+
+
+@pytest.mark.parametrize("record", _one_of_each_record(), ids=lambda r: type(r).__name__)
+def test_per_exposure_records_are_slotted(record):
+    # A book holds several of these per exposure; an instance dict each would
+    # add tens of megabytes to a 100k-exposure run.
+    assert "__slots__" in type(record).__dict__
+    assert not hasattr(record, "__dict__")

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regcap import (
     CapitalBase,
@@ -128,6 +130,90 @@ class TestComputeJson:
         parsed = json.loads(render_json(compute_document(worked_result)))
         assert parsed["solvency"]["compliant"] is True
         assert parsed["solvency"]["min_required_capital"] == "80150.00"
+
+
+def reference_json(document) -> str:
+    """The encoder render_json replaced, kept as its oracle."""
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+# Quotes, backslashes, control characters and non-ASCII, besides any other
+# code point.
+ESCAPED = '"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'
+json_text = st.text(st.one_of(st.sampled_from(ESCAPED), st.characters()), max_size=8)
+json_scalars = st.one_of(
+    json_text, st.booleans(), st.none(), st.integers(-(10**20), 10**20)
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(json_text, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def _fixture_documents():
+    for name in ("portfolio_golden.csv", "worked_example.csv"):
+        portfolio = load_portfolio(DATA_DIR / name)
+        income = load_income(DATA_DIR / "income_3yr.csv")
+        capital = CapitalBase(eur("81000.00"))
+        result = run_compute(EngineConfig(), portfolio, capital, income=income)
+        yield compute_document(result)
+        yield compare_document(
+            run_compare(EngineConfig(), portfolio, capital, income=income)
+        )
+        yield disclosure_document(run_disclose(result.config, result, period="2006-H1"))
+
+
+def _irb_shaped_document(lines: int) -> dict:
+    return {
+        "config": {"regime": "basel2", "credit_approach": "irb_advanced"},
+        "credit": {
+            "approach": "irb_advanced",
+            "total_rwa": "123456789.00",
+            "lines": [
+                {
+                    "id": f"E{i:06d}",
+                    "pd": "1.25%",
+                    "lgd": "45.00%",
+                    "maturity_years": "2.5",
+                    "ead": f"{1000 + i}.00",
+                    "weight": "87.31%",
+                    "amount": f"{870 + i}.31",
+                    "off_balance": i % 2 == 0,
+                }
+                for i in range(lines)
+            ],
+        },
+        "capital": {"total_own_funds": "1.00", "tier1": None, "tier2": None},
+    }
+
+
+class TestRenderJson:
+    @settings(max_examples=300, deadline=None)
+    @given(document=json_documents)
+    def test_matches_json_dumps(self, document):
+        assert render_json(document) == reference_json(document)
+
+    def test_report_documents_match_json_dumps(self):
+        documents = list(_fixture_documents())
+        assert len(documents) == 6
+        for document in documents:
+            assert render_json(document) == reference_json(document)
+
+    def test_peak_memory_is_bounded_by_the_output(self):
+        # json.dumps with indent peaks at about 6.6 times its output here.
+        document = _irb_shaped_document(5000)
+        tracemalloc.start()
+        try:
+            rendered = render_json(document)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rendered == reference_json(document)
+        assert peak <= 3 * len(rendered)
 
 
 class TestCompareText:
