@@ -43,6 +43,8 @@ from .errors import (
     ConfigError,
     CurrencyMismatch,
     DowngradeWithoutOverride,
+    DuplicateAdvancedHook,
+    DuplicateFunction,
     EmptyDenominator,
     IncompleteHistory,
     InvalidOverride,
@@ -50,6 +52,7 @@ from .errors import (
     MissingLine,
     MissingPeriod,
     NonFiniteWeight,
+    NonMonotoneFunction,
     OutOfRange,
     ParseError,
     RegcapError,
@@ -74,7 +77,6 @@ from .irb import (
     FOUNDATION_MATURITY_YEARS,
     FOUNDATION_RECOVERY_RATE,
     IrbParams,
-    MonotonicityGrid,
     MonotonicityReport,
     check_monotonicity,
     evaluate_weight,

@@ -271,7 +271,9 @@ _KEYS = frozenset(setting.key for setting in SETTINGS)
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
     """Read ``key = value`` lines into a raw mapping, rejecting unknown keys."""
     values: dict[str, str] = {}
-    for number, raw_line in enumerate(text.splitlines(), start=1):
+    # Only "\n" ends a line (reading has turned "\r\n" and "\r" into it);
+    # splitlines() would also break at a form feed inside a comment.
+    for number, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue

@@ -209,7 +209,6 @@ def run_compute(
     tables: TableSet | None = None,
 ) -> ComputeResult:
     """The full pipeline: credit + operational + market into compliance."""
-    currency = config.currency
     if tables is None:
         tables = resolve_tables(config)
     if config.regime is Regime.BASEL1:
@@ -221,7 +220,21 @@ def run_compute(
             raise ConfigError(
                 "the credit-only regime admits no operational-risk income data"
             )
-    credit = _credit_block(config, portfolio, tables, currency)
+    credit = _credit_block(config, portfolio, tables, config.currency)
+    return _complete(config, portfolio, capital, income, market_charge, tables, credit)
+
+
+def _complete(
+    config: EngineConfig,
+    portfolio: Portfolio,
+    capital: CapitalBase,
+    income: IncomeHistory | None,
+    market_charge: Money | None,
+    tables: TableSet,
+    credit: CreditResult,
+) -> ComputeResult:
+    """Add the operational and market blocks to a priced credit block and judge."""
+    currency = config.currency
     zero = Money.zero(currency)
     if config.regime is Regime.BASEL2:
         oprisk = _oprisk_block(config, income, tables, currency)
@@ -339,9 +352,14 @@ def run_compare(
         ccf_path=config.ccf_path,
         currency=config.currency,
     )
-    credit_only = run_compute(
-        credit_only_config, portfolio, capital, income=None, market_charge=None,
-        tables=tables,
+    if config.credit_approach is CreditApproach.STANDARDIZED:
+        # Same book, tables and bank policy: the full leg's credit block is
+        # exactly what the credit-only leg would price.
+        credit = full.credit
+    else:
+        credit = _credit_block(credit_only_config, portfolio, tables, config.currency)
+    credit_only = _complete(
+        credit_only_config, portfolio, capital, None, None, tables, credit
     )
     delta = full.report.min_required_capital - credit_only.report.min_required_capital
     return CompareResult(

@@ -65,6 +65,18 @@ class NonFiniteWeight(RegcapError):
     layer = "internal ratings"
 
 
+class NonMonotoneFunction(RegcapError):
+    """A risk-weight function decreases in pd or lgd on the registration grid."""
+
+    layer = "internal ratings"
+
+
+class DuplicateFunction(RegcapError):
+    """A risk-weight function is already registered under the requested name."""
+
+    layer = "internal ratings"
+
+
 class IncompleteHistory(RegcapError):
     """Gross-income history does not cover exactly three consecutive years."""
 
@@ -89,6 +101,12 @@ class DowngradeWithoutOverride(RegcapError):
 
 class UnregisteredAdvancedHook(RegcapError):
     """Advanced operational-risk approach selected but no estimator registered."""
+
+    layer = "operational risk"
+
+
+class DuplicateAdvancedHook(RegcapError):
+    """An advanced estimator is already registered under the requested name."""
 
     layer = "operational risk"
 

@@ -57,7 +57,9 @@ def table_source(path: str | Path, text: str) -> str:
 
 def _table_rows(text: str, origin: str, fields: int):
     """Yield (line_number, tokens) for data lines, checking token counts."""
-    for number, raw_line in enumerate(text.splitlines(), start=1):
+    # Only "\n" ends a line (reading has turned "\r\n" and "\r" into it);
+    # splitlines() would also break at a form feed inside a comment.
+    for number, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue

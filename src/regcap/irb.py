@@ -16,7 +16,14 @@ from fractions import Fraction
 from typing import Callable
 
 from .config import CreditApproach
-from .errors import NonFiniteWeight, OutOfRange, UnknownFunction, ValidationFailure
+from .errors import (
+    DuplicateFunction,
+    NonFiniteWeight,
+    NonMonotoneFunction,
+    OutOfRange,
+    UnknownFunction,
+    ValidationFailure,
+)
 from .model import Exposure
 from .money import Money
 
@@ -109,20 +116,11 @@ def evaluate_weight(fn: RiskWeightFunction, params: IrbParams) -> Fraction:
     return weight
 
 
-@dataclass(frozen=True)
-class MonotonicityGrid:
-    """Sampling spec for the registration gate; covers [0, 1] endpoints."""
-
-    pd_steps: int = 20
-    lgd_steps: int = 20
-    ead: Money = Money(100_00)
-    maturity_years: Fraction = FOUNDATION_MATURITY_YEARS
-
-    def pd_values(self) -> list[Fraction]:
-        return [Fraction(i, self.pd_steps - 1) for i in range(self.pd_steps)]
-
-    def lgd_values(self) -> list[Fraction]:
-        return [Fraction(i, self.lgd_steps - 1) for i in range(self.lgd_steps)]
+# The registration gate samples pd and lgd at 20 evenly spaced points each,
+# both ends of [0, 1] included, at a fixed ead and the foundation maturity.
+GATE_STEPS = 20
+GATE_VALUES = tuple(Fraction(i, GATE_STEPS - 1) for i in range(GATE_STEPS))
+GATE_EAD = Money(100_00)
 
 
 @dataclass(frozen=True)
@@ -144,24 +142,27 @@ class MonotonicityReport:
         )
 
 
-def check_monotonicity(
-    fn: RiskWeightFunction, grid: MonotonicityGrid = MonotonicityGrid()
-) -> MonotonicityReport:
-    """Grid-check that a function never decreases in pd or in lgd."""
-    pds = grid.pd_values()
-    lgds = grid.lgd_values()
-    cache: dict[tuple[Fraction, Fraction], tuple[IrbParams, Fraction]] = {}
+def check_monotonicity(fn: RiskWeightFunction) -> MonotonicityReport:
+    """Grid-check that a function never decreases in pd or in lgd.
 
-    def point(pd: Fraction, lgd: Fraction) -> tuple[IrbParams, Fraction]:
-        key = (pd, lgd)
-        if key not in cache:
-            params = IrbParams(pd=pd, lgd=lgd, ead=grid.ead,
-                               maturity_years=grid.maturity_years)
-            cache[key] = (params, evaluate_weight(fn, params))
-        return cache[key]
+    Every pd step is checked at each lgd, then every lgd step at each pd;
+    each grid point is evaluated at most once, when a step first needs it.
+    """
+    points: list[list[tuple[IrbParams, Fraction] | None]] = [
+        [None] * GATE_STEPS for _ in range(GATE_STEPS)
+    ]
 
-    steps = [((prev, lgd), (cur, lgd)) for lgd in lgds for prev, cur in zip(pds, pds[1:])]
-    steps += [((pd, prev), (pd, cur)) for pd in pds for prev, cur in zip(lgds, lgds[1:])]
+    def point(i: int, j: int) -> tuple[IrbParams, Fraction]:
+        entry = points[i][j]
+        if entry is None:
+            params = IrbParams(pd=GATE_VALUES[i], lgd=GATE_VALUES[j], ead=GATE_EAD,
+                               maturity_years=FOUNDATION_MATURITY_YEARS)
+            entry = points[i][j] = (params, evaluate_weight(fn, params))
+        return entry
+
+    last = GATE_STEPS - 1
+    steps = [((i, j), (i + 1, j)) for j in range(GATE_STEPS) for i in range(last)]
+    steps += [((i, j), (i, j + 1)) for i in range(GATE_STEPS) for j in range(last)]
     for low, high in steps:
         (low_params, low_weight), (high_params, high_weight) = point(*low), point(*high)
         if high_weight < low_weight:
@@ -173,23 +174,22 @@ def check_monotonicity(
     return MonotonicityReport(passed=True)
 
 
-_FUNCTIONS: dict[str, RiskWeightFunction] = {}
+# Reference function: weight 1 regardless of inputs. Useful for wiring tests
+# and as the documented default until a supervisory formula is registered.
+# Being constant it is monotone by construction, so it skips the gate.
+_FUNCTIONS: dict[str, RiskWeightFunction] = {"constant": lambda params: Fraction(1)}
 
 
-def register_risk_weight_function(
-    name: str,
-    fn: RiskWeightFunction,
-    grid: MonotonicityGrid | None = MonotonicityGrid(),
-) -> None:
-    """Register a named risk-weight function, gating on monotonicity.
+def register_risk_weight_function(name: str, fn: RiskWeightFunction) -> None:
+    """Register a named risk-weight function that passes the monotonicity gate.
 
-    Pass grid=None to skip the gate (e.g. for deliberately bad functions
-    under test via direct calls, which never need registration).
+    A name already taken, the built-in "constant" included, is refused.
     """
-    if grid is not None:
-        report = check_monotonicity(fn, grid)
-        if not report.passed:
-            raise ValueError(f"{name!r} rejected: {report.message()}")
+    if name in _FUNCTIONS:
+        raise DuplicateFunction(f"a risk-weight function is already registered as {name!r}")
+    report = check_monotonicity(fn)
+    if not report.passed:
+        raise NonMonotoneFunction(f"{name!r} rejected: {report.message()}")
     _FUNCTIONS[name] = fn
 
 
@@ -208,8 +208,3 @@ def rwa_irb(params: IrbParams, fn: RiskWeightFunction | str) -> Money:
     if params.ead.units == 0:
         return Money.zero(params.ead.currency)
     return params.ead.scaled(evaluate_weight(fn, params))
-
-
-# Reference function: weight 1 regardless of inputs. Useful for wiring tests
-# and as the documented default until a supervisory formula is registered.
-register_risk_weight_function("constant", lambda params: Fraction(1))

@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .errors import (
+    DuplicateAdvancedHook,
     IncompleteHistory,
     MissingLine,
     UnregisteredAdvancedHook,
@@ -306,7 +307,11 @@ _ADVANCED_HOOKS: dict[str, AdvancedEstimator] = {}
 
 
 def register_advanced_hook(name: str, estimator: AdvancedEstimator) -> None:
-    """Register an external advanced-measurement estimator by name."""
+    """Register an external advanced-measurement estimator under a new name."""
+    if name in _ADVANCED_HOOKS:
+        raise DuplicateAdvancedHook(
+            f"an advanced estimator is already registered as {name!r}"
+        )
     _ADVANCED_HOOKS[name] = estimator
 
 

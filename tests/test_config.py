@@ -132,3 +132,16 @@ def test_non_utf8_config_exits_two(capsys, tmp_path):
     assert captured.err.startswith("error [input/config]: config file ")
     assert "is not valid UTF-8" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("separator", ["\f", "\u2028"], ids=["form-feed", "u2028"])
+def test_comment_with_a_line_separator_is_one_line(capsys, tmp_path, separator):
+    path = tmp_path / "c.cfg"
+    lines = [f"# run configuration{separator} revised", "regime = basel2"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert load_config(path).regime.value == "basel2"
+    path.write_text("\n".join([*lines, "no equals sign"]) + "\n", encoding="utf-8")
+    status = main(["validate", "--config", str(path), "--portfolio", WORKED])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err == f"error [input/config]: {path}, line 3: expected key = value\n"

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from regcap import (
+    BankOptionPolicy,
     CapitalBase,
     ConfigError,
     CreditApproach,
@@ -24,6 +25,7 @@ from regcap import (
     run_compute,
     run_disclose,
 )
+from regcap import engine
 from regcap.engine import resolve_tables
 from regcap.irb import _FUNCTIONS
 from regcap.oprisk import _ADVANCED_HOOKS, register_advanced_hook
@@ -265,6 +267,26 @@ class TestCompare:
         )
         # gross-up then floor returns exactly the operational charge
         assert compare.required_delta == eur("150.00")
+
+    @pytest.mark.parametrize("policy", ["low_end", "high_end"])
+    def test_standardized_book_is_priced_once(
+        self, monkeypatch, golden_portfolio, income, policy
+    ):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = engine.rwa_portfolio
+        monkeypatch.setattr(engine, "rwa_portfolio", counting)
+        config = EngineConfig(bank_policy=BankOptionPolicy(policy))
+        capital = CapitalBase(eur("150000.00"))
+        compare = run_compare(config, golden_portfolio, capital, income=income)
+        assert len(calls) == 1
+        # The reused credit block is what the credit-only leg prices afresh.
+        fresh = run_compute(compare.credit_only.config, golden_portfolio, capital)
+        assert compare.credit_only == fresh
 
     def test_compare_requires_reform_config(self, worked_portfolio):
         with pytest.raises(ConfigError):

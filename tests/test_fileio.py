@@ -97,6 +97,17 @@ class TestTableRoundTrips:
         with pytest.raises(ParseError):
             load_ccf(tmp_path / "absent.tbl")
 
+    @pytest.mark.parametrize("separator", ["\f", "\u2028"], ids=["form-feed", "u2028"])
+    def test_comment_with_a_line_separator_is_one_line(self, tmp_path, separator):
+        path = tmp_path / "ccf.tbl"
+        lines = [f"# ccf table{separator} revised", "medium_term_confirmed_facility 0.5"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert load_ccf(path).factors == {"medium_term_confirmed_facility": Fraction(1, 2)}
+        path.write_text("\n".join([*lines, "guarantee 120%"]) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            load_ccf(path)
+        assert excinfo.value.line == 3
+
 
 class TestPortfolioCsv:
     def test_golden_portfolio_loads(self):

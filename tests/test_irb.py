@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +16,11 @@ from regcap import (
     FOUNDATION_MATURITY_YEARS,
     CounterpartyClass,
     CreditApproach,
+    DuplicateFunction,
     Exposure,
     IrbParams,
-    MonotonicityGrid,
     NonFiniteWeight,
+    NonMonotoneFunction,
     OutOfRange,
     RatingBucket,
     UnknownFunction,
@@ -27,6 +33,7 @@ from regcap import (
     risk_weight_function,
     rwa_irb,
 )
+from regcap import irb
 
 from conftest import eur
 
@@ -189,16 +196,72 @@ class TestMonotonicityGate:
         assert report.weights[0] > report.weights[1]
         assert "decreases" in report.message()
 
+    def test_witness_is_the_first_decreasing_step(self):
+        # Decreasing in both pd and lgd, but flat along lgd = 0: pd steps are
+        # checked first, lgd by lgd, so the first witness is at lgd = 1/19.
+        report = check_monotonicity(lambda params: 1 - params.pd * params.lgd)
+        low, high = report.witness
+        assert (low.pd, low.lgd, high.pd, high.lgd) == (
+            0, Fraction(1, 19), Fraction(1, 19), Fraction(1, 19)
+        )
+        assert report.weights == (1, Fraction(360, 361))
+        assert report.message() == (
+            "weight decreases from 1 to 360/361 between "
+            "(pd=0, lgd=1/19) and (pd=1/19, lgd=1/19)"
+        )
+
+    def test_each_grid_point_is_evaluated_once(self):
+        calls = []
+
+        def counting(params):
+            calls.append((params.pd, params.lgd))
+            return params.pd + params.lgd
+
+        assert check_monotonicity(counting).passed
+        assert len(calls) <= 20 * 20
+        assert len(set(calls)) == len(calls)
+
     def test_grid_covers_unit_interval_endpoints(self):
-        grid = MonotonicityGrid(pd_steps=20, lgd_steps=20)
-        assert grid.pd_values()[0] == 0 and grid.pd_values()[-1] == 1
-        assert len(grid.pd_values()) == 20
+        assert irb.GATE_VALUES[0] == 0 and irb.GATE_VALUES[-1] == 1
+        assert len(irb.GATE_VALUES) == 20
 
     def test_registration_gate_rejects_bad_function(self):
-        with pytest.raises(ValueError, match="rejected"):
+        with pytest.raises(NonMonotoneFunction, match="rejected") as caught:
             register_risk_weight_function("bad", decreasing_in_pd)
+        assert caught.value.layer == "internal ratings"
         with pytest.raises(UnknownFunction):
             risk_weight_function("bad")
+
+    def test_registration_refuses_a_taken_name(self):
+        constant = risk_weight_function("constant")
+        with pytest.raises(DuplicateFunction, match="'constant'") as caught:
+            register_risk_weight_function("constant", step_function)
+        assert caught.value.layer == "internal ratings"
+        assert risk_weight_function("constant") is constant
+
+    def test_importing_the_cli_runs_no_gate(self):
+        script = textwrap.dedent("""
+            import sys
+            called = set()
+
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_globals.get("__name__") == "regcap.irb":
+                    called.add(frame.f_code.co_name)
+
+            sys.setprofile(profile)
+            import regcap.cli
+            sys.setprofile(None)
+            print(" ".join(sorted(called)))
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, check=True, timeout=60)
+        called = set(done.stdout.split())
+        assert "<module>" in called  # the profile saw regcap.irb being imported
+        assert not called & {"check_monotonicity", "evaluate_weight"}
 
     def test_registration_accepts_monotone_function(self):
         register_risk_weight_function("step_for_test", step_function)

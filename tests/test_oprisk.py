@@ -16,6 +16,7 @@ from regcap import (
     ConfigError,
     DEFAULT_BETAS,
     DowngradeWithoutOverride,
+    DuplicateAdvancedHook,
     EngineConfig,
     GrossIncomeRecord,
     IncompleteHistory,
@@ -337,6 +338,20 @@ class TestOpriskCapital:
     def test_registered_hook_used(self):
         register_advanced_hook("flat_fee", lambda history: eur("42.00"))
         try:
+            history = totals_history(100, 100, 100)
+            charge = oprisk_charge(OpRiskApproach.advanced_hook("flat_fee"), history)
+            assert charge == eur("42.00")
+        finally:
+            from regcap.oprisk import _ADVANCED_HOOKS
+
+            _ADVANCED_HOOKS.pop("flat_fee", None)
+
+    def test_registration_refuses_a_taken_name(self):
+        register_advanced_hook("flat_fee", lambda history: eur("42.00"))
+        try:
+            with pytest.raises(DuplicateAdvancedHook, match="'flat_fee'") as caught:
+                register_advanced_hook("flat_fee", lambda history: eur("1.00"))
+            assert caught.value.layer == "operational risk"
             history = totals_history(100, 100, 100)
             charge = oprisk_charge(OpRiskApproach.advanced_hook("flat_fee"), history)
             assert charge == eur("42.00")
