@@ -131,7 +131,6 @@ from .standardized import (
     RiskWeightTable,
     RwaLine,
     WeightCell,
-    rwa_exposure,
     rwa_portfolio,
 )
 

@@ -77,7 +77,6 @@ class SupervisoryAdjustment:
 
     minimum_ratio: Fraction = MINIMUM_CAPITAL_RATIO
     addon: Money | None = None
-    justification: str = ""
 
     def __post_init__(self) -> None:
         problems = []
@@ -96,7 +95,6 @@ class CapitalReport:
     """Assembled solvency outcome; ratios are None when undefined."""
 
     capital: CapitalBase
-    inputs: PillarOneInputs
     denominator: Money
     mcdonough: Fraction | None
     cooke: Fraction | None
@@ -152,7 +150,6 @@ def compliance(
     )
     return CapitalReport(
         capital=capital,
-        inputs=inputs,
         denominator=base,
         mcdonough=mcdonough,
         cooke=cooke,

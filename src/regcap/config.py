@@ -126,7 +126,6 @@ class EngineConfig:
                 else MINIMUM_CAPITAL_RATIO
             ),
             addon=self.capital_addon,
-            justification=self.adjustment_justification,
         )
 
     @classmethod

@@ -22,6 +22,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+from .config import _parse_bool
 from .errors import MissingLine, ParseError, RegcapError
 from .model import (
     CounterpartyClass,
@@ -223,11 +224,9 @@ PORTFOLIO_OPTIONAL = (
     "maturity",
 )
 
-# C0, DEL and C1: an id holding one would break the fixed-width text report.
-_CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f]")
-
-_TRUTHY = {"true", "yes", "1"}
-_FALSY = {"false", "no", "0", ""}
+# C0, DEL, C1 and the line and paragraph separators U+2028 and U+2029: an
+# id holding one would break the fixed-width text report.
+_CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 
 def _read_header(
@@ -345,14 +344,10 @@ def _parse_exposure(
         )
 
     flag_token = record.get("short_term_flag", "").strip().lower()
-    if flag_token in _TRUTHY:
-        short_term = True
-    elif flag_token in _FALSY:
-        short_term = False
-    else:
-        raise _cell_error(
-            path, line, "short_term_flag", f"not a boolean: {flag_token!r}"
-        )
+    try:
+        short_term = _parse_bool(flag_token) if flag_token else False
+    except ValueError as exc:
+        raise _cell_error(path, line, "short_term_flag", exc) from exc
 
     def optional_fraction(column: str) -> Fraction | None:
         token = record.get(column, "").strip()

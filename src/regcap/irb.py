@@ -202,9 +202,10 @@ def risk_weight_function(name: str) -> RiskWeightFunction:
 
 
 def rwa_irb(params: IrbParams, fn: RiskWeightFunction | str) -> Money:
-    """Risk-weighted amount ead x f(params); exactly zero at zero ead."""
+    """Risk-weighted amount ead x f(params), as the engine prices an IRB line.
+
+    The weight is vetted at every ead, zero included.
+    """
     if isinstance(fn, str):
         fn = risk_weight_function(fn)
-    if params.ead.units == 0:
-        return Money.zero(params.ead.currency)
     return params.ead.scaled(evaluate_weight(fn, params))

@@ -74,9 +74,6 @@ class BetaTable:
             if not 0 <= beta <= 1:
                 raise ValueError(f"beta for {line.key} outside [0, 1]")
 
-    def beta(self, line: BusinessLine) -> Fraction:
-        return self.betas[line]
-
 
 DEFAULT_BETAS = BetaTable(
     betas={
@@ -245,7 +242,7 @@ def tsa_capital(
     total_exact = Fraction(0)
     for line in BusinessLine:
         units = [annual.per_line[line].effective.units for annual in history.years]
-        charge_exact = betas.beta(line) * _policy_mean_units(units, policy)
+        charge_exact = betas.betas[line] * _policy_mean_units(units, policy)
         per_line[line] = Money(round_half_even(charge_exact), currency)
         total_exact += charge_exact
     total_units = max(round_half_even(total_exact), 0)

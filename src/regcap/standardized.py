@@ -83,22 +83,6 @@ class RiskWeightTable:
     cells: Mapping[tuple[CounterpartyClass, RatingBucket], WeightCell]
     source: str = field(default="builtin", compare=False)
 
-    def cell(self, counterparty: CounterpartyClass, rating: RatingBucket) -> WeightCell:
-        try:
-            return self.cells[(counterparty, rating)]
-        except KeyError:
-            raise MissingCell(
-                f"no weight for ({counterparty.key}, {rating.key})"
-            ) from None
-
-    def weight(
-        self,
-        counterparty: CounterpartyClass,
-        rating: RatingBucket,
-        policy: BankOptionPolicy,
-    ) -> Fraction:
-        return self.cell(counterparty, rating).resolve(policy)
-
 
 # Built-in weight table, row per counterparty class, one cell per bucket in
 # declaration order (AAA..AA- through <B-, then unrated). Values in percent.
@@ -128,12 +112,6 @@ class CcfTable:
             if not 0 <= factor <= 1:
                 raise ValueError(f"conversion factor for {category!r} outside [0, 1]")
 
-    def factor(self, category: str) -> Fraction:
-        try:
-            return self.factors[category]
-        except KeyError:
-            raise UnknownCategory(f"unknown off-balance category {category!r}") from None
-
 
 # Only the medium-term confirmed facility has a sourced factor (50%); the
 # remaining named categories stay at 100% until configured otherwise.
@@ -157,21 +135,27 @@ class RwaLine:
     amount: Money
 
 
-def rwa_exposure(
+def _resolve(
     exposure: Exposure,
-    table: RiskWeightTable = DEFAULT_RISK_WEIGHTS,
-    ccf: CcfTable = DEFAULT_CCF,
-    policy: BankOptionPolicy = BankOptionPolicy.LOW_END,
-) -> RwaLine:
-    """Weight one exposure: nominal x CCF x weight, rounded once at the end."""
-    factor = (
-        ccf.factor(exposure.off_balance_category)
-        if exposure.off_balance_category is not None
-        else Fraction(1)
-    )
-    weight = table.weight(exposure.counterparty, exposure.rating, policy)
-    amount = exposure.nominal.scaled(factor * weight)
-    return RwaLine(exposure_id=exposure.id, ccf=factor, weight=weight, amount=amount)
+    table: RiskWeightTable,
+    ccf: CcfTable,
+    policy: BankOptionPolicy,
+) -> tuple[Fraction, Fraction, Fraction]:
+    """The CCF, the weight and their exact product for one exposure's key."""
+    category = exposure.off_balance_category
+    factor = Fraction(1) if category is None else ccf.factors.get(category)
+    if factor is None:
+        raise UnknownCategory(
+            f"exposure {exposure.id!r}: unknown off-balance category {category!r}"
+        )
+    cell = table.cells.get((exposure.counterparty, exposure.rating))
+    if cell is None:
+        raise MissingCell(
+            f"exposure {exposure.id!r}: no weight for"
+            f" ({exposure.counterparty.key}, {exposure.rating.key})"
+        )
+    weight = cell.resolve(policy)
+    return factor, weight, factor * weight
 
 
 def rwa_portfolio(
@@ -180,18 +164,26 @@ def rwa_portfolio(
     ccf: CcfTable = DEFAULT_CCF,
     policy: BankOptionPolicy = BankOptionPolicy.LOW_END,
 ) -> tuple[list[RwaLine], Money]:
-    """Weight a whole portfolio; lines keep input order, total is exact."""
+    """Weight a whole portfolio; lines keep input order, total is exact.
+
+    Each distinct (class, bucket, category) resolves its factors once; each
+    line is nominal x CCF x weight, rounded once.
+    """
     if isinstance(portfolio, Portfolio):
         exposures: Iterable[Exposure] = portfolio.exposures
         currency = portfolio.currency
     else:
         exposures = tuple(portfolio)
         currency = exposures[0].nominal.currency if exposures else Money.zero().currency
+    resolved: dict[tuple, tuple[Fraction, Fraction, Fraction]] = {}
     lines: list[RwaLine] = []
     for exposure in exposures:
-        try:
-            lines.append(rwa_exposure(exposure, table, ccf, policy))
-        except (MissingCell, UnknownCategory) as err:
-            raise type(err)(f"exposure {exposure.id!r}: {err}") from err
+        key = (exposure.counterparty, exposure.rating, exposure.off_balance_category)
+        factors = resolved.get(key)
+        if factors is None:
+            factors = resolved[key] = _resolve(exposure, table, ccf, policy)
+        factor, weight, product = factors
+        amount = exposure.nominal.scaled(product)
+        lines.append(RwaLine(exposure.id, factor, weight, amount))
     total = sum_money((line.amount for line in lines), currency=currency)
     return lines, total

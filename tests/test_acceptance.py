@@ -91,7 +91,8 @@ def test_criterion_1_table_fidelity():
                     percent = low if policy is BankOptionPolicy.LOW_END else high
                 else:
                     percent = expected
-                weight = DEFAULT_RISK_WEIGHTS.weight(counterparty, bucket, policy)
+                cell = DEFAULT_RISK_WEIGHTS.cells[(counterparty, bucket)]
+                weight = cell.resolve(policy)
                 assert weight == Fraction(percent, 100), (
                     counterparty,
                     bucket,
@@ -291,10 +292,10 @@ def _check_rating_monotonicity(rng: random.Random, cases: int) -> int:
         counterparty = rng.choice(CLASSES)
         policy = rng.choice(POLICIES)
         i, j = sorted(rng.sample(range(len(RATED)), 2))
-        weight = DEFAULT_RISK_WEIGHTS.weight
-        assert weight(counterparty, RATED[i], policy) <= weight(
-            counterparty, RATED[j], policy
-        )
+        cells = DEFAULT_RISK_WEIGHTS.cells
+        stronger = cells[(counterparty, RATED[i])].resolve(policy)
+        weaker = cells[(counterparty, RATED[j])].resolve(policy)
+        assert stronger <= weaker
     return cases
 
 

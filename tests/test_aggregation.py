@@ -128,10 +128,7 @@ class TestCompliance:
         assert not report.compliant
 
     def test_override_raises_minimum(self):
-        adjustment = SupervisoryAdjustment(
-            minimum_ratio=Fraction(10, 100),
-            justification="pillar 2 assessment",
-        )
+        adjustment = SupervisoryAdjustment(minimum_ratio=Fraction(10, 100))
         report = compliance(
             CapitalBase(eur("104")), inputs("1000", "8", "16"), adjustment
         )

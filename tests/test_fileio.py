@@ -40,7 +40,7 @@ class TestTableRoundTrips:
         path = tmp_path / "weights.tbl"
         dump_risk_weights(DEFAULT_RISK_WEIGHTS, path)
         loaded = load_risk_weights(path)
-        cell = loaded.cell(CounterpartyClass.BANK, RatingBucket.BBB_PLUS_TO_BBB_MINUS)
+        cell = loaded.cells[(CounterpartyClass.BANK, RatingBucket.BBB_PLUS_TO_BBB_MINUS)]
         assert cell.is_range
         assert cell.low == Fraction(1, 2)
         assert cell.high == Fraction(1, 1)
@@ -236,12 +236,15 @@ class TestPortfolioCsv:
         assert exposure.maturity_years == Fraction(5, 2)
 
     @pytest.mark.parametrize(
-        "cell", ['"A\n1"', '"A\r\n1"', '"A\t1"', "A\x001", "A\x7f1", "A\x851"]
+        "cell",
+        ['"A\n1"', '"A\r\n1"', '"A\t1"', "A\x001", "A\x7f1", "A\x851",
+         "A\u20281", "A\u20291"],
     )
     def test_id_with_control_character_rejected(self, tmp_path, cell):
         path = tmp_path / "p.csv"
         path.write_text(
             f"id,class,rating,nominal,position\n{cell},corporate,AAA,1.00,on\n",
+            encoding="utf-8",
             newline="",
         )
         with pytest.raises(ParseError, match="contains a control character") as excinfo:

@@ -14,14 +14,17 @@ import pytest
 from regcap import (
     FOUNDATION_LGD,
     FOUNDATION_MATURITY_YEARS,
+    CapitalBase,
     CounterpartyClass,
     CreditApproach,
     DuplicateFunction,
+    EngineConfig,
     Exposure,
     IrbParams,
     NonFiniteWeight,
     NonMonotoneFunction,
     OutOfRange,
+    Portfolio,
     RatingBucket,
     UnknownFunction,
     ValidationFailure,
@@ -31,6 +34,7 @@ from regcap import (
     params_for_exposure,
     register_risk_weight_function,
     risk_weight_function,
+    run_compute,
     rwa_irb,
 )
 from regcap import irb
@@ -128,9 +132,30 @@ class TestIrbParamsValidation:
 
 
 class TestRwaIrb:
-    def test_zero_ead_short_circuits(self):
+    def test_zero_ead_prices_zero(self):
         params = IrbParams(Fraction(1, 2), Fraction(1, 2), eur("0"), Fraction(3))
         assert rwa_irb(params, "constant") == eur("0")
+
+    def test_zero_ead_weight_vetted_as_the_engine_vets_it(self, monkeypatch):
+        def nan_at_zero_ead(params: IrbParams):
+            return float("nan") if params.ead.units == 0 else Fraction(1)
+
+        # The gate samples at one non-zero ead, so this function registers.
+        monkeypatch.setattr(irb, "_FUNCTIONS", dict(irb._FUNCTIONS))
+        register_risk_weight_function("nan_at_zero_ead", nan_at_zero_ead)
+        with pytest.raises(NonFiniteWeight):
+            rwa_irb(foundation_params(Fraction(1, 100), eur("0")), "nan_at_zero_ead")
+        book = Portfolio(
+            exposures=(
+                Exposure(id="Z", counterparty=None, rating=None, nominal=eur("0"),
+                         pd=Fraction(1, 100)),
+            ),
+            currency="EUR",
+        )
+        config = EngineConfig(credit_approach=CreditApproach.IRB_FOUNDATION,
+                              irb_function="nan_at_zero_ead")
+        with pytest.raises(NonFiniteWeight):
+            run_compute(config, book, CapitalBase(eur("100.00")))
 
     def test_constant_function_identity(self):
         params = foundation_params(Fraction(1, 100), eur("500.00"))

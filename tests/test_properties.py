@@ -105,8 +105,9 @@ class TestStandardizedInvariants:
     def test_rating_monotonicity_within_class(self, counterparty, policy, i, j):
         if i > j:
             i, j = j, i
-        stronger = DEFAULT_RISK_WEIGHTS.weight(counterparty, RATED_BUCKETS[i], policy)
-        weaker = DEFAULT_RISK_WEIGHTS.weight(counterparty, RATED_BUCKETS[j], policy)
+        cells = DEFAULT_RISK_WEIGHTS.cells
+        stronger = cells[(counterparty, RATED_BUCKETS[i])].resolve(policy)
+        weaker = cells[(counterparty, RATED_BUCKETS[j])].resolve(policy)
         assert stronger <= weaker
 
     @MANY

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regcap import (
     BankOptionPolicy,
@@ -19,11 +20,12 @@ from regcap import (
     PillarOneInputs,
     RatingBucket,
     RiskWeightTable,
+    RwaLine,
     UnknownCategory,
     WeightCell,
     compliance,
-    rwa_exposure,
     rwa_portfolio,
+    sum_money,
     validate_portfolio,
 )
 
@@ -31,6 +33,47 @@ from conftest import eur
 
 LOW = BankOptionPolicy.LOW_END
 HIGH = BankOptionPolicy.HIGH_END
+
+
+def reference_rwa_exposure(exposure, table, ccf, policy):
+    """The former per-line pricer: look both factors up, multiply, round once."""
+    if exposure.off_balance_category is None:
+        factor = Fraction(1)
+    else:
+        try:
+            factor = ccf.factors[exposure.off_balance_category]
+        except KeyError:
+            raise UnknownCategory(
+                f"unknown off-balance category {exposure.off_balance_category!r}"
+            ) from None
+    try:
+        cell = table.cells[(exposure.counterparty, exposure.rating)]
+    except KeyError:
+        raise MissingCell(
+            f"no weight for ({exposure.counterparty.key}, {exposure.rating.key})"
+        ) from None
+    weight = cell.resolve(policy)
+    amount = exposure.nominal.scaled(factor * weight)
+    return RwaLine(exposure_id=exposure.id, ccf=factor, weight=weight, amount=amount)
+
+
+def reference_rwa_portfolio(exposures, table, ccf, policy):
+    """The former portfolio loop: one lookup per line, errors re-worded."""
+    lines = []
+    for exposure in exposures:
+        try:
+            lines.append(reference_rwa_exposure(exposure, table, ccf, policy))
+        except (MissingCell, UnknownCategory) as err:
+            raise type(err)(f"exposure {exposure.id!r}: {err}") from err
+    currency = exposures[0].nominal.currency if exposures else "EUR"
+    return lines, sum_money((line.amount for line in lines), currency=currency)
+
+
+def price(exposure, **kwargs):
+    """Price a one-exposure book and return its line."""
+    lines, _ = rwa_portfolio([exposure], **kwargs)
+    return lines[0]
+
 
 # Golden copy of the published weight matrix, row per class, one value per
 # bucket in order (AAA..AA-, A+..A-, BBB+..BBB-, BB+..BB-, B+..B-, <B-,
@@ -57,8 +100,9 @@ class TestDefaultTableFidelity:
         ids=lambda v: getattr(v, "name", str(v)).lower(),
     )
     def test_all_cells_under_both_policies(self, counterparty, bucket, low, high):
-        assert DEFAULT_RISK_WEIGHTS.weight(counterparty, bucket, LOW) == low
-        assert DEFAULT_RISK_WEIGHTS.weight(counterparty, bucket, HIGH) == high
+        cell = DEFAULT_RISK_WEIGHTS.cells[(counterparty, bucket)]
+        assert cell.resolve(LOW) == low
+        assert cell.resolve(HIGH) == high
 
     def test_table_has_exactly_28_cells(self):
         assert len(DEFAULT_RISK_WEIGHTS.cells) == 28
@@ -73,14 +117,11 @@ class TestDefaultTableFidelity:
         ]
 
     def test_one_policy_resolves_both_range_cells_together(self):
-        weight = DEFAULT_RISK_WEIGHTS.weight
         bank = CounterpartyClass.BANK
-        bbb = weight(bank, RatingBucket.BBB_PLUS_TO_BBB_MINUS, LOW)
-        unrated = weight(bank, RatingBucket.UNRATED, LOW)
-        assert bbb == unrated == Fraction(1, 2)
-        bbb_high = weight(bank, RatingBucket.BBB_PLUS_TO_BBB_MINUS, HIGH)
-        unrated_high = weight(bank, RatingBucket.UNRATED, HIGH)
-        assert bbb_high == unrated_high == Fraction(1)
+        bbb = DEFAULT_RISK_WEIGHTS.cells[(bank, RatingBucket.BBB_PLUS_TO_BBB_MINUS)]
+        unrated = DEFAULT_RISK_WEIGHTS.cells[(bank, RatingBucket.UNRATED)]
+        assert bbb.resolve(LOW) == unrated.resolve(LOW) == Fraction(1, 2)
+        assert bbb.resolve(HIGH) == unrated.resolve(HIGH) == Fraction(1)
 
 
 class TestTableValidation:
@@ -93,7 +134,7 @@ class TestTableValidation:
             }
         )
         with pytest.raises(MissingCell):
-            sparse.weight(CounterpartyClass.SOVEREIGN, RatingBucket.UNRATED, LOW)
+            price(exposure(cls=CounterpartyClass.SOVEREIGN), table=sparse)
 
     def test_weights_capped_at_two(self):
         with pytest.raises(ValueError):
@@ -123,23 +164,23 @@ class TestConvertOffBalance:
     """The credit equivalent, nominal x CCF, seen through a 100% weight line."""
 
     def test_worked_conversion(self):
-        line = rwa_exposure(
+        line = price(
             exposure(nominal="10000000.00", category="medium_term_confirmed_facility")
         )
         assert line.ccf == Fraction(1, 2)
         assert line.amount == eur("5000000.00")
 
     def test_zero_nominal(self):
-        line = rwa_exposure(exposure(nominal="0", category="guarantee"))
+        line = price(exposure(nominal="0", category="guarantee"))
         assert line.amount == eur("0")
 
     def test_identity_factor(self):
-        line = rwa_exposure(exposure(nominal="1000.00", category="documentary_credit"))
+        line = price(exposure(nominal="1000.00", category="documentary_credit"))
         assert line.amount == eur("1000.00")
 
     def test_unknown_category(self):
         with pytest.raises(UnknownCategory):
-            rwa_exposure(exposure(category="revolving_underwriting_facility"))
+            price(exposure(category="revolving_underwriting_facility"))
 
     def test_factor_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -147,7 +188,7 @@ class TestConvertOffBalance:
 
 class TestRwaExposure:
     def test_worked_example_line(self):
-        line = rwa_exposure(
+        line = price(
             exposure(
                 id="W1",
                 cls=CounterpartyClass.BANK,
@@ -161,7 +202,7 @@ class TestRwaExposure:
         assert line.amount == eur("1000000.00")
 
     def test_zero_weight_sovereign(self):
-        line = rwa_exposure(
+        line = price(
             exposure(cls=CounterpartyClass.SOVEREIGN,
                      rating=RatingBucket.AAA_TO_AA_MINUS)
         )
@@ -169,7 +210,7 @@ class TestRwaExposure:
         assert line.ccf == Fraction(1)
 
     def test_unrated_corporate_keeps_nominal(self):
-        line = rwa_exposure(exposure(nominal="200.00"))
+        line = price(exposure(nominal="200.00"))
         assert line.amount == eur("200.00")
 
     def test_single_rounding_after_full_product(self):
@@ -183,7 +224,7 @@ class TestRwaExposure:
             }
         )
         ccf = CcfTable(factors={"g": Fraction(1, 2)})
-        line = rwa_exposure(
+        line = price(
             exposure(nominal="0.05", category="g"), table=table, ccf=ccf
         )
         assert line.amount.units == 2
@@ -191,7 +232,7 @@ class TestRwaExposure:
     def test_propagates_missing_cell(self):
         sparse = RiskWeightTable(cells={})
         with pytest.raises(MissingCell):
-            rwa_exposure(exposure(), table=sparse)
+            price(exposure(), table=sparse)
 
 
 class TestRwaPortfolio:
@@ -265,7 +306,7 @@ def required_capital(credit_rwa: Money) -> Money:
 
 class TestRequiredCapital:
     def test_sub_b_minus_sovereign_needs_12_percent(self):
-        line = rwa_exposure(
+        line = price(
             exposure(cls=CounterpartyClass.SOVEREIGN, rating=RatingBucket.BELOW_B_MINUS,
                      nominal="100.00")
         )
@@ -285,8 +326,8 @@ class TestRequiredCapital:
 
 class TestProperties:
     def test_off_balance_dominance(self):
-        on = rwa_exposure(exposure(id="on", nominal="999.99"))
-        off = rwa_exposure(
+        on = price(exposure(id="on", nominal="999.99"))
+        off = price(
             exposure(id="off", nominal="999.99",
                      category="medium_term_confirmed_facility")
         )
@@ -296,6 +337,108 @@ class TestProperties:
         rated = [b for b in RatingBucket if b is not RatingBucket.UNRATED]
         for counterparty in CounterpartyClass:
             for policy in (LOW, HIGH):
-                weights = [DEFAULT_RISK_WEIGHTS.weight(counterparty, b, policy)
-                           for b in rated]
+                cells = DEFAULT_RISK_WEIGHTS.cells
+                weights = [cells[(counterparty, b)].resolve(policy) for b in rated]
                 assert weights == sorted(weights), (counterparty, policy)
+
+
+# ---------------------------------------------------------------------------
+# Differential check against the per-line reference pricer
+
+ALL_CELL_KEYS = [(c, b) for c in CounterpartyClass for b in RatingBucket]
+CATEGORY_NAMES = ("guarantee", "facility", "credit")
+
+
+@st.composite
+def weight_cells(draw):
+    denominator = draw(st.sampled_from([1, 3, 7, 100]))
+    low = draw(st.integers(0, 2 * denominator))
+    high = draw(st.one_of(st.just(low), st.integers(low, 2 * denominator)))
+    return WeightCell(Fraction(low, denominator), Fraction(high, denominator))
+
+
+@st.composite
+def tables(draw, complete: bool):
+    """A custom weight table (range cells included) and a conversion table;
+    an incomplete pair may lack any cell and any category."""
+    if complete:
+        keys, categories = ALL_CELL_KEYS, CATEGORY_NAMES
+    else:
+        keys = draw(st.lists(st.sampled_from(ALL_CELL_KEYS), unique=True))
+        categories = draw(st.lists(st.sampled_from(CATEGORY_NAMES), unique=True))
+    cells = {key: draw(weight_cells()) for key in keys}
+    factors = {}
+    for category in categories:
+        denominator = draw(st.sampled_from([1, 2, 3, 100]))
+        factors[category] = Fraction(draw(st.integers(0, denominator)), denominator)
+    return RiskWeightTable(cells=cells), CcfTable(factors=factors)
+
+
+@st.composite
+def books(draw):
+    """Exposures drawn from a few (class, bucket, category) keys, so that most
+    keys repeat, interleaved in any order."""
+    keys = draw(st.lists(
+        st.tuples(
+            st.sampled_from(CounterpartyClass),
+            st.sampled_from(RatingBucket),
+            st.one_of(st.none(), st.sampled_from(CATEGORY_NAMES)),
+        ),
+        min_size=1, max_size=4,
+    ))
+    count = draw(st.integers(0, 12))
+    return [
+        Exposure(
+            id=f"E{index}",
+            counterparty=counterparty,
+            rating=rating,
+            nominal=Money(draw(st.integers(0, 10**9)), "EUR"),
+            off_balance_category=category,
+        )
+        for index, (counterparty, rating, category) in enumerate(
+            draw(st.sampled_from(keys)) for _ in range(count)
+        )
+    ]
+
+
+def outcome(pricer, book, table, ccf, policy):
+    """(lines, total), or the (type, message) of the error raised."""
+    try:
+        return pricer(book, table, ccf, policy)
+    except (MissingCell, UnknownCategory) as exc:
+        return type(exc), str(exc)
+
+
+class TestResolvedOncePerKey:
+    @settings(max_examples=200, deadline=None)
+    @given(books(), tables(complete=True), st.sampled_from(BankOptionPolicy))
+    def test_matches_the_per_line_reference(self, book, pair, policy):
+        table, ccf = pair
+        lines, total = rwa_portfolio(book, table, ccf, policy)
+        assert (lines, total) == reference_rwa_portfolio(book, table, ccf, policy)
+
+    @settings(max_examples=200, deadline=None)
+    @given(books(), tables(complete=False), st.sampled_from(BankOptionPolicy))
+    def test_errors_match_the_per_line_reference(self, book, pair, policy):
+        table, ccf = pair
+        assert outcome(rwa_portfolio, book, table, ccf, policy) == outcome(
+            reference_rwa_portfolio, book, table, ccf, policy
+        )
+
+    def test_missing_cell_names_the_first_offending_exposure(self):
+        corporate = (CounterpartyClass.CORPORATE, RatingBucket.UNRATED)
+        table = RiskWeightTable(cells={corporate: WeightCell.fixed(Fraction(1))})
+        book = [exposure(id="OK"), exposure(id="B1", cls=CounterpartyClass.BANK),
+                exposure(id="B2", cls=CounterpartyClass.BANK)]
+        expected = (MissingCell, "exposure 'B1': no weight for (bank, unrated)")
+        for pricer in (rwa_portfolio, reference_rwa_portfolio):
+            assert outcome(pricer, book, table, DEFAULT_CCF, LOW) == expected
+
+    def test_unknown_category_checked_before_the_cell(self):
+        book = [exposure(id="X", cls=CounterpartyClass.BANK, category="mystery")]
+        table = RiskWeightTable(cells={})
+        expected = (
+            UnknownCategory, "exposure 'X': unknown off-balance category 'mystery'"
+        )
+        for pricer in (rwa_portfolio, reference_rwa_portfolio):
+            assert outcome(pricer, book, table, DEFAULT_CCF, LOW) == expected
