@@ -16,7 +16,6 @@ from .aggregation import (
     compliance,
     denominator,
     denominator_shares,
-    mcdonough_ratio,
 )
 from .config import (
     CreditApproach,
@@ -45,7 +44,6 @@ from .errors import (
     DowngradeWithoutOverride,
     DuplicateAdvancedHook,
     DuplicateFunction,
-    EmptyDenominator,
     IncompleteHistory,
     InvalidOverride,
     MissingCell,
@@ -77,7 +75,6 @@ from .irb import (
     FOUNDATION_MATURITY_YEARS,
     FOUNDATION_RECOVERY_RATE,
     IrbParams,
-    MonotonicityReport,
     check_monotonicity,
     evaluate_weight,
     foundation_params,

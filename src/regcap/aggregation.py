@@ -5,9 +5,8 @@ The denominator is credit RWA plus 12.5 times each capital-style charge
 inverse of the 8% floor, so converting a charge into the denominator and
 taking 8% of it again returns the charge exactly.
 
-A zero denominator is a typed "undefined ratio" state: mcdonough_ratio()
-raises, while compliance() produces a report with the ratios marked
-undefined rather than failing.
+compliance() is the one place the ratios are taken. A zero denominator
+does not fail: the report marks the ratio over it as undefined (None).
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import EmptyDenominator, InvalidOverride
+from .errors import InvalidOverride
 from .model import MINIMUM_CAPITAL_RATIO, CapitalBase
 from .money import Money, round_half_even
 
@@ -63,14 +62,6 @@ def denominator(inputs: PillarOneInputs) -> Money:
     return Money(units, inputs.credit_rwa.currency)
 
 
-def mcdonough_ratio(capital: CapitalBase, inputs: PillarOneInputs) -> Fraction:
-    """Own funds over the full three-risk denominator, exact."""
-    base = denominator(inputs)
-    if base.units == 0:
-        raise EmptyDenominator("no risk-bearing assets: ratio undefined")
-    return capital.total_own_funds.ratio_to(base)
-
-
 @dataclass(frozen=True)
 class SupervisoryAdjustment:
     """Pillar 2 action: a ratio floor at or above 8%, an optional add-on."""
@@ -94,7 +85,6 @@ class SupervisoryAdjustment:
 class CapitalReport:
     """Assembled solvency outcome; ratios are None when undefined."""
 
-    capital: CapitalBase
     denominator: Money
     mcdonough: Fraction | None
     cooke: Fraction | None
@@ -149,7 +139,6 @@ def compliance(
         else None
     )
     return CapitalReport(
-        capital=capital,
         denominator=base,
         mcdonough=mcdonough,
         cooke=cooke,

@@ -181,7 +181,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_disclose(args: argparse.Namespace) -> int:
     result = run_compute(*_run_inputs(args))
-    disclosure = run_disclose(result.config, result)
+    disclosure = run_disclose(result)
     sys.stdout.write(render_disclosure_text(disclosure))
     if args.json_out:
         _write_json(args.json_out, disclosure_document(disclosure))

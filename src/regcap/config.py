@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import os
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,9 @@ from .oprisk import ApproachKind, NegativeGiPolicy, OpRiskApproach
 from .standardized import BankOptionPolicy
 
 ENV_CONFIG_PATH = "REGCAP_CONFIG"
+
+# A disclosure period is a half-year tag: four ASCII digits, -H1 or -H2.
+_PERIOD = re.compile("[0-9]{4}-H[12]")
 
 
 class Regime(enum.Enum):
@@ -55,8 +59,9 @@ class EngineConfig:
     The credit-only regime admits no operational-risk approach, no market
     charge, no internal-ratings approach, and no supervisory adjustment;
     the full regime requires an operational-risk approach. The supervisory
-    floor and the downgrade rule (a simpler operational-risk approach than
-    the previous one needs the override) are checked here, at load time.
+    floor, the disclosure period's form and the downgrade rule (a simpler
+    operational-risk approach than the previous one needs the override) are
+    checked here, at load time.
     """
 
     regime: Regime = Regime.BASEL2
@@ -98,6 +103,11 @@ class EngineConfig:
         else:
             if self.oprisk_approach is None:
                 problems.append("the full regime requires an operational-risk approach")
+        period = self.disclosure_period
+        if period is not None and not _PERIOD.fullmatch(period):
+            problems.append(
+                f"period must be a half-year tag like 2006-H1 or 2006-H2, got {period!r}"
+            )
         try:
             self.adjustment()
         except InvalidOverride as exc:

@@ -4,12 +4,12 @@ run_compute is the full pipeline behind the command line: resolve tables,
 compute the credit block per the configured approach, the operational block
 per its approach, fold in the market input, and judge compliance. run_compare
 puts the credit-only regime next to the full one, and run_disclose shapes a
-computed result into the semiannual disclosure document.
+computed result into the semiannual disclosure document. Each result keeps
+only what its run produced; what the config decides is read from the config.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,8 +35,6 @@ from .oprisk import (
     BetaTable,
     DEFAULT_BETAS,
     IncomeHistory,
-    NegativeGiPolicy,
-    OpRiskApproach,
     TsaResult,
     advanced_hook,
     average_gross_income,
@@ -51,9 +49,6 @@ from .standardized import (
     RwaLine,
     rwa_portfolio,
 )
-
-_PERIOD_PATTERN = re.compile(r"^\d{4}-H[12]$")
-
 
 @dataclass(frozen=True)
 class TableSet:
@@ -92,7 +87,6 @@ class IrbLine:
 class CreditResult:
     """Credit block outcome: per-line detail plus the exact total."""
 
-    approach: CreditApproach
     total_rwa: Money
     lines: tuple[RwaLine, ...] = ()
     irb_lines: tuple[IrbLine, ...] = ()
@@ -102,8 +96,6 @@ class CreditResult:
 class OpRiskResult:
     """Operational block outcome; note explains a zero-by-absence charge."""
 
-    approach: OpRiskApproach
-    policy: NegativeGiPolicy
     charge: Money
     average_income: Money | None = None
     tsa: TsaResult | None = None
@@ -134,9 +126,7 @@ def _credit_block(
         lines, total = rwa_portfolio(
             portfolio, tables.risk_weights, tables.ccf, config.bank_policy
         )
-        return CreditResult(
-            approach=config.credit_approach, total_rwa=total, lines=tuple(lines)
-        )
+        return CreditResult(total_rwa=total, lines=tuple(lines))
     fn = risk_weight_function(config.irb_function)
     irb_lines = []
     for exposure in portfolio:
@@ -152,9 +142,7 @@ def _credit_block(
             )
         )
     total = sum_money((line.amount for line in irb_lines), currency=currency)
-    return CreditResult(
-        approach=config.credit_approach, total_rwa=total, irb_lines=tuple(irb_lines)
-    )
+    return CreditResult(total_rwa=total, irb_lines=tuple(irb_lines))
 
 
 def _oprisk_block(
@@ -163,16 +151,12 @@ def _oprisk_block(
     approach = config.oprisk_approach
     if income is None:
         return OpRiskResult(
-            approach=approach,
-            policy=config.negative_gi_policy,
             charge=Money.zero(currency),
             note="no income history supplied; operational charge taken as zero",
         )
     if approach.kind is ApproachKind.BASIC_INDICATOR:
         average = average_gross_income(income, config.negative_gi_policy)
         return OpRiskResult(
-            approach=approach,
-            policy=config.negative_gi_policy,
             charge=bia_capital(average),
             average_income=average,
             income_span=income.span(),
@@ -180,8 +164,6 @@ def _oprisk_block(
     if approach.kind is ApproachKind.STANDARDIZED:
         result = tsa_capital(income, tables.betas, config.negative_gi_policy)
         return OpRiskResult(
-            approach=approach,
-            policy=config.negative_gi_policy,
             charge=result.total,
             tsa=result,
             income_span=income.span(),
@@ -192,12 +174,7 @@ def _oprisk_block(
         raise ConfigError(
             f"advanced estimator {approach.hook!r} returned a negative charge"
         )
-    return OpRiskResult(
-        approach=approach,
-        policy=config.negative_gi_policy,
-        charge=charge,
-        income_span=income.span(),
-    )
+    return OpRiskResult(charge=charge, income_span=income.span())
 
 
 def run_compute(
@@ -302,7 +279,7 @@ def _novelties(result: ComputeResult) -> tuple[Novelty, ...]:
             applied=True,
             note=(
                 f"credit: {config.credit_approach.key};"
-                f" operational: {oprisk.approach.key if oprisk else 'none'};"
+                f" operational: {config.oprisk_approach.key if oprisk else 'none'};"
                 f" market: {'input figure' if market_units else 'none'}"
             ),
         ),
@@ -375,24 +352,15 @@ class DisclosureReport:
     """Semiannual disclosure content, shaped for deterministic rendering."""
 
     period: str
-    scope: str
     result: ComputeResult
 
 
-def run_disclose(
-    config: EngineConfig,
-    result: ComputeResult,
-    period: str | None = None,
-    scope: str = "single entity",
-) -> DisclosureReport:
-    """Shape a computed result into the semiannual disclosure document."""
-    chosen = period or config.disclosure_period
-    if not chosen:
-        raise MissingPeriod(
-            "disclosure needs a semiannual period such as 2006-H2"
-        )
-    if not _PERIOD_PATTERN.match(chosen):
-        raise MissingPeriod(
-            f"period must be a half-year tag like 2006-H1 or 2006-H2, got {chosen!r}"
-        )
-    return DisclosureReport(period=chosen, scope=scope, result=result)
+def run_disclose(result: ComputeResult) -> DisclosureReport:
+    """Shape a computed result into the semiannual disclosure document.
+
+    The period is the configured one, whose form the config checked at load.
+    """
+    period = result.config.disclosure_period
+    if not period:
+        raise MissingPeriod("disclosure needs a semiannual period such as 2006-H2")
+    return DisclosureReport(period=period, result=result)

@@ -111,12 +111,6 @@ class DuplicateAdvancedHook(RegcapError):
     layer = "operational risk"
 
 
-class EmptyDenominator(RegcapError):
-    """Solvency ratio requested over a zero denominator."""
-
-    layer = "aggregation"
-
-
 class InvalidOverride(RegcapError):
     """Supervisory minimum-ratio override below the 8% floor."""
 

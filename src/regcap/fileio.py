@@ -188,10 +188,14 @@ def load_betas(path: str | Path) -> BetaTable:
             raise _cell_error(path, number, "line", exc) from exc
         if line in betas:
             raise ParseError(f"duplicate line {line_key!r} in {path}", line=number)
-        betas[line] = _parse_fraction_cell(beta_token, path, number, "beta")
+        beta = _parse_fraction_cell(beta_token, path, number, "beta")
+        if not 0 <= beta <= 1:
+            reason = f"beta for {line.key} outside [0, 1]"
+            raise _cell_error(path, number, "beta", reason)
+        betas[line] = beta
     try:
         return BetaTable(betas=betas, source=table_source(path, text))
-    except (MissingLine, ValueError) as exc:
+    except MissingLine as exc:
         raise ParseError(f"{exc} in {path}") from exc
 
 

@@ -123,30 +123,13 @@ GATE_VALUES = tuple(Fraction(i, GATE_STEPS - 1) for i in range(GATE_STEPS))
 GATE_EAD = Money(100_00)
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Outcome of a grid check; on failure, the first violating pair."""
-
-    passed: bool
-    witness: tuple[IrbParams, IrbParams] | None = None
-    weights: tuple[Fraction, Fraction] | None = None
-
-    def message(self) -> str:
-        if self.passed:
-            return "monotone non-decreasing in pd and lgd over the grid"
-        a, b = self.witness
-        wa, wb = self.weights
-        return (
-            f"weight decreases from {wa} to {wb} between "
-            f"(pd={a.pd}, lgd={a.lgd}) and (pd={b.pd}, lgd={b.lgd})"
-        )
-
-
-def check_monotonicity(fn: RiskWeightFunction) -> MonotonicityReport:
+def check_monotonicity(fn: RiskWeightFunction) -> str | None:
     """Grid-check that a function never decreases in pd or in lgd.
 
-    Every pd step is checked at each lgd, then every lgd step at each pd;
-    each grid point is evaluated at most once, when a step first needs it.
+    Returns None when it never does, else a message naming the first
+    decreasing step. Every pd step is checked at each lgd, then every lgd
+    step at each pd; each grid point is evaluated at most once, when a step
+    first needs it.
     """
     points: list[list[tuple[IrbParams, Fraction] | None]] = [
         [None] * GATE_STEPS for _ in range(GATE_STEPS)
@@ -164,14 +147,13 @@ def check_monotonicity(fn: RiskWeightFunction) -> MonotonicityReport:
     steps = [((i, j), (i + 1, j)) for j in range(GATE_STEPS) for i in range(last)]
     steps += [((i, j), (i, j + 1)) for i in range(GATE_STEPS) for j in range(last)]
     for low, high in steps:
-        (low_params, low_weight), (high_params, high_weight) = point(*low), point(*high)
+        (a, low_weight), (b, high_weight) = point(*low), point(*high)
         if high_weight < low_weight:
-            return MonotonicityReport(
-                passed=False,
-                witness=(low_params, high_params),
-                weights=(low_weight, high_weight),
+            return (
+                f"weight decreases from {low_weight} to {high_weight} between "
+                f"(pd={a.pd}, lgd={a.lgd}) and (pd={b.pd}, lgd={b.lgd})"
             )
-    return MonotonicityReport(passed=True)
+    return None
 
 
 # Reference function: weight 1 regardless of inputs. Useful for wiring tests
@@ -187,9 +169,9 @@ def register_risk_weight_function(name: str, fn: RiskWeightFunction) -> None:
     """
     if name in _FUNCTIONS:
         raise DuplicateFunction(f"a risk-weight function is already registered as {name!r}")
-    report = check_monotonicity(fn)
-    if not report.passed:
-        raise NonMonotoneFunction(f"{name!r} rejected: {report.message()}")
+    problem = check_monotonicity(fn)
+    if problem is not None:
+        raise NonMonotoneFunction(f"{name!r} rejected: {problem}")
     _FUNCTIONS[name] = fn
 
 

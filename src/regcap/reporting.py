@@ -19,19 +19,20 @@ from .config import CreditApproach, EngineConfig, Regime
 from .engine import (
     CompareResult,
     ComputeResult,
-    CreditResult,
     DisclosureReport,
     OpRiskResult,
     TableSet,
 )
 from .model import CapitalBase
 from .money import format_percent, fraction_to_decimal_text
-from .oprisk import ApproachKind, BusinessLine
+from .oprisk import ApproachKind, BusinessLine, OpRiskApproach
 
 RULE = "=" * 72
 LIGHT_RULE = "-" * 72
 
 UNDEFINED_RATIO = "undefined (no risk-bearing assets)"
+
+DISCLOSURE_SCOPE = "single entity"
 
 _CREDIT_LABELS = {
     CreditApproach.STANDARDIZED: "standardized (external ratings)",
@@ -55,13 +56,12 @@ def _ratio_text(ratio: Fraction | None) -> str:
     return format_percent(ratio) if ratio is not None else UNDEFINED_RATIO
 
 
-def _oprisk_label(result: OpRiskResult) -> str:
-    kind = result.approach.kind
-    if kind is ApproachKind.BASIC_INDICATOR:
+def _oprisk_label(approach: OpRiskApproach) -> str:
+    if approach.kind is ApproachKind.BASIC_INDICATOR:
         return "basic indicator (alpha = 15% of average gross income)"
-    if kind is ApproachKind.STANDARDIZED:
+    if approach.kind is ApproachKind.STANDARDIZED:
         return "standardized (per-business-line beta)"
-    return f"advanced measurement via registered hook {result.approach.hook!r}"
+    return f"advanced measurement via registered hook {approach.hook!r}"
 
 
 def _config_echo_lines(config: EngineConfig, tables: TableSet) -> list[str]:
@@ -91,9 +91,10 @@ def _capital_lines(capital: CapitalBase) -> list[str]:
     return lines
 
 
-def _credit_section(credit: CreditResult) -> list[str]:
+def _credit_section(result: ComputeResult) -> list[str]:
+    credit = result.credit
     lines = ["CREDIT RISK", LIGHT_RULE]
-    if credit.approach is CreditApproach.STANDARDIZED:
+    if result.config.credit_approach is CreditApproach.STANDARDIZED:
         header = f"{'id':<12} {'ccf':>8} {'weight':>8} {'risk-weighted':>18}"
         lines.append(header)
         for line in credit.lines:
@@ -121,9 +122,9 @@ def _credit_section(credit: CreditResult) -> list[str]:
     return lines
 
 
-def _oprisk_section(result: OpRiskResult) -> list[str]:
+def _oprisk_section(result: OpRiskResult, approach: OpRiskApproach) -> list[str]:
     lines = ["OPERATIONAL RISK", LIGHT_RULE]
-    lines.append(f"approach:          {_oprisk_label(result)}")
+    lines.append(f"approach:          {_oprisk_label(approach)}")
     if result.income_span:
         lines.append(f"income years:      {result.income_span}")
     if result.note:
@@ -195,10 +196,10 @@ def render_compute_text(result: ComputeResult) -> str:
     parts = [RULE, "REGULATORY CAPITAL REPORT", RULE]
     parts.extend(_config_echo_lines(result.config, result.tables))
     parts.append("")
-    parts.extend(_credit_section(result.credit))
+    parts.extend(_credit_section(result))
     parts.append("")
     if result.oprisk is not None:
-        parts.extend(_oprisk_section(result.oprisk))
+        parts.extend(_oprisk_section(result.oprisk, result.config.oprisk_approach))
         parts.append("")
     parts.extend(_solvency_section(result))
     parts.append(RULE)
@@ -240,11 +241,12 @@ def _config_doc(config: EngineConfig, tables: TableSet) -> dict:
 def compute_document(result: ComputeResult) -> dict:
     """The machine-readable run document (plain JSON-able types)."""
     report = result.report
+    config = result.config
     credit = result.credit
     doc: dict = {
-        "config": _config_doc(result.config, result.tables),
+        "config": _config_doc(config, result.tables),
         "credit": {
-            "approach": credit.approach.key,
+            "approach": config.credit_approach.key,
             "total_rwa": credit.total_rwa.text(),
             "lines": [
                 {
@@ -305,8 +307,8 @@ def compute_document(result: ComputeResult) -> dict:
     }
     if result.oprisk is not None:
         oprisk_doc: dict = {
-            "approach": result.oprisk.approach.key,
-            "negative_gi_policy": result.oprisk.policy.key,
+            "approach": config.oprisk_approach.key,
+            "negative_gi_policy": config.negative_gi_policy.key,
             "charge": result.oprisk.charge.text(),
         }
         if result.oprisk.average_income is not None:
@@ -440,7 +442,7 @@ def render_disclosure_text(disclosure: DisclosureReport) -> str:
     config = result.config
     parts = [RULE, "SEMIANNUAL CAPITAL ADEQUACY DISCLOSURE", RULE]
     parts.append(f"period:            {disclosure.period}")
-    parts.append(f"scope:             {disclosure.scope}")
+    parts.append(f"scope:             {DISCLOSURE_SCOPE}")
     parts.append("")
     parts.append("OWN FUNDS: LEVEL AND STRUCTURE")
     parts.append(LIGHT_RULE)
@@ -450,17 +452,16 @@ def render_disclosure_text(disclosure: DisclosureReport) -> str:
     parts.append(LIGHT_RULE)
     parts.append(
         f"credit:            rwa {result.credit.total_rwa.formatted()}"
-        f"  (method: {_CREDIT_LABELS[result.credit.approach]})"
+        f"  (method: {_CREDIT_LABELS[config.credit_approach]})"
     )
     if config.regime is Regime.BASEL2:
         market = result.market_charge
         parts.append(
             f"market:            charge {market.formatted()}  (method: input figure)"
         )
-        oprisk = result.oprisk
         parts.append(
-            f"operational:       charge {oprisk.charge.formatted()}"
-            f"  (method: {_oprisk_label(oprisk)})"
+            f"operational:       charge {result.oprisk.charge.formatted()}"
+            f"  (method: {_oprisk_label(config.oprisk_approach)})"
         )
     parts.append("")
     parts.append("CAPITAL ADEQUACY")
@@ -486,6 +487,6 @@ def disclosure_document(disclosure: DisclosureReport) -> dict:
     doc = compute_document(disclosure.result)
     return {
         "period": disclosure.period,
-        "scope": disclosure.scope,
+        "scope": DISCLOSURE_SCOPE,
         "report": doc,
     }

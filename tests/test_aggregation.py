@@ -9,7 +9,6 @@ import pytest
 from regcap import (
     CapitalBase,
     ConfigError,
-    EmptyDenominator,
     EngineConfig,
     InvalidOverride,
     Money,
@@ -19,7 +18,6 @@ from regcap import (
     compliance,
     denominator,
     denominator_shares,
-    mcdonough_ratio,
 )
 
 from conftest import eur
@@ -71,12 +69,12 @@ class TestDenominator:
 
 class TestRatios:
     def test_mcdonough_worked_denominator(self):
-        ratio = mcdonough_ratio(CapitalBase(eur("104")), inputs("1000", "8", "16"))
-        assert ratio == Fraction(8, 100)
+        report = compliance(CapitalBase(eur("104")), inputs("1000", "8", "16"))
+        assert report.mcdonough == Fraction(8, 100)
 
     def test_mcdonough_exact_rational(self):
-        ratio = mcdonough_ratio(CapitalBase(eur("80")), inputs("1000", "0", "0"))
-        assert ratio == Fraction(8, 100)
+        report = compliance(CapitalBase(eur("80")), inputs("1000", "0", "0"))
+        assert report.mcdonough == Fraction(8, 100)
 
     def test_cooke_ignores_non_credit_risk(self):
         full = inputs("1000", "8", "16")
@@ -87,12 +85,15 @@ class TestRatios:
         capital = CapitalBase(eur("123.45"))
         credit_only = inputs("987", "0", "0")
         report = compliance(capital, credit_only)
-        assert mcdonough_ratio(capital, credit_only) == report.cooke
-        assert report.mcdonough == report.cooke
+        exact = Fraction(
+            capital.total_own_funds.units, denominator(credit_only).units
+        )
+        assert report.mcdonough == exact == report.cooke
 
     def test_empty_denominator(self):
-        with pytest.raises(EmptyDenominator):
-            mcdonough_ratio(CapitalBase(eur("100")), inputs("0", "0", "0"))
+        empty = compliance(CapitalBase(eur("100")), inputs("0", "0", "0"))
+        assert empty.mcdonough is None
+        assert empty.cooke is None
         no_credit = compliance(CapitalBase(eur("100")), inputs("0", "8", "0"))
         assert no_credit.cooke is None
         assert no_credit.mcdonough == Fraction(1)

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regcap import DEFAULT_BETAS, DEFAULT_CCF, DEFAULT_RISK_WEIGHTS
 from regcap.cli import main
-from regcap.fileio import load_betas, load_ccf, load_risk_weights
+from regcap.fileio import (
+    dump_betas,
+    dump_ccf,
+    dump_risk_weights,
+    load_betas,
+    load_ccf,
+    load_risk_weights,
+)
 from regcap.irb import _FUNCTIONS
 
 from conftest import DATA_DIR
@@ -90,7 +100,10 @@ class TestCompute:
         cases += [
             (["--capital", "1.234"], "--capital: amount '1.234' has more than 2"),
             (["--capital", "1.00", "--market-charge", "-5"], "--market-charge"),
-            (["--capital", "1.00", "--betas", str(betas)], str(betas)),
+            (
+                ["--capital", "1.00", "--betas", str(betas)],
+                f"line 1, column 'beta': beta for corporate_finance outside [0, 1] in {betas}",
+            ),
             (["--capital", "1.00", "--betas", str(partial_betas)], str(partial_betas)),
         ]
         for flags, cited in cases:
@@ -100,6 +113,23 @@ class TestCompute:
             assert captured.err.startswith("error [input/config]:")
             assert cited in captured.err
             assert captured.err.count("\n") == 1
+
+    def test_malformed_period_exits_two(self, capsys, tmp_path):
+        document = tmp_path / "o.json"
+        for period in ("garbage", "2006-H2\n", "\u0662\u0660\u0660\u0666-H2"):
+            for command in ("compute", "compare", "disclose"):
+                status = main(
+                    [command, "--portfolio", WORKED, "--capital", "80000.00"]
+                    + ["--period", period, "--json-out", str(document)]
+                )
+                captured = capsys.readouterr()
+                assert status == 2
+                assert captured.out == ""
+                assert captured.err == (
+                    "error [input/config]: period must be a half-year tag like"
+                    f" 2006-H1 or 2006-H2, got {period!r}\n"
+                )
+                assert not document.exists()
 
     def test_empty_book_takes_the_configured_currency(self, capsys, tmp_path):
         portfolio = tmp_path / "empty.csv"
@@ -370,3 +400,98 @@ class TestValidate:
         captured = capsys.readouterr()
         assert status == 2
         assert "unknown.key" in captured.err
+
+
+# Flags whose values regcap parses itself; argparse checks the enum choices
+# and switches, and the file flags are fuzzed through their contents.
+CAPITAL_FLAGS = ("--capital", "--tier1", "--tier2", "--market-charge")
+CONFIG_FLAGS = (
+    "--irb-function", "--oprisk-approach", "--previous-oprisk-approach",
+    "--min-ratio-override", "--capital-addon", "--period", "--currency",
+)
+PLAUSIBLE_VALUES = ("1.00", "81000.00", "0", "10%", "2006-H2", "EUR", "standardized")
+
+
+@pytest.fixture(scope="module")
+def seed_files(tmp_path_factory):
+    """The directory the fuzzed files go to, and one valid seed per file flag."""
+    directory = tmp_path_factory.mktemp("totality")
+    seeds = {
+        "--portfolio": (DATA_DIR / "portfolio_golden.csv").read_bytes(),
+        "--income": (DATA_DIR / "income_3yr.csv").read_bytes(),
+        "--config": (DATA_DIR / "config_basel2.cfg").read_bytes(),
+    }
+    for flag, table, writer in (
+        ("--risk-weights", DEFAULT_RISK_WEIGHTS, dump_risk_weights),
+        ("--ccf", DEFAULT_CCF, dump_ccf),
+        ("--betas", DEFAULT_BETAS, dump_betas),
+    ):
+        writer(table, directory / "table")
+        seeds[flag] = (directory / "table").read_bytes()
+    return directory, seeds
+
+
+def _apply_edits(data: bytes, edits) -> bytes:
+    for position, cut, insert in edits:
+        position = min(position, len(data))
+        data = data[:position] + insert + data[position + cut:]
+    return data
+
+
+def _mutated(seed: bytes):
+    """The seed with a few byte edits, or arbitrary bytes instead."""
+    edit = st.tuples(st.integers(0, len(seed)), st.integers(0, 3), st.binary(max_size=3))
+    return st.one_of(
+        st.lists(edit, min_size=1, max_size=4).map(lambda e: _apply_edits(seed, e)),
+        st.binary(max_size=64),
+    )
+
+
+class TestTotality:
+    """main() is total over broken input files and arbitrary flag text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_main_returns_a_status_and_keeps_the_stream_contract(
+        self, seed_files, data
+    ):
+        directory, seeds = seed_files
+        command = data.draw(
+            st.sampled_from(["compute", "compare", "disclose", "validate"])
+        )
+        argv = [command]
+        given_files = [
+            flag for flag in seeds
+            if flag == "--portfolio" or data.draw(st.booleans(), label=flag)
+        ]
+        broken = data.draw(st.sampled_from([None, *given_files]), label="mutated")
+        for flag in given_files:
+            path = directory / flag[2:]
+            seed = seeds[flag]
+            path.write_bytes(data.draw(_mutated(seed)) if flag == broken else seed)
+            argv += [flag, str(path)]
+        flags = CONFIG_FLAGS
+        if command != "validate":
+            flags += CAPITAL_FLAGS
+            argv.append("--capital=81000.00")  # a drawn --capital comes later and wins
+            if data.draw(st.booleans(), label="--json-out"):
+                argv += ["--json-out", str(directory / "out.json")]
+        values = st.one_of(st.sampled_from(PLAUSIBLE_VALUES), st.text(max_size=12))
+        chosen = data.draw(st.dictionaries(st.sampled_from(flags), values, max_size=2))
+        argv += [f"{flag}={value}" for flag, value in chosen.items()]
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+
+        assert status in (0, 1, 2)
+        if status == 2:
+            # [internal] marks a fault in regcap, never in its inputs.
+            assert err.getvalue().startswith("error [")
+            assert not err.getvalue().startswith("error [internal]")
+            assert err.getvalue().count("\n") == 1
+            assert err.getvalue().endswith("\n")
+        else:
+            assert err.getvalue() == ""
+        if status == 1:
+            assert "NON-COMPLIANT" in out.getvalue()

@@ -322,34 +322,33 @@ class TestCompare:
 
 
 class TestDisclose:
-    def test_period_from_argument(self, worked_portfolio):
-        result = run_compute(
-            EngineConfig(), worked_portfolio, CapitalBase(eur("80000.00"))
-        )
-        report = run_disclose(result.config, result, period="2006-H2")
-        assert report.period == "2006-H2"
-        assert report.scope == "single entity"
-
     def test_period_from_config(self, worked_portfolio):
         config = EngineConfig(disclosure_period="2006-H1")
         result = run_compute(config, worked_portfolio, CapitalBase(eur("80000.00")))
-        report = run_disclose(config, result)
+        report = run_disclose(result)
         assert report.period == "2006-H1"
+        assert report.result is result
 
     def test_missing_period(self, worked_portfolio):
         result = run_compute(
             EngineConfig(), worked_portfolio, CapitalBase(eur("80000.00"))
         )
         with pytest.raises(MissingPeriod):
-            run_disclose(result.config, result)
+            run_disclose(result)
 
-    def test_malformed_period(self, worked_portfolio):
-        result = run_compute(
-            EngineConfig(), worked_portfolio, CapitalBase(eur("80000.00"))
-        )
-        for bad in ("2006", "2006-H3", "H1-2006", "2006-h1"):
-            with pytest.raises(MissingPeriod):
-                run_disclose(result.config, result, period=bad)
+    def test_malformed_period(self):
+        # A period is checked when the config is built, for every subcommand.
+        # "$" in a pattern would accept the trailing newline, and "\d" the
+        # Arabic-Indic digits.
+        arabic_indic_2006 = "\u0662\u0660\u0660\u0666"
+        for bad in ("2006", "2006-H3", "H1-2006", "2006-h1", "2006-H2\n",
+                    f"{arabic_indic_2006}-H2"):
+            with pytest.raises(ConfigError) as caught:
+                EngineConfig(disclosure_period=bad)
+            assert str(caught.value) == (
+                f"period must be a half-year tag like 2006-H1 or 2006-H2, got {bad!r}"
+            )
+            assert caught.value.layer == "input/config"
 
 
 class TestTables:

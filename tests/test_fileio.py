@@ -86,6 +86,20 @@ class TestTableRoundTrips:
         with pytest.raises(ParseError):
             load_ccf(path)
 
+    def test_beta_out_of_bounds_cites_line_and_column(self, tmp_path):
+        path = tmp_path / "betas.tbl"
+        path.write_text(
+            "".join(
+                f"{line.key} {'1.5' if number == 2 else '0.15'}\n"
+                for number, line in enumerate(DEFAULT_BETAS.betas, start=1)
+            )
+        )
+        with pytest.raises(ParseError) as excinfo:
+            load_betas(path)
+        assert str(excinfo.value) == (
+            f"line 2, column 'beta': beta for trading_and_sales outside [0, 1] in {path}"
+        )
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "betas.tbl"
         dump_betas(DEFAULT_BETAS, path)

@@ -12,12 +12,12 @@ from regcap import (
     CapitalBase,
     ConfigError,
     CurrencyMismatch,
-    EmptyDenominator,
     EngineConfig,
     IncompleteHistory,
     InvalidOverride,
     MissingCell,
     MissingPeriod,
+    NonMonotoneFunction,
     OpRiskApproach,
     OutOfRange,
     ParseError,
@@ -44,21 +44,20 @@ from regcap.reporting import (
 from conftest import DATA_DIR, eur
 
 
+def fresh_worked_result(period: str | None = None):
+    portfolio = load_portfolio(DATA_DIR / "worked_example.csv")
+    income = load_income(DATA_DIR / "income_3yr.csv")
+    return run_compute(
+        EngineConfig(disclosure_period=period),
+        portfolio,
+        CapitalBase(eur("81000.00")),
+        income=income,
+    )
+
+
 @pytest.fixture(scope="module")
 def worked_result():
-    portfolio = load_portfolio(DATA_DIR / "worked_example.csv")
-    income = load_income(DATA_DIR / "income_3yr.csv")
-    return run_compute(
-        EngineConfig(), portfolio, CapitalBase(eur("81000.00")), income=income
-    )
-
-
-def fresh_worked_result():
-    portfolio = load_portfolio(DATA_DIR / "worked_example.csv")
-    income = load_income(DATA_DIR / "income_3yr.csv")
-    return run_compute(
-        EngineConfig(), portfolio, CapitalBase(eur("81000.00")), income=income
-    )
+    return fresh_worked_result()
 
 
 class TestComputeText:
@@ -164,7 +163,9 @@ def _fixture_documents():
         yield compare_document(
             run_compare(EngineConfig(), portfolio, capital, income=income)
         )
-        yield disclosure_document(run_disclose(result.config, result, period="2006-H1"))
+        config = EngineConfig(disclosure_period="2006-H1")
+        period_result = run_compute(config, portfolio, capital, income=income)
+        yield disclosure_document(run_disclose(period_result))
 
 
 def _irb_shaped_document(lines: int) -> dict:
@@ -238,16 +239,16 @@ class TestCompareText:
 
 
 class TestDisclosureText:
-    def test_sections_present(self, worked_result):
-        report = run_disclose(worked_result.config, worked_result, period="2006-H1")
+    def test_sections_present(self):
+        report = run_disclose(fresh_worked_result("2006-H1"))
         text = render_disclosure_text(report)
         assert "SEMIANNUAL CAPITAL ADEQUACY DISCLOSURE" in text
         assert "2006-H1" in text
         assert "own funds" in text.lower()
         assert "operational" in text.lower()
 
-    def test_document_period_and_scope(self, worked_result):
-        report = run_disclose(worked_result.config, worked_result, period="2006-H2")
+    def test_document_period_and_scope(self):
+        report = run_disclose(fresh_worked_result("2006-H2"))
         doc = disclosure_document(report)
         assert doc["period"] == "2006-H2"
         assert doc["scope"] == "single entity"
@@ -265,8 +266,8 @@ class TestProvenance:
             (MissingCell("x"), "standardized credit"),
             (OutOfRange("x"), "internal ratings"),
             (IncompleteHistory("x"), "operational risk"),
-            (EmptyDenominator("x"), "aggregation"),
             (InvalidOverride("x"), "aggregation"),
+            (NonMonotoneFunction("x"), "internal ratings"),
             (RegcapError("x"), "engine"),
         ],
     )

@@ -11,6 +11,8 @@ import ast
 import re
 from pathlib import Path
 
+import regcap
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "regcap"
 
@@ -48,3 +50,14 @@ def test_every_export_is_used_or_documented():
     ]
     assert unused == [], f"exported but neither used nor documented: {unused}"
 
+
+def test_every_lower_layer_the_readme_names_is_exported():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(
+        r"Lower layers are importable on their own: (.*?)\.\s", readme, re.S
+    )
+    assert sentence is not None, "README no longer lists the lower layers"
+    named = re.findall(r"`(\w+)`", sentence.group(1))
+    assert named, "the README sentence names no lower layer"
+    missing = [name for name in named if not hasattr(regcap, name)]
+    assert missing == [], f"README names lower layers regcap lacks: {missing}"
