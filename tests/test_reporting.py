@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from regcap import (
     ParseError,
     Portfolio,
     RegcapError,
+    SupervisoryAdjustment,
     UnknownRating,
     load_income,
     load_portfolio,
@@ -254,6 +256,13 @@ class TestDisclosureText:
         assert doc["scope"] == "single entity"
 
 
+def _raised(build) -> RegcapError:
+    """The error that calling ``build`` raises."""
+    with pytest.raises(RegcapError) as caught:
+        build()
+    return caught.value
+
+
 class TestProvenance:
     @pytest.mark.parametrize(
         ("exc", "label"),
@@ -267,8 +276,12 @@ class TestProvenance:
             (OutOfRange("x"), "internal ratings"),
             (IncompleteHistory("x"), "operational risk"),
             (InvalidOverride("x"), "aggregation"),
-            (NonMonotoneFunction("x"), "internal ratings"),
+            (
+                _raised(lambda: SupervisoryAdjustment(minimum_ratio=Fraction(6, 100))),
+                "aggregation",
+            ),
             (RegcapError("x"), "engine"),
+            (NonMonotoneFunction("x"), "internal ratings"),
         ],
     )
     def test_error_provenance(self, exc, label):
