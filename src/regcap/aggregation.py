@@ -11,13 +11,13 @@ does not fail: the report marks the ratio over it as undefined (None).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import InvalidOverride
+from .errors import InvalidOverride, NegativeBlock
 from .model import MINIMUM_CAPITAL_RATIO, CapitalBase
 from .money import Money, round_half_even
+from .record import Record
 
 # Inverse of the 8% floor, exact.
 RWA_MULTIPLIER = Fraction(25, 2)
@@ -31,24 +31,24 @@ REFERENCE_ALLOCATION: Mapping[str, Fraction] = {
 }
 
 
-@dataclass(frozen=True)
-class PillarOneInputs:
+class PillarOneInputs(Record):
     """The three denominator blocks; market is an input figure, not computed."""
 
-    credit_rwa: Money
-    market_capital_charge: Money
-    oprisk_capital_charge: Money
+    __slots__ = ("credit_rwa", "market_capital_charge", "oprisk_capital_charge")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, credit_rwa: Money, market_capital_charge: Money, oprisk_capital_charge: Money
+    ) -> None:
         for label, amount in (
-            ("credit rwa", self.credit_rwa),
-            ("market capital charge", self.market_capital_charge),
-            ("oprisk capital charge", self.oprisk_capital_charge),
+            ("credit rwa", credit_rwa),
+            ("market capital charge", market_capital_charge),
+            ("oprisk capital charge", oprisk_capital_charge),
         ):
             if amount.is_negative:
-                raise ValueError(f"{label} must be non-negative, got {amount}")
-        self.credit_rwa._check_compatible(self.market_capital_charge)
-        self.credit_rwa._check_compatible(self.oprisk_capital_charge)
+                raise NegativeBlock(f"{label} must be non-negative, got {amount}")
+        credit_rwa._check_compatible(market_capital_charge)
+        credit_rwa._check_compatible(oprisk_capital_charge)
+        super().__init__(credit_rwa, market_capital_charge, oprisk_capital_charge)
 
     def exact_denominator_units(self) -> Fraction:
         """The denominator before its single rounding, in minor units."""
@@ -62,38 +62,41 @@ def denominator(inputs: PillarOneInputs) -> Money:
     return Money(units, inputs.credit_rwa.currency)
 
 
-@dataclass(frozen=True)
-class SupervisoryAdjustment:
+class SupervisoryAdjustment(Record):
     """Pillar 2 action: a ratio floor at or above 8%, an optional add-on."""
 
-    minimum_ratio: Fraction = MINIMUM_CAPITAL_RATIO
-    addon: Money | None = None
+    __slots__ = ("minimum_ratio", "addon")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, minimum_ratio: Fraction = MINIMUM_CAPITAL_RATIO, addon: Money | None = None
+    ) -> None:
         problems = []
-        if self.minimum_ratio < MINIMUM_CAPITAL_RATIO:
-            problems.append(
-                f"supervisory minimum {self.minimum_ratio} is below the 8% floor"
-            )
-        if self.addon is not None and self.addon.is_negative:
-            problems.append(f"capital add-on must be non-negative, got {self.addon}")
+        if minimum_ratio < MINIMUM_CAPITAL_RATIO:
+            problems.append(f"supervisory minimum {minimum_ratio} is below the 8% floor")
+        if addon is not None and addon.is_negative:
+            problems.append(f"capital add-on must be non-negative, got {addon}")
         if problems:
             raise InvalidOverride("; ".join(problems))
+        super().__init__(minimum_ratio, addon)
 
 
-@dataclass(frozen=True)
-class CapitalReport:
+class CapitalReport(Record):
     """Assembled solvency outcome; ratios are None when undefined."""
 
-    denominator: Money
-    mcdonough: Fraction | None
-    cooke: Fraction | None
-    minimum_ratio: Fraction
-    addon: Money
-    min_required_capital: Money
-    surplus: Money
-    compliant: bool
-    shares: Mapping[str, Fraction] | None
+    __slots__ = (
+        "denominator", "mcdonough", "cooke", "minimum_ratio", "addon",
+        "min_required_capital", "surplus", "compliant", "shares",
+    )
+
+    def __init__(
+        self, denominator: Money, mcdonough: Fraction | None, cooke: Fraction | None,
+        minimum_ratio: Fraction, addon: Money, min_required_capital: Money,
+        surplus: Money, compliant: bool, shares: Mapping[str, Fraction] | None,
+    ) -> None:
+        super().__init__(
+            denominator, mcdonough, cooke, minimum_ratio, addon,
+            min_required_capital, surplus, compliant, shares,
+        )
 
 
 def denominator_shares(inputs: PillarOneInputs) -> Mapping[str, Fraction] | None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import os
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -21,6 +20,7 @@ from .errors import ConfigError, DowngradeWithoutOverride, InvalidOverride
 from .model import MINIMUM_CAPITAL_RATIO
 from .money import DEFAULT_CURRENCY, Money, parse_fraction
 from .oprisk import ApproachKind, NegativeGiPolicy, OpRiskApproach
+from .record import Record
 from .standardized import BankOptionPolicy
 
 ENV_CONFIG_PATH = "REGCAP_CONFIG"
@@ -52,8 +52,7 @@ class CreditApproach(enum.Enum):
         return self is not CreditApproach.STANDARDIZED
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Record):
     """Validated run configuration.
 
     The credit-only regime admits no operational-risk approach, no market
@@ -64,26 +63,34 @@ class EngineConfig:
     checked here, at load time.
     """
 
-    regime: Regime = Regime.BASEL2
-    credit_approach: CreditApproach = CreditApproach.STANDARDIZED
-    bank_policy: BankOptionPolicy = BankOptionPolicy.LOW_END
-    irb_function: str = "constant"
-    oprisk_approach: OpRiskApproach | None = field(
-        default_factory=OpRiskApproach.basic_indicator
+    __slots__ = (
+        "regime", "credit_approach", "bank_policy", "irb_function", "oprisk_approach",
+        "previous_oprisk_approach", "downgrade_override", "negative_gi_policy",
+        "risk_weights_path", "ccf_path", "betas_path", "min_ratio_override",
+        "capital_addon", "adjustment_justification", "disclosure_period", "currency",
     )
-    previous_oprisk_approach: OpRiskApproach | None = None
-    downgrade_override: bool = False
-    negative_gi_policy: NegativeGiPolicy = NegativeGiPolicy.EXCLUDE_NEGATIVE_YEARS
-    risk_weights_path: str | None = None
-    ccf_path: str | None = None
-    betas_path: str | None = None
-    min_ratio_override: Fraction | None = None
-    capital_addon: Money | None = None
-    adjustment_justification: str = ""
-    disclosure_period: str | None = None
-    currency: str = DEFAULT_CURRENCY
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        regime: Regime = Regime.BASEL2,
+        credit_approach: CreditApproach = CreditApproach.STANDARDIZED,
+        bank_policy: BankOptionPolicy = BankOptionPolicy.LOW_END,
+        irb_function: str = "constant",
+        oprisk_approach: OpRiskApproach | None = OpRiskApproach.basic_indicator(),
+        previous_oprisk_approach: OpRiskApproach | None = None,
+        downgrade_override: bool = False,
+        negative_gi_policy: NegativeGiPolicy = NegativeGiPolicy.EXCLUDE_NEGATIVE_YEARS,
+        risk_weights_path: str | None = None, ccf_path: str | None = None,
+        betas_path: str | None = None, min_ratio_override: Fraction | None = None,
+        capital_addon: Money | None = None, adjustment_justification: str = "",
+        disclosure_period: str | None = None, currency: str = DEFAULT_CURRENCY,
+    ) -> None:
+        super().__init__(
+            regime, credit_approach, bank_policy, irb_function, oprisk_approach,
+            previous_oprisk_approach, downgrade_override, negative_gi_policy,
+            risk_weights_path, ccf_path, betas_path, min_ratio_override,
+            capital_addon, adjustment_justification, disclosure_period, currency,
+        )
         problems = []
         if self.regime is Regime.BASEL1:
             if self.oprisk_approach is not None:
@@ -178,8 +185,7 @@ def _parse_currency(token: str) -> str:
     return token
 
 
-@dataclass(frozen=True)
-class Setting:
+class Setting(Record):
     """One run setting: its config key, CLI flag and EngineConfig field.
 
     ``parser`` turns the raw text into the field value. An enum class
@@ -189,11 +195,13 @@ class Setting:
     doubled.
     """
 
-    key: str
-    flag: str
-    field: str
-    parser: Callable[..., Any]
-    help: str | None = None
+    __slots__ = ("key", "flag", "field", "parser", "help")
+
+    def __init__(
+        self, key: str, flag: str, field: str, parser: Callable[..., Any],
+        help: str | None = None,
+    ) -> None:
+        super().__init__(key, flag, field, parser, help)
 
     @property
     def choices(self) -> list[str] | None:

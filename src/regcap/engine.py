@@ -10,7 +10,6 @@ only what its run produced; what the config decides is read from the config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .aggregation import (
@@ -41,6 +40,7 @@ from .oprisk import (
     bia_capital,
     tsa_capital,
 )
+from .record import Record, init_field
 from .standardized import (
     CcfTable,
     DEFAULT_CCF,
@@ -50,13 +50,14 @@ from .standardized import (
     rwa_portfolio,
 )
 
-@dataclass(frozen=True)
-class TableSet:
+
+class TableSet(Record):
     """The three active lookup tables with their provenance labels."""
 
-    risk_weights: RiskWeightTable
-    ccf: CcfTable
-    betas: BetaTable
+    __slots__ = ("risk_weights", "ccf", "betas")
+
+    def __init__(self, risk_weights: RiskWeightTable, ccf: CcfTable, betas: BetaTable) -> None:
+        super().__init__(risk_weights, ccf, betas)
 
 
 def resolve_tables(config: EngineConfig) -> TableSet:
@@ -72,47 +73,61 @@ def resolve_tables(config: EngineConfig) -> TableSet:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class IrbLine:
+class IrbLine(Record):
     """Per-exposure internal-ratings record: the components and the outcome."""
 
-    exposure_id: str
-    params: IrbParams
-    weight: Fraction
-    amount: Money
-    off_balance: bool = False
+    __slots__ = ("exposure_id", "params", "weight", "amount", "off_balance")
+
+    def __init__(
+        self, exposure_id: str, params: IrbParams, weight: Fraction, amount: Money,
+        off_balance: bool = False,
+    ) -> None:
+        init_field(self, "exposure_id", exposure_id)
+        init_field(self, "params", params)
+        init_field(self, "weight", weight)
+        init_field(self, "amount", amount)
+        init_field(self, "off_balance", off_balance)
 
 
-@dataclass(frozen=True)
-class CreditResult:
+class CreditResult(Record):
     """Credit block outcome: per-line detail plus the exact total."""
 
-    total_rwa: Money
-    lines: tuple[RwaLine, ...] = ()
-    irb_lines: tuple[IrbLine, ...] = ()
+    __slots__ = ("total_rwa", "lines", "irb_lines")
+
+    def __init__(
+        self, total_rwa: Money, lines: tuple[RwaLine, ...] = (),
+        irb_lines: tuple[IrbLine, ...] = (),
+    ) -> None:
+        super().__init__(total_rwa, lines, irb_lines)
 
 
-@dataclass(frozen=True)
-class OpRiskResult:
+class OpRiskResult(Record):
     """Operational block outcome; note explains a zero-by-absence charge."""
 
-    charge: Money
-    average_income: Money | None = None
-    tsa: TsaResult | None = None
-    income_span: str | None = None
-    note: str | None = None
+    __slots__ = ("charge", "average_income", "tsa", "income_span", "note")
+
+    def __init__(
+        self, charge: Money, average_income: Money | None = None,
+        tsa: TsaResult | None = None, income_span: str | None = None,
+        note: str | None = None,
+    ) -> None:
+        super().__init__(charge, average_income, tsa, income_span, note)
 
 
-@dataclass(frozen=True)
-class ComputeResult:
-    config: EngineConfig
-    portfolio: Portfolio
-    capital: CapitalBase
-    tables: TableSet
-    credit: CreditResult
-    oprisk: OpRiskResult | None
-    market_charge: Money | None
-    report: CapitalReport
+class ComputeResult(Record):
+    __slots__ = (
+        "config", "portfolio", "capital", "tables", "credit", "oprisk",
+        "market_charge", "report",
+    )
+
+    def __init__(
+        self, config: EngineConfig, portfolio: Portfolio, capital: CapitalBase,
+        tables: TableSet, credit: CreditResult, oprisk: OpRiskResult | None,
+        market_charge: Money | None, report: CapitalReport,
+    ) -> None:
+        super().__init__(
+            config, portfolio, capital, tables, credit, oprisk, market_charge, report
+        )
 
     @property
     def exit_status(self) -> int:
@@ -237,23 +252,25 @@ def _complete(
     )
 
 
-@dataclass(frozen=True)
-class Novelty:
+class Novelty(Record):
     """One reform marker in the regime comparison."""
 
-    name: str
-    applied: bool
-    note: str
+    __slots__ = ("name", "applied", "note")
+
+    def __init__(self, name: str, applied: bool, note: str) -> None:
+        super().__init__(name, applied, note)
 
 
-@dataclass(frozen=True)
-class CompareResult:
+class CompareResult(Record):
     """Side-by-side of the credit-only and full regimes on the same book."""
 
-    credit_only: ComputeResult
-    full: ComputeResult
-    required_delta: Money
-    novelties: tuple[Novelty, ...]
+    __slots__ = ("credit_only", "full", "required_delta", "novelties")
+
+    def __init__(
+        self, credit_only: ComputeResult, full: ComputeResult, required_delta: Money,
+        novelties: tuple[Novelty, ...],
+    ) -> None:
+        super().__init__(credit_only, full, required_delta, novelties)
 
     @property
     def exit_status(self) -> int:
@@ -347,12 +364,13 @@ def run_compare(
     )
 
 
-@dataclass(frozen=True)
-class DisclosureReport:
+class DisclosureReport(Record):
     """Semiannual disclosure content, shaped for deterministic rendering."""
 
-    period: str
-    result: ComputeResult
+    __slots__ = ("period", "result")
+
+    def __init__(self, period: str, result: ComputeResult) -> None:
+        super().__init__(period, result)
 
 
 def run_disclose(result: ComputeResult) -> DisclosureReport:

@@ -1,7 +1,8 @@
 """Exception types shared across the engine.
 
 Each type names the engine area it comes from in ``layer``; the command
-line prints that label in its one-line diagnostic.
+line prints that label in its one-line diagnostic. The types raised by
+record constructors for an out-of-range value are also ``ValueError``s.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ class MissingCell(RegcapError):
 
 class UnknownCategory(RegcapError):
     """Off-balance category does not resolve in the active CCF table."""
+
+    layer = "standardized credit"
+
+
+class InvalidWeight(RegcapError, ValueError):
+    """Weight cell or conversion factor outside its legal interval."""
 
     layer = "standardized credit"
 
@@ -93,6 +100,18 @@ class MissingLine(RegcapError):
         super().__init__("missing business lines: " + ", ".join(self.lines))
 
 
+class InvalidBeta(RegcapError, ValueError):
+    """Business-line multiplier outside [0, 1]."""
+
+    layer = "operational risk"
+
+
+class InvalidApproach(RegcapError, ValueError):
+    """Hook name given to a non-advanced approach, or missing from an advanced one."""
+
+    layer = "operational risk"
+
+
 class DowngradeWithoutOverride(RegcapError):
     """Operational-risk approach moved to a simpler one without the override flag."""
 
@@ -113,6 +132,12 @@ class DuplicateAdvancedHook(RegcapError):
 
 class InvalidOverride(RegcapError):
     """Supervisory minimum-ratio override below the 8% floor."""
+
+    layer = "aggregation"
+
+
+class NegativeBlock(RegcapError, ValueError):
+    """A denominator block (credit RWA or a capital charge) below zero."""
 
     layer = "aggregation"
 

@@ -10,7 +10,6 @@ in via configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable
@@ -26,6 +25,7 @@ from .errors import (
 )
 from .model import Exposure
 from .money import Money
+from .record import Record, init_field
 
 # Supervisory foundation inputs: 50% recovery, exposure at nominal value,
 # three-year maturity.
@@ -34,24 +34,24 @@ FOUNDATION_LGD = 1 - FOUNDATION_RECOVERY_RATE
 FOUNDATION_MATURITY_YEARS = Fraction(3)
 
 
-@dataclass(frozen=True, slots=True)
-class IrbParams:
+class IrbParams(Record):
     """The four risk components; every field explicit, no silent defaults."""
 
-    pd: Fraction
-    lgd: Fraction
-    ead: Money
-    maturity_years: Fraction
+    __slots__ = ("pd", "lgd", "ead", "maturity_years")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.pd.numerator <= self.pd.denominator:
-            raise OutOfRange(f"pd {self.pd} outside [0, 1]")
-        if not 0 <= self.lgd.numerator <= self.lgd.denominator:
-            raise OutOfRange(f"lgd {self.lgd} outside [0, 1]")
-        if self.ead.is_negative:
-            raise OutOfRange(f"ead {self.ead} is negative")
-        if self.maturity_years.numerator <= 0:
-            raise OutOfRange(f"maturity {self.maturity_years} must be positive")
+    def __init__(self, pd: Fraction, lgd: Fraction, ead: Money, maturity_years: Fraction) -> None:
+        if not 0 <= pd.numerator <= pd.denominator:
+            raise OutOfRange(f"pd {pd} outside [0, 1]")
+        if not 0 <= lgd.numerator <= lgd.denominator:
+            raise OutOfRange(f"lgd {lgd} outside [0, 1]")
+        if ead.is_negative:
+            raise OutOfRange(f"ead {ead} is negative")
+        if maturity_years.numerator <= 0:
+            raise OutOfRange(f"maturity {maturity_years} must be positive")
+        init_field(self, "pd", pd)
+        init_field(self, "lgd", lgd)
+        init_field(self, "ead", ead)
+        init_field(self, "maturity_years", maturity_years)
 
 
 RiskWeightFunction = Callable[[IrbParams], Fraction]

@@ -7,11 +7,11 @@ threads; computation lives in the sibling modules.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnknownRating, ValidationFailure
 from .money import Money
+from .record import Record, init_field
 
 # Regulatory minimum ratio of own funds to the risk denominator (8%).
 MINIMUM_CAPITAL_RATIO = Fraction(8, 100)
@@ -88,8 +88,7 @@ def parse_rating(text: str) -> RatingBucket:
         raise UnknownRating(f"unknown rating token {text.strip()!r}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class Exposure:
+class Exposure(Record):
     """One on- or off-balance-sheet engagement.
 
     ``off_balance_category`` is None for on-balance positions. The optional
@@ -97,28 +96,40 @@ class Exposure:
     an internal-ratings approach is configured.
     """
 
-    id: str
-    counterparty: CounterpartyClass
-    rating: RatingBucket
-    nominal: Money
-    off_balance_category: str | None = None
-    short_term: bool = False
-    pd: Fraction | None = None
-    lgd: Fraction | None = None
-    ead: Money | None = None
-    maturity_years: Fraction | None = None
+    __slots__ = (
+        "id", "counterparty", "rating", "nominal", "off_balance_category",
+        "short_term", "pd", "lgd", "ead", "maturity_years",
+    )
+
+    def __init__(
+        self, id: str, counterparty: CounterpartyClass, rating: RatingBucket,
+        nominal: Money, off_balance_category: str | None = None, short_term: bool = False,
+        pd: Fraction | None = None, lgd: Fraction | None = None, ead: Money | None = None,
+        maturity_years: Fraction | None = None,
+    ) -> None:
+        init_field(self, "id", id)
+        init_field(self, "counterparty", counterparty)
+        init_field(self, "rating", rating)
+        init_field(self, "nominal", nominal)
+        init_field(self, "off_balance_category", off_balance_category)
+        init_field(self, "short_term", short_term)
+        init_field(self, "pd", pd)
+        init_field(self, "lgd", lgd)
+        init_field(self, "ead", ead)
+        init_field(self, "maturity_years", maturity_years)
 
     @property
     def is_off_balance(self) -> bool:
         return self.off_balance_category is not None
 
 
-@dataclass(frozen=True)
-class Portfolio:
+class Portfolio(Record):
     """A validated collection of exposures; build via validate_portfolio."""
 
-    exposures: tuple[Exposure, ...]
-    currency: str
+    __slots__ = ("exposures", "currency")
+
+    def __init__(self, exposures: tuple[Exposure, ...], currency: str) -> None:
+        super().__init__(exposures, currency)
 
     def __len__(self) -> int:
         return len(self.exposures)
@@ -180,24 +191,24 @@ def _collect_violations(items: tuple[Exposure, ...], currency: str) -> list[str]
     return violations
 
 
-@dataclass(frozen=True)
-class CapitalBase:
+class CapitalBase(Record):
     """Regulatory own funds; the tier split is report metadata only."""
 
-    total_own_funds: Money
-    tier1: Money | None = None
-    tier2: Money | None = None
+    __slots__ = ("total_own_funds", "tier1", "tier2")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, total_own_funds: Money, tier1: Money | None = None, tier2: Money | None = None
+    ) -> None:
         violations = []
-        if self.total_own_funds.is_negative:
+        if total_own_funds.is_negative:
             violations.append("total own funds must be non-negative")
-        if (self.tier1 is None) != (self.tier2 is None):
+        if (tier1 is None) != (tier2 is None):
             violations.append("tier1 and tier2 must be supplied together or not at all")
-        if self.tier1 is not None and self.tier2 is not None:
-            if self.tier1.is_negative or self.tier2.is_negative:
+        if tier1 is not None and tier2 is not None:
+            if tier1.is_negative or tier2.is_negative:
                 violations.append("tier amounts must be non-negative")
-            elif self.tier1 + self.tier2 != self.total_own_funds:
+            elif tier1 + tier2 != total_own_funds:
                 violations.append("tier1 + tier2 must equal total own funds")
         if violations:
             raise ValidationFailure(violations)
+        super().__init__(total_own_funds, tier1, tier2)

@@ -19,11 +19,11 @@ magnitude, so no cell can make the integer conversion run unbounded.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .errors import CurrencyMismatch
+from .record import Record, init_field
 
 DEFAULT_CURRENCY = "EUR"
 
@@ -63,20 +63,20 @@ def _integer_ratio(dec: Decimal, text: str) -> tuple[int, int]:
 
 
 @functools.total_ordering
-@dataclass(frozen=True, slots=True)
-class Money:
+class Money(Record):
     """An exact amount of one currency, stored in minor units.
 
     ``units`` is signed: exposures are validated non-negative elsewhere,
     but derived figures such as a capital shortfall may be negative.
     """
 
-    units: int
-    currency: str = DEFAULT_CURRENCY
+    __slots__ = ("units", "currency")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.units, int):
-            raise TypeError(f"units must be int, got {type(self.units).__name__}")
+    def __init__(self, units: int, currency: str = DEFAULT_CURRENCY) -> None:
+        if not isinstance(units, int):
+            raise TypeError(f"units must be int, got {type(units).__name__}")
+        init_field(self, "units", units)
+        init_field(self, "currency", currency)
 
     @classmethod
     def zero(cls, currency: str = DEFAULT_CURRENCY) -> "Money":

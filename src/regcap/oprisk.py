@@ -20,18 +20,20 @@ minor unit; the total is authoritative.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
 from .errors import (
     DuplicateAdvancedHook,
     IncompleteHistory,
+    InvalidApproach,
+    InvalidBeta,
     MissingLine,
     UnregisteredAdvancedHook,
     ValidationFailure,
 )
 from .money import Money, round_half_even, sum_money
+from .record import Record
 
 # Firm-wide gross-income multiplier for the basic-indicator approach.
 ALPHA = Fraction(15, 100)
@@ -59,20 +61,19 @@ class BusinessLine(enum.Enum):
             raise ValueError(f"unknown business line {key!r}") from None
 
 
-@dataclass(frozen=True)
-class BetaTable:
+class BetaTable(Record, uncompared=("source",)):
     """Per-line multipliers; a table must price all eight lines."""
 
-    betas: Mapping[BusinessLine, Fraction]
-    source: str = field(default="builtin", compare=False)
+    __slots__ = ("betas", "source")
 
-    def __post_init__(self) -> None:
-        absent = [line.key for line in BusinessLine if line not in self.betas]
+    def __init__(self, betas: Mapping[BusinessLine, Fraction], source: str = "builtin") -> None:
+        absent = [line.key for line in BusinessLine if line not in betas]
         if absent:
             raise MissingLine(absent)
-        for line, beta in self.betas.items():
+        for line, beta in betas.items():
             if not 0 <= beta <= 1:
-                raise ValueError(f"beta for {line.key} outside [0, 1]")
+                raise InvalidBeta(f"beta for {line.key} outside [0, 1]")
+        super().__init__(betas, source)
 
 
 DEFAULT_BETAS = BetaTable(
@@ -98,8 +99,7 @@ class NegativeGiPolicy(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class GrossIncomeRecord:
+class GrossIncomeRecord(Record):
     """A raw income figure with its excluded items retained for audit.
 
     ``effective`` is what enters the capital formulas: the raw amount less
@@ -107,11 +107,19 @@ class GrossIncomeRecord:
     insurance income. Raw and effective may both be negative.
     """
 
-    amount: Money
-    provisions: Money | None = None
-    banking_book_results: Money | None = None
-    extraordinary_items: Money | None = None
-    insurance_income: Money | None = None
+    __slots__ = (
+        "amount", "provisions", "banking_book_results", "extraordinary_items",
+        "insurance_income",
+    )
+
+    def __init__(
+        self, amount: Money, provisions: Money | None = None,
+        banking_book_results: Money | None = None,
+        extraordinary_items: Money | None = None, insurance_income: Money | None = None,
+    ) -> None:
+        super().__init__(
+            amount, provisions, banking_book_results, extraordinary_items, insurance_income
+        )
 
     @property
     def effective(self) -> Money:
@@ -127,13 +135,19 @@ class GrossIncomeRecord:
         return value
 
 
-@dataclass(frozen=True)
-class AnnualIncome:
-    """One year's gross income: firm-wide total and/or per-line figures."""
+class AnnualIncome(Record):
+    """One year's gross income: firm-wide total and/or per-line figures.
 
-    year: int
-    total: GrossIncomeRecord | None = None
-    per_line: Mapping[BusinessLine, GrossIncomeRecord] = field(default_factory=dict)
+    ``per_line`` defaults to a fresh empty mapping.
+    """
+
+    __slots__ = ("year", "total", "per_line")
+
+    def __init__(
+        self, year: int, total: GrossIncomeRecord | None = None,
+        per_line: Mapping[BusinessLine, GrossIncomeRecord] | None = None,
+    ) -> None:
+        super().__init__(year, total, {} if per_line is None else per_line)
 
     def effective_total(self) -> Money:
         if self.total is not None:
@@ -143,24 +157,21 @@ class AnnualIncome:
         raise IncompleteHistory(f"year {self.year} has no gross-income data")
 
 
-@dataclass(frozen=True)
-class IncomeHistory:
+class IncomeHistory(Record):
     """Exactly three consecutive annual records, oldest first."""
 
-    years: tuple[AnnualIncome, AnnualIncome, AnnualIncome]
+    __slots__ = ("years",)
 
-    def __post_init__(self) -> None:
-        if len(self.years) != 3:
-            raise IncompleteHistory(
-                f"need exactly three annual records, got {len(self.years)}"
-            )
-        labels = [annual.year for annual in self.years]
+    def __init__(self, years: tuple[AnnualIncome, AnnualIncome, AnnualIncome]) -> None:
+        if len(years) != 3:
+            raise IncompleteHistory(f"need exactly three annual records, got {len(years)}")
+        labels = [annual.year for annual in years]
         if labels != [labels[0], labels[0] + 1, labels[0] + 2]:
             raise IncompleteHistory(
                 f"years must be consecutive and ascending, got {labels}"
             )
         violations = []
-        for annual in self.years:
+        for annual in years:
             if annual.total is not None and annual.per_line:
                 per_line_sum = sum(
                     record.effective.units for record in annual.per_line.values()
@@ -173,6 +184,7 @@ class IncomeHistory:
                     )
         if violations:
             raise ValidationFailure(violations)
+        super().__init__(years)
 
     def span(self) -> str:
         return f"{self.years[0].year}-{self.years[-1].year}"
@@ -207,12 +219,13 @@ def bia_capital(gi: Money) -> Money:
     return gi.scaled(ALPHA)
 
 
-@dataclass(frozen=True)
-class TsaResult:
+class TsaResult(Record):
     """Standardized-approach outcome; total is the authoritative figure."""
 
-    per_line: Mapping[BusinessLine, Money]
-    total: Money
+    __slots__ = ("per_line", "total")
+
+    def __init__(self, per_line: Mapping[BusinessLine, Money], total: Money) -> None:
+        super().__init__(per_line, total)
 
 
 def tsa_capital(
@@ -264,16 +277,15 @@ _COMPLEXITY = {
 }
 
 
-@dataclass(frozen=True)
-class OpRiskApproach:
+class OpRiskApproach(Record):
     """One of the three approaches; advanced carries its hook name."""
 
-    kind: ApproachKind
-    hook: str | None = None
+    __slots__ = ("kind", "hook")
 
-    def __post_init__(self) -> None:
-        if (self.kind is ApproachKind.ADVANCED) != (self.hook is not None):
-            raise ValueError("hook name is required exactly for the advanced approach")
+    def __init__(self, kind: ApproachKind, hook: str | None = None) -> None:
+        if (kind is ApproachKind.ADVANCED) != (hook is not None):
+            raise InvalidApproach("hook name is required exactly for the advanced approach")
+        super().__init__(kind, hook)
 
     @classmethod
     def basic_indicator(cls) -> OpRiskApproach:

@@ -13,13 +13,13 @@ round half-to-even at minor-unit scale once, after the full product.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import MissingCell, UnknownCategory
+from .errors import InvalidWeight, MissingCell, UnknownCategory
 from .model import CounterpartyClass, Exposure, Portfolio, RatingBucket
 from .money import Money, sum_money
+from .record import Record, init_field
 
 
 class BankOptionPolicy(enum.Enum):
@@ -36,16 +36,15 @@ class BankOptionPolicy(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class WeightCell:
+class WeightCell(Record):
     """A single table cell: a fixed weight, or an inclusive range."""
 
-    low: Fraction
-    high: Fraction
+    __slots__ = ("low", "high")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.low <= self.high <= 2:
-            raise ValueError(f"weight cell [{self.low}, {self.high}] outside [0, 2]")
+    def __init__(self, low: Fraction, high: Fraction) -> None:
+        if not 0 <= low <= high <= 2:
+            raise InvalidWeight(f"weight cell [{low}, {high}] outside [0, 2]")
+        super().__init__(low, high)
 
     @classmethod
     def fixed(cls, weight: Fraction) -> WeightCell:
@@ -72,16 +71,20 @@ def _row(counterparty: CounterpartyClass, cells) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class RiskWeightTable:
+class RiskWeightTable(Record, uncompared=("source",)):
     """Mapping (class, bucket) -> weight cell, with a provenance label.
 
     The provenance label is report metadata and not part of table equality,
     so a dumped-then-reloaded table compares equal to the original.
     """
 
-    cells: Mapping[tuple[CounterpartyClass, RatingBucket], WeightCell]
-    source: str = field(default="builtin", compare=False)
+    __slots__ = ("cells", "source")
+
+    def __init__(
+        self, cells: Mapping[tuple[CounterpartyClass, RatingBucket], WeightCell],
+        source: str = "builtin",
+    ) -> None:
+        super().__init__(cells, source)
 
 
 # Built-in weight table, row per counterparty class, one cell per bucket in
@@ -100,17 +103,16 @@ DEFAULT_RISK_WEIGHTS = RiskWeightTable(
 )
 
 
-@dataclass(frozen=True)
-class CcfTable:
+class CcfTable(Record, uncompared=("source",)):
     """Conversion factors for off-balance categories, each in [0, 1]."""
 
-    factors: Mapping[str, Fraction]
-    source: str = field(default="builtin", compare=False)
+    __slots__ = ("factors", "source")
 
-    def __post_init__(self) -> None:
-        for category, factor in self.factors.items():
+    def __init__(self, factors: Mapping[str, Fraction], source: str = "builtin") -> None:
+        for category, factor in factors.items():
             if not 0 <= factor <= 1:
-                raise ValueError(f"conversion factor for {category!r} outside [0, 1]")
+                raise InvalidWeight(f"conversion factor for {category!r} outside [0, 1]")
+        super().__init__(factors, source)
 
 
 # Only the medium-term confirmed facility has a sourced factor (50%); the
@@ -125,14 +127,16 @@ DEFAULT_CCF = CcfTable(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class RwaLine:
+class RwaLine(Record):
     """Per-exposure weighting record: both factors applied, plus the amount."""
 
-    exposure_id: str
-    ccf: Fraction
-    weight: Fraction
-    amount: Money
+    __slots__ = ("exposure_id", "ccf", "weight", "amount")
+
+    def __init__(self, exposure_id: str, ccf: Fraction, weight: Fraction, amount: Money) -> None:
+        init_field(self, "exposure_id", exposure_id)
+        init_field(self, "ccf", ccf)
+        init_field(self, "weight", weight)
+        init_field(self, "amount", amount)
 
 
 def _resolve(

@@ -1,8 +1,11 @@
-"""Shared test helpers: money constructors, fixture paths, summary lines."""
+"""Shared test helpers: money, fixture paths, a fresh interpreter, summary lines."""
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -31,6 +34,17 @@ def history_of_totals(first_year: int, totals: list[Money]) -> IncomeHistory:
 @pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR
+
+
+def run_python(script: str) -> str:
+    """Run ``script`` in a fresh interpreter importing regcap from ``src``; its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True, timeout=60)
+    return done.stdout
 
 
 # One verdict line per acceptance criterion, printed after the run so the

@@ -7,7 +7,6 @@ cannot silently weaken this suite. Randomized criteria use fixed seeds.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import random
@@ -278,7 +277,10 @@ def _check_homogeneity(rng: random.Random, cases: int) -> int:
         k = rng.randint(1, 9)
         items = _random_exposures(rng, "h", rng.randint(0, 6), unit_step=100)
         scaled = [
-            dataclasses.replace(e, nominal=Money(e.nominal.units * k, "EUR"))
+            Exposure(
+                e.id, e.counterparty, e.rating, Money(e.nominal.units * k, "EUR"),
+                e.off_balance_category, e.short_term,
+            )
             for e in items
         ]
         _, base_total = rwa_portfolio(items, policy=policy)
@@ -311,7 +313,9 @@ def _check_irb_linearity(rng: random.Random, cases: int) -> int:
             ead=Money(denom * m, "EUR"),
             maturity_years=3,
         )
-        scaled = dataclasses.replace(params, ead=Money(denom * m * k, "EUR"))
+        scaled = IrbParams(
+            params.pd, params.lgd, Money(denom * m * k, "EUR"), params.maturity_years
+        )
         fn = lambda p: weight  # noqa: E731
         assert rwa_irb(scaled, fn).units == k * rwa_irb(params, fn).units
     return cases

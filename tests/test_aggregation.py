@@ -19,6 +19,7 @@ from regcap import (
     denominator,
     denominator_shares,
 )
+from regcap.errors import NegativeBlock
 
 from conftest import eur
 
@@ -59,11 +60,11 @@ class TestDenominator:
         assert both == eur("0.25")
 
     def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NegativeBlock, match="^credit rwa must"):
             inputs("-1", "0", "0")
-        with pytest.raises(ValueError):
+        with pytest.raises(NegativeBlock, match="^market capital charge must"):
             inputs("0", "-1", "0")
-        with pytest.raises(ValueError):
+        with pytest.raises(NegativeBlock, match="^oprisk capital charge must"):
             inputs("0", "0", "-1")
 
 

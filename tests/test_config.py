@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from pathlib import Path
 
@@ -55,8 +54,7 @@ def _setting_id(setting) -> str:
 
 class TestSettingsTable:
     def test_one_row_per_engine_config_field(self):
-        fields = [f.name for f in dataclasses.fields(EngineConfig)]
-        assert sorted(s.field for s in SETTINGS) == sorted(fields)
+        assert sorted(s.field for s in SETTINGS) == sorted(EngineConfig.__slots__)
 
     def test_keys_and_flags_are_unique(self):
         assert len({s.key for s in SETTINGS}) == len(SETTINGS)

@@ -2,12 +2,8 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -39,7 +35,7 @@ from regcap import (
 )
 from regcap import irb
 
-from conftest import eur
+from conftest import eur, run_python
 
 
 def step_function(params: IrbParams) -> Fraction:
@@ -269,13 +265,7 @@ class TestMonotonicityGate:
             sys.setprofile(None)
             print(" ".join(sorted(called)))
         """)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        ))
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env, check=True, timeout=60)
-        called = set(done.stdout.split())
+        called = set(run_python(script).split())
         assert "<module>" in called  # the profile saw regcap.irb being imported
         assert not called & {"check_monotonicity", "evaluate_weight"}
 

@@ -34,6 +34,7 @@ from regcap import (
     run_compute,
     tsa_capital,
 )
+from regcap.errors import InvalidApproach
 
 from conftest import eur, history_of_totals
 
@@ -279,7 +280,7 @@ class TestTsaCapital:
 
 class TestApproaches:
     def test_advanced_needs_hook_name(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidApproach, match="required exactly for the advanced"):
             OpRiskApproach(kind=OpRiskApproach.basic_indicator().kind, hook="x")
 
     def test_complexity_order(self):

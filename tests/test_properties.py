@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -87,7 +86,10 @@ class TestStandardizedInvariants:
         # table weights are twentieths and factors are halves, so nominals
         # in whole-hundred units make every line product exact
         scaled = [
-            dataclasses.replace(e, nominal=Money(e.nominal.units * k, "EUR"))
+            Exposure(
+                e.id, e.counterparty, e.rating, Money(e.nominal.units * k, "EUR"),
+                e.off_balance_category, e.short_term,
+            )
             for e in items
         ]
         _, base_total = rwa_portfolio(items, policy=policy)
@@ -128,7 +130,9 @@ class TestStandardizedInvariants:
             nominal=Money(units, "EUR"),
             short_term=short,
         )
-        off = dataclasses.replace(on, id="off", off_balance_category=category)
+        off = Exposure(
+            "off", on.counterparty, on.rating, on.nominal, category, on.short_term
+        )
         _, on_total = rwa_portfolio([on], policy=policy)
         _, off_total = rwa_portfolio([off], policy=policy)
         assert off_total <= on_total
@@ -172,7 +176,9 @@ class TestIrbInvariants:
             ead=Money(denom * m, "EUR"),
             maturity_years=3,
         )
-        scaled = dataclasses.replace(params, ead=Money(denom * m * k, "EUR"))
+        scaled = IrbParams(
+            params.pd, params.lgd, Money(denom * m * k, "EUR"), params.maturity_years
+        )
         fn = lambda p: weight  # noqa: E731 - tiny fixed-weight stub
         assert rwa_irb(scaled, fn).units == k * rwa_irb(params, fn).units
 

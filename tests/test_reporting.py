@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regcap import (
+    ApproachKind,
+    BetaTable,
+    BusinessLine,
     CapitalBase,
+    CcfTable,
     ConfigError,
     CurrencyMismatch,
     EngineConfig,
@@ -18,20 +22,24 @@ from regcap import (
     InvalidOverride,
     MissingCell,
     MissingPeriod,
+    Money,
     NonMonotoneFunction,
     OpRiskApproach,
     OutOfRange,
     ParseError,
+    PillarOneInputs,
     Portfolio,
     RegcapError,
     SupervisoryAdjustment,
     UnknownRating,
+    WeightCell,
     load_income,
     load_portfolio,
     run_compare,
     run_compute,
     run_disclose,
 )
+from regcap.errors import InvalidApproach, InvalidBeta, InvalidWeight, NegativeBlock
 from regcap.reporting import (
     UNDEFINED_RATIO,
     compare_document,
@@ -282,10 +290,31 @@ class TestProvenance:
             ),
             (RegcapError("x"), "engine"),
             (NonMonotoneFunction("x"), "internal ratings"),
+            (_raised(lambda: WeightCell.fixed(Fraction(3))), "standardized credit"),
+            (_raised(lambda: CcfTable({"x": Fraction(2)})), "standardized credit"),
+            (
+                _raised(lambda: BetaTable(dict.fromkeys(BusinessLine, Fraction(2)))),
+                "operational risk",
+            ),
+            (
+                _raised(lambda: OpRiskApproach(ApproachKind.ADVANCED)),
+                "operational risk",
+            ),
+            (
+                _raised(lambda: PillarOneInputs(-Money(1), Money(0), Money(0))),
+                "aggregation",
+            ),
         ],
     )
     def test_error_provenance(self, exc, label):
         assert exc.layer == label
+
+    @pytest.mark.parametrize(
+        "error", [InvalidWeight, InvalidBeta, InvalidApproach, NegativeBlock]
+    )
+    def test_constructor_range_errors_are_still_value_errors(self, error):
+        # fileio and library callers catch these constructors' ValueError
+        assert issubclass(error, ValueError)
 
     def test_every_error_type_declares_a_known_layer(self):
         labels = {

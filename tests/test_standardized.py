@@ -28,6 +28,7 @@ from regcap import (
     sum_money,
     validate_portfolio,
 )
+from regcap.errors import InvalidWeight, NegativeBlock
 
 from conftest import eur
 
@@ -137,9 +138,9 @@ class TestTableValidation:
             price(exposure(cls=CounterpartyClass.SOVEREIGN), table=sparse)
 
     def test_weights_capped_at_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidWeight, match=r"weight cell \[21/10, 21/10\] outside"):
             WeightCell.fixed(Fraction(21, 10))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidWeight, match=r"weight cell \[-1/10, 1/2\] outside"):
             WeightCell(Fraction(-1, 10), Fraction(1, 2))
 
     def test_custom_table_may_use_any_weight_up_to_cap(self):
@@ -183,7 +184,7 @@ class TestConvertOffBalance:
             price(exposure(category="revolving_underwriting_facility"))
 
     def test_factor_bounds_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidWeight, match="conversion factor for 'x' outside"):
             CcfTable(factors={"x": Fraction(3, 2)})
 
 class TestRwaExposure:
@@ -320,7 +321,7 @@ class TestRequiredCapital:
         assert required_capital(eur("1000000.00")) == eur("80000.00")
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NegativeBlock, match="credit rwa must be non-negative"):
             required_capital(-eur("1"))
 
 
