@@ -1,0 +1,105 @@
+"""Byte-identity corpus: every recorded CLI case still prints the same bytes.
+
+``data/corpus.json`` holds, per case, the arguments given to
+``regcap.cli.main`` and the SHA-256 of its stdout, its stderr and the
+``--json-out`` file (null when the case writes none), plus the exit status.
+Each case runs in a fresh directory holding a copy of ``data/``, so every
+path in the arguments, and so in the reports, is relative.
+
+A change that alters output on purpose re-records the digests in the same
+diff with ``python tests/test_corpus.py``, run with ``src`` on PYTHONPATH.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from regcap.cli import main
+from regcap.config import ENV_CONFIG_PATH
+
+DATA_DIR = Path(__file__).parent / "data"
+CORPUS = DATA_DIR / "corpus.json"
+JSON_OUT = "out.json"
+
+# argparse wraps --help text to the terminal width.
+HELP_COLUMNS = "80"
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def replay(args: list[str], workdir: Path) -> dict:
+    """Run one case in ``workdir``: its exit status and output digests."""
+    for path in DATA_DIR.iterdir():
+        if path.is_file() and path != CORPUS:
+            shutil.copy(path, workdir / path.name)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    saved_cwd, saved_env = os.getcwd(), dict(os.environ)
+    os.chdir(workdir)
+    os.environ.pop(ENV_CONFIG_PATH, None)
+    os.environ["COLUMNS"] = HELP_COLUMNS
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                status = main(list(args))
+            except SystemExit as exc:  # --help and argparse usage errors
+                status = exc.code if isinstance(exc.code, int) else 2
+        out = workdir / JSON_OUT
+        document = _digest(out.read_bytes()) if out.exists() else None
+    finally:
+        os.chdir(saved_cwd)
+        os.environ.clear()
+        os.environ.update(saved_env)
+    return {
+        "status": status,
+        "stdout": _digest(stdout.getvalue().encode("utf-8")),
+        "stderr": _digest(stderr.getvalue().encode("utf-8")),
+        "json": document,
+    }
+
+
+def _cases() -> list[dict]:
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", _cases(), ids=lambda case: case["name"])
+def test_case_prints_the_recorded_bytes(case, tmp_path):
+    recorded = {key: case[key] for key in ("status", "stdout", "stderr", "json")}
+    assert replay(case["args"], tmp_path) == recorded
+
+
+def test_corpus_covers_every_command_and_book():
+    cases = _cases()
+    assert len({case["name"] for case in cases}) == len(cases)
+    commands = {case["args"][0] for case in cases}
+    assert commands == {"compute", "compare", "disclose", "validate", "dump-tables", "--help"}
+    books = {arg for case in cases for arg in case["args"] if arg.endswith(".csv")}
+    assert {"worked_example.csv", "portfolio_golden.csv", "irb_small.csv"} <= books
+    assert {case["status"] for case in cases} == {0, 1, 2}
+
+
+def record() -> None:
+    """Re-record every case's digests in place, keeping names and arguments."""
+    import tempfile
+
+    cases = _cases()
+    for case in cases:
+        with tempfile.TemporaryDirectory() as workdir:
+            case.update(replay(case["args"], Path(workdir)))
+    lines = ",\n".join(json.dumps(case) for case in cases)
+    CORPUS.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    print(f"recorded {len(cases)} cases in {CORPUS}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    record()
