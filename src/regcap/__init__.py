@@ -29,7 +29,6 @@ from .engine import (
     ComputeResult,
     CreditResult,
     DisclosureReport,
-    IrbLine,
     Novelty,
     OpRiskResult,
     TableSet,
@@ -126,7 +125,6 @@ from .standardized import (
     DEFAULT_CCF,
     DEFAULT_RISK_WEIGHTS,
     RiskWeightTable,
-    RwaLine,
     WeightCell,
     rwa_portfolio,
 )

@@ -21,14 +21,13 @@ from .config import CreditApproach, EngineConfig, Regime
 from .errors import ConfigError, MissingPeriod
 from .fileio import load_betas, load_ccf, load_risk_weights
 from .irb import (
-    IrbParams,
     evaluate_weight,
     params_for_exposure,
     risk_weight_function,
     rwa_irb,  # noqa: F401  not called here; perfbench's tracer spans it by this name
 )
 from .model import CapitalBase, Portfolio
-from .money import Money, sum_money
+from .money import Money, format_percent, fraction_to_decimal_text, units_total
 from .oprisk import (
     ApproachKind,
     BetaTable,
@@ -40,13 +39,13 @@ from .oprisk import (
     bia_capital,
     tsa_capital,
 )
-from .record import Record, init_field
+from .record import Record
 from .standardized import (
     CcfTable,
     DEFAULT_CCF,
     DEFAULT_RISK_WEIGHTS,
     RiskWeightTable,
-    RwaLine,
+    StandardizedColumns,
     rwa_portfolio,
 )
 
@@ -73,32 +72,39 @@ def resolve_tables(config: EngineConfig) -> TableSet:
     )
 
 
-class IrbLine(Record):
-    """Per-exposure internal-ratings record: the components and the outcome."""
+class IrbColumns(Record):
+    """The internal-ratings credit lines as columns, in input order.
 
-    __slots__ = ("exposure_id", "params", "weight", "amount", "off_balance")
+    Line i is exposure ``ids[i]`` at ``weights[i]`` (exact) on an ead of
+    ``ead_units[i]``, priced to ``units[i]`` minor units of the total's
+    currency. The pd, lgd, maturity and weight columns hold the texts the
+    reports print, formatted once when the line is priced.
+    """
+
+    __slots__ = (
+        "ids", "units", "pd_texts", "lgd_texts", "maturity_texts", "weights",
+        "weight_texts", "ead_units", "off_balance",
+    )
 
     def __init__(
-        self, exposure_id: str, params: IrbParams, weight: Fraction, amount: Money,
-        off_balance: bool = False,
+        self, ids: tuple[str, ...], units: tuple[int, ...], pd_texts: tuple[str, ...],
+        lgd_texts: tuple[str, ...], maturity_texts: tuple[str, ...],
+        weights: tuple[Fraction, ...], weight_texts: tuple[str, ...],
+        ead_units: tuple[int, ...], off_balance: tuple[bool, ...],
     ) -> None:
-        init_field(self, "exposure_id", exposure_id)
-        init_field(self, "params", params)
-        init_field(self, "weight", weight)
-        init_field(self, "amount", amount)
-        init_field(self, "off_balance", off_balance)
+        super().__init__(
+            ids, units, pd_texts, lgd_texts, maturity_texts, weights, weight_texts,
+            ead_units, off_balance,
+        )
 
 
 class CreditResult(Record):
-    """Credit block outcome: per-line detail plus the exact total."""
+    """Credit block outcome: the per-line columns plus the exact total."""
 
-    __slots__ = ("total_rwa", "lines", "irb_lines")
+    __slots__ = ("total_rwa", "lines")
 
-    def __init__(
-        self, total_rwa: Money, lines: tuple[RwaLine, ...] = (),
-        irb_lines: tuple[IrbLine, ...] = (),
-    ) -> None:
-        super().__init__(total_rwa, lines, irb_lines)
+    def __init__(self, total_rwa: Money, lines: StandardizedColumns | IrbColumns) -> None:
+        super().__init__(total_rwa, lines)
 
 
 class OpRiskResult(Record):
@@ -134,6 +140,27 @@ class ComputeResult(Record):
         return 0 if self.report.compliant else 1
 
 
+class _Texts(dict):
+    """The text of each distinct exact value, rendered once.
+
+    Keyed by (numerator, denominator): hashing a Fraction costs more than
+    rendering it.
+    """
+
+    __slots__ = ("render",)
+
+    def __init__(self, render) -> None:
+        super().__init__()
+        self.render = render
+
+    def __call__(self, value: Fraction) -> str:
+        key = value.numerator, value.denominator
+        text = self.get(key)
+        if text is None:
+            text = self[key] = self.render(value)
+        return text
+
+
 def _credit_block(
     config: EngineConfig, portfolio: Portfolio, tables: TableSet, currency: str
 ) -> CreditResult:
@@ -141,23 +168,31 @@ def _credit_block(
         lines, total = rwa_portfolio(
             portfolio, tables.risk_weights, tables.ccf, config.bank_policy
         )
-        return CreditResult(total_rwa=total, lines=tuple(lines))
+        return CreditResult(total_rwa=total, lines=lines)
     fn = risk_weight_function(config.irb_function)
-    irb_lines = []
+    percent, decimal = _Texts(format_percent), _Texts(fraction_to_decimal_text)
+    ids, units, pds, lgds, maturities, weights, weight_texts, eads, flags, currencies = (
+        [] for _ in range(10)
+    )
     for exposure in portfolio:
         params = params_for_exposure(exposure, config.credit_approach)
         weight = evaluate_weight(fn, params)
-        irb_lines.append(
-            IrbLine(
-                exposure_id=exposure.id,
-                params=params,
-                weight=weight,
-                amount=params.ead.scaled(weight),
-                off_balance=exposure.is_off_balance,
-            )
-        )
-    total = sum_money((line.amount for line in irb_lines), currency=currency)
-    return CreditResult(total_rwa=total, irb_lines=tuple(irb_lines))
+        ead = params.ead
+        ids.append(exposure.id)
+        units.append(ead.scaled(weight).units)
+        pds.append(percent(params.pd))
+        lgds.append(percent(params.lgd))
+        maturities.append(decimal(params.maturity_years))
+        weights.append(weight)
+        weight_texts.append(format_percent(weight))
+        eads.append(ead.units)
+        flags.append(exposure.is_off_balance)
+        currencies.append(ead.currency)
+    lines = IrbColumns(
+        tuple(ids), tuple(units), tuple(pds), tuple(lgds), tuple(maturities),
+        tuple(weights), tuple(weight_texts), tuple(eads), tuple(flags),
+    )
+    return CreditResult(total_rwa=units_total(units, currencies, currency), lines=lines)
 
 
 def _oprisk_block(

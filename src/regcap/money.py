@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import CurrencyMismatch
 from .record import Record, init_field
@@ -134,29 +135,50 @@ class Money(Record):
     def is_negative(self) -> bool:
         return self.units < 0
 
-    def _render(self, grouping: str) -> str:
-        whole, minor = divmod(abs(self.units), 10**MINOR_UNIT_DIGITS)
-        sign = "-" if self.units < 0 else ""
-        return f"{sign}{whole:{grouping}d}.{minor:0{MINOR_UNIT_DIGITS}d}"
-
     def text(self) -> str:
         """Plain decimal string, no separators (machine documents)."""
-        return self._render("")
+        return units_text(self.units)
 
     def formatted(self) -> str:
         """Thousands-separated decimal string (human reports)."""
-        return self._render(",")
+        return units_text(self.units, ",")
 
     def __str__(self) -> str:
         return f"{self.text()} {self.currency}"
 
 
+def units_text(units: int, grouping: str = "") -> str:
+    """Minor units as a decimal string; grouping "," separates thousands.
+
+    Every amount in a report, a Money or a bare units column, renders here.
+    """
+    whole, minor = divmod(abs(units), 10**MINOR_UNIT_DIGITS)
+    sign = "-" if units < 0 else ""
+    return f"{sign}{whole:{grouping}d}.{minor:0{MINOR_UNIT_DIGITS}d}"
+
+
+def units_total(units: Iterable[int], currencies: Iterable[str], currency: str) -> Money:
+    """The exact sum of amounts given as minor units, with their currencies.
+
+    ``currencies`` are the amounts' currencies in order. The total takes the
+    first, or ``currency`` when there is none; an amount in any other
+    currency raises CurrencyMismatch, never has its units relabelled.
+    """
+    first = None
+    for item_currency in currencies:
+        if first is None:
+            first = item_currency
+        elif item_currency != first:
+            raise CurrencyMismatch(f"{first} vs {item_currency}")
+    return Money(sum(units), currency if first is None else first)
+
+
 def sum_money(items, currency: str = DEFAULT_CURRENCY) -> Money:
     """Exact ordered sum; returns a zero of the given currency when empty."""
-    total = None
-    for item in items:
-        total = item if total is None else total + item
-    return total if total is not None else Money.zero(currency)
+    items = tuple(items)
+    return units_total(
+        (item.units for item in items), (item.currency for item in items), currency
+    )
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -24,7 +24,7 @@ from .engine import (
     TableSet,
 )
 from .model import CapitalBase
-from .money import format_percent, fraction_to_decimal_text
+from .money import format_percent, units_text
 from .oprisk import ApproachKind, BusinessLine, OpRiskApproach
 
 RULE = "=" * 72
@@ -93,31 +93,28 @@ def _capital_lines(capital: CapitalBase) -> list[str]:
 
 def _credit_section(result: ComputeResult) -> list[str]:
     credit = result.credit
+    view = credit.lines
     lines = ["CREDIT RISK", LIGHT_RULE]
     if result.config.credit_approach is CreditApproach.STANDARDIZED:
-        header = f"{'id':<12} {'ccf':>8} {'weight':>8} {'risk-weighted':>18}"
-        lines.append(header)
-        for line in credit.lines:
-            lines.append(
-                f"{line.exposure_id:<12} {format_percent(line.ccf):>8}"
-                f" {format_percent(line.weight):>8} {line.amount.formatted():>18}"
-            )
+        lines.append(f"{'id':<12} {'ccf':>8} {'weight':>8} {'risk-weighted':>18}")
+        factors = [f"{key.ccf_text:>8} {key.weight_text:>8}" for key in view.keys]
+        lines += [
+            f"{exposure_id:<12} {factors[index]} {units_text(units, ','):>18}"
+            for exposure_id, index, units in zip(view.ids, view.key_index, view.units)
+        ]
     else:
-        header = (
+        lines.append(
             f"{'id':<12} {'pd':>8} {'lgd':>8} {'maturity':>9}"
             f" {'weight':>8} {'risk-weighted':>18}"
         )
-        lines.append(header)
-        for irb_line in credit.irb_lines:
-            params = irb_line.params
-            flag = " (off-balance)" if irb_line.off_balance else ""
-            lines.append(
-                f"{irb_line.exposure_id:<12} {format_percent(params.pd):>8}"
-                f" {format_percent(params.lgd):>8}"
-                f" {fraction_to_decimal_text(params.maturity_years):>9}"
-                f" {format_percent(irb_line.weight):>8}"
-                f" {irb_line.amount.formatted():>18}{flag}"
+        lines += [
+            f"{exposure_id:<12} {pd:>8} {lgd:>8} {maturity:>9} {weight:>8}"
+            f" {units_text(units, ','):>18}{' (off-balance)' if off_balance else ''}"
+            for exposure_id, pd, lgd, maturity, weight, units, off_balance in zip(
+                view.ids, view.pd_texts, view.lgd_texts, view.maturity_texts,
+                view.weight_texts, view.units, view.off_balance,
             )
+        ]
     lines.append(f"total risk-weighted assets: {credit.total_rwa.formatted()}")
     return lines
 
@@ -238,6 +235,37 @@ def _config_doc(config: EngineConfig, tables: TableSet) -> dict:
     return doc
 
 
+def _credit_lines_doc(result: ComputeResult) -> list[dict]:
+    view = result.credit.lines
+    if result.config.credit_approach is CreditApproach.STANDARDIZED:
+        keys = view.keys
+        return [
+            {
+                "id": exposure_id,
+                "ccf": keys[index].ccf_text,
+                "weight": keys[index].weight_text,
+                "amount": units_text(units),
+            }
+            for exposure_id, index, units in zip(view.ids, view.key_index, view.units)
+        ]
+    return [
+        {
+            "id": exposure_id,
+            "pd": pd,
+            "lgd": lgd,
+            "maturity_years": maturity,
+            "ead": units_text(ead),
+            "weight": weight,
+            "amount": units_text(units),
+            "off_balance": off_balance,
+        }
+        for exposure_id, pd, lgd, maturity, ead, weight, units, off_balance in zip(
+            view.ids, view.pd_texts, view.lgd_texts, view.maturity_texts,
+            view.ead_units, view.weight_texts, view.units, view.off_balance,
+        )
+    ]
+
+
 def compute_document(result: ComputeResult) -> dict:
     """The machine-readable run document (plain JSON-able types)."""
     report = result.report
@@ -248,30 +276,7 @@ def compute_document(result: ComputeResult) -> dict:
         "credit": {
             "approach": config.credit_approach.key,
             "total_rwa": credit.total_rwa.text(),
-            "lines": [
-                {
-                    "id": line.exposure_id,
-                    "ccf": format_percent(line.ccf),
-                    "weight": format_percent(line.weight),
-                    "amount": line.amount.text(),
-                }
-                for line in credit.lines
-            ]
-            + [
-                {
-                    "id": irb_line.exposure_id,
-                    "pd": format_percent(irb_line.params.pd),
-                    "lgd": format_percent(irb_line.params.lgd),
-                    "maturity_years": fraction_to_decimal_text(
-                        irb_line.params.maturity_years
-                    ),
-                    "ead": irb_line.params.ead.text(),
-                    "weight": format_percent(irb_line.weight),
-                    "amount": irb_line.amount.text(),
-                    "off_balance": irb_line.off_balance,
-                }
-                for irb_line in credit.irb_lines
-            ],
+            "lines": _credit_lines_doc(result),
         },
         "capital": {
             "total_own_funds": result.capital.total_own_funds.text(),
@@ -328,6 +333,9 @@ def compute_document(result: ComputeResult) -> dict:
     return doc
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
 def _encode(value, indent: str) -> str:
     """One JSON value laid out as json.dumps(sort_keys=True, indent=2) does.
 
@@ -336,21 +344,25 @@ def _encode(value, indent: str) -> str:
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if value is None or value is True or value is False:
+        return _LITERALS[value]
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = indent + "  "
         parts = ["{"]
         separator = "\n"
-        for key, member in sorted(value.items()):
-            parts.append(f"{separator}{inner}{encode_basestring_ascii(key)}: ")
-            parts.append(_encode(member, inner))
+        for key in sorted(value):
+            member = value[key]
+            head = f"{separator}{inner}{encode_basestring_ascii(key)}: "
+            # Scalars are written in place, without a call: a report line
+            # dict holds little else. A container's text is never copied.
+            if isinstance(member, str):
+                parts.append(head + encode_basestring_ascii(member))
+            elif member is None or member is True or member is False:
+                parts.append(head + _LITERALS[member])
+            else:
+                parts += (head, _encode(member, inner))
             separator = ",\n"
         parts.append(f"\n{indent}}}")
         return "".join(parts)

@@ -18,8 +18,8 @@ from typing import Iterable, Mapping
 
 from .errors import InvalidWeight, MissingCell, UnknownCategory
 from .model import CounterpartyClass, Exposure, Portfolio, RatingBucket
-from .money import Money, sum_money
-from .record import Record, init_field
+from .money import Money, format_percent, units_total
+from .record import Record
 
 
 class BankOptionPolicy(enum.Enum):
@@ -127,16 +127,33 @@ DEFAULT_CCF = CcfTable(
 )
 
 
-class RwaLine(Record):
-    """Per-exposure weighting record: both factors applied, plus the amount."""
+class ResolvedKey(Record):
+    """One distinct (class, bucket, category) of a book: both factors, their
+    exact product, and the two percent texts, each formatted once."""
 
-    __slots__ = ("exposure_id", "ccf", "weight", "amount")
+    __slots__ = ("ccf", "weight", "product", "ccf_text", "weight_text")
 
-    def __init__(self, exposure_id: str, ccf: Fraction, weight: Fraction, amount: Money) -> None:
-        init_field(self, "exposure_id", exposure_id)
-        init_field(self, "ccf", ccf)
-        init_field(self, "weight", weight)
-        init_field(self, "amount", amount)
+    def __init__(
+        self, ccf: Fraction, weight: Fraction, product: Fraction, ccf_text: str,
+        weight_text: str,
+    ) -> None:
+        super().__init__(ccf, weight, product, ccf_text, weight_text)
+
+
+class StandardizedColumns(Record):
+    """The standardized credit lines as columns, in input order.
+
+    Line i is exposure ``ids[i]``, priced with ``keys[key_index[i]]`` to
+    ``units[i]`` minor units of the total's currency.
+    """
+
+    __slots__ = ("ids", "key_index", "units", "keys")
+
+    def __init__(
+        self, ids: tuple[str, ...], key_index: tuple[int, ...], units: tuple[int, ...],
+        keys: tuple[ResolvedKey, ...],
+    ) -> None:
+        super().__init__(ids, key_index, units, keys)
 
 
 def _resolve(
@@ -144,8 +161,8 @@ def _resolve(
     table: RiskWeightTable,
     ccf: CcfTable,
     policy: BankOptionPolicy,
-) -> tuple[Fraction, Fraction, Fraction]:
-    """The CCF, the weight and their exact product for one exposure's key."""
+) -> ResolvedKey:
+    """The CCF, the weight, their exact product and texts for one exposure's key."""
     category = exposure.off_balance_category
     factor = Fraction(1) if category is None else ccf.factors.get(category)
     if factor is None:
@@ -159,7 +176,9 @@ def _resolve(
             f" ({exposure.counterparty.key}, {exposure.rating.key})"
         )
     weight = cell.resolve(policy)
-    return factor, weight, factor * weight
+    return ResolvedKey(
+        factor, weight, factor * weight, format_percent(factor), format_percent(weight)
+    )
 
 
 def rwa_portfolio(
@@ -167,7 +186,7 @@ def rwa_portfolio(
     table: RiskWeightTable = DEFAULT_RISK_WEIGHTS,
     ccf: CcfTable = DEFAULT_CCF,
     policy: BankOptionPolicy = BankOptionPolicy.LOW_END,
-) -> tuple[list[RwaLine], Money]:
+) -> tuple[StandardizedColumns, Money]:
     """Weight a whole portfolio; lines keep input order, total is exact.
 
     Each distinct (class, bucket, category) resolves its factors once; each
@@ -178,16 +197,21 @@ def rwa_portfolio(
         currency = portfolio.currency
     else:
         exposures = tuple(portfolio)
-        currency = exposures[0].nominal.currency if exposures else Money.zero().currency
-    resolved: dict[tuple, tuple[Fraction, Fraction, Fraction]] = {}
-    lines: list[RwaLine] = []
+        currency = Money.zero().currency
+    index_of: dict[tuple, int] = {}
+    keys: list[ResolvedKey] = []
+    ids: list[str] = []
+    key_index: list[int] = []
+    units: list[int] = []
     for exposure in exposures:
         key = (exposure.counterparty, exposure.rating, exposure.off_balance_category)
-        factors = resolved.get(key)
-        if factors is None:
-            factors = resolved[key] = _resolve(exposure, table, ccf, policy)
-        factor, weight, product = factors
-        amount = exposure.nominal.scaled(product)
-        lines.append(RwaLine(exposure.id, factor, weight, amount))
-    total = sum_money((line.amount for line in lines), currency=currency)
-    return lines, total
+        index = index_of.get(key)
+        if index is None:
+            index = index_of[key] = len(keys)
+            keys.append(_resolve(exposure, table, ccf, policy))
+        ids.append(exposure.id)
+        key_index.append(index)
+        units.append(exposure.nominal.scaled(keys[index].product).units)
+    total = units_total(units, (e.nominal.currency for e in exposures), currency)
+    columns = StandardizedColumns(tuple(ids), tuple(key_index), tuple(units), tuple(keys))
+    return columns, total

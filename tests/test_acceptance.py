@@ -115,10 +115,11 @@ def _credit_only_requirement(credit_rwa: Money) -> Money:
 
 def test_criterion_2_worked_example():
     portfolio = load_portfolio(DATA_DIR / "worked_example.csv")
-    lines, total = rwa_portfolio(portfolio)
+    view, total = rwa_portfolio(portfolio)
     assert total == eur("1000000.00")
-    assert lines[0].ccf == Fraction(1, 2)
-    assert lines[0].weight == Fraction(1, 5)
+    key = view.keys[view.key_index[0]]
+    assert key.ccf == Fraction(1, 2)
+    assert key.weight == Fraction(1, 5)
     assert _credit_only_requirement(total) == eur("80000.00")
 
 

@@ -10,7 +10,9 @@ from regcap import (
     BankOptionPolicy,
     CapitalBase,
     ConfigError,
+    CounterpartyClass,
     CreditApproach,
+    CurrencyMismatch,
     EngineConfig,
     Exposure,
     IncomeHistory,
@@ -18,6 +20,7 @@ from regcap import (
     Money,
     OpRiskApproach,
     Portfolio,
+    RatingBucket,
     Regime,
     load_income,
     load_portfolio,
@@ -144,7 +147,7 @@ class TestCompute:
         )
         assert result.report.denominator == eur("1000100.00")
 
-    def test_irb_foundation_run(self, income):
+    def test_irb_foundation_run(self, monkeypatch):
         exposures = (
             Exposure(
                 id="F1",
@@ -155,12 +158,29 @@ class TestCompute:
             ),
         )
         portfolio = Portfolio(exposures=exposures, currency="EUR")
+        seen = []
+
+        def recording(*args):
+            seen.append(original(*args))
+            return seen[-1]
+
+        original = engine.params_for_exposure
+        monkeypatch.setattr(engine, "params_for_exposure", recording)
         config = EngineConfig(credit_approach=CreditApproach.IRB_FOUNDATION)
         result = run_compute(config, portfolio, CapitalBase(eur("100.00")))
-        line = result.credit.irb_lines[0]
-        assert line.params.lgd == Fraction(1, 2)
-        assert line.params.maturity_years == 3
-        assert line.params.ead == eur("1000.00")
+        [params] = seen
+        assert params.lgd == Fraction(1, 2)
+        assert params.maturity_years == 3
+        assert params.ead == eur("1000.00")
+        view = result.credit.lines
+        assert view.ids == ("F1",)
+        assert view.pd_texts == ("1.00%",)
+        assert view.lgd_texts == ("50.00%",)
+        assert view.maturity_texts == ("3",)
+        assert view.ead_units == (eur("1000.00").units,)
+        assert view.weights == (1,)
+        assert view.weight_texts == ("100.00%",)
+        assert view.off_balance == (False,)
         # builtin constant function weighs every exposure at 100%
         assert result.credit.total_rwa == eur("1000.00")
 
@@ -190,8 +210,11 @@ class TestCompute:
         )
         result = run_compute(config, portfolio, CapitalBase(eur("100000.00")))
         assert len(calls) == 10
-        for line in result.credit.irb_lines:
-            assert line.amount == line.params.ead.scaled(line.weight)
+        view = result.credit.lines
+        assert view.weights == tuple(Fraction(n, 7) for n in range(1, 11))
+        for params, weight, ead, units in zip(calls, view.weights, view.ead_units, view.units):
+            assert ead == params.ead.units
+            assert Money(units, "EUR") == params.ead.scaled(weight)
 
     def test_irb_advanced_requires_full_params(self):
         exposures = (
@@ -245,6 +268,44 @@ class TestCompute:
         )
         assert result.report.min_required_capital == eur("100000.00")
         assert not result.report.compliant
+
+
+def _book_in(*currencies: str) -> Portfolio:
+    """A library-built EUR book, one exposure per given nominal currency."""
+    exposures = tuple(
+        Exposure(
+            id=f"E{index}",
+            counterparty=CounterpartyClass.CORPORATE,
+            rating=RatingBucket.UNRATED,
+            nominal=Money(100_00, currency),
+            pd=Fraction(1, 100),
+        )
+        for index, currency in enumerate(currencies)
+    )
+    return Portfolio(exposures=exposures, currency="EUR")
+
+
+@pytest.mark.parametrize(
+    "approach", [CreditApproach.STANDARDIZED, CreditApproach.IRB_FOUNDATION]
+)
+class TestCurrencyFailsClosed:
+    """The credit total is an integer sum; it must never relabel a currency."""
+
+    def test_mixed_nominals_raise(self, approach):
+        with pytest.raises(CurrencyMismatch, match=r"^EUR vs USD$"):
+            run_compute(
+                EngineConfig(credit_approach=approach),
+                _book_in("EUR", "USD"),
+                CapitalBase(eur("100.00")),
+            )
+
+    def test_book_in_another_currency_than_the_config_raises(self, approach):
+        with pytest.raises(CurrencyMismatch, match=r"^USD vs EUR$"):
+            run_compute(
+                EngineConfig(credit_approach=approach),
+                _book_in("USD", "USD"),
+                CapitalBase(eur("100.00")),
+            )
 
 
 class TestCompare:

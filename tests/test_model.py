@@ -10,17 +10,17 @@ from regcap import (
     CapitalBase,
     CounterpartyClass,
     Exposure,
-    IrbLine,
     IrbParams,
     Money,
     Portfolio,
     RatingBucket,
-    RwaLine,
     UnknownRating,
     ValidationFailure,
     parse_rating,
     validate_portfolio,
 )
+from regcap.engine import IrbColumns
+from regcap.standardized import ResolvedKey, StandardizedColumns
 
 from conftest import eur
 
@@ -168,14 +168,24 @@ def _one_of_each_record():
             nominal=Money(1),
         ),
         params,
-        IrbLine(exposure_id="E1", params=params, weight=Fraction(1), amount=Money(1)),
-        RwaLine(exposure_id="E1", ccf=Fraction(1), weight=Fraction(1), amount=Money(1)),
+        IrbColumns(
+            ids=("E1",), units=(1,), pd_texts=("1.00%",), lgd_texts=("50.00%",),
+            maturity_texts=("3",), weights=(Fraction(1),), weight_texts=("100.00%",),
+            ead_units=(1,), off_balance=(False,),
+        ),
+        StandardizedColumns(
+            ids=("E1",), key_index=(0,), units=(1,),
+            keys=(
+                ResolvedKey(Fraction(1), Fraction(1), Fraction(1), "100.00%", "100.00%"),
+            ),
+        ),
     ]
 
 
 @pytest.mark.parametrize("record", _one_of_each_record(), ids=lambda r: type(r).__name__)
 def test_per_exposure_records_are_slotted(record):
-    # A book holds several of these per exposure; an instance dict each would
-    # add tens of megabytes to a 100k-exposure run.
+    # A book holds one Exposure, IrbParams or Money per exposure; an instance
+    # dict each would add tens of megabytes to a 100k-exposure run. The credit
+    # columns hold the per-line figures that per-exposure records once held.
     assert "__slots__" in type(record).__dict__
     assert not hasattr(record, "__dict__")

@@ -27,6 +27,7 @@ from regcap import (
     RatingBucket,
     SupervisoryAdjustment,
     WeightCell,
+    foundation_params,
     load_income,
     load_portfolio,
     run_compare,
@@ -39,7 +40,7 @@ from regcap.record import Record
 from conftest import DATA_DIR, eur, run_python
 
 # Every record class in the package; a new one must join the walk below.
-RECORD_CLASSES = 28
+RECORD_CLASSES = 29
 
 
 def _subclasses(cls: type) -> list[type]:
@@ -82,6 +83,7 @@ def _one_of_each_record() -> list[Record]:
     )
     seen: dict[type, Record] = {}
     for root in (
+        foundation_params(Fraction(1, 100), eur("100.00")),
         result,
         run_compare(config, portfolio, capital, income),
         run_disclose(result),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -11,13 +12,19 @@ from hypothesis import given, settings, strategies as st
 
 from regcap import (
     ApproachKind,
+    BankOptionPolicy,
     BetaTable,
     BusinessLine,
     CapitalBase,
     CcfTable,
     ConfigError,
+    CounterpartyClass,
+    CreditApproach,
     CurrencyMismatch,
+    DEFAULT_BETAS,
+    DEFAULT_CCF,
     EngineConfig,
+    Exposure,
     IncompleteHistory,
     InvalidOverride,
     MissingCell,
@@ -29,17 +36,28 @@ from regcap import (
     ParseError,
     PillarOneInputs,
     Portfolio,
+    RatingBucket,
     RegcapError,
+    RiskWeightTable,
     SupervisoryAdjustment,
+    TableSet,
     UnknownRating,
     WeightCell,
+    evaluate_weight,
+    format_percent,
+    fraction_to_decimal_text,
     load_income,
     load_portfolio,
+    params_for_exposure,
+    register_risk_weight_function,
+    risk_weight_function,
     run_compare,
     run_compute,
     run_disclose,
+    validate_portfolio,
 )
 from regcap.errors import InvalidApproach, InvalidBeta, InvalidWeight, NegativeBlock
+from regcap.irb import _FUNCTIONS
 from regcap.reporting import (
     UNDEFINED_RATIO,
     compare_document,
@@ -139,6 +157,168 @@ class TestComputeJson:
         parsed = json.loads(render_json(compute_document(worked_result)))
         assert parsed["solvency"]["compliant"] is True
         assert parsed["solvency"]["min_required_capital"] == "80150.00"
+
+
+# ---------------------------------------------------------------------------
+# Differential check of the credit columns against the per-line formulas
+
+
+def reference_credit_lines(result) -> tuple[list[str], list[dict]]:
+    """The credit section's line rows and line dicts, each line formatted from
+    its exact factors as the per-line renderers did before the columns."""
+    config = result.config
+    texts, docs = [], []
+    for exposure in result.portfolio:
+        if config.credit_approach is CreditApproach.STANDARDIZED:
+            category = exposure.off_balance_category
+            ccf = Fraction(1) if category is None else result.tables.ccf.factors[category]
+            cell = result.tables.risk_weights.cells[(exposure.counterparty, exposure.rating)]
+            weight = cell.resolve(config.bank_policy)
+            amount = exposure.nominal.scaled(ccf * weight)
+            texts.append(
+                f"{exposure.id:<12} {format_percent(ccf):>8}"
+                f" {format_percent(weight):>8} {amount.formatted():>18}"
+            )
+            docs.append({
+                "id": exposure.id,
+                "ccf": format_percent(ccf),
+                "weight": format_percent(weight),
+                "amount": amount.text(),
+            })
+            continue
+        params = params_for_exposure(exposure, config.credit_approach)
+        weight = evaluate_weight(risk_weight_function(config.irb_function), params)
+        amount = params.ead.scaled(weight)
+        flag = " (off-balance)" if exposure.is_off_balance else ""
+        texts.append(
+            f"{exposure.id:<12} {format_percent(params.pd):>8}"
+            f" {format_percent(params.lgd):>8}"
+            f" {fraction_to_decimal_text(params.maturity_years):>9}"
+            f" {format_percent(weight):>8}"
+            f" {amount.formatted():>18}{flag}"
+        )
+        docs.append({
+            "id": exposure.id,
+            "pd": format_percent(params.pd),
+            "lgd": format_percent(params.lgd),
+            "maturity_years": fraction_to_decimal_text(params.maturity_years),
+            "ead": params.ead.text(),
+            "weight": format_percent(weight),
+            "amount": amount.text(),
+            "off_balance": exposure.is_off_balance,
+        })
+    return texts, docs
+
+
+FLOAT_FUNCTION = "test_reporting_float"
+
+
+def float_weight(params) -> float:
+    """A non-decreasing float weight: nearly every line gets its own weight."""
+    pd, lgd = float(params.pd), float(params.lgd)
+    return lgd * (0.1 + 3.0 * math.sqrt(pd)) * (0.9 + 0.04 * float(params.maturity_years))
+
+
+@pytest.fixture(scope="module")
+def float_function():
+    register_risk_weight_function(FLOAT_FUNCTION, float_weight)
+    yield FLOAT_FUNCTION
+    _FUNCTIONS.pop(FLOAT_FUNCTION)
+
+
+def _fractions(denominators):
+    return st.builds(
+        lambda d, n: Fraction(n % (d + 1), d), st.sampled_from(denominators),
+        st.integers(0, 10**6),
+    )
+
+
+@st.composite
+def table_sets(draw):
+    """Weights and conversion factors in thirds and sevenths too, whose
+    percent texts round; every class, bucket and default category priced."""
+    cells = {}
+    for counterparty in CounterpartyClass:
+        for bucket in RatingBucket:
+            denominator = draw(st.sampled_from([1, 3, 7, 100]))
+            low = draw(st.integers(0, 2 * denominator))
+            high = draw(st.integers(low, 2 * denominator))
+            cells[counterparty, bucket] = WeightCell(
+                Fraction(low, denominator), Fraction(high, denominator)
+            )
+    factors = {}
+    for category in DEFAULT_CCF.factors:
+        denominator = draw(st.sampled_from([1, 2, 3, 100]))
+        factors[category] = Fraction(draw(st.integers(0, denominator)), denominator)
+    return TableSet(RiskWeightTable(cells), CcfTable(factors), DEFAULT_BETAS)
+
+
+@st.composite
+def standardized_books(draw):
+    exposures = []
+    for index in range(draw(st.integers(0, 8))):
+        counterparty = draw(st.sampled_from(CounterpartyClass))
+        exposures.append(Exposure(
+            id=f"S{index}",
+            counterparty=counterparty,
+            rating=draw(st.sampled_from(RatingBucket)),
+            nominal=Money(draw(st.integers(0, 10**13)), "EUR"),
+            off_balance_category=draw(
+                st.one_of(st.none(), st.sampled_from(sorted(DEFAULT_CCF.factors)))
+            ),
+            short_term=counterparty is CounterpartyClass.BANK_SHORT_TERM,
+        ))
+    return validate_portfolio(exposures, "EUR")
+
+
+@st.composite
+def irb_books(draw):
+    size = draw(st.integers(0, 8))
+    return validate_portfolio(
+        [
+            Exposure(
+                id=f"I{index}",
+                counterparty=CounterpartyClass.CORPORATE,
+                rating=RatingBucket.UNRATED,
+                nominal=Money(draw(st.integers(0, 10**13)), "EUR"),
+                off_balance_category=draw(st.one_of(st.none(), st.just("guarantee"))),
+                pd=draw(_fractions([100, 10_000, 1_000_000])),
+                lgd=draw(_fractions([100, 1000])),
+                ead=Money(draw(st.integers(0, 10**13)), "EUR"),
+                maturity_years=Fraction(draw(st.integers(1, 300)), 10),
+            )
+            for index in range(size)
+        ],
+        "EUR",
+    )
+
+
+def _rendered_credit_lines(result) -> tuple[list[str], list[dict]]:
+    text = render_compute_text(result).splitlines()
+    first = text.index("CREDIT RISK") + 3  # title, rule, column header
+    last = next(i for i, line in enumerate(text) if line.startswith("total risk-weighted"))
+    return text[first:last], compute_document(result)["credit"]["lines"]
+
+
+class TestCreditColumnsMatchPerLineFormulas:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        book=standardized_books(), policy=st.sampled_from(BankOptionPolicy),
+        tables=st.one_of(st.none(), table_sets()),
+    )
+    def test_standardized_lines(self, book, policy, tables):
+        config = EngineConfig(bank_policy=policy)
+        result = run_compute(config, book, CapitalBase(eur("1.00")), tables=tables)
+        assert _rendered_credit_lines(result) == reference_credit_lines(result)
+
+    @settings(max_examples=150, deadline=None)
+    @given(book=irb_books())
+    def test_advanced_irb_lines(self, float_function, book):
+        config = EngineConfig(
+            credit_approach=CreditApproach.IRB_ADVANCED, irb_function=float_function
+        )
+        result = run_compute(config, book, CapitalBase(eur("1.00")))
+        assert _rendered_credit_lines(result) == reference_credit_lines(result)
 
 
 def reference_json(document) -> str:

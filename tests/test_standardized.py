@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +21,10 @@ from regcap import (
     PillarOneInputs,
     RatingBucket,
     RiskWeightTable,
-    RwaLine,
     UnknownCategory,
     WeightCell,
     compliance,
+    format_percent,
     rwa_portfolio,
     sum_money,
     validate_portfolio,
@@ -34,6 +35,24 @@ from conftest import eur
 
 LOW = BankOptionPolicy.LOW_END
 HIGH = BankOptionPolicy.HIGH_END
+
+
+class Line(NamedTuple):
+    """One priced line, as the former per-line record held it."""
+
+    exposure_id: str
+    ccf: Fraction
+    weight: Fraction
+    amount: Money
+
+
+def expand(view, total):
+    """The lines of rwa_portfolio's columns, one Line each, in order."""
+    return [
+        Line(exposure_id, view.keys[index].ccf, view.keys[index].weight,
+             Money(units, total.currency))
+        for exposure_id, index, units in zip(view.ids, view.key_index, view.units)
+    ]
 
 
 def reference_rwa_exposure(exposure, table, ccf, policy):
@@ -55,7 +74,7 @@ def reference_rwa_exposure(exposure, table, ccf, policy):
         ) from None
     weight = cell.resolve(policy)
     amount = exposure.nominal.scaled(factor * weight)
-    return RwaLine(exposure_id=exposure.id, ccf=factor, weight=weight, amount=amount)
+    return Line(exposure_id=exposure.id, ccf=factor, weight=weight, amount=amount)
 
 
 def reference_rwa_portfolio(exposures, table, ccf, policy):
@@ -70,10 +89,15 @@ def reference_rwa_portfolio(exposures, table, ccf, policy):
     return lines, sum_money((line.amount for line in lines), currency=currency)
 
 
+def expanded_rwa_portfolio(exposures, table, ccf, policy):
+    """rwa_portfolio with its columns expanded to the reference's lines."""
+    view, total = rwa_portfolio(exposures, table, ccf, policy)
+    return expand(view, total), total
+
+
 def price(exposure, **kwargs):
     """Price a one-exposure book and return its line."""
-    lines, _ = rwa_portfolio([exposure], **kwargs)
-    return lines[0]
+    return expand(*rwa_portfolio([exposure], **kwargs))[0]
 
 
 # Golden copy of the published weight matrix, row per class, one value per
@@ -238,8 +262,8 @@ class TestRwaExposure:
 
 class TestRwaPortfolio:
     def test_empty(self):
-        lines, total = rwa_portfolio(validate_portfolio([]))
-        assert lines == []
+        view, total = rwa_portfolio(validate_portfolio([]))
+        assert view.ids == view.key_index == view.units == view.keys == ()
         assert total == eur("0")
 
     def test_two_exposure_derived_total(self):
@@ -255,7 +279,8 @@ class TestRwaPortfolio:
                 exposure(id="C1", nominal="200.00"),
             ]
         )
-        lines, total = rwa_portfolio(book)
+        view, total = rwa_portfolio(book)
+        lines = expand(view, total)
         assert [line.amount for line in lines] == [eur("1000000.00"), eur("200.00")]
         assert total == eur("1000200.00")
 
@@ -271,7 +296,7 @@ class TestRwaPortfolio:
                          rating=RatingBucket.B_PLUS_TO_B_MINUS, nominal="0.07"),
             ]
         )
-        lines, total = rwa_portfolio(book, policy=HIGH)
+        _, total = rwa_portfolio(book, policy=HIGH)
         # independent recomputation with rational arithmetic
         expected_units = 0
         for e in book:
@@ -286,8 +311,8 @@ class TestRwaPortfolio:
 
     def test_line_order_matches_input(self):
         book = validate_portfolio([exposure(id="Z"), exposure(id="A")])
-        lines, _ = rwa_portfolio(book)
-        assert [line.exposure_id for line in lines] == ["Z", "A"]
+        view, _ = rwa_portfolio(book)
+        assert view.ids == ("Z", "A")
 
     def test_per_line_error_cites_exposure_id(self):
         book = validate_portfolio([exposure(id="BAD", category="mystery")])
@@ -415,14 +440,29 @@ class TestResolvedOncePerKey:
     @given(books(), tables(complete=True), st.sampled_from(BankOptionPolicy))
     def test_matches_the_per_line_reference(self, book, pair, policy):
         table, ccf = pair
-        lines, total = rwa_portfolio(book, table, ccf, policy)
+        lines, total = expanded_rwa_portfolio(book, table, ccf, policy)
         assert (lines, total) == reference_rwa_portfolio(book, table, ccf, policy)
+
+    @settings(max_examples=100, deadline=None)
+    @given(books(), tables(complete=True), st.sampled_from(BankOptionPolicy))
+    def test_each_key_is_resolved_and_formatted_once(self, book, pair, policy):
+        table, ccf = pair
+        view, _ = rwa_portfolio(book, table, ccf, policy)
+        assert sorted(set(view.key_index)) == list(range(len(view.keys)))
+        distinct = {
+            (e.counterparty, e.rating, e.off_balance_category) for e in book
+        }
+        assert len(view.keys) == len(distinct)
+        for key in view.keys:
+            assert key.product == key.ccf * key.weight
+            assert key.ccf_text == format_percent(key.ccf)
+            assert key.weight_text == format_percent(key.weight)
 
     @settings(max_examples=200, deadline=None)
     @given(books(), tables(complete=False), st.sampled_from(BankOptionPolicy))
     def test_errors_match_the_per_line_reference(self, book, pair, policy):
         table, ccf = pair
-        assert outcome(rwa_portfolio, book, table, ccf, policy) == outcome(
+        assert outcome(expanded_rwa_portfolio, book, table, ccf, policy) == outcome(
             reference_rwa_portfolio, book, table, ccf, policy
         )
 
@@ -432,7 +472,7 @@ class TestResolvedOncePerKey:
         book = [exposure(id="OK"), exposure(id="B1", cls=CounterpartyClass.BANK),
                 exposure(id="B2", cls=CounterpartyClass.BANK)]
         expected = (MissingCell, "exposure 'B1': no weight for (bank, unrated)")
-        for pricer in (rwa_portfolio, reference_rwa_portfolio):
+        for pricer in (expanded_rwa_portfolio, reference_rwa_portfolio):
             assert outcome(pricer, book, table, DEFAULT_CCF, LOW) == expected
 
     def test_unknown_category_checked_before_the_cell(self):
@@ -441,5 +481,5 @@ class TestResolvedOncePerKey:
         expected = (
             UnknownCategory, "exposure 'X': unknown off-balance category 'mystery'"
         )
-        for pricer in (rwa_portfolio, reference_rwa_portfolio):
+        for pricer in (expanded_rwa_portfolio, reference_rwa_portfolio):
             assert outcome(pricer, book, table, DEFAULT_CCF, LOW) == expected

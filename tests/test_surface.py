@@ -8,7 +8,9 @@ when ``README.md`` names it. Anything else is a helper only tests call.
 from __future__ import annotations
 
 import ast
+import importlib
 import re
+import sys
 from pathlib import Path
 
 import regcap
@@ -61,3 +63,25 @@ def test_every_lower_layer_the_readme_names_is_exported():
     assert named, "the README sentence names no lower layer"
     missing = [name for name in named if not hasattr(regcap, name)]
     assert missing == [], f"README names lower layers regcap lacks: {missing}"
+
+
+def test_perfbench_span_targets_resolve(monkeypatch):
+    # The benchmark's tracer looks these functions up on regcap's modules by
+    # name; a refactor that drops one would crash every traced run.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    spans = importlib.import_module("spans")
+    _, targets = spans.regcap_targets()
+    named = set(targets.values())
+    wanted = (
+        "standardized.rwa_portfolio",
+        "irb.params_for_exposure",
+        "irb.evaluate_weight",
+        "irb.rwa_irb",
+        "irb.risk_weight_function",
+        "aggregation.compliance",
+        "reporting.render_compute_text",
+        "reporting.compute_document",
+        "reporting.render_json",
+    )
+    assert [name for name in wanted if name not in named] == []
