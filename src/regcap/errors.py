@@ -26,7 +26,7 @@ class UnknownRating(RegcapError):
     layer = "core model"
 
 
-class ValidationFailure(RegcapError):
+class ValidationFailure(RegcapError, ValueError):
     """Carries every violation found, never just the first."""
 
     layer = "core model"
@@ -54,7 +54,7 @@ class InvalidWeight(RegcapError, ValueError):
     layer = "standardized credit"
 
 
-class OutOfRange(RegcapError):
+class OutOfRange(RegcapError, ValueError):
     """Probability or fraction outside its legal interval."""
 
     layer = "internal ratings"
@@ -130,7 +130,7 @@ class DuplicateAdvancedHook(RegcapError):
     layer = "operational risk"
 
 
-class InvalidOverride(RegcapError):
+class InvalidOverride(RegcapError, ValueError):
     """Supervisory minimum-ratio override below the 8% floor."""
 
     layer = "aggregation"
@@ -166,7 +166,7 @@ class MissingPeriod(RegcapError):
     layer = "input/config"
 
 
-class ConfigError(RegcapError):
+class ConfigError(RegcapError, ValueError):
     """Engine configuration is internally inconsistent."""
 
     layer = "input/config"

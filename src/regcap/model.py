@@ -49,8 +49,6 @@ class RatingBucket(enum.IntEnum):
         return self.name.lower()
 
 
-RATED_BUCKETS = tuple(b for b in RatingBucket if b is not RatingBucket.UNRATED)
-
 # Published token grammar. "<B-" is the literal token for anything strictly
 # below B-; individual sub-B- grades are not named and are rejected.
 RATING_TOKENS: dict[str, RatingBucket] = {
@@ -142,23 +140,15 @@ def validate_portfolio(exposures, currency: str | None = None) -> Portfolio:
     """Check portfolio-level invariants, reporting every violation at once.
 
     ``currency`` is the book's currency; when omitted it is the first
-    exposure's, or the default for an empty book. Idempotent: validating a
-    Portfolio returns the same object.
+    exposure's, or the default for an empty book.
     """
-    if isinstance(exposures, Portfolio):
-        _raise_on_violations(exposures.exposures, exposures.currency)
-        return exposures
     items = tuple(exposures)
     if currency is None:
         currency = items[0].nominal.currency if items else Money.zero().currency
-    _raise_on_violations(items, currency)
-    return Portfolio(exposures=items, currency=currency)
-
-
-def _raise_on_violations(items: tuple[Exposure, ...], currency: str) -> None:
     violations = _collect_violations(items, currency)
     if violations:
         raise ValidationFailure(violations)
+    return Portfolio(exposures=items, currency=currency)
 
 
 def _collect_violations(items: tuple[Exposure, ...], currency: str) -> list[str]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import InvalidWeight, MissingCell, UnknownCategory
 from .model import CounterpartyClass, Exposure, Portfolio, RatingBucket
@@ -182,7 +182,7 @@ def _resolve(
 
 
 def rwa_portfolio(
-    portfolio: Portfolio | Iterable[Exposure],
+    portfolio: Portfolio,
     table: RiskWeightTable = DEFAULT_RISK_WEIGHTS,
     ccf: CcfTable = DEFAULT_CCF,
     policy: BankOptionPolicy = BankOptionPolicy.LOW_END,
@@ -192,12 +192,12 @@ def rwa_portfolio(
     Each distinct (class, bucket, category) resolves its factors once; each
     line is nominal x CCF x weight, rounded once.
     """
-    if isinstance(portfolio, Portfolio):
-        exposures: Iterable[Exposure] = portfolio.exposures
-        currency = portfolio.currency
-    else:
-        exposures = tuple(portfolio)
-        currency = Money.zero().currency
+    if not isinstance(portfolio, Portfolio):
+        raise TypeError(
+            "rwa_portfolio prices a Portfolio built by validate_portfolio,"
+            f" not a {type(portfolio).__name__}"
+        )
+    exposures, currency = portfolio.exposures, portfolio.currency
     index_of: dict[tuple, int] = {}
     keys: list[ResolvedKey] = []
     ids: list[str] = []

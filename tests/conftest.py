@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from regcap import AnnualIncome, GrossIncomeRecord, IncomeHistory, Money
+from regcap import Money
+from regcap.oprisk import AnnualIncome, GrossIncomeRecord, IncomeHistory
 
 DATA_DIR = Path(__file__).parent / "data"
 

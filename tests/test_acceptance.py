@@ -16,32 +16,34 @@ import time
 from fractions import Fraction
 
 from regcap import (
-    AnnualIncome,
     BankOptionPolicy,
-    BetaTable,
-    BusinessLine,
     CapitalBase,
     CounterpartyClass,
     DEFAULT_BETAS,
     DEFAULT_CCF,
     DEFAULT_RISK_WEIGHTS,
     Exposure,
-    GrossIncomeRecord,
-    IncomeHistory,
     Money,
     NegativeGiPolicy,
     PillarOneInputs,
     RatingBucket,
     compliance,
     denominator,
-    foundation_params,
     load_portfolio,
-    round_half_even,
     rwa_irb,
     rwa_portfolio,
     tsa_capital,
+    validate_portfolio,
 )
-from regcap.irb import IrbParams
+from regcap.irb import IrbParams, foundation_params
+from regcap.money import round_half_even
+from regcap.oprisk import (
+    AnnualIncome,
+    BetaTable,
+    BusinessLine,
+    GrossIncomeRecord,
+    IncomeHistory,
+)
 
 from conftest import DATA_DIR, eur, history_of_totals
 
@@ -130,7 +132,7 @@ def test_criterion_3_sub_b_minus_sovereign():
         rating=RatingBucket.BELOW_B_MINUS,
         nominal=eur("100.00"),
     )
-    _, total = rwa_portfolio([exposure])
+    _, total = rwa_portfolio(validate_portfolio([exposure]))
     assert total == eur("150.00")
     assert _credit_only_requirement(total) == eur("12.00")
 
@@ -247,7 +249,7 @@ def test_criterion_7_regime_collapse():
                 nominal=Money(rng.randint(1, 10**7), "EUR"),
             )
         )
-        _, total = rwa_portfolio(exposures)
+        _, total = rwa_portfolio(validate_portfolio(exposures))
         capital = CapitalBase(Money(rng.randint(1, 10**9), "EUR"))
         inputs = PillarOneInputs(
             credit_rwa=total,
@@ -265,9 +267,9 @@ def _check_additivity(rng: random.Random, cases: int) -> int:
         policy = rng.choice(POLICIES)
         left = _random_exposures(rng, "a", rng.randint(0, 6))
         right = _random_exposures(rng, "b", rng.randint(0, 6))
-        _, total_left = rwa_portfolio(left, policy=policy)
-        _, total_right = rwa_portfolio(right, policy=policy)
-        _, union = rwa_portfolio(left + right, policy=policy)
+        _, total_left = rwa_portfolio(validate_portfolio(left), policy=policy)
+        _, total_right = rwa_portfolio(validate_portfolio(right), policy=policy)
+        _, union = rwa_portfolio(validate_portfolio(left + right), policy=policy)
         assert union == total_left + total_right
     return cases
 
@@ -284,8 +286,8 @@ def _check_homogeneity(rng: random.Random, cases: int) -> int:
             )
             for e in items
         ]
-        _, base_total = rwa_portfolio(items, policy=policy)
-        _, scaled_total = rwa_portfolio(scaled, policy=policy)
+        _, base_total = rwa_portfolio(validate_portfolio(items), policy=policy)
+        _, scaled_total = rwa_portfolio(validate_portfolio(scaled), policy=policy)
         assert scaled_total.units == k * base_total.units
     return cases
 

@@ -10,16 +10,14 @@ from regcap import (
     CapitalBase,
     ConfigError,
     EngineConfig,
-    InvalidOverride,
     Money,
     PillarOneInputs,
-    RWA_MULTIPLIER,
     SupervisoryAdjustment,
     compliance,
     denominator,
-    denominator_shares,
 )
-from regcap.errors import NegativeBlock
+from regcap.aggregation import RWA_MULTIPLIER, denominator_shares
+from regcap.errors import InvalidOverride, NegativeBlock
 
 from conftest import eur
 

@@ -12,14 +12,10 @@ from regcap import (
     ConfigError,
     CounterpartyClass,
     CreditApproach,
-    CurrencyMismatch,
     EngineConfig,
     Exposure,
-    IncomeHistory,
-    MissingPeriod,
     Money,
     OpRiskApproach,
-    Portfolio,
     RatingBucket,
     Regime,
     load_income,
@@ -30,8 +26,10 @@ from regcap import (
 )
 from regcap import engine
 from regcap.engine import resolve_tables
+from regcap.errors import CurrencyMismatch, MissingPeriod
 from regcap.irb import _FUNCTIONS
-from regcap.oprisk import _ADVANCED_HOOKS, register_advanced_hook
+from regcap.model import Portfolio
+from regcap.oprisk import IncomeHistory, _ADVANCED_HOOKS, register_advanced_hook
 
 from conftest import DATA_DIR, eur
 
@@ -119,7 +117,7 @@ class TestCompute:
             _ADVANCED_HOOKS.pop("fixed_charge", None)
 
     def test_downgrade_without_override_rejected(self):
-        from regcap import DowngradeWithoutOverride
+        from regcap.errors import DowngradeWithoutOverride
 
         with pytest.raises(DowngradeWithoutOverride):
             EngineConfig(
@@ -420,7 +418,8 @@ class TestTables:
         assert tables.betas.source == "builtin"
 
     def test_table_paths_flow_through(self, tmp_path):
-        from regcap import DEFAULT_CCF, dump_ccf
+        from regcap import DEFAULT_CCF
+        from regcap.fileio import dump_ccf
 
         path = tmp_path / "ccf.tbl"
         dump_ccf(DEFAULT_CCF, path)

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from regcap import (
-    BusinessLine,
     CounterpartyClass,
     DEFAULT_BETAS,
     DEFAULT_CCF,
@@ -15,16 +14,20 @@ from regcap import (
     ParseError,
     RatingBucket,
     ValidationFailure,
-    dump_betas,
-    dump_ccf,
-    dump_risk_weights,
     load_betas,
     load_ccf,
     load_income,
     load_portfolio,
     load_risk_weights,
 )
-from regcap.fileio import PORTFOLIO_OPTIONAL, PORTFOLIO_REQUIRED
+from regcap.fileio import (
+    PORTFOLIO_OPTIONAL,
+    PORTFOLIO_REQUIRED,
+    dump_betas,
+    dump_ccf,
+    dump_risk_weights,
+)
+from regcap.oprisk import BusinessLine
 
 from conftest import DATA_DIR, eur
 
@@ -362,7 +365,7 @@ class TestIncomeCsv:
         path.write_text(
             "year,line,amount\n2004,TOTAL,100.00\n2005,TOTAL,100.00\n"
         )
-        from regcap import IncompleteHistory
+        from regcap.errors import IncompleteHistory
 
         with pytest.raises(IncompleteHistory):
             load_income(path)

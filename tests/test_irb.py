@@ -8,8 +8,6 @@ from fractions import Fraction
 import pytest
 
 from regcap import (
-    FOUNDATION_LGD,
-    FOUNDATION_MATURITY_YEARS,
     CapitalBase,
     CounterpartyClass,
     CreditApproach,
@@ -17,23 +15,24 @@ from regcap import (
     EngineConfig,
     Exposure,
     IrbParams,
-    NonFiniteWeight,
     NonMonotoneFunction,
-    OutOfRange,
-    Portfolio,
     RatingBucket,
-    UnknownFunction,
     ValidationFailure,
-    check_monotonicity,
-    evaluate_weight,
-    foundation_params,
-    params_for_exposure,
     register_risk_weight_function,
-    risk_weight_function,
     run_compute,
     rwa_irb,
 )
 from regcap import irb
+from regcap.errors import NonFiniteWeight, OutOfRange, UnknownFunction
+from regcap.irb import (
+    FOUNDATION_LGD,
+    FOUNDATION_MATURITY_YEARS,
+    check_monotonicity,
+    foundation_params,
+    params_for_exposure,
+    risk_weight_function,
+)
+from regcap.model import Portfolio
 
 from conftest import eur, run_python
 

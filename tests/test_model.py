@@ -12,14 +12,13 @@ from regcap import (
     Exposure,
     IrbParams,
     Money,
-    Portfolio,
     RatingBucket,
-    UnknownRating,
     ValidationFailure,
-    parse_rating,
     validate_portfolio,
 )
 from regcap.engine import IrbColumns
+from regcap.errors import UnknownRating
+from regcap.model import Portfolio, parse_rating
 from regcap.standardized import ResolvedKey, StandardizedColumns
 
 from conftest import eur
@@ -120,10 +119,6 @@ class TestValidatePortfolio:
         with pytest.raises(ValidationFailure) as excinfo:
             validate_portfolio([bad])
         assert len(excinfo.value.violations) == 2
-
-    def test_idempotent_on_portfolio(self):
-        portfolio = validate_portfolio([on_balance("A")])
-        assert validate_portfolio(portfolio) is portfolio
 
     def test_preserves_order_and_currency(self):
         portfolio = validate_portfolio([on_balance("A"), on_balance("B")])

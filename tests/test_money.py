@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regcap import CurrencyMismatch, Money
+from regcap import Money
+from regcap.errors import CurrencyMismatch
 from regcap.money import (
     MAX_DECIMAL_EXPONENT,
     format_percent,

@@ -8,25 +8,14 @@ from fractions import Fraction
 import pytest
 
 from regcap import (
-    ALPHA,
-    AnnualIncome,
-    BetaTable,
-    BusinessLine,
     CapitalBase,
     ConfigError,
     DEFAULT_BETAS,
-    DowngradeWithoutOverride,
     DuplicateAdvancedHook,
     EngineConfig,
-    GrossIncomeRecord,
-    IncompleteHistory,
-    IncomeHistory,
-    MissingLine,
     Money,
     NegativeGiPolicy,
     OpRiskApproach,
-    Portfolio,
-    UnregisteredAdvancedHook,
     ValidationFailure,
     average_gross_income,
     bia_capital,
@@ -34,7 +23,22 @@ from regcap import (
     run_compute,
     tsa_capital,
 )
-from regcap.errors import InvalidApproach
+from regcap.errors import (
+    DowngradeWithoutOverride,
+    IncompleteHistory,
+    InvalidApproach,
+    MissingLine,
+    UnregisteredAdvancedHook,
+)
+from regcap.model import Portfolio
+from regcap.oprisk import (
+    ALPHA,
+    AnnualIncome,
+    BetaTable,
+    BusinessLine,
+    GrossIncomeRecord,
+    IncomeHistory,
+)
 
 from conftest import eur, history_of_totals
 

@@ -23,11 +23,8 @@ from regcap import (
     Money,
     OpRiskApproach,
     PillarOneInputs,
-    Portfolio,
     RatingBucket,
     SupervisoryAdjustment,
-    WeightCell,
-    foundation_params,
     load_income,
     load_portfolio,
     run_compare,
@@ -35,7 +32,10 @@ from regcap import (
     run_disclose,
 )
 from regcap.config import SETTINGS
+from regcap.irb import foundation_params
+from regcap.model import Portfolio
 from regcap.record import Record
+from regcap.standardized import WeightCell
 
 from conftest import DATA_DIR, eur, run_python
 

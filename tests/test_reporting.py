@@ -11,53 +11,55 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regcap import (
-    ApproachKind,
     BankOptionPolicy,
-    BetaTable,
-    BusinessLine,
     CapitalBase,
-    CcfTable,
     ConfigError,
     CounterpartyClass,
     CreditApproach,
-    CurrencyMismatch,
     DEFAULT_BETAS,
     DEFAULT_CCF,
     EngineConfig,
     Exposure,
-    IncompleteHistory,
-    InvalidOverride,
-    MissingCell,
-    MissingPeriod,
     Money,
     NonMonotoneFunction,
     OpRiskApproach,
-    OutOfRange,
     ParseError,
     PillarOneInputs,
-    Portfolio,
     RatingBucket,
     RegcapError,
-    RiskWeightTable,
     SupervisoryAdjustment,
-    TableSet,
-    UnknownRating,
-    WeightCell,
-    evaluate_weight,
-    format_percent,
-    fraction_to_decimal_text,
+    ValidationFailure,
     load_income,
     load_portfolio,
-    params_for_exposure,
     register_risk_weight_function,
-    risk_weight_function,
     run_compare,
     run_compute,
     run_disclose,
     validate_portfolio,
 )
-from regcap.errors import InvalidApproach, InvalidBeta, InvalidWeight, NegativeBlock
-from regcap.irb import _FUNCTIONS
+from regcap.engine import TableSet
+from regcap.errors import (
+    CurrencyMismatch,
+    IncompleteHistory,
+    InvalidApproach,
+    InvalidBeta,
+    InvalidOverride,
+    InvalidWeight,
+    MissingCell,
+    MissingPeriod,
+    NegativeBlock,
+    OutOfRange,
+    UnknownRating,
+)
+from regcap.irb import (
+    _FUNCTIONS,
+    evaluate_weight,
+    params_for_exposure,
+    risk_weight_function,
+)
+from regcap.model import Portfolio
+from regcap.money import format_percent, fraction_to_decimal_text
+from regcap.oprisk import ApproachKind, BetaTable, BusinessLine
 from regcap.reporting import (
     UNDEFINED_RATIO,
     compare_document,
@@ -68,6 +70,7 @@ from regcap.reporting import (
     render_disclosure_text,
     render_json,
 )
+from regcap.standardized import CcfTable, RiskWeightTable, WeightCell
 
 from conftest import DATA_DIR, eur
 
@@ -490,7 +493,11 @@ class TestProvenance:
         assert exc.layer == label
 
     @pytest.mark.parametrize(
-        "error", [InvalidWeight, InvalidBeta, InvalidApproach, NegativeBlock]
+        "error",
+        [
+            InvalidWeight, InvalidBeta, InvalidApproach, NegativeBlock, OutOfRange,
+            InvalidOverride, ValidationFailure, ConfigError,
+        ],
     )
     def test_constructor_range_errors_are_still_value_errors(self, error):
         # fileio and library callers catch these constructors' ValueError

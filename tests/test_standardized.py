@@ -11,25 +11,20 @@ from hypothesis import given, settings, strategies as st
 from regcap import (
     BankOptionPolicy,
     CapitalBase,
-    CcfTable,
     CounterpartyClass,
     DEFAULT_CCF,
     DEFAULT_RISK_WEIGHTS,
     Exposure,
-    MissingCell,
     Money,
     PillarOneInputs,
     RatingBucket,
-    RiskWeightTable,
-    UnknownCategory,
-    WeightCell,
     compliance,
-    format_percent,
     rwa_portfolio,
-    sum_money,
     validate_portfolio,
 )
-from regcap.errors import InvalidWeight, NegativeBlock
+from regcap.errors import InvalidWeight, MissingCell, NegativeBlock, UnknownCategory
+from regcap.money import format_percent, sum_money
+from regcap.standardized import CcfTable, RiskWeightTable, WeightCell
 
 from conftest import eur
 
@@ -91,13 +86,13 @@ def reference_rwa_portfolio(exposures, table, ccf, policy):
 
 def expanded_rwa_portfolio(exposures, table, ccf, policy):
     """rwa_portfolio with its columns expanded to the reference's lines."""
-    view, total = rwa_portfolio(exposures, table, ccf, policy)
+    view, total = rwa_portfolio(validate_portfolio(exposures), table, ccf, policy)
     return expand(view, total), total
 
 
 def price(exposure, **kwargs):
     """Price a one-exposure book and return its line."""
-    return expand(*rwa_portfolio([exposure], **kwargs))[0]
+    return expand(*rwa_portfolio(validate_portfolio([exposure]), **kwargs))[0]
 
 
 # Golden copy of the published weight matrix, row per class, one value per
@@ -319,6 +314,12 @@ class TestRwaPortfolio:
         with pytest.raises(UnknownCategory, match="'BAD'"):
             rwa_portfolio(book)
 
+    def test_refuses_an_unvalidated_list(self):
+        # a list skips validate_portfolio: here a negative amount and a repeated id
+        line = exposure(nominal="-100.00")
+        with pytest.raises(TypeError, match="validate_portfolio"):
+            rwa_portfolio([line, line])
+
 
 def required_capital(credit_rwa: Money) -> Money:
     """Minimum own funds with credit as the only risk, as compliance() sets it."""
@@ -420,6 +421,7 @@ def books(draw):
             rating=rating,
             nominal=Money(draw(st.integers(0, 10**9)), "EUR"),
             off_balance_category=category,
+            short_term=counterparty is CounterpartyClass.BANK_SHORT_TERM,
         )
         for index, (counterparty, rating, category) in enumerate(
             draw(st.sampled_from(keys)) for _ in range(count)
@@ -447,7 +449,7 @@ class TestResolvedOncePerKey:
     @given(books(), tables(complete=True), st.sampled_from(BankOptionPolicy))
     def test_each_key_is_resolved_and_formatted_once(self, book, pair, policy):
         table, ccf = pair
-        view, _ = rwa_portfolio(book, table, ccf, policy)
+        view, _ = rwa_portfolio(validate_portfolio(book), table, ccf, policy)
         assert sorted(set(view.key_index)) == list(range(len(view.keys)))
         distinct = {
             (e.counterparty, e.rating, e.off_balance_category) for e in book

@@ -1,8 +1,10 @@
-"""The package exports only what the engine uses or the README documents.
+"""The package exports exactly the names the README lists, and its
+documented example runs.
 
-A name belongs in ``regcap/__init__.py`` when some module of the package
-reads it (an AST ``Name`` or ``Attribute`` load outside ``__init__``) or
-when ``README.md`` names it. Anything else is a helper only tests call.
+``README.md``'s Library section says "The package exports exactly the names
+listed below", followed by bullets, each opening with its names in
+backticks before a colon. Those names and the ones ``regcap/__init__.py``
+imports must be the same set.
 """
 
 from __future__ import annotations
@@ -10,13 +12,13 @@ from __future__ import annotations
 import ast
 import importlib
 import re
+import shutil
 import sys
 from pathlib import Path
 
-import regcap
-
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "regcap"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _exported_names() -> list[str]:
@@ -29,40 +31,38 @@ def _exported_names() -> list[str]:
     ]
 
 
-def _names_read_by_modules() -> set[str]:
-    read: set[str] = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    return read
-
-
-def test_every_export_is_used_or_documented():
+def _library_section() -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    read = _names_read_by_modules()
-    unused = [
-        name
-        for name in _exported_names()
-        if name not in read and not re.search(rf"\b{re.escape(name)}\b", readme)
-    ]
-    assert unused == [], f"exported but neither used nor documented: {unused}"
+    section = re.search(r"^## Library\n(.*?)^## ", readme, re.S | re.M)
+    assert section is not None, "README has no Library section"
+    return section.group(1)
 
 
-def test_every_lower_layer_the_readme_names_is_exported():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    sentence = re.search(
-        r"Lower layers are importable on their own: (.*?)\.\s", readme, re.S
-    )
-    assert sentence is not None, "README no longer lists the lower layers"
-    named = re.findall(r"`(\w+)`", sentence.group(1))
-    assert named, "the README sentence names no lower layer"
-    missing = [name for name in named if not hasattr(regcap, name)]
-    assert missing == [], f"README names lower layers regcap lacks: {missing}"
+def _readme_export_list() -> list[str]:
+    section = _library_section()
+    _, found, listed = section.partition("The package exports exactly")
+    assert found, "the Library section no longer states the export list"
+    heads = re.findall(r"^- (.+?):", listed, re.M)
+    return [name for head in heads for name in re.findall(r"`(\w+)`", head)]
+
+
+def test_exports_are_exactly_the_readme_list():
+    exported, listed = _exported_names(), _readme_export_list()
+    assert len(set(listed)) == len(listed), "the README lists a name twice"
+    assert sorted(set(exported) - set(listed)) == [], "exported but not in the README"
+    assert sorted(set(listed) - set(exported)) == [], "in the README but not exported"
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", _library_section(), re.S | re.M)
+    assert len(blocks) == 1, "the Library section should hold one python example"
+    shutil.copy(DATA / "worked_example.csv", tmp_path / "book.csv")
+    shutil.copy(DATA / "income_3yr.csv", tmp_path / "income.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert out.startswith("648/8015\n")
+    assert "status:            COMPLIANT" in out
 
 
 def test_perfbench_span_targets_resolve(monkeypatch):
