@@ -4,7 +4,7 @@ documented example runs.
 ``README.md``'s Library section says "The package exports exactly the names
 listed below", followed by bullets, each opening with its names in
 backticks before a colon. Those names and the ones ``regcap/__init__.py``
-imports must be the same set.
+imports must be the same set: the first two tests check one direction each.
 """
 
 from __future__ import annotations
@@ -46,11 +46,25 @@ def _readme_export_list() -> list[str]:
     return [name for head in heads for name in re.findall(r"`(\w+)`", head)]
 
 
-def test_exports_are_exactly_the_readme_list():
+def test_every_export_is_used_or_documented():
+    # Documented means listed in the README export list; being read by some
+    # package module is no longer enough.
     exported, listed = _exported_names(), _readme_export_list()
     assert len(set(listed)) == len(listed), "the README lists a name twice"
     assert sorted(set(exported) - set(listed)) == [], "exported but not in the README"
+
+
+def test_every_lower_layer_the_readme_names_is_exported():
+    # Every name the export list gives, its "Lower layers" bullets included,
+    # is imported by ``__init__`` and resolves on the package.
+    bullets = r"^Lower layers\b.*?:\n\n((?:- .*\n(?:  .*\n)*)+)"
+    lower = re.search(bullets, _library_section(), re.M)
+    assert lower is not None, "the export list has no Lower layers bullets"
+    assert re.findall(r"^- `(\w+)`", lower.group(1), re.M), "no lower layer is listed"
+    exported, listed = _exported_names(), _readme_export_list()
     assert sorted(set(listed) - set(exported)) == [], "in the README but not exported"
+    regcap = importlib.import_module("regcap")
+    assert [name for name in listed if not hasattr(regcap, name)] == []
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
