@@ -27,7 +27,7 @@ from .irb import (
     rwa_irb,  # noqa: F401  not called here; perfbench's tracer spans it by this name
 )
 from .model import CapitalBase, Portfolio
-from .money import Money, format_percent, fraction_to_decimal_text, units_total
+from .money import Money, format_percent, fraction_to_decimal_text
 from .oprisk import (
     ApproachKind,
     BetaTable,
@@ -161,9 +161,7 @@ class _Texts(dict):
         return text
 
 
-def _credit_block(
-    config: EngineConfig, portfolio: Portfolio, tables: TableSet, currency: str
-) -> CreditResult:
+def _credit_block(config: EngineConfig, portfolio: Portfolio, tables: TableSet) -> CreditResult:
     if config.credit_approach is CreditApproach.STANDARDIZED:
         lines, total = rwa_portfolio(
             portfolio, tables.risk_weights, tables.ccf, config.bank_policy
@@ -171,8 +169,8 @@ def _credit_block(
         return CreditResult(total_rwa=total, lines=lines)
     fn = risk_weight_function(config.irb_function)
     percent, decimal = _Texts(format_percent), _Texts(fraction_to_decimal_text)
-    ids, units, pds, lgds, maturities, weights, weight_texts, eads, flags, currencies = (
-        [] for _ in range(10)
+    ids, units, pds, lgds, maturities, weights, weight_texts, eads, flags = (
+        [] for _ in range(9)
     )
     for exposure in portfolio:
         params = params_for_exposure(exposure, config.credit_approach)
@@ -187,12 +185,11 @@ def _credit_block(
         weight_texts.append(format_percent(weight))
         eads.append(ead.units)
         flags.append(exposure.is_off_balance)
-        currencies.append(ead.currency)
     lines = IrbColumns(
         tuple(ids), tuple(units), tuple(pds), tuple(lgds), tuple(maturities),
         tuple(weights), tuple(weight_texts), tuple(eads), tuple(flags),
     )
-    return CreditResult(total_rwa=units_total(units, currencies, currency), lines=lines)
+    return CreditResult(total_rwa=Money(sum(units), portfolio.currency), lines=lines)
 
 
 def _oprisk_block(
@@ -247,7 +244,7 @@ def run_compute(
             raise ConfigError(
                 "the credit-only regime admits no operational-risk income data"
             )
-    credit = _credit_block(config, portfolio, tables, config.currency)
+    credit = _credit_block(config, portfolio, tables)
     return _complete(config, portfolio, capital, income, market_charge, tables, credit)
 
 
@@ -386,7 +383,7 @@ def run_compare(
         # exactly what the credit-only leg would price.
         credit = full.credit
     else:
-        credit = _credit_block(credit_only_config, portfolio, tables, config.currency)
+        credit = _credit_block(credit_only_config, portfolio, tables)
     credit_only = _complete(
         credit_only_config, portfolio, capital, None, None, tables, credit
     )

@@ -122,11 +122,49 @@ class Exposure(Record):
 
 
 class Portfolio(Record):
-    """A validated collection of exposures; build via validate_portfolio."""
+    """A book of exposures in one currency, checked when it is built.
+
+    A book that breaks an invariant (unique ids, enum class and rating,
+    amounts and ranges, every amount in ``currency``) raises one
+    ValidationFailure listing every violation.
+    """
 
     __slots__ = ("exposures", "currency")
 
-    def __init__(self, exposures: tuple[Exposure, ...], currency: str) -> None:
+    def __init__(self, exposures, currency: str) -> None:
+        exposures = tuple(exposures)
+        violations: list[str] = []
+        seen: set[str] = set()
+        currencies = {currency}
+        for e in exposures:
+            if e.id in seen:
+                violations.append(f"duplicate id {e.id!r}")
+            seen.add(e.id)
+            if not isinstance(e.counterparty, CounterpartyClass):
+                violations.append(f"exposure {e.id!r}: no counterparty class")
+            if not isinstance(e.rating, RatingBucket):
+                violations.append(f"exposure {e.id!r}: no rating bucket")
+            currencies.add(e.nominal.currency)
+            if e.ead is not None:
+                currencies.add(e.ead.currency)
+            if e.nominal.is_negative:
+                violations.append(f"exposure {e.id!r}: negative amount {e.nominal}")
+            if e.ead is not None and e.ead.is_negative:
+                violations.append(f"exposure {e.id!r}: negative exposure-at-default {e.ead}")
+            if e.counterparty is CounterpartyClass.BANK_SHORT_TERM and not e.short_term:
+                violations.append(
+                    f"exposure {e.id!r}: bank_short_term requires the short-term flag"
+                )
+            if e.pd is not None and not 0 <= e.pd.numerator <= e.pd.denominator:
+                violations.append(f"exposure {e.id!r}: pd {e.pd} outside [0, 1]")
+            if e.lgd is not None and not 0 <= e.lgd.numerator <= e.lgd.denominator:
+                violations.append(f"exposure {e.id!r}: lgd {e.lgd} outside [0, 1]")
+            if e.maturity_years is not None and e.maturity_years.numerator <= 0:
+                violations.append(f"exposure {e.id!r}: maturity must be positive")
+        if len(currencies) > 1:
+            violations.append("mixed currencies: " + ", ".join(sorted(currencies)))
+        if violations:
+            raise ValidationFailure(violations)
         super().__init__(exposures, currency)
 
     def __len__(self) -> int:
@@ -137,7 +175,7 @@ class Portfolio(Record):
 
 
 def validate_portfolio(exposures, currency: str | None = None) -> Portfolio:
-    """Check portfolio-level invariants, reporting every violation at once.
+    """Build a Portfolio, inferring its currency when none is given.
 
     ``currency`` is the book's currency; when omitted it is the first
     exposure's, or the default for an empty book.
@@ -145,40 +183,7 @@ def validate_portfolio(exposures, currency: str | None = None) -> Portfolio:
     items = tuple(exposures)
     if currency is None:
         currency = items[0].nominal.currency if items else Money.zero().currency
-    violations = _collect_violations(items, currency)
-    if violations:
-        raise ValidationFailure(violations)
-    return Portfolio(exposures=items, currency=currency)
-
-
-def _collect_violations(items: tuple[Exposure, ...], currency: str) -> list[str]:
-    violations: list[str] = []
-    seen: set[str] = set()
-    currencies = {currency}
-    for e in items:
-        if e.id in seen:
-            violations.append(f"duplicate id {e.id!r}")
-        seen.add(e.id)
-        currencies.add(e.nominal.currency)
-        if e.ead is not None:
-            currencies.add(e.ead.currency)
-        if e.nominal.is_negative:
-            violations.append(f"exposure {e.id!r}: negative amount {e.nominal}")
-        if e.ead is not None and e.ead.is_negative:
-            violations.append(f"exposure {e.id!r}: negative exposure-at-default {e.ead}")
-        if e.counterparty is CounterpartyClass.BANK_SHORT_TERM and not e.short_term:
-            violations.append(
-                f"exposure {e.id!r}: bank_short_term requires the short-term flag"
-            )
-        if e.pd is not None and not 0 <= e.pd.numerator <= e.pd.denominator:
-            violations.append(f"exposure {e.id!r}: pd {e.pd} outside [0, 1]")
-        if e.lgd is not None and not 0 <= e.lgd.numerator <= e.lgd.denominator:
-            violations.append(f"exposure {e.id!r}: lgd {e.lgd} outside [0, 1]")
-        if e.maturity_years is not None and e.maturity_years.numerator <= 0:
-            violations.append(f"exposure {e.id!r}: maturity must be positive")
-    if len(currencies) > 1:
-        violations.append("mixed currencies: " + ", ".join(sorted(currencies)))
-    return violations
+    return Portfolio(items, currency)
 
 
 class CapitalBase(Record):

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import CurrencyMismatch
 from .record import Record, init_field
@@ -157,28 +156,19 @@ def units_text(units: int, grouping: str = "") -> str:
     return f"{sign}{whole:{grouping}d}.{minor:0{MINOR_UNIT_DIGITS}d}"
 
 
-def units_total(units: Iterable[int], currencies: Iterable[str], currency: str) -> Money:
-    """The exact sum of amounts given as minor units, with their currencies.
-
-    ``currencies`` are the amounts' currencies in order. The total takes the
-    first, or ``currency`` when there is none; an amount in any other
-    currency raises CurrencyMismatch, never has its units relabelled.
-    """
-    first = None
-    for item_currency in currencies:
-        if first is None:
-            first = item_currency
-        elif item_currency != first:
-            raise CurrencyMismatch(f"{first} vs {item_currency}")
-    return Money(sum(units), currency if first is None else first)
-
-
 def sum_money(items, currency: str = DEFAULT_CURRENCY) -> Money:
-    """Exact ordered sum; returns a zero of the given currency when empty."""
+    """Exact ordered sum; returns a zero of the given currency when empty.
+
+    The total takes the first item's currency; an item in any other currency
+    raises CurrencyMismatch, never has its units relabelled.
+    """
     items = tuple(items)
-    return units_total(
-        (item.units for item in items), (item.currency for item in items), currency
-    )
+    if items:
+        currency = items[0].currency
+    for item in items:
+        if item.currency != currency:
+            raise CurrencyMismatch(f"{currency} vs {item.currency}")
+    return Money(sum(item.units for item in items), currency)
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .errors import InvalidWeight, MissingCell, UnknownCategory
 from .model import CounterpartyClass, Exposure, Portfolio, RatingBucket
-from .money import Money, format_percent, units_total
+from .money import Money, format_percent
 from .record import Record
 
 
@@ -197,13 +197,12 @@ def rwa_portfolio(
             "rwa_portfolio prices a Portfolio built by validate_portfolio,"
             f" not a {type(portfolio).__name__}"
         )
-    exposures, currency = portfolio.exposures, portfolio.currency
     index_of: dict[tuple, int] = {}
     keys: list[ResolvedKey] = []
     ids: list[str] = []
     key_index: list[int] = []
     units: list[int] = []
-    for exposure in exposures:
+    for exposure in portfolio.exposures:
         key = (exposure.counterparty, exposure.rating, exposure.off_balance_category)
         index = index_of.get(key)
         if index is None:
@@ -212,6 +211,5 @@ def rwa_portfolio(
         ids.append(exposure.id)
         key_index.append(index)
         units.append(exposure.nominal.scaled(keys[index].product).units)
-    total = units_total(units, (e.nominal.currency for e in exposures), currency)
     columns = StandardizedColumns(tuple(ids), tuple(key_index), tuple(units), tuple(keys))
-    return columns, total
+    return columns, Money(sum(units), portfolio.currency)

@@ -18,11 +18,13 @@ from regcap import (
     OpRiskApproach,
     RatingBucket,
     Regime,
+    ValidationFailure,
     load_income,
     load_portfolio,
     run_compare,
     run_compute,
     run_disclose,
+    validate_portfolio,
 )
 from regcap import engine
 from regcap.engine import resolve_tables
@@ -149,8 +151,8 @@ class TestCompute:
         exposures = (
             Exposure(
                 id="F1",
-                counterparty=None,
-                rating=None,
+                counterparty=CounterpartyClass.CORPORATE,
+                rating=RatingBucket.UNRATED,
                 nominal=eur("1000.00"),
                 pd=Fraction(1, 100),
             ),
@@ -195,8 +197,8 @@ class TestCompute:
         exposures = tuple(
             Exposure(
                 id=f"E{i}",
-                counterparty=None,
-                rating=None,
+                counterparty=CounterpartyClass.CORPORATE,
+                rating=RatingBucket.UNRATED,
                 nominal=eur(f"{1000 + i}.00"),
                 pd=Fraction(1, 100),
             )
@@ -218,16 +220,14 @@ class TestCompute:
         exposures = (
             Exposure(
                 id="A1",
-                counterparty=None,
-                rating=None,
+                counterparty=CounterpartyClass.CORPORATE,
+                rating=RatingBucket.UNRATED,
                 nominal=eur("1000.00"),
                 pd=Fraction(1, 100),
             ),
         )
         portfolio = Portfolio(exposures=exposures, currency="EUR")
         config = EngineConfig(credit_approach=CreditApproach.IRB_ADVANCED)
-        from regcap import ValidationFailure
-
         with pytest.raises(ValidationFailure):
             run_compute(config, portfolio, CapitalBase(eur("100.00")))
 
@@ -268,19 +268,19 @@ class TestCompute:
         assert not result.report.compliant
 
 
-def _book_in(*currencies: str) -> Portfolio:
-    """A library-built EUR book, one exposure per given nominal currency."""
+def _book_in(currency: str, *nominal_currencies: str) -> Portfolio:
+    """A library-built book in ``currency``, one exposure per nominal currency."""
     exposures = tuple(
         Exposure(
             id=f"E{index}",
             counterparty=CounterpartyClass.CORPORATE,
             rating=RatingBucket.UNRATED,
-            nominal=Money(100_00, currency),
+            nominal=Money(100_00, nominal_currency),
             pd=Fraction(1, 100),
         )
-        for index, currency in enumerate(currencies)
+        for index, nominal_currency in enumerate(nominal_currencies)
     )
-    return Portfolio(exposures=exposures, currency="EUR")
+    return Portfolio(exposures=exposures, currency=currency)
 
 
 @pytest.mark.parametrize(
@@ -290,10 +290,11 @@ class TestCurrencyFailsClosed:
     """The credit total is an integer sum; it must never relabel a currency."""
 
     def test_mixed_nominals_raise(self, approach):
-        with pytest.raises(CurrencyMismatch, match=r"^EUR vs USD$"):
+        # The book is refused when it is built, so neither pricer sees it.
+        with pytest.raises(ValidationFailure, match=r"^mixed currencies: EUR, USD$"):
             run_compute(
                 EngineConfig(credit_approach=approach),
-                _book_in("EUR", "USD"),
+                _book_in("EUR", "EUR", "USD"),
                 CapitalBase(eur("100.00")),
             )
 
@@ -301,7 +302,15 @@ class TestCurrencyFailsClosed:
         with pytest.raises(CurrencyMismatch, match=r"^USD vs EUR$"):
             run_compute(
                 EngineConfig(credit_approach=approach),
-                _book_in("USD", "USD"),
+                _book_in("USD", "USD", "USD"),
+                CapitalBase(eur("100.00")),
+            )
+
+    def test_empty_book_in_another_currency_than_the_config_raises(self, approach):
+        with pytest.raises(CurrencyMismatch, match=r"^USD vs EUR$"):
+            run_compute(
+                EngineConfig(credit_approach=approach),
+                _book_in("USD"),
                 CapitalBase(eur("100.00")),
             )
 
@@ -346,6 +355,22 @@ class TestCompare:
         # The reused credit block is what the credit-only leg prices afresh.
         fresh = run_compute(compare.credit_only.config, golden_portfolio, capital)
         assert compare.credit_only == fresh
+
+    @pytest.mark.parametrize(
+        "counterparty,rating", [(None, None), ("corporate", "unrated")]
+    )
+    def test_book_without_class_or_rating_cannot_reach_compare(self, counterparty, rating):
+        # The credit-only leg prices every book standardized, by class and rating.
+        exposure = Exposure("I", counterparty, rating, eur("100.00"), pd=Fraction(1, 100))
+        with pytest.raises(
+            ValidationFailure,
+            match=r"^exposure 'I': no counterparty class; exposure 'I': no rating bucket$",
+        ):
+            run_compare(
+                EngineConfig(credit_approach=CreditApproach.IRB_FOUNDATION),
+                validate_portfolio([exposure]),
+                CapitalBase(eur("100.00")),
+            )
 
     def test_compare_requires_reform_config(self, worked_portfolio):
         with pytest.raises(ConfigError):

@@ -142,7 +142,8 @@ class TestRwaIrb:
             rwa_irb(foundation_params(Fraction(1, 100), eur("0")), "nan_at_zero_ead")
         book = Portfolio(
             exposures=(
-                Exposure(id="Z", counterparty=None, rating=None, nominal=eur("0"),
+                Exposure(id="Z", counterparty=CounterpartyClass.CORPORATE,
+                         rating=RatingBucket.UNRATED, nominal=eur("0"),
                          pd=Fraction(1, 100)),
             ),
             currency="EUR",

@@ -120,6 +120,28 @@ class TestValidatePortfolio:
             validate_portfolio([bad])
         assert len(excinfo.value.violations) == 2
 
+    def test_a_directly_built_portfolio_checks_itself(self):
+        bad = (
+            on_balance("A", nominal="-100.00"),
+            on_balance("A", pd=Fraction(3, 2)),
+            Exposure("B", CounterpartyClass.CORPORATE, RatingBucket.UNRATED,
+                     Money(100_00, "USD")),
+        )
+        with pytest.raises(ValidationFailure) as excinfo:
+            Portfolio(bad, "EUR")
+        assert excinfo.value.violations == [
+            "exposure 'A': negative amount -100.00 EUR",
+            "duplicate id 'A'",
+            "exposure 'A': pd 3/2 outside [0, 1]",
+            "mixed currencies: EUR, USD",
+        ]
+
+    def test_a_list_is_stored_as_a_tuple(self):
+        items = [on_balance("A")]
+        portfolio = Portfolio(items, "EUR")
+        items.append(on_balance("A", nominal="-1.00"))
+        assert portfolio.exposures == (on_balance("A"),)
+
     def test_preserves_order_and_currency(self):
         portfolio = validate_portfolio([on_balance("A"), on_balance("B")])
         assert isinstance(portfolio, Portfolio)

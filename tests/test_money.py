@@ -114,6 +114,11 @@ class TestSumMoney:
     def test_ordered_exact_sum(self):
         assert sum_money([eur("0.01")] * 3) == eur("0.03")
 
+    def test_takes_the_first_currency_and_never_relabels(self):
+        assert sum_money([Money(1, "USD")], currency="EUR") == Money(1, "USD")
+        with pytest.raises(CurrencyMismatch, match=r"^EUR vs USD$"):
+            sum_money([eur("0.01"), Money(1, "USD")])
+
 
 class TestFractionHelpers:
     def test_parse_fraction_decimal(self):
