@@ -20,6 +20,7 @@ import hashlib
 import io
 import re
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 from .config import _parse_bool
@@ -266,26 +267,34 @@ def _read_header(
 
 
 def _csv_records(path: Path, required: tuple[str, ...], optional: tuple[str, ...]):
-    """Yield (line number, {column: cell}) for each non-blank data row.
+    """Yield (line number, cells) for each non-blank data row.
 
-    The line number is the physical line on which the row ends, so a quoted
-    cell spanning lines keeps its line breaks and shifts no later citation.
-    The header is checked by ``_read_header`` and every data row must have
-    one cell per column. A row the csv module cannot read (an oversized
-    cell, say) is a ParseError citing its line.
+    ``cells`` is a tuple of one string per column of ``required + optional``,
+    in that order whatever the header's order: each column's index is looked
+    up once, from the header, and a known column the header leaves out
+    points at one empty cell appended to every row. The line number is the
+    physical line on which the row ends, so a quoted cell spanning lines
+    keeps its line breaks and shifts no later citation. The header is
+    checked by ``_read_header`` and every data row must have one cell per
+    column. A row the csv module cannot read (an oversized cell, say) is a
+    ParseError citing its line.
     """
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
         names = _read_header(reader, path, required, optional)
+        width = len(names)
+        index = {name: position for position, name in enumerate(names)}
+        pick = itemgetter(*(index.get(name, width) for name in required + optional))
         for row in reader:
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
-            if len(row) != len(names):
+            if len(row) != width:
                 raise ParseError(
-                    f"expected {len(names)} fields, got {len(row)} in {path}",
+                    f"expected {width} fields, got {len(row)} in {path}",
                     line=reader.line_num,
                 )
-            yield reader.line_num, dict(zip(names, row))
+            row.append("")
+            yield reader.line_num, pick(row)
     except csv.Error as exc:
         raise ParseError(f"{exc} in {path}", line=reader.line_num) from exc
 
@@ -299,16 +308,41 @@ def _parse_money_cell(
         raise _cell_error(path, line, column, exc) from exc
 
 
+def _optional_money(
+    token: str, currency: str, path: Path, line: int, column: str
+) -> Money | None:
+    token = token.strip()
+    return _parse_money_cell(token, currency, path, line, column) if token else None
+
+
+def _optional_fraction(
+    token: str, fractions: dict[str, Fraction], path: Path, line: int, column: str
+) -> Fraction | None:
+    """A cell's value, shared with every equal token already parsed in the file."""
+    token = token.strip()
+    if not token:
+        return None
+    value = fractions.get(token)
+    if value is None:
+        value = fractions[token] = _parse_fraction_cell(token, path, line, column)
+    return value
+
+
 def _parse_exposure(
-    record: dict[str, str],
+    cells: tuple[str, ...],
     path: Path,
     line: int,
     currency: str,
     fractions: dict[str, Fraction],
 ) -> Exposure:
-    """One portfolio row; ``fractions`` maps each token already parsed in
-    this file to its value, so repeated pd, lgd and maturity cells share one."""
-    exposure_id = record.get("id", "").strip()
+    """One portfolio row, its cells in ``PORTFOLIO_REQUIRED + PORTFOLIO_OPTIONAL``
+    order; ``fractions`` maps each token already parsed in this file to its
+    value, so repeated pd, lgd and maturity cells share one."""
+    (
+        exposure_id, class_key, rating_token, nominal_token, position,
+        category, flag_token, pd_token, lgd_token, ead_token, maturity_token,
+    ) = cells
+    exposure_id = exposure_id.strip()
     if not exposure_id:
         raise ParseError(f"empty id in {path}", line=line, column="id")
     if _CONTROL_CHARACTER.search(exposure_id):
@@ -316,26 +350,24 @@ def _parse_exposure(
             path, line, "id", f"id {exposure_id!r} contains a control character"
         )
 
-    class_key = record.get("class", "").strip().lower()
+    class_key = class_key.strip().lower()
     counterparty = _CLASS_BY_KEY.get(class_key)
     if counterparty is None:
         raise _cell_error(path, line, "class", f"unknown counterparty class {class_key!r}")
 
     try:
-        rating = parse_rating(record.get("rating", ""))
+        rating = parse_rating(rating_token)
     except RegcapError as exc:
         raise _cell_error(path, line, "rating", exc) from exc
 
-    nominal = _parse_money_cell(
-        record.get("nominal", "").strip(), currency, path, line, "nominal"
-    )
+    nominal = _parse_money_cell(nominal_token.strip(), currency, path, line, "nominal")
 
-    position = record.get("position", "").strip().lower()
+    position = position.strip().lower()
     if position not in ("on", "off"):
         raise _cell_error(
             path, line, "position", f"position must be 'on' or 'off', got {position!r}"
         )
-    category = record.get("off_balance_category", "").strip() or None
+    category = category.strip() or None
     if position == "off" and category is None:
         raise _cell_error(
             path, line, "off_balance_category",
@@ -347,35 +379,23 @@ def _parse_exposure(
             "on-balance position must leave the category empty",
         )
 
-    flag_token = record.get("short_term_flag", "").strip().lower()
+    flag_token = flag_token.strip().lower()
     try:
         short_term = _parse_bool(flag_token) if flag_token else False
     except ValueError as exc:
         raise _cell_error(path, line, "short_term_flag", exc) from exc
 
-    def optional_fraction(column: str) -> Fraction | None:
-        token = record.get(column, "").strip()
-        if not token:
-            return None
-        value = fractions.get(token)
-        if value is None:
-            value = fractions[token] = _parse_fraction_cell(token, path, line, column)
-        return value
-
-    ead_token = record.get("ead", "").strip()
     return Exposure(
-        id=exposure_id,
-        counterparty=counterparty,
-        rating=rating,
-        nominal=nominal,
-        off_balance_category=category,
-        short_term=short_term,
-        pd=optional_fraction("pd"),
-        lgd=optional_fraction("lgd"),
-        ead=_parse_money_cell(ead_token, currency, path, line, "ead")
-        if ead_token
-        else None,
-        maturity_years=optional_fraction("maturity"),
+        exposure_id,
+        counterparty,
+        rating,
+        nominal,
+        category,
+        short_term,
+        _optional_fraction(pd_token, fractions, path, line, "pd"),
+        _optional_fraction(lgd_token, fractions, path, line, "lgd"),
+        _optional_money(ead_token, currency, path, line, "ead"),
+        _optional_fraction(maturity_token, fractions, path, line, "maturity"),
     )
 
 
@@ -385,8 +405,8 @@ def load_portfolio(path: str | Path, currency: str = DEFAULT_CURRENCY) -> Portfo
     records = _csv_records(path, PORTFOLIO_REQUIRED, PORTFOLIO_OPTIONAL)
     fractions: dict[str, Fraction] = {}
     exposures = [
-        _parse_exposure(record, path, number, currency, fractions)
-        for number, record in records
+        _parse_exposure(cells, path, number, currency, fractions)
+        for number, cells in records
     ]
     return validate_portfolio(exposures, currency)
 
@@ -405,43 +425,28 @@ INCOME_OPTIONAL = (
 TOTAL_LINE = "TOTAL"
 
 
-def _parse_income_record(
-    record: dict[str, str], currency: str, path: Path, line: int
-) -> GrossIncomeRecord:
-    amount = _parse_money_cell(
-        record.get("amount", "").strip(), currency, path, line, "amount"
-    )
-
-    def optional_money(column: str) -> Money | None:
-        token = record.get(column, "").strip()
-        return (
-            _parse_money_cell(token, currency, path, line, column) if token else None
-        )
-
-    return GrossIncomeRecord(
-        amount=amount,
-        provisions=optional_money("provisions"),
-        banking_book_results=optional_money("banking_book_results"),
-        extraordinary_items=optional_money("extraordinary_items"),
-        insurance_income=optional_money("insurance_income"),
-    )
-
-
 def load_income(path: str | Path, currency: str = DEFAULT_CURRENCY) -> IncomeHistory:
     """Read a three-year income statement file into an IncomeHistory."""
     path = Path(path)
     totals: dict[int, GrossIncomeRecord] = {}
     per_line: dict[int, dict[BusinessLine, GrossIncomeRecord]] = {}
-    for number, record in _csv_records(path, INCOME_REQUIRED, INCOME_OPTIONAL):
-        year_token = record.get("year", "").strip()
+    records = _csv_records(path, INCOME_REQUIRED, INCOME_OPTIONAL)
+    for number, (year_token, line_token, amount_token, *excluded) in records:
+        year_token = year_token.strip()
         try:
             year = int(year_token)
         except ValueError:
             raise _cell_error(
                 path, number, "year", f"not a year: {year_token!r}"
             ) from None
-        income = _parse_income_record(record, currency, path, number)
-        line_token = record.get("line", "").strip()
+        income = GrossIncomeRecord(
+            _parse_money_cell(amount_token.strip(), currency, path, number, "amount"),
+            *(
+                _optional_money(token, currency, path, number, column)
+                for column, token in zip(INCOME_OPTIONAL, excluded)
+            ),
+        )
+        line_token = line_token.strip()
         if line_token.upper() == TOTAL_LINE:
             if year in totals:
                 raise ParseError(

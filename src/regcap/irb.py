@@ -48,10 +48,18 @@ class IrbParams(Record):
             raise OutOfRange(f"ead {ead} is negative")
         if maturity_years.numerator <= 0:
             raise OutOfRange(f"maturity {maturity_years} must be positive")
-        init_field(self, "pd", pd)
-        init_field(self, "lgd", lgd)
-        init_field(self, "ead", ead)
-        init_field(self, "maturity_years", maturity_years)
+        _set_components(self, pd, lgd, ead, maturity_years)
+
+
+def _set_components(
+    params: IrbParams, pd: Fraction, lgd: Fraction, ead: Money, maturity_years: Fraction
+) -> IrbParams:
+    """Fill in the four fields of ``params`` without checking them."""
+    init_field(params, "pd", pd)
+    init_field(params, "lgd", lgd)
+    init_field(params, "ead", ead)
+    init_field(params, "maturity_years", maturity_years)
+    return params
 
 
 RiskWeightFunction = Callable[[IrbParams], Fraction]
@@ -68,30 +76,28 @@ def foundation_params(pd: Fraction, nominal: Money) -> IrbParams:
 
 
 def params_for_exposure(exposure: Exposure, approach: CreditApproach) -> IrbParams:
-    """Source the risk components for one exposure under an IRB approach."""
-    if exposure.pd is None:
+    """Source the risk components for one exposure under an IRB approach.
+
+    ``exposure`` belongs to a built Portfolio, whose constructor has already
+    range-checked every component, so IrbParams is filled in without its
+    public constructor's second check.
+    """
+    pd = exposure.pd
+    if pd is None:
         raise ValidationFailure([f"exposure {exposure.id!r}: pd required for irb"])
     if approach is CreditApproach.IRB_FOUNDATION:
-        return foundation_params(exposure.pd, exposure.nominal)
-    missing = [
-        name
-        for name, value in (
-            ("lgd", exposure.lgd),
-            ("ead", exposure.ead),
-            ("maturity", exposure.maturity_years),
+        return _set_components(
+            object.__new__(IrbParams), pd, FOUNDATION_LGD, exposure.nominal,
+            FOUNDATION_MATURITY_YEARS,
         )
-        if value is None
-    ]
-    if missing:
-        raise ValidationFailure(
-            [f"exposure {exposure.id!r}: {m} required for advanced irb" for m in missing]
-        )
-    return IrbParams(
-        pd=exposure.pd,
-        lgd=exposure.lgd,
-        ead=exposure.ead,
-        maturity_years=exposure.maturity_years,
-    )
+    lgd, ead, maturity_years = exposure.lgd, exposure.ead, exposure.maturity_years
+    if lgd is None or ead is None or maturity_years is None:
+        raise ValidationFailure([
+            f"exposure {exposure.id!r}: {name} required for advanced irb"
+            for name, value in (("lgd", lgd), ("ead", ead), ("maturity", maturity_years))
+            if value is None
+        ])
+    return _set_components(object.__new__(IrbParams), pd, lgd, ead, maturity_years)
 
 
 def _coerce_weight(value) -> Fraction:
@@ -111,7 +117,7 @@ def _coerce_weight(value) -> Fraction:
 def evaluate_weight(fn: RiskWeightFunction, params: IrbParams) -> Fraction:
     """Call a risk-weight function and vet the result (finite, >= 0)."""
     weight = _coerce_weight(fn(params))
-    if weight < 0:
+    if weight.numerator < 0:
         raise NonFiniteWeight(f"risk-weight function returned negative weight {weight}")
     return weight
 

@@ -10,11 +10,14 @@ import enum
 from fractions import Fraction
 
 from .errors import UnknownRating, ValidationFailure
-from .money import Money
+from .money import DEFAULT_CURRENCY, Money
 from .record import Record, init_field
 
 # Regulatory minimum ratio of own funds to the risk denominator (8%).
 MINIMUM_CAPITAL_RATIO = Fraction(8, 100)
+
+# The types a pd, lgd or maturity may have: exact rationals, ints included.
+_RATIONAL = (Fraction, int)
 
 
 class CounterpartyClass(enum.Enum):
@@ -125,8 +128,9 @@ class Portfolio(Record):
     """A book of exposures in one currency, checked when it is built.
 
     A book that breaks an invariant (unique ids, enum class and rating,
-    amounts and ranges, every amount in ``currency``) raises one
-    ValidationFailure listing every violation.
+    ``Money`` amounts, rational pd, lgd and maturity, amounts and ranges,
+    every amount in ``currency``) raises one ValidationFailure listing
+    every violation.
     """
 
     __slots__ = ("exposures", "currency")
@@ -144,23 +148,42 @@ class Portfolio(Record):
                 violations.append(f"exposure {e.id!r}: no counterparty class")
             if not isinstance(e.rating, RatingBucket):
                 violations.append(f"exposure {e.id!r}: no rating bucket")
-            currencies.add(e.nominal.currency)
+            if not isinstance(e.nominal, Money):
+                violations.append(f"exposure {e.id!r}: nominal {e.nominal!r} is not Money")
+            else:
+                currencies.add(e.nominal.currency)
+                if e.nominal.is_negative:
+                    violations.append(f"exposure {e.id!r}: negative amount {e.nominal}")
             if e.ead is not None:
-                currencies.add(e.ead.currency)
-            if e.nominal.is_negative:
-                violations.append(f"exposure {e.id!r}: negative amount {e.nominal}")
-            if e.ead is not None and e.ead.is_negative:
-                violations.append(f"exposure {e.id!r}: negative exposure-at-default {e.ead}")
+                if not isinstance(e.ead, Money):
+                    violations.append(f"exposure {e.id!r}: ead {e.ead!r} is not Money")
+                else:
+                    currencies.add(e.ead.currency)
+                    if e.ead.is_negative:
+                        violations.append(
+                            f"exposure {e.id!r}: negative exposure-at-default {e.ead}"
+                        )
             if e.counterparty is CounterpartyClass.BANK_SHORT_TERM and not e.short_term:
                 violations.append(
                     f"exposure {e.id!r}: bank_short_term requires the short-term flag"
                 )
-            if e.pd is not None and not 0 <= e.pd.numerator <= e.pd.denominator:
-                violations.append(f"exposure {e.id!r}: pd {e.pd} outside [0, 1]")
-            if e.lgd is not None and not 0 <= e.lgd.numerator <= e.lgd.denominator:
-                violations.append(f"exposure {e.id!r}: lgd {e.lgd} outside [0, 1]")
-            if e.maturity_years is not None and e.maturity_years.numerator <= 0:
-                violations.append(f"exposure {e.id!r}: maturity must be positive")
+            if e.pd is not None:
+                if not isinstance(e.pd, _RATIONAL):
+                    violations.append(f"exposure {e.id!r}: pd {e.pd!r} is not a Fraction")
+                elif not 0 <= e.pd.numerator <= e.pd.denominator:
+                    violations.append(f"exposure {e.id!r}: pd {e.pd} outside [0, 1]")
+            if e.lgd is not None:
+                if not isinstance(e.lgd, _RATIONAL):
+                    violations.append(f"exposure {e.id!r}: lgd {e.lgd!r} is not a Fraction")
+                elif not 0 <= e.lgd.numerator <= e.lgd.denominator:
+                    violations.append(f"exposure {e.id!r}: lgd {e.lgd} outside [0, 1]")
+            if e.maturity_years is not None:
+                if not isinstance(e.maturity_years, _RATIONAL):
+                    violations.append(
+                        f"exposure {e.id!r}: maturity {e.maturity_years!r} is not a Fraction"
+                    )
+                elif e.maturity_years.numerator <= 0:
+                    violations.append(f"exposure {e.id!r}: maturity must be positive")
         if len(currencies) > 1:
             violations.append("mixed currencies: " + ", ".join(sorted(currencies)))
         if violations:
@@ -182,7 +205,8 @@ def validate_portfolio(exposures, currency: str | None = None) -> Portfolio:
     """
     items = tuple(exposures)
     if currency is None:
-        currency = items[0].nominal.currency if items else Money.zero().currency
+        first = items[0].nominal if items else None
+        currency = first.currency if isinstance(first, Money) else DEFAULT_CURRENCY
     return Portfolio(items, currency)
 
 

@@ -347,38 +347,58 @@ def _encode(value, indent: str) -> str:
     if value is None or value is True or value is False:
         return _LITERALS[value]
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        parts = ["{"]
-        separator = "\n"
-        for key in sorted(value):
-            member = value[key]
-            head = f"{separator}{inner}{encode_basestring_ascii(key)}: "
-            # Scalars are written in place, without a call: a report line
-            # dict holds little else. A container's text is never copied.
-            if isinstance(member, str):
-                parts.append(head + encode_basestring_ascii(member))
-            elif member is None or member is True or member is False:
-                parts.append(head + _LITERALS[member])
-            else:
-                parts += (head, _encode(member, inner))
-            separator = ",\n"
-        parts.append(f"\n{indent}}}")
-        return "".join(parts)
+        return _encode_dict(value, indent, None)[0]
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = indent + "  "
         parts = ["["]
         separator = "\n"
+        layout = None
         for member in value:
             parts.append(f"{separator}{inner}")
-            parts.append(_encode(member, inner))
+            if isinstance(member, dict):
+                text, layout = _encode_dict(member, inner, layout)
+                parts.append(text)
+            else:
+                parts.append(_encode(member, inner))
             separator = ",\n"
         parts.append(f"\n{indent}]")
         return "".join(parts)
     return json.dumps(value)
+
+
+def _encode_dict(value: dict, indent: str, layout):
+    """A dict's text, and the layout it was written with.
+
+    A layout is the dict's keys in insertion order, then each key in sorted
+    order with the text that goes before its value. ``layout`` is the one a
+    previous dict of the same list used; it is reused when this dict has the
+    same keys in the same insertion order, so the dicts of a list of report
+    lines sort their keys and escape them once.
+    """
+    if not value:
+        return "{}", layout
+    order = tuple(value)
+    if layout is None or layout[0] != order:
+        keys = sorted(order)
+        inner = indent + "  "
+        heads = [f",\n{inner}{encode_basestring_ascii(key)}: " for key in keys]
+        heads[0] = heads[0][1:]  # no comma before the first member
+        layout = order, tuple(zip(keys, heads))
+    parts = ["{"]
+    for key, head in layout[1]:
+        member = value[key]
+        # Scalars are written in place, without a call: a report line
+        # dict holds little else. A container's text is never copied.
+        if isinstance(member, str):
+            parts.append(head + encode_basestring_ascii(member))
+        elif member is None or member is True or member is False:
+            parts.append(head + _LITERALS[member])
+        else:
+            parts += (head, _encode(member, indent + "  "))
+    parts.append(f"\n{indent}}}")
+    return "".join(parts), layout
 
 
 def render_json(document: dict) -> str:

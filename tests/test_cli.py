@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -495,3 +496,98 @@ class TestTotality:
             assert err.getvalue() == ""
         if status == 1:
             assert "NON-COMPLIANT" in out.getvalue()
+
+
+IRB_SMALL = (DATA_DIR / "irb_small.csv").read_text(encoding="utf-8").splitlines()
+IRB_COLUMNS = IRB_SMALL[0].split(",")
+IRB_IDS = [line.split(",")[0] for line in IRB_SMALL[1:]]
+COMMAND_FLAGS = {
+    "compute": ["--capital", "1000000.00"],
+    "compare": ["--capital", "1000000.00"],
+    "disclose": ["--capital", "1000000.00", "--period", "2006-H1"],
+    "validate": [],
+}
+
+# Decimal texts of a positive amount, with up to four places.
+_positive = st.integers(1, 10**8).map(lambda n: str(Decimal(n).scaleb(-4)))
+# Above one, as a decimal or as a percent above 100%.
+_above_one = st.one_of(
+    st.integers(10**4 + 1, 10**8).map(lambda n: str(Decimal(n).scaleb(-4))),
+    st.integers(10**4 + 1, 10**8).map(lambda n: f"{Decimal(n).scaleb(-2)}%"),
+)
+_negative = st.one_of(
+    _positive.map(lambda text: f"-{text}"), _positive.map(lambda text: f"-{text}%")
+)
+OUT_OF_RANGE = st.one_of(
+    st.tuples(st.sampled_from(["pd", "lgd"]), st.one_of(_above_one, _negative)),
+    st.tuples(
+        st.just("ead"),
+        st.integers(1, 10**10).map(lambda n: f"-{Decimal(n).scaleb(-2)}"),
+    ),
+    st.tuples(
+        st.just("maturity"),
+        st.one_of(st.sampled_from(["0", "0.0", "-0", "0%"]), _negative),
+    ),
+)
+
+
+def _irb_book(row: int, column: str, token: str) -> str:
+    """irb_small.csv with one cell of one data row replaced."""
+    lines = list(IRB_SMALL)
+    cells = lines[1 + row].split(",")
+    cells[IRB_COLUMNS.index(column)] = token
+    lines[1 + row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def _run_irb(command: str, book) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main([
+            command, "--credit-approach", "irb_advanced", "--portfolio", str(book),
+            *COMMAND_FLAGS[command],
+        ])
+    return status, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def irb_book_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("irb") / "book.csv"
+
+
+class TestIrbComponentRange:
+    """Every subcommand refuses an out-of-range IRB component and prices its
+    boundary values; the component is range-checked once, when the book is
+    built."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        command=st.sampled_from(sorted(COMMAND_FLAGS)),
+        row=st.integers(0, len(IRB_IDS) - 1),
+        cell=OUT_OF_RANGE,
+    )
+    def test_an_out_of_range_component_exits_two_naming_the_exposure(
+        self, irb_book_path, command, row, cell
+    ):
+        column, token = cell
+        irb_book_path.write_text(_irb_book(row, column, token), encoding="utf-8")
+        status, out, err = _run_irb(command, irb_book_path)
+        assert status == 2
+        assert out == ""
+        assert err.startswith(f"error [core model]: exposure {IRB_IDS[row]!r}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    @pytest.mark.parametrize(
+        "column, token",
+        [("pd", "0"), ("pd", "1"), ("pd", "100%"), ("lgd", "1"), ("ead", "0"),
+         ("maturity", "0.1")],
+    )
+    def test_boundary_components_price(self, tmp_path, command, column, token):
+        for row in range(len(IRB_IDS)):
+            book = tmp_path / f"book-{row}.csv"
+            book.write_text(_irb_book(row, column, token), encoding="utf-8")
+            status, out, err = _run_irb(command, book)
+            assert status in (0, 1), err
+            assert err == ""
+            assert out

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regcap import (
     CounterpartyClass,
@@ -13,6 +14,7 @@ from regcap import (
     DEFAULT_RISK_WEIGHTS,
     ParseError,
     RatingBucket,
+    RegcapError,
     ValidationFailure,
     load_betas,
     load_ccf,
@@ -21,6 +23,7 @@ from regcap import (
     load_risk_weights,
 )
 from regcap.fileio import (
+    INCOME_OPTIONAL,
     PORTFOLIO_OPTIONAL,
     PORTFOLIO_REQUIRED,
     dump_betas,
@@ -30,6 +33,73 @@ from regcap.fileio import (
 from regcap.oprisk import BusinessLine
 
 from conftest import DATA_DIR, eur
+
+
+def _rows(name: str) -> list[list[str]]:
+    """A fixture CSV as cells; the fixtures quote no cell."""
+    text = (DATA_DIR / name).read_text(encoding="utf-8")
+    return [line.split(",") for line in text.splitlines()]
+
+
+def _write_columns(path, rows: list[list[str]], columns: list[str]) -> None:
+    """Write ``rows`` (header first) with only ``columns``, in that order."""
+    header = rows[0]
+    picked = [header.index(column) for column in columns]
+    path.write_text(
+        "".join(",".join(row[i] for i in picked) + "\n" for row in rows),
+        encoding="utf-8",
+    )
+
+
+def _outcome(load, path):
+    """What loading ``path`` gives: the value, or the error's text, line and column."""
+    try:
+        return load(path)
+    except RegcapError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+# A cell that breaks its column, or that is blank where a value may be needed.
+BAD_CELLS = st.sampled_from(["??", "", "-1", "1e5000", "true"])
+
+
+def _column_order_cases(rows: list[list[str]], optional: tuple[str, ...]):
+    """A permuted header leaving out some optional columns, and maybe one
+    replaced data cell."""
+    header = rows[0]
+    return st.tuples(
+        st.permutations(header),
+        st.sets(st.sampled_from(optional)),
+        st.none() | st.tuples(
+            st.integers(1, len(rows) - 1), st.sampled_from(header), BAD_CELLS
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def order_dir(tmp_path_factory):
+    """Where the column-order property rewrites its file, example by example."""
+    return tmp_path_factory.mktemp("order")
+
+
+def _check_column_order(load, path, rows, case) -> None:
+    """The permuted file loads as the canonical file with the left-out
+    columns blanked, error text, line and column included."""
+    order, omitted, bad = case
+    header = rows[0]
+    rows = [list(row) for row in rows]
+    for row in rows[1:]:
+        for column in omitted:
+            row[header.index(column)] = ""
+    if bad is not None:
+        number, column, token = bad
+        if column in omitted:
+            omitted = omitted - {column}
+        rows[number][header.index(column)] = token
+    _write_columns(path, rows, header)
+    canonical = _outcome(load, path)
+    _write_columns(path, rows, [column for column in order if column not in omitted])
+    assert _outcome(load, path) == canonical
 
 
 class TestTableRoundTrips:
@@ -300,6 +370,13 @@ class TestPortfolioCsv:
         assert first.lgd is second.lgd
         assert first.maturity_years is second.maturity_years
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=_column_order_cases(_rows("irb_small.csv"), PORTFOLIO_OPTIONAL))
+    def test_columns_are_read_by_header_name(self, order_dir, case):
+        _check_column_order(
+            load_portfolio, order_dir / "p.csv", _rows("irb_small.csv"), case
+        )
+
     def test_blank_rows_skipped(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text(
@@ -309,6 +386,13 @@ class TestPortfolioCsv:
 
 
 class TestIncomeCsv:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_column_order_cases(_rows("income_3yr.csv"), INCOME_OPTIONAL))
+    def test_columns_are_read_by_header_name(self, order_dir, case):
+        _check_column_order(
+            load_income, order_dir / "income.csv", _rows("income_3yr.csv"), case
+        )
+
     def test_golden_income_loads(self):
         history = load_income(DATA_DIR / "income_3yr.csv")
         assert history.span() == "2004-2006"

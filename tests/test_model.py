@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,30 @@ class TestValidatePortfolio:
             "exposure 'A': pd 3/2 outside [0, 1]",
             "mixed currencies: EUR, USD",
         ]
+
+    def test_a_field_of_another_type_is_a_violation(self):
+        bad = (
+            on_balance("F", pd=0.5),
+            Exposure("I", CounterpartyClass.CORPORATE, RatingBucket.UNRATED, 100),
+            on_balance("E", ead=100.0, lgd=Decimal("0.5"), maturity_years="3"),
+        )
+        expected = [
+            "exposure 'F': pd 0.5 is not a Fraction",
+            "exposure 'I': nominal 100 is not Money",
+            "exposure 'E': ead 100.0 is not Money",
+            "exposure 'E': lgd Decimal('0.5') is not a Fraction",
+            "exposure 'E': maturity '3' is not a Fraction",
+        ]
+        with pytest.raises(ValidationFailure) as excinfo:
+            Portfolio(bad, "EUR")
+        assert excinfo.value.violations == expected
+        with pytest.raises(ValidationFailure) as excinfo:
+            validate_portfolio(bad[1:])
+        assert excinfo.value.violations == expected[1:]
+
+    def test_int_components_are_accepted(self):
+        exposure = on_balance("A", pd=0, lgd=1, ead=eur("1.00"), maturity_years=3)
+        assert Portfolio([exposure], "EUR").exposures == (exposure,)
 
     def test_a_list_is_stored_as_a_tuple(self):
         items = [on_balance("A")]

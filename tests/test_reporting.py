@@ -336,11 +336,19 @@ json_text = st.text(st.one_of(st.sampled_from(ESCAPED), st.characters()), max_si
 json_scalars = st.one_of(
     json_text, st.booleans(), st.none(), st.integers(-(10**20), 10**20)
 )
+# Keys of the dicts in a list come from a small alphabet, so that
+# neighbouring dicts often have the same keys, in the same or another
+# insertion order, or overlapping key sets; empty dicts, scalars and nested
+# lists of dicts come between them.
+LINE_KEYS = st.sampled_from(["a", "b", "c", "\u00e9"])
 json_documents = st.recursive(
     json_scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.dictionaries(json_text, children, max_size=4),
+        st.lists(
+            st.dictionaries(LINE_KEYS, children, max_size=4) | children, max_size=6
+        ),
     ),
     max_leaves=30,
 )
