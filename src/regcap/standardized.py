@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InvalidWeight, MissingCell, UnknownCategory
-from .model import CounterpartyClass, Exposure, Portfolio, RatingBucket
-from .money import Money, format_percent
+from .model import CounterpartyClass, Portfolio, RatingBucket
+from .money import Money, format_percent, scaled_units
 from .record import Record
 
 
@@ -157,23 +157,24 @@ class StandardizedColumns(Record):
 
 
 def _resolve(
-    exposure: Exposure,
+    exposure_id: str,
+    key: tuple[CounterpartyClass, RatingBucket, str | None],
     table: RiskWeightTable,
     ccf: CcfTable,
     policy: BankOptionPolicy,
 ) -> ResolvedKey:
-    """The CCF, the weight, their exact product and texts for one exposure's key."""
-    category = exposure.off_balance_category
+    """The CCF, the weight, their exact product and texts for one line's key."""
+    counterparty, rating, category = key
     factor = Fraction(1) if category is None else ccf.factors.get(category)
     if factor is None:
         raise UnknownCategory(
-            f"exposure {exposure.id!r}: unknown off-balance category {category!r}"
+            f"exposure {exposure_id!r}: unknown off-balance category {category!r}"
         )
-    cell = table.cells.get((exposure.counterparty, exposure.rating))
+    cell = table.cells.get((counterparty, rating))
     if cell is None:
         raise MissingCell(
-            f"exposure {exposure.id!r}: no weight for"
-            f" ({exposure.counterparty.key}, {exposure.rating.key})"
+            f"exposure {exposure_id!r}: no weight for"
+            f" ({counterparty.key}, {rating.key})"
         )
     weight = cell.resolve(policy)
     return ResolvedKey(
@@ -199,17 +200,19 @@ def rwa_portfolio(
         )
     index_of: dict[tuple, int] = {}
     keys: list[ResolvedKey] = []
-    ids: list[str] = []
     key_index: list[int] = []
     units: list[int] = []
-    for exposure in portfolio.exposures:
-        key = (exposure.counterparty, exposure.rating, exposure.off_balance_category)
+    lines = zip(
+        zip(portfolio.counterparties, portfolio.ratings, portfolio.categories),
+        portfolio.nominal_units,
+    )
+    for key, nominal in lines:
         index = index_of.get(key)
         if index is None:
             index = index_of[key] = len(keys)
-            keys.append(_resolve(exposure, table, ccf, policy))
-        ids.append(exposure.id)
+            exposure_id = portfolio.ids[len(key_index)]  # this line's
+            keys.append(_resolve(exposure_id, key, table, ccf, policy))
         key_index.append(index)
-        units.append(exposure.nominal.scaled(keys[index].product).units)
-    columns = StandardizedColumns(tuple(ids), tuple(key_index), tuple(units), tuple(keys))
+        units.append(scaled_units(nominal, keys[index].product))
+    columns = StandardizedColumns(portfolio.ids, tuple(key_index), tuple(units), tuple(keys))
     return columns, Money(sum(units), portfolio.currency)

@@ -157,7 +157,7 @@ class TestCompute:
                 pd=Fraction(1, 100),
             ),
         )
-        portfolio = Portfolio(exposures=exposures, currency="EUR")
+        portfolio = validate_portfolio(exposures, "EUR")
         seen = []
 
         def recording(*args):
@@ -204,7 +204,7 @@ class TestCompute:
             )
             for i in range(10)
         )
-        portfolio = Portfolio(exposures=exposures, currency="EUR")
+        portfolio = validate_portfolio(exposures, "EUR")
         config = EngineConfig(
             credit_approach=CreditApproach.IRB_FOUNDATION, irb_function="counting"
         )
@@ -226,7 +226,7 @@ class TestCompute:
                 pd=Fraction(1, 100),
             ),
         )
-        portfolio = Portfolio(exposures=exposures, currency="EUR")
+        portfolio = validate_portfolio(exposures, "EUR")
         config = EngineConfig(credit_approach=CreditApproach.IRB_ADVANCED)
         with pytest.raises(ValidationFailure):
             run_compute(config, portfolio, CapitalBase(eur("100.00")))
@@ -280,7 +280,7 @@ def _book_in(currency: str, *nominal_currencies: str) -> Portfolio:
         )
         for index, nominal_currency in enumerate(nominal_currencies)
     )
-    return Portfolio(exposures=exposures, currency=currency)
+    return validate_portfolio(exposures, currency)
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ from regcap.irb import (
     params_for_exposure,
     risk_weight_function,
 )
-from regcap.model import Portfolio
+from regcap.model import validate_portfolio
 
 from conftest import eur, run_python
 
@@ -91,7 +91,9 @@ class TestParamsForExposure:
 
     def test_foundation_keeps_only_the_bank_pd(self):
         exposure = self.exposure(pd=Fraction(1, 100), lgd=Fraction(1, 5))
-        params = params_for_exposure(exposure, CreditApproach.IRB_FOUNDATION)
+        params = params_for_exposure(
+            validate_portfolio([exposure]), 0, CreditApproach.IRB_FOUNDATION
+        )
         assert params == foundation_params(Fraction(1, 100), eur("1000.00"))
 
     def test_advanced_takes_all_four_components(self):
@@ -99,17 +101,23 @@ class TestParamsForExposure:
             pd=Fraction(1, 100), lgd=Fraction(1, 5), ead=eur("900.00"),
             maturity_years=Fraction(5, 2),
         )
-        params = params_for_exposure(exposure, CreditApproach.IRB_ADVANCED)
+        params = params_for_exposure(
+            validate_portfolio([exposure]), 0, CreditApproach.IRB_ADVANCED
+        )
         assert params == IrbParams(
             Fraction(1, 100), Fraction(1, 5), eur("900.00"), Fraction(5, 2)
         )
 
     def test_missing_components_are_all_named(self):
         with pytest.raises(ValidationFailure, match="pd required"):
-            params_for_exposure(self.exposure(), CreditApproach.IRB_FOUNDATION)
+            params_for_exposure(
+                validate_portfolio([self.exposure()]), 0, CreditApproach.IRB_FOUNDATION
+            )
         exposure = self.exposure(pd=Fraction(1, 100))
         with pytest.raises(ValidationFailure) as excinfo:
-            params_for_exposure(exposure, CreditApproach.IRB_ADVANCED)
+            params_for_exposure(
+                validate_portfolio([exposure]), 0, CreditApproach.IRB_ADVANCED
+            )
         assert len(excinfo.value.violations) == 3
 
 
@@ -140,13 +148,13 @@ class TestRwaIrb:
         register_risk_weight_function("nan_at_zero_ead", nan_at_zero_ead)
         with pytest.raises(NonFiniteWeight):
             rwa_irb(foundation_params(Fraction(1, 100), eur("0")), "nan_at_zero_ead")
-        book = Portfolio(
-            exposures=(
+        book = validate_portfolio(
+            (
                 Exposure(id="Z", counterparty=CounterpartyClass.CORPORATE,
                          rating=RatingBucket.UNRATED, nominal=eur("0"),
                          pd=Fraction(1, 100)),
             ),
-            currency="EUR",
+            "EUR",
         )
         config = EngineConfig(credit_approach=CreditApproach.IRB_FOUNDATION,
                               irb_function="nan_at_zero_ead")

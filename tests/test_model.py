@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from regcap import (
     Money,
     RatingBucket,
     ValidationFailure,
+    load_portfolio,
     validate_portfolio,
 )
 from regcap.engine import IrbColumns
@@ -22,7 +25,7 @@ from regcap.errors import UnknownRating
 from regcap.model import Portfolio, parse_rating
 from regcap.standardized import ResolvedKey, StandardizedColumns
 
-from conftest import eur
+from conftest import DATA_DIR, eur
 
 # The full published token set and where each token must land.
 TOKEN_CASES = [
@@ -122,6 +125,18 @@ class TestValidatePortfolio:
         assert len(excinfo.value.violations) == 2
 
     def test_a_directly_built_portfolio_checks_itself(self):
+        corporate, unrated = CounterpartyClass.CORPORATE, RatingBucket.UNRATED
+        with pytest.raises(ValidationFailure) as excinfo:
+            Portfolio(
+                ("A", "A"), (corporate, corporate), (unrated, unrated),
+                (-100_00, 100_00), (None, None), (False, False),
+                (None, Fraction(3, 2)), (None, None), (None, None), (None, None), "EUR",
+            )
+        assert excinfo.value.violations == [
+            "exposure 'A': negative amount -100.00 EUR",
+            "duplicate id 'A'",
+            "exposure 'A': pd 3/2 outside [0, 1]",
+        ]
         bad = (
             on_balance("A", nominal="-100.00"),
             on_balance("A", pd=Fraction(3, 2)),
@@ -129,7 +144,7 @@ class TestValidatePortfolio:
                      Money(100_00, "USD")),
         )
         with pytest.raises(ValidationFailure) as excinfo:
-            Portfolio(bad, "EUR")
+            validate_portfolio(bad, "EUR")
         assert excinfo.value.violations == [
             "exposure 'A': negative amount -100.00 EUR",
             "duplicate id 'A'",
@@ -151,7 +166,7 @@ class TestValidatePortfolio:
             "exposure 'E': maturity '3' is not a Fraction",
         ]
         with pytest.raises(ValidationFailure) as excinfo:
-            Portfolio(bad, "EUR")
+            validate_portfolio(bad, "EUR")
         assert excinfo.value.violations == expected
         with pytest.raises(ValidationFailure) as excinfo:
             validate_portfolio(bad[1:])
@@ -159,12 +174,15 @@ class TestValidatePortfolio:
 
     def test_int_components_are_accepted(self):
         exposure = on_balance("A", pd=0, lgd=1, ead=eur("1.00"), maturity_years=3)
-        assert Portfolio([exposure], "EUR").exposures == (exposure,)
+        assert validate_portfolio([exposure], "EUR").exposures == (exposure,)
 
     def test_a_list_is_stored_as_a_tuple(self):
-        items = [on_balance("A")]
-        portfolio = Portfolio(items, "EUR")
-        items.append(on_balance("A", nominal="-1.00"))
+        columns = [["A"], [CounterpartyClass.CORPORATE], [RatingBucket.UNRATED], [100_00],
+                   [None], [False], [None], [None], [None], [None]]
+        portfolio = Portfolio(*columns, "EUR")
+        for column in columns:
+            column.append(column[0])
+        assert portfolio.ids == ("A",)
         assert portfolio.exposures == (on_balance("A"),)
 
     def test_preserves_order_and_currency(self):
@@ -177,6 +195,111 @@ class TestValidatePortfolio:
         exposure = on_balance("A", off_balance_category="guarantee")
         assert exposure.is_off_balance
         assert not on_balance("B").is_off_balance
+
+    @pytest.mark.parametrize("bad_id,violation", [
+        ("a\nb", "id 'a\\nb' contains a control character"),
+        ("a\u2028b", "id 'a\\u2028b' contains a control character"),
+        (7, "id 7 is not a string"),
+        ("", "empty id"),
+    ])
+    def test_an_id_is_a_non_empty_string_without_control_characters(
+        self, bad_id, violation
+    ):
+        # The text report prints one line per id; 'a\nb' would print two.
+        with pytest.raises(ValidationFailure) as excinfo:
+            validate_portfolio([on_balance(bad_id), on_balance("B")])
+        assert excinfo.value.violations == [violation]
+        corporate, unrated = CounterpartyClass.CORPORATE, RatingBucket.UNRATED
+        with pytest.raises(ValidationFailure) as excinfo:
+            Portfolio((bad_id,), (corporate,), (unrated,), (1,), (None,), (False,),
+                      (None,), (None,), (None,), (None,), "EUR")
+        assert excinfo.value.violations == [violation]
+
+    @pytest.mark.parametrize("column,value,violation", [
+        ("ids", "B", "duplicate id 'B'"),
+        ("nominal_units", -1, "exposure 'A': negative amount -0.01 EUR"),
+        ("ead_units", -1, "exposure 'A': negative exposure-at-default -0.01 EUR"),
+        ("nominal_units", 1.0, "exposure 'A': nominal 1.0 is not Money"),
+        ("counterparties", "corporate", "exposure 'A': no counterparty class"),
+        ("ratings", 6, "exposure 'A': no rating bucket"),
+        ("counterparties", CounterpartyClass.BANK_SHORT_TERM,
+         "exposure 'A': bank_short_term requires the short-term flag"),
+        ("pds", Fraction(-1, 100), "exposure 'A': pd -1/100 outside [0, 1]"),
+        ("pds", 2, "exposure 'A': pd 2 outside [0, 1]"),
+        ("pds", 0.5, "exposure 'A': pd 0.5 is not a Fraction"),
+        ("lgds", Fraction(101, 100), "exposure 'A': lgd 101/100 outside [0, 1]"),
+        ("maturities", Fraction(0), "exposure 'A': maturity must be positive"),
+    ])
+    def test_each_rule_holds_for_columns_alone(self, column, value, violation):
+        # One broken cell in an otherwise valid two-line book.
+        book = validate_portfolio(
+            [on_balance("A", ead=eur("1.00")), on_balance("B", ead=eur("1.00"))]
+        )
+        columns = {name: getattr(book, name) for name in Portfolio.__slots__}
+        columns[column] = (value,) + columns[column][1:]
+        with pytest.raises(ValidationFailure) as excinfo:
+            Portfolio(**columns)
+        assert excinfo.value.violations == [violation]
+
+    def test_columns_of_unequal_length_are_refused(self):
+        with pytest.raises(ValidationFailure, match="unequal length: 0, 1"):
+            Portfolio(("A",), (), (), (), (), (), (), (), (), (), "EUR")
+
+
+IRB_FOUNDATION_CSV = (
+    "id,class,rating,nominal,position,off_balance_category,pd\n"
+    "F1,corporate,BBB,1000.00,on,,1%\n"
+    "F2,bank,A,250.50,off,guarantee,0\n"
+    "F3,sovereign,unrated,0,on,,1\n"
+)
+
+
+@pytest.fixture(
+    params=["portfolio_golden.csv", "irb_foundation", "irb_small.csv", "empty"]
+)
+def loaded_book(request, tmp_path) -> Portfolio:
+    """A standardized book, a foundation IRB book, the advanced IRB book with a
+    zero ead, and a book with no lines."""
+    path = DATA_DIR / request.param
+    if request.param == "irb_foundation":
+        path = tmp_path / "irb.csv"
+        path.write_text(IRB_FOUNDATION_CSV, encoding="utf-8")
+    elif request.param == "empty":
+        path = tmp_path / "empty.csv"
+        path.write_text("id,class,rating,nominal,position\n", encoding="utf-8")
+    return load_portfolio(path)
+
+
+class TestTwoWaysIntoAPortfolio:
+    """load_portfolio fills the columns from cells, validate_portfolio from
+    Exposure records; both must give the same book."""
+
+    def test_validating_a_books_exposures_rebuilds_it(self, loaded_book):
+        exposures = loaded_book.exposures
+        assert len(exposures) == len(loaded_book)
+        assert validate_portfolio(exposures, loaded_book.currency) == loaded_book
+        assert tuple(loaded_book) == exposures
+
+    def test_copies_are_equal(self, loaded_book):
+        assert copy.copy(loaded_book) == loaded_book
+        assert copy.deepcopy(loaded_book) == loaded_book
+        assert pickle.loads(pickle.dumps(loaded_book)) == loaded_book
+
+    def test_exposures_read_back_as_given(self):
+        given = (
+            on_balance("A", pd=0, lgd=1, ead=eur("0.00"), maturity_years=3),
+            on_balance("B", cls=CounterpartyClass.BANK_SHORT_TERM, short_term=True,
+                       pd=Fraction(1, 100), off_balance_category="guarantee"),
+            on_balance("C", nominal="0.00"),
+        )
+        book = validate_portfolio(given)
+        assert book.exposures == given
+        first, second, third = book.exposures
+        assert type(first.pd) is int and type(first.maturity_years) is int
+        assert second.lgd is None and second.ead is None
+        assert third.pd is None and third.off_balance_category is None
+        # built afresh on each read, never kept by the book
+        assert book.exposures is not book.exposures
 
 
 class TestCapitalBase:
@@ -226,8 +349,9 @@ def _one_of_each_record():
 
 @pytest.mark.parametrize("record", _one_of_each_record(), ids=lambda r: type(r).__name__)
 def test_per_exposure_records_are_slotted(record):
-    # A book holds one Exposure, IrbParams or Money per exposure; an instance
-    # dict each would add tens of megabytes to a 100k-exposure run. The credit
+    # Pricing builds one IrbParams and Money per IRB line, and a book's
+    # exposures one Exposure and Money per line; an instance dict each would
+    # add tens of megabytes to a 100k-exposure run. The book and credit
     # columns hold the per-line figures that per-exposure records once held.
     assert "__slots__" in type(record).__dict__
     assert not hasattr(record, "__dict__")

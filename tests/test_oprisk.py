@@ -30,7 +30,7 @@ from regcap.errors import (
     MissingLine,
     UnregisteredAdvancedHook,
 )
-from regcap.model import Portfolio
+from regcap.model import validate_portfolio
 from regcap.oprisk import (
     ALPHA,
     AnnualIncome,
@@ -318,7 +318,7 @@ def oprisk_charge(approach: OpRiskApproach, history: IncomeHistory) -> Money:
     """The operational charge of a full run over an empty book."""
     result = run_compute(
         EngineConfig(oprisk_approach=approach),
-        Portfolio(exposures=(), currency="EUR"),
+        validate_portfolio((), "EUR"),
         CapitalBase(eur("0")),
         income=history,
     )

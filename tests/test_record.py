@@ -33,7 +33,7 @@ from regcap import (
 )
 from regcap.config import SETTINGS
 from regcap.irb import foundation_params
-from regcap.model import Portfolio
+from regcap.model import validate_portfolio
 from regcap.record import Record
 from regcap.standardized import WeightCell
 
@@ -73,7 +73,7 @@ def _one_of_each_record() -> list[Record]:
     income = load_income(DATA_DIR / "income_3yr.csv")
     capital = CapitalBase(eur("150000.00"))
     result = run_compute(config, portfolio, capital, income)
-    irb_book = Portfolio(
+    irb_book = validate_portfolio(
         (Exposure("I1", CounterpartyClass.CORPORATE, RatingBucket.UNRATED, eur("100.00"),
                   pd=Fraction(1, 100)),),
         "EUR",
@@ -84,6 +84,8 @@ def _one_of_each_record() -> list[Record]:
     seen: dict[type, Record] = {}
     for root in (
         foundation_params(Fraction(1, 100), eur("100.00")),
+        # a Portfolio holds columns; its Exposure records are built on reading
+        irb_book.exposures,
         result,
         run_compare(config, portfolio, capital, income),
         run_disclose(result),

@@ -57,7 +57,6 @@ from regcap.irb import (
     params_for_exposure,
     risk_weight_function,
 )
-from regcap.model import Portfolio
 from regcap.money import format_percent, fraction_to_decimal_text
 from regcap.oprisk import ApproachKind, BetaTable, BusinessLine
 from regcap.reporting import (
@@ -136,7 +135,7 @@ class TestComputeText:
         assert "151.80" in text
 
     def test_undefined_ratio_rendering(self):
-        portfolio = Portfolio(exposures=(), currency="EUR")
+        portfolio = validate_portfolio((), "EUR")
         result = run_compute(EngineConfig(), portfolio, CapitalBase(eur("100.00")))
         text = render_compute_text(result)
         assert UNDEFINED_RATIO in text
@@ -171,7 +170,7 @@ def reference_credit_lines(result) -> tuple[list[str], list[dict]]:
     its exact factors as the per-line renderers did before the columns."""
     config = result.config
     texts, docs = [], []
-    for exposure in result.portfolio:
+    for index, exposure in enumerate(result.portfolio):
         if config.credit_approach is CreditApproach.STANDARDIZED:
             category = exposure.off_balance_category
             ccf = Fraction(1) if category is None else result.tables.ccf.factors[category]
@@ -189,7 +188,7 @@ def reference_credit_lines(result) -> tuple[list[str], list[dict]]:
                 "amount": amount.text(),
             })
             continue
-        params = params_for_exposure(exposure, config.credit_approach)
+        params = params_for_exposure(result.portfolio, index, config.credit_approach)
         weight = evaluate_weight(risk_weight_function(config.irb_function), params)
         amount = params.ead.scaled(weight)
         flag = " (off-balance)" if exposure.is_off_balance else ""
