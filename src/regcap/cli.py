@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import SETTINGS, EngineConfig, load_config
+from .config import SETTINGS, EngineConfig, Regime, load_config
 from .engine import (
     resolve_tables,
     run_compare,
@@ -205,8 +205,11 @@ def _cmd_dump_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    config, portfolio, capital, income, market = _run_inputs(args)
-    run_compute(config, portfolio, capital, income, market)
+    inputs = _run_inputs(args)
+    config, portfolio, _, income, _ = inputs
+    # Under the full regime, compare also prices the book with the
+    # standardized tables; an IRB book needs those to cover it too.
+    (run_compare if config.regime is Regime.BASEL2 else run_compute)(*inputs)
     sys.stdout.write(f"portfolio OK: {len(portfolio)} exposure(s)\n")
     if income is not None:
         sys.stdout.write(f"income OK: years {income.span()}\n")

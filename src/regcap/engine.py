@@ -27,7 +27,7 @@ from .irb import (
     rwa_irb,  # noqa: F401  not called here; perfbench's tracer spans it by this name
 )
 from .model import CapitalBase, Portfolio
-from .money import Money, format_percent, fraction_to_decimal_text, scaled_units
+from .money import Money, _divide_half_even, format_percent, fraction_to_decimal_text
 from .oprisk import (
     ApproachKind,
     BetaTable,
@@ -165,11 +165,17 @@ def _credit_block(config: EngineConfig, portfolio: Portfolio, tables: TableSet) 
         portfolio.nominal_units if approach is CreditApproach.IRB_FOUNDATION
         else portfolio.ead_units
     )
-    units, pds, lgds, maturities, weights = ([] for _ in range(5))
+    units, pds, lgds, maturities, weights, weight_texts = ([] for _ in range(6))
     for index, ead in enumerate(eads):
         params = params_for_exposure(portfolio, index, approach)
         weight = evaluate_weight(fn, params)
-        units.append(scaled_units(ead, weight))
+        # One integer ratio per weight, and one half-even division per
+        # figure: the line's units, and its weight in hundredths of a
+        # percent, printed as format_percent prints it (the weight is >= 0).
+        numerator, denominator = weight.as_integer_ratio()
+        units.append(_divide_half_even(ead * numerator, denominator))
+        hundredths = _divide_half_even(numerator * 10_000, denominator)
+        weight_texts.append(f"{hundredths // 100}.{hundredths % 100:02d}%")
         pds.append(params.pd)
         lgds.append(params.lgd)
         maturities.append(params.maturity_years)
@@ -177,7 +183,7 @@ def _credit_block(config: EngineConfig, portfolio: Portfolio, tables: TableSet) 
     lines = IrbColumns(
         portfolio.ids, tuple(units), _texts(pds, format_percent),
         _texts(lgds, format_percent), _texts(maturities, fraction_to_decimal_text),
-        tuple(weights), tuple(map(format_percent, weights)), eads,
+        tuple(weights), tuple(weight_texts), eads,
         tuple([category is not None for category in portfolio.categories]),
     )
     return CreditResult(total_rwa=Money(sum(units), portfolio.currency), lines=lines)

@@ -11,6 +11,10 @@ Three plain-text surfaces, all UTF-8 with '.' decimal separators:
 
 Loaded tables carry a ``path#sha256-prefix`` provenance label so reports can
 cite exactly which file produced a number. Dump then load is the identity.
+
+Every file is read as bytes and checked as UTF-8 before any line is parsed.
+CSV rows are then read one at a time from a text stream over those bytes,
+and a portfolio row's cells go straight into the book's columns.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .model import (
     CounterpartyClass,
     Exposure,
     Portfolio,
+    RATING_TOKENS,
     RatingBucket,
     id_problem,
     parse_rating,
@@ -208,13 +213,30 @@ def dump_betas(table: BetaTable, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_text(path: Path) -> str:
+def _read_bytes(path: Path) -> bytes:
+    """The file's bytes, checked to decode as UTF-8 before anything reads them."""
     try:
-        return path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        data.decode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
+    return data
+
+
+def _text_stream(path: Path) -> io.TextIOWrapper:
+    """The file as a text stream that reads "\r\n" and "\r" as "\n".
+
+    The text is decoded a chunk at a time as lines are read, so a CSV file
+    is never held whole as a str (an io.StringIO would keep 4 bytes a
+    character of it).
+    """
+    return io.TextIOWrapper(io.BytesIO(_read_bytes(path)), encoding="utf-8")
+
+
+def _read_text(path: Path) -> str:
+    return _text_stream(path).read()
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +297,7 @@ def _csv_records(path: Path, required: tuple[str, ...], optional: tuple[str, ...
     column. A row the csv module cannot read (an oversized cell, say) is a
     ParseError citing its line.
     """
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    reader = csv.reader(_text_stream(path))
     try:
         names = _read_header(reader, path, required, optional)
         width = len(names)
@@ -328,85 +350,111 @@ def _optional_fraction(
     return value
 
 
-def _parse_line(
-    cells: tuple[str, ...], path: Path, line: int, fractions: dict[str, Fraction]
-) -> tuple:
-    """One portfolio row as a line of the Portfolio's columns.
+def _portfolio_columns(path: Path) -> list[list]:
+    """A portfolio file's parsed cells as one list per Portfolio column.
 
-    ``cells`` are in ``PORTFOLIO_REQUIRED + PORTFOLIO_OPTIONAL`` order;
-    ``fractions`` maps each token already parsed in this file to its value,
-    so repeated pd, lgd and maturity cells share one.
+    Each row is parsed as the csv reader reaches it, and each value goes
+    straight onto the end of its column: no row is kept as a record of its
+    own. Equal pd, lgd and maturity tokens share one Fraction, through a
+    map of the tokens parsed so far that ends with this call.
     """
+    columns: list[list] = [[] for _ in Exposure.__slots__]
     (
-        exposure_id, class_key, rating_token, nominal_token, position,
-        category, flag_token, pd_token, lgd_token, ead_token, maturity_token,
-    ) = cells
-    exposure_id = exposure_id.strip()
-    problem = id_problem(exposure_id)
-    if problem is not None:
-        raise _cell_error(path, line, "id", problem)
+        add_id, add_counterparty, add_rating, add_nominal, add_category,
+        add_short_term, add_pd, add_lgd, add_ead, add_maturity,
+    ) = [column.append for column in columns]
+    fractions: dict[str, Fraction] = {}
+    for line, cells in _csv_records(path, PORTFOLIO_REQUIRED, PORTFOLIO_OPTIONAL):
+        (
+            exposure_id, class_key, rating_token, nominal_token, position,
+            category, flag_token, pd_token, lgd_token, ead_token, maturity_token,
+        ) = cells
+        exposure_id = exposure_id.strip()
+        problem = id_problem(exposure_id)
+        if problem is not None:
+            raise _cell_error(path, line, "id", problem)
+        add_id(exposure_id)
 
-    class_key = class_key.strip().lower()
-    counterparty = _CLASS_BY_KEY.get(class_key)
-    if counterparty is None:
-        raise _cell_error(path, line, "class", f"unknown counterparty class {class_key!r}")
+        # Most cells are written as the key itself; the others are read
+        # as the grammar allows.
+        counterparty = _CLASS_BY_KEY.get(class_key)
+        if counterparty is None:
+            class_key = class_key.strip().lower()
+            counterparty = _CLASS_BY_KEY.get(class_key)
+            if counterparty is None:
+                reason = f"unknown counterparty class {class_key!r}"
+                raise _cell_error(path, line, "class", reason)
+        add_counterparty(counterparty)
 
-    try:
-        rating = parse_rating(rating_token)
-    except RegcapError as exc:
-        raise _cell_error(path, line, "rating", exc) from exc
+        rating = RATING_TOKENS.get(rating_token)
+        if rating is None:
+            try:
+                rating = parse_rating(rating_token)
+            except RegcapError as exc:
+                raise _cell_error(path, line, "rating", exc) from exc
+        add_rating(rating)
 
-    nominal = _units_cell(nominal_token.strip(), path, line, "nominal")
+        try:
+            add_nominal(decimal_units(nominal_token.strip()))
+        except ValueError as exc:
+            raise _cell_error(path, line, "nominal", exc) from exc
 
-    position = position.strip().lower()
-    if position not in ("on", "off"):
-        raise _cell_error(
-            path, line, "position", f"position must be 'on' or 'off', got {position!r}"
-        )
-    category = category.strip() or None
-    if position == "off" and category is None:
-        raise _cell_error(
-            path, line, "off_balance_category",
-            "off-balance position needs a category",
-        )
-    if position == "on" and category is not None:
-        raise _cell_error(
-            path, line, "off_balance_category",
-            "on-balance position must leave the category empty",
-        )
+        position = position.strip().lower()
+        if position not in ("on", "off"):
+            raise _cell_error(
+                path, line, "position", f"position must be 'on' or 'off', got {position!r}"
+            )
+        category = category.strip() or None
+        if position == "off" and category is None:
+            raise _cell_error(
+                path, line, "off_balance_category",
+                "off-balance position needs a category",
+            )
+        if position == "on" and category is not None:
+            raise _cell_error(
+                path, line, "off_balance_category",
+                "on-balance position must leave the category empty",
+            )
+        add_category(category)
 
-    flag_token = flag_token.strip().lower()
-    try:
-        short_term = _parse_bool(flag_token) if flag_token else False
-    except ValueError as exc:
-        raise _cell_error(path, line, "short_term_flag", exc) from exc
+        flag_token = flag_token.strip().lower()
+        try:
+            add_short_term(_parse_bool(flag_token) if flag_token else False)
+        except ValueError as exc:
+            raise _cell_error(path, line, "short_term_flag", exc) from exc
 
-    ead_token = ead_token.strip()
-    return (
-        exposure_id,
-        counterparty,
-        rating,
-        nominal,
-        category,
-        short_term,
-        _optional_fraction(pd_token, fractions, path, line, "pd"),
-        _optional_fraction(lgd_token, fractions, path, line, "lgd"),
-        _units_cell(ead_token, path, line, "ead") if ead_token else None,
-        _optional_fraction(maturity_token, fractions, path, line, "maturity"),
-    )
+        # A token parsed before, written the same way, is one lookup.
+        pd = fractions.get(pd_token)
+        if pd is None and pd_token:
+            pd = _optional_fraction(pd_token, fractions, path, line, "pd")
+        add_pd(pd)
+        lgd = fractions.get(lgd_token)
+        if lgd is None and lgd_token:
+            lgd = _optional_fraction(lgd_token, fractions, path, line, "lgd")
+        add_lgd(lgd)
+        ead_token = ead_token.strip()
+        try:
+            add_ead(decimal_units(ead_token) if ead_token else None)
+        except ValueError as exc:
+            raise _cell_error(path, line, "ead", exc) from exc
+        maturity = fractions.get(maturity_token)
+        if maturity is None and maturity_token:
+            maturity = _optional_fraction(maturity_token, fractions, path, line, "maturity")
+        add_maturity(maturity)
+    return columns
 
 
 def load_portfolio(path: str | Path, currency: str = DEFAULT_CURRENCY) -> Portfolio:
     """Read and validate a portfolio file; errors cite line and column.
 
-    The cells fill the Portfolio's columns directly, amounts as minor units
-    of ``currency``; no Exposure or Money is built per row.
+    The rows stream from the file into the Portfolio's columns, amounts as
+    minor units of ``currency``; no Exposure, Money or per-row record is
+    built. Each column list becomes its tuple in turn, so at most one list
+    and its tuple are alive together.
     """
-    path = Path(path)
-    records = _csv_records(path, PORTFOLIO_REQUIRED, PORTFOLIO_OPTIONAL)
-    fractions: dict[str, Fraction] = {}
-    lines = [_parse_line(cells, path, number, fractions) for number, cells in records]
-    columns = zip(*lines) if lines else [()] * len(Exposure.__slots__)
+    columns = _portfolio_columns(Path(path))
+    for position, column in enumerate(columns):
+        columns[position] = tuple(column)
     return Portfolio(*columns, currency)
 
 

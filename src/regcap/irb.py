@@ -48,31 +48,13 @@ class IrbParams(Record):
             raise OutOfRange(f"ead {ead} is negative")
         if maturity_years.numerator <= 0:
             raise OutOfRange(f"maturity {maturity_years} must be positive")
-        _set_components(self, pd, lgd, ead, maturity_years)
-
-
-def _set_components(
-    params: IrbParams, pd: Fraction, lgd: Fraction, ead: Money, maturity_years: Fraction
-) -> IrbParams:
-    """Fill in the four fields of ``params`` without checking them."""
-    init_field(params, "pd", pd)
-    init_field(params, "lgd", lgd)
-    init_field(params, "ead", ead)
-    init_field(params, "maturity_years", maturity_years)
-    return params
+        init_field(self, "pd", pd)
+        init_field(self, "lgd", lgd)
+        init_field(self, "ead", ead)
+        init_field(self, "maturity_years", maturity_years)
 
 
 RiskWeightFunction = Callable[[IrbParams], Fraction]
-
-
-def foundation_params(pd: Fraction, nominal: Money) -> IrbParams:
-    """Foundation sourcing: bank supplies PD, supervisor fixes the rest."""
-    return IrbParams(
-        pd=pd,
-        lgd=FOUNDATION_LGD,
-        ead=nominal,
-        maturity_years=FOUNDATION_MATURITY_YEARS,
-    )
 
 
 def params_for_exposure(
@@ -80,30 +62,38 @@ def params_for_exposure(
 ) -> IrbParams:
     """Source the risk components of line ``index`` of a book under an IRB approach.
 
-    The Portfolio's constructor has already range-checked every component,
-    so IrbParams is filled in without its public constructor's second check.
+    The Portfolio's constructor has already checked every component's type
+    and range and every amount's type, so the IrbParams and its ead Money
+    are filled in without their public constructors' second check.
     """
     pd = portfolio.pds[index]
     if pd is None:
         raise ValidationFailure([f"exposure {portfolio.ids[index]!r}: pd required for irb"])
     if approach is CreditApproach.IRB_FOUNDATION:
-        return _set_components(
-            object.__new__(IrbParams), pd, FOUNDATION_LGD,
-            Money(portfolio.nominal_units[index], portfolio.currency),
-            FOUNDATION_MATURITY_YEARS,
+        lgd, ead, maturity_years = (
+            FOUNDATION_LGD, portfolio.nominal_units[index], FOUNDATION_MATURITY_YEARS
         )
-    lgd, ead, maturity_years = (
-        portfolio.lgds[index], portfolio.ead_units[index], portfolio.maturities[index]
-    )
-    if lgd is None or ead is None or maturity_years is None:
-        raise ValidationFailure([
-            f"exposure {portfolio.ids[index]!r}: {name} required for advanced irb"
-            for name, value in (("lgd", lgd), ("ead", ead), ("maturity", maturity_years))
-            if value is None
-        ])
-    return _set_components(
-        object.__new__(IrbParams), pd, lgd, Money(ead, portfolio.currency), maturity_years
-    )
+    else:
+        lgd, ead, maturity_years = (
+            portfolio.lgds[index], portfolio.ead_units[index], portfolio.maturities[index]
+        )
+        if lgd is None or ead is None or maturity_years is None:
+            raise ValidationFailure([
+                f"exposure {portfolio.ids[index]!r}: {name} required for advanced irb"
+                for name, value in (
+                    ("lgd", lgd), ("ead", ead), ("maturity", maturity_years)
+                )
+                if value is None
+            ])
+    amount = object.__new__(Money)
+    init_field(amount, "units", ead)
+    init_field(amount, "currency", portfolio.currency)
+    params = object.__new__(IrbParams)
+    init_field(params, "pd", pd)
+    init_field(params, "lgd", lgd)
+    init_field(params, "ead", amount)
+    init_field(params, "maturity_years", maturity_years)
+    return params
 
 
 def _coerce_weight(value) -> Fraction:

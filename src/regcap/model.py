@@ -140,10 +140,6 @@ class Exposure(Record):
         init_field(self, "ead", ead)
         init_field(self, "maturity_years", maturity_years)
 
-    @property
-    def is_off_balance(self) -> bool:
-        return self.off_balance_category is not None
-
 
 class Portfolio(Record):
     """A book of exposures in one currency, held as columns and checked when built.

@@ -163,12 +163,16 @@ def units_text(units: int, grouping: str = "") -> str:
 
     Every amount in a report, a Money or a bare units column, renders here.
     """
-    whole, minor = divmod(abs(units), 100)  # MINOR_UNIT_DIGITS places
-    sign = "-" if units < 0 else ""
-    # Fixed format specs: a spec built per call is measurably slower.
+    # MINOR_UNIT_DIGITS places. Fixed format specs and a slice of str(units):
+    # a spec built per call, or a divmod, is measurably slower.
+    if units < 0:
+        return "-" + units_text(-units, grouping)
     if grouping:
-        return f"{sign}{whole:,d}.{minor:02d}"
-    return f"{sign}{whole:d}.{minor:02d}"
+        return f"{units // 100:,d}.{units % 100:02d}"
+    if units < 100:
+        return f"0.{units:02d}"
+    digits = str(units)
+    return f"{digits[:-2]}.{digits[-2:]}"
 
 
 def sum_money(items, currency: str = DEFAULT_CURRENCY) -> Money:
@@ -227,10 +231,11 @@ def fraction_to_decimal_text(value: Fraction) -> str:
     return text if text not in ("", "-") else "0"
 
 
-def format_percent(value: Fraction, places: int = 2) -> str:
-    """Half-even percentage rendering, fixed number of decimal places."""
-    quantum = 10**places
-    scaled = _divide_half_even(value.numerator * 100 * quantum, value.denominator)
-    sign = "-" if scaled < 0 else ""
-    digits = abs(scaled)
-    return f"{sign}{digits // quantum}.{digits % quantum:0{places}d}%"
+def format_percent(value: Fraction | int) -> str:
+    """Half-even percentage rendering to two decimal places."""
+    numerator, denominator = value.as_integer_ratio()
+    hundredths = _divide_half_even(numerator * 10_000, denominator)
+    if hundredths < 0:
+        hundredths = -hundredths
+        return f"-{hundredths // 100}.{hundredths % 100:02d}%"
+    return f"{hundredths // 100}.{hundredths % 100:02d}%"

@@ -19,6 +19,7 @@ from regcap import (
     BankOptionPolicy,
     CapitalBase,
     CounterpartyClass,
+    CreditApproach,
     DEFAULT_BETAS,
     DEFAULT_CCF,
     DEFAULT_RISK_WEIGHTS,
@@ -35,7 +36,7 @@ from regcap import (
     tsa_capital,
     validate_portfolio,
 )
-from regcap.irb import IrbParams, foundation_params
+from regcap.irb import IrbParams, params_for_exposure
 from regcap.money import round_half_even
 from regcap.oprisk import (
     AnnualIncome,
@@ -328,7 +329,10 @@ def _check_foundation_injection(rng: random.Random, cases: int) -> int:
     for _ in range(cases):
         pd = Fraction(rng.randint(0, 100), 100)
         nominal = Money(rng.randint(0, 10**9), "EUR")
-        params = foundation_params(pd, nominal)
+        book = validate_portfolio([Exposure(
+            "F1", CounterpartyClass.CORPORATE, RatingBucket.UNRATED, nominal, pd=pd
+        )])
+        params = params_for_exposure(book, 0, CreditApproach.IRB_FOUNDATION)
         assert params.pd == pd
         assert params.lgd == Fraction(1, 2)
         assert params.ead == nominal

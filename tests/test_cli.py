@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from regcap import DEFAULT_BETAS, DEFAULT_CCF, DEFAULT_RISK_WEIGHTS
 from regcap.cli import main
+from regcap.config import SETTINGS
 from regcap.fileio import (
     dump_betas,
     dump_ccf,
@@ -381,6 +382,27 @@ class TestValidate:
         assert captured.err == compute_err
         assert captured.err.startswith("error [standardized credit]:")
 
+    def test_table_that_cannot_price_the_credit_only_leg_exits_two(
+        self, capsys, tmp_path
+    ):
+        # compare prices an IRB book with the standardized tables as well
+        risk_weights = tmp_path / "rw1.tbl"
+        risk_weights.write_text("corporate aaa_to_aa_minus 20%\n")
+        argv = [
+            "--portfolio", str(DATA_DIR / "irb_small.csv"),
+            "--credit-approach", "irb_advanced", "--risk-weights", str(risk_weights),
+        ]
+        assert main(["compute", "--capital", "1.00", *argv]) == 1
+        capsys.readouterr()
+        assert main(["compare", "--capital", "1.00", *argv]) == 2
+        compare_err = capsys.readouterr().err
+        status = main(["validate", *argv])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == compare_err
+        assert captured.err.startswith("error [standardized credit]:")
+
     def test_income_under_credit_only_regime_exits_two(self, capsys):
         status = main(
             ["validate", "--portfolio", WORKED, "--regime", "basel1"]
@@ -496,6 +518,81 @@ class TestTotality:
             assert err.getvalue() == ""
         if status == 1:
             assert "NON-COMPLIANT" in out.getvalue()
+
+
+# The config flags the validate property draws: the choice flags with one of
+# their choices, the switches, and the flags whose values regcap parses.
+CHOICE_FLAGS = {s.flag: s.choices for s in SETTINGS if s.choices}
+SWITCHES = tuple(s.flag for s in SETTINGS if s.parser is bool)
+# Refusals that belong to a command, not to its inputs: compare needs the
+# full regime and disclose a period, and validate asks for neither.
+OWN_REFUSALS = {
+    "compare": "error [input/config]: comparison requires the full regime configured\n",
+    "disclose": (
+        "error [input/config]: disclosure needs a semiannual period such as 2006-H2\n"
+    ),
+}
+
+
+def _thinned(seed: bytes):
+    """The seed with some of its lines left out."""
+    lines = seed.splitlines(keepends=True)
+    keep = st.lists(st.booleans(), min_size=len(lines), max_size=len(lines))
+    return keep.map(lambda kept: b"".join(l for l, k in zip(lines, kept) if k))
+
+
+def _config_flag(data, flag: str) -> str:
+    if flag in SWITCHES:
+        return flag
+    if flag in CHOICE_FLAGS:
+        return f"{flag}={data.draw(st.sampled_from(CHOICE_FLAGS[flag]), label=flag)}"
+    values = st.one_of(st.sampled_from(PLAUSIBLE_VALUES), st.text(max_size=12))
+    return f"{flag}={data.draw(values, label=flag)}"
+
+
+class TestValidatePromise:
+    """What validate passes, compute, compare and disclose price."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_command_prices_what_validate_passes(self, seed_files, data):
+        directory, seeds = seed_files
+        seeds = {
+            **seeds,
+            "--portfolio": data.draw(st.sampled_from([
+                seeds["--portfolio"], (DATA_DIR / "irb_small.csv").read_bytes(),
+            ]), label="book"),
+        }
+        given_files = [
+            flag for flag in seeds
+            if flag == "--portfolio" or data.draw(st.booleans(), label=flag)
+        ]
+        broken = data.draw(st.sampled_from([None, *given_files]), label="mutated")
+        argv = []
+        for flag in given_files:
+            path = directory / flag[2:]
+            seed = seeds[flag]
+            if flag == broken:
+                seed = data.draw(st.one_of(_mutated(seed), _thinned(seed)))
+            path.write_bytes(seed)
+            argv += [flag, str(path)]
+        flags = sorted({*CHOICE_FLAGS, *SWITCHES, *CONFIG_FLAGS})
+        chosen = data.draw(st.lists(st.sampled_from(flags), max_size=3, unique=True))
+        argv += [_config_flag(data, flag) for flag in chosen]
+
+        def run(command: str, *extra: str) -> tuple[int, str]:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                status = main([command, *argv, *extra])
+            return status, err.getvalue()
+
+        if run("validate")[0] != 0:
+            return
+        for command in ("compute", "compare", "disclose"):
+            status, err = run(command, "--capital", "81000.00")
+            if err != OWN_REFUSALS.get(command):
+                assert (status, err) in ((0, ""), (1, "")), (command, argv)
 
 
 IRB_SMALL = (DATA_DIR / "irb_small.csv").read_text(encoding="utf-8").splitlines()

@@ -204,7 +204,7 @@ class TestPortfolioCsv:
         assert by_id["S1"].counterparty is CounterpartyClass.SOVEREIGN
         assert by_id["S1"].rating is RatingBucket.AAA_TO_AA_MINUS
         assert by_id["S1"].nominal == eur("500000.00")
-        assert by_id["B1"].is_off_balance
+        assert by_id["B1"].off_balance_category is not None
         assert by_id["B1"].off_balance_category == "medium_term_confirmed_facility"
         assert by_id["B3"].counterparty is CounterpartyClass.BANK_SHORT_TERM
         assert by_id["B3"].short_term

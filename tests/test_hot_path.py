@@ -1,17 +1,20 @@
 """Guards on the per-line work of loading and pricing a book, without a clock.
 
 A shared machine cannot resolve a timing change of a few percent, but it can
-count objects and calls exactly. The book is the first 1,000 lines of the
-benchmark's seed-1 ``irb_book_100k`` book, written by ``perfbench/bookgen.py``
-and priced with its float weight function.
+count objects, calls and traced bytes exactly. The book is the first 1,000
+lines of the benchmark's seed-1 ``irb_book_100k`` book (20,000 for the
+memory guard), written by ``perfbench/bookgen.py`` and priced with its float
+weight function.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import importlib
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,8 +32,24 @@ LINES = 1_000
 # CPython 3.11 (later versions inline comprehensions and count fewer). A
 # change that adds per-line work raises them; lower a pin when a change
 # removes calls, so that the guard keeps what was won.
-LOAD_CALLS_PER_LINE = 18.649
-PRICING_CALLS_PER_LINE = 12.604
+LOAD_CALLS_PER_LINE = 13.492
+PRICING_CALLS_PER_LINE = 8.605
+
+# The tracemalloc peak of loading a book, over what the loaded book holds.
+# Rows stream into the columns, so neither the file's text nor a record per
+# row is alive at the end: the loader reads about 1.6 here, and read 2.28
+# when it kept a tuple per row until the columns were built.
+PEAK_LINES = 20_000
+LOAD_PEAK_RATIO = 1.75
+
+
+def _write_book(path: Path, lines: int) -> Path:
+    """The first ``lines`` lines of the benchmark's seed-1 IRB book, at ``path``."""
+    bookgen = importlib.import_module("bookgen")
+    spec = dataclasses.replace(bookgen.SPECS["irb_book_100k"], exposures=lines)
+    rows, _ = bookgen.book_lines(random.Random("irb_book_100k:1"), spec)
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -38,13 +57,9 @@ def bench_book(tmp_path_factory):
     """The book file and a config that prices it with the float weight."""
     with pytest.MonkeyPatch.context() as patch:
         patch.syspath_prepend(str(PERFBENCH))
-        bookgen = importlib.import_module("bookgen")
         irbfn = importlib.import_module("irbfn")
         patch.setitem(irb._FUNCTIONS, irbfn.NAME, irbfn.CountingWeight())
-        spec = dataclasses.replace(bookgen.SPECS["irb_book_100k"], exposures=LINES)
-        lines, _ = bookgen.book_lines(random.Random("irb_book_100k:1"), spec)
-        path = tmp_path_factory.mktemp("hot_path") / "portfolio.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = _write_book(tmp_path_factory.mktemp("hot_path") / "portfolio.csv", LINES)
         config = EngineConfig(
             credit_approach=CreditApproach.IRB_ADVANCED, irb_function=irbfn.NAME
         )
@@ -94,3 +109,17 @@ def test_calls_per_line_stay_pinned(bench_book):
     assert len(result.credit.lines.ids) == LINES
     assert load_calls / LINES <= LOAD_CALLS_PER_LINE
     assert pricing_calls / LINES <= PRICING_CALLS_PER_LINE
+
+
+def test_load_peaks_near_the_book_it_returns(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    path = _write_book(tmp_path / "portfolio.csv", PEAK_LINES)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        portfolio = fileio.load_portfolio(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(portfolio) == PEAK_LINES
+    assert peak <= LOAD_PEAK_RATIO * held

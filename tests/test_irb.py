@@ -28,7 +28,6 @@ from regcap.irb import (
     FOUNDATION_LGD,
     FOUNDATION_MATURITY_YEARS,
     check_monotonicity,
-    foundation_params,
     params_for_exposure,
     risk_weight_function,
 )
@@ -46,9 +45,18 @@ def decreasing_in_pd(params: IrbParams) -> Fraction:
     return 1 - params.pd
 
 
+def foundation_sourced(pd: Fraction, nominal) -> IrbParams:
+    """The components the engine sources for a one-line foundation book."""
+    book = validate_portfolio([Exposure(
+        id="F1", counterparty=CounterpartyClass.CORPORATE,
+        rating=RatingBucket.UNRATED, nominal=nominal, pd=pd,
+    )])
+    return params_for_exposure(book, 0, CreditApproach.IRB_FOUNDATION)
+
+
 class TestFoundationParams:
     def test_supervisory_fills(self):
-        params = foundation_params(Fraction(1, 100), eur("1000.00"))
+        params = foundation_sourced(Fraction(1, 100), eur("1000.00"))
         assert params.pd == Fraction(1, 100)
         assert params.lgd == Fraction(1, 2)
         assert params.ead == eur("1000.00")
@@ -58,22 +66,26 @@ class TestFoundationParams:
         assert FOUNDATION_LGD == 1 - Fraction(1, 2)
 
     def test_zero_edge(self):
-        params = foundation_params(Fraction(0), eur("0"))
+        params = foundation_sourced(Fraction(0), eur("0"))
         assert params.pd == 0
         assert params.ead == eur("0")
         assert params.maturity_years == FOUNDATION_MATURITY_YEARS
 
     def test_pd_bound(self):
         with pytest.raises(OutOfRange):
-            foundation_params(Fraction(3, 2), eur("1"))
+            IrbParams(
+                Fraction(3, 2), FOUNDATION_LGD, eur("1"), FOUNDATION_MATURITY_YEARS
+            )
 
     def test_negative_nominal(self):
         with pytest.raises(OutOfRange):
-            foundation_params(Fraction(1, 100), -eur("1"))
+            IrbParams(
+                Fraction(1, 100), FOUNDATION_LGD, -eur("1"), FOUNDATION_MATURITY_YEARS
+            )
 
     def test_defaults_do_not_depend_on_pd(self):
         for numerator in (0, 1, 50, 100):
-            params = foundation_params(Fraction(numerator, 100), eur("7.77"))
+            params = foundation_sourced(Fraction(numerator, 100), eur("7.77"))
             assert params.lgd == Fraction(1, 2)
             assert params.maturity_years == Fraction(3)
             assert params.ead == eur("7.77")
@@ -94,7 +106,9 @@ class TestParamsForExposure:
         params = params_for_exposure(
             validate_portfolio([exposure]), 0, CreditApproach.IRB_FOUNDATION
         )
-        assert params == foundation_params(Fraction(1, 100), eur("1000.00"))
+        assert params == IrbParams(
+            Fraction(1, 100), FOUNDATION_LGD, eur("1000.00"), FOUNDATION_MATURITY_YEARS
+        )
 
     def test_advanced_takes_all_four_components(self):
         exposure = self.exposure(
@@ -146,8 +160,11 @@ class TestRwaIrb:
         # The gate samples at one non-zero ead, so this function registers.
         monkeypatch.setattr(irb, "_FUNCTIONS", dict(irb._FUNCTIONS))
         register_risk_weight_function("nan_at_zero_ead", nan_at_zero_ead)
+        zero_ead = IrbParams(
+            Fraction(1, 100), FOUNDATION_LGD, eur("0"), FOUNDATION_MATURITY_YEARS
+        )
         with pytest.raises(NonFiniteWeight):
-            rwa_irb(foundation_params(Fraction(1, 100), eur("0")), "nan_at_zero_ead")
+            rwa_irb(zero_ead, "nan_at_zero_ead")
         book = validate_portfolio(
             (
                 Exposure(id="Z", counterparty=CounterpartyClass.CORPORATE,
@@ -162,27 +179,39 @@ class TestRwaIrb:
             run_compute(config, book, CapitalBase(eur("100.00")))
 
     def test_constant_function_identity(self):
-        params = foundation_params(Fraction(1, 100), eur("500.00"))
+        params = IrbParams(
+            Fraction(1, 100), FOUNDATION_LGD, eur("500.00"), FOUNDATION_MATURITY_YEARS
+        )
         assert rwa_irb(params, "constant") == eur("500.00")
 
     def test_step_function(self):
-        params = foundation_params(Fraction(2, 100), eur("100.00"))
+        params = IrbParams(
+            Fraction(2, 100), FOUNDATION_LGD, eur("100.00"), FOUNDATION_MATURITY_YEARS
+        )
         assert rwa_irb(params, step_function) == eur("100.00")
-        low = foundation_params(Fraction(1, 1000), eur("100.00"))
+        low = IrbParams(
+            Fraction(1, 1000), FOUNDATION_LGD, eur("100.00"), FOUNDATION_MATURITY_YEARS
+        )
         assert rwa_irb(low, step_function) == eur("50.00")
 
     def test_unregistered_name(self):
-        params = foundation_params(Fraction(1, 100), eur("1"))
+        params = IrbParams(
+            Fraction(1, 100), FOUNDATION_LGD, eur("1"), FOUNDATION_MATURITY_YEARS
+        )
         with pytest.raises(UnknownFunction):
             rwa_irb(params, "supervisory_curve")
 
     def test_unregistered_name_raises_even_at_zero_ead(self):
-        params = foundation_params(Fraction(1, 100), eur("0"))
+        params = IrbParams(
+            Fraction(1, 100), FOUNDATION_LGD, eur("0"), FOUNDATION_MATURITY_YEARS
+        )
         with pytest.raises(UnknownFunction):
             rwa_irb(params, "supervisory_curve")
 
     def test_non_finite_weight_rejected(self):
-        params = foundation_params(Fraction(1, 100), eur("1"))
+        params = IrbParams(
+            Fraction(1, 100), FOUNDATION_LGD, eur("1"), FOUNDATION_MATURITY_YEARS
+        )
         with pytest.raises(NonFiniteWeight):
             rwa_irb(params, lambda p: float("nan"))
         with pytest.raises(NonFiniteWeight):
@@ -193,7 +222,9 @@ class TestRwaIrb:
             rwa_irb(params, lambda p: "heavy")
 
     def test_float_weights_read_as_decimals(self):
-        params = foundation_params(Fraction(1, 100), eur("1000.00"))
+        params = IrbParams(
+            Fraction(1, 100), FOUNDATION_LGD, eur("1000.00"), FOUNDATION_MATURITY_YEARS
+        )
         assert rwa_irb(params, lambda p: 0.1) == eur("100.00")
 
     def test_foundation_advanced_consistency(self):
@@ -201,7 +232,7 @@ class TestRwaIrb:
         # foundation output exactly
         nominal = eur("1234.56")
         pd = Fraction(7, 1000)
-        foundation = foundation_params(pd, nominal)
+        foundation = foundation_sourced(pd, nominal)
         advanced = IrbParams(pd=pd, lgd=Fraction(1, 2), ead=nominal,
                              maturity_years=Fraction(3))
         assert rwa_irb(foundation, "constant") == rwa_irb(advanced, "constant")

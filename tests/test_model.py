@@ -193,8 +193,8 @@ class TestValidatePortfolio:
 
     def test_off_balance_flag(self):
         exposure = on_balance("A", off_balance_category="guarantee")
-        assert exposure.is_off_balance
-        assert not on_balance("B").is_off_balance
+        assert exposure.off_balance_category is not None
+        assert on_balance("B").off_balance_category is None
 
     @pytest.mark.parametrize("bad_id,violation", [
         ("a\nb", "id 'a\\nb' contains a control character"),

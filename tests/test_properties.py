@@ -11,6 +11,7 @@ from regcap import (
     BankOptionPolicy,
     CapitalBase,
     CounterpartyClass,
+    CreditApproach,
     DEFAULT_CCF,
     DEFAULT_RISK_WEIGHTS,
     Exposure,
@@ -24,7 +25,7 @@ from regcap import (
     validate_portfolio,
 )
 from regcap.errors import UnknownRating
-from regcap.irb import IrbParams, foundation_params
+from regcap.irb import IrbParams, params_for_exposure
 from regcap.model import RATING_TOKENS, parse_rating
 from regcap.money import round_half_even
 
@@ -144,7 +145,11 @@ class TestIrbInvariants:
     )
     def test_foundation_injects_supervisory_defaults(self, pd_hundredths, units):
         pd = Fraction(pd_hundredths, 100)
-        params = foundation_params(pd, Money(units, "EUR"))
+        book = validate_portfolio([Exposure(
+            "F1", CounterpartyClass.CORPORATE, RatingBucket.UNRATED,
+            Money(units, "EUR"), pd=pd,
+        )])
+        params = params_for_exposure(book, 0, CreditApproach.IRB_FOUNDATION)
         assert params.pd == pd
         assert params.lgd == Fraction(1, 2)
         assert params.ead == Money(units, "EUR")

@@ -32,7 +32,7 @@ from regcap import (
     run_disclose,
 )
 from regcap.config import SETTINGS
-from regcap.irb import foundation_params
+from regcap.irb import FOUNDATION_LGD, FOUNDATION_MATURITY_YEARS, IrbParams
 from regcap.model import validate_portfolio
 from regcap.record import Record
 from regcap.standardized import WeightCell
@@ -83,7 +83,9 @@ def _one_of_each_record() -> list[Record]:
     )
     seen: dict[type, Record] = {}
     for root in (
-        foundation_params(Fraction(1, 100), eur("100.00")),
+        IrbParams(
+            Fraction(1, 100), FOUNDATION_LGD, eur("100.00"), FOUNDATION_MATURITY_YEARS
+        ),
         # a Portfolio holds columns; its Exposure records are built on reading
         irb_book.exposures,
         result,

@@ -191,7 +191,8 @@ def reference_credit_lines(result) -> tuple[list[str], list[dict]]:
         params = params_for_exposure(result.portfolio, index, config.credit_approach)
         weight = evaluate_weight(risk_weight_function(config.irb_function), params)
         amount = params.ead.scaled(weight)
-        flag = " (off-balance)" if exposure.is_off_balance else ""
+        off_balance = exposure.off_balance_category is not None
+        flag = " (off-balance)" if off_balance else ""
         texts.append(
             f"{exposure.id:<12} {format_percent(params.pd):>8}"
             f" {format_percent(params.lgd):>8}"
@@ -207,7 +208,7 @@ def reference_credit_lines(result) -> tuple[list[str], list[dict]]:
             "ead": params.ead.text(),
             "weight": format_percent(weight),
             "amount": amount.text(),
-            "off_balance": exposure.is_off_balance,
+            "off_balance": off_balance,
         })
     return texts, docs
 
