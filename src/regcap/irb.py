@@ -23,7 +23,7 @@ from .errors import (
     UnknownFunction,
     ValidationFailure,
 )
-from .model import Portfolio
+from .model import Portfolio, component_problems
 from .money import Money
 from .record import Record, init_field
 
@@ -35,23 +35,16 @@ FOUNDATION_MATURITY_YEARS = Fraction(3)
 
 
 class IrbParams(Record):
-    """The four risk components; every field explicit, no silent defaults."""
+    """The four risk components; every field explicit, no silent defaults, and
+    each held to the book's rules: OutOfRange names every field that breaks one."""
 
     __slots__ = ("pd", "lgd", "ead", "maturity_years")
 
     def __init__(self, pd: Fraction, lgd: Fraction, ead: Money, maturity_years: Fraction) -> None:
-        if not 0 <= pd.numerator <= pd.denominator:
-            raise OutOfRange(f"pd {pd} outside [0, 1]")
-        if not 0 <= lgd.numerator <= lgd.denominator:
-            raise OutOfRange(f"lgd {lgd} outside [0, 1]")
-        if ead.is_negative:
-            raise OutOfRange(f"ead {ead} is negative")
-        if maturity_years.numerator <= 0:
-            raise OutOfRange(f"maturity {maturity_years} must be positive")
-        init_field(self, "pd", pd)
-        init_field(self, "lgd", lgd)
-        init_field(self, "ead", ead)
-        init_field(self, "maturity_years", maturity_years)
+        problems = component_problems(pd, lgd, ead, maturity_years)
+        if problems:
+            raise OutOfRange("; ".join(problems))
+        super().__init__(pd, lgd, ead, maturity_years)
 
 
 RiskWeightFunction = Callable[[IrbParams], Fraction]

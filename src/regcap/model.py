@@ -9,17 +9,18 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
+from itertools import count
 from operator import attrgetter
 
 from .errors import UnknownRating, ValidationFailure
-from .money import DEFAULT_CURRENCY, Money
+from .money import DEFAULT_CURRENCY, Money, units_text
 from .record import Record, init_field
 
 # Regulatory minimum ratio of own funds to the risk denominator (8%).
 MINIMUM_CAPITAL_RATIO = Fraction(8, 100)
 
-# The types a pd, lgd or maturity may have: exact rationals, ints included.
-_RATIONAL = (Fraction, int)
+# The exact types a pd, lgd or maturity may have: no bool, nor other subclass.
+_RATIONAL = {Fraction, int}
 
 # C0, DEL, C1 and the line and paragraph separators U+2028 and U+2029: an
 # id holding one would break the fixed-width text report.
@@ -146,12 +147,12 @@ class Portfolio(Record):
 
     Line i of the book is ``ids[i]``, ``counterparties[i]`` and so on; amounts
     are integer minor units of ``currency`` (``ead_units[i]`` is None where
-    the line has no ead), and pd, lgd and maturity are Fractions or ints, or
-    None where absent. A book that breaks an invariant (unique, non-empty ids
+    the line has no ead), and pd, lgd and maturity are Fractions or ints (not
+    bools), or None where absent. Each book rule (unique, non-empty ids
     without control characters, enum class and rating, non-negative amounts,
-    rational pd and lgd in [0, 1] and maturity above 0, the short-term flag on
-    every short-term bank line) raises one ValidationFailure listing every
-    violation, line by line.
+    the short-term flag on every short-term bank line, pd and lgd in [0, 1]
+    and maturity above 0) is one pass over its column; a book that breaks any
+    raises one ValidationFailure listing every violation, line by line.
     """
 
     __slots__ = (
@@ -176,10 +177,9 @@ class Portfolio(Record):
             raise ValidationFailure(
                 ["columns of unequal length: " + ", ".join(map(str, lengths))]
             )
-        if not _columns_hold(*columns):
-            violations = _violations(_rows(columns, currency), currency)
-            if violations:
-                raise ValidationFailure(violations)
+        violations = _listing(*columns, currency)
+        if violations:
+            raise ValidationFailure(violations)
         super().__init__(*columns, currency)
 
     def __len__(self) -> int:
@@ -188,7 +188,10 @@ class Portfolio(Record):
     @property
     def exposures(self) -> tuple[Exposure, ...]:
         """The book as Exposure records, built afresh on each read."""
-        return tuple(Exposure(*line) for line in _rows(_columns(self), self.currency))
+        columns, currency = _columns(self), self.currency
+        nominals = [Money(units, currency) for units in self.nominal_units]
+        eads = [None if units is None else Money(units, currency) for units in self.ead_units]
+        return tuple(map(Exposure, *columns[:3], nominals, *columns[4:8], eads, columns[9]))
 
     def __iter__(self):
         return iter(self.exposures)
@@ -199,149 +202,128 @@ _columns = attrgetter(*Portfolio.__slots__[:-1])
 _exposure_fields = attrgetter(*Exposure.__slots__)
 
 
-# The exact types each column of a Portfolio holds.
-_RATIONAL_OR_ABSENT = {Fraction, int, type(None)}
-_UNITS_OR_ABSENT = {int, type(None)}
+# The book rules. Each is one pass over its column, a comprehension (so a
+# valid book costs no call per line), that keeps only the lines breaking it
+# as (line, rank, message); rank orders one line's messages, and a message of
+# rank above 0 is about the exposure that the line names.
+
+# (rank, field, what a negative one is called) of the two amounts
+_NOMINAL = (3, "nominal", "negative amount")
+_EAD = (4, "ead", "negative exposure-at-default")
 
 
-def _columns_hold(
+def _amount_breaks(
+    units: tuple, currency: str, rank: int, field: str, negative: str,
+    required: bool = True, start: int = 0,
+) -> list:
+    """Amounts that are not int minor units, or are negative, numbered from
+    ``start``; None is an absent amount unless ``required``."""
+    return [
+        (line, rank, f"{negative} {units_text(value)} {currency}" if type(value) is int
+         else f"{field} {value!r} is not Money")
+        for line, value in enumerate(units, start)
+        if (value is not None or required) and (type(value) is not int or value < 0)
+    ]
+
+
+def _money_breaks(amount, line: int, rank: int, field: str, negative: str) -> list:
+    """The amount rule for one amount given as Money, in its own currency."""
+    if not isinstance(amount, Money):
+        return [(line, rank, f"{field} {amount!r} is not Money")]
+    return _amount_breaks((amount.units,), amount.currency, rank, field, negative, start=line)
+
+
+def _component_breaks(pds: tuple, lgds: tuple, maturities: tuple, required: bool = False) -> list:
+    """pds and lgds that are not exact rationals in [0, 1], and maturities not
+    above 0; None is an absent value unless ``required``."""
+    return [
+        (line, rank, f"{field} {value} outside [0, 1]" if type(value) in _RATIONAL
+         else f"{field} {value!r} is not a Fraction")
+        for rank, field, values in ((6, "pd", pds), (7, "lgd", lgds))
+        for line, value in enumerate(values)
+        if (value is not None or required)
+        and (type(value) not in _RATIONAL or not 0 <= value.numerator <= value.denominator)
+    ] + [
+        (line, 8, "maturity must be positive" if type(value) in _RATIONAL
+         else f"maturity {value!r} is not a Fraction")
+        for line, value in enumerate(maturities)
+        if (value is not None or required)
+        and (type(value) not in _RATIONAL or value.numerator <= 0)
+    ]
+
+
+def _listing(
     ids, counterparties, ratings, nominal_units, categories, short_term, pds, lgds,
-    ead_units, maturities,
-) -> bool:
-    """True when every invariant of the book holds, checked a column at a time.
-
-    A False sends the book to ``_violations``, which lists what is broken; it
-    may also find nothing, for a value this check does not know (a bool pd).
-    """
-    try:
-        joined = "".join(ids)
-    except TypeError:
-        return False
-    distinct_ids = set(ids)
-    return (
-        len(distinct_ids) == len(ids)
-        and "" not in distinct_ids
-        and (joined.isprintable() or not _CONTROL_CHARACTER.search(joined))
-        and set(map(type, counterparties)) <= {CounterpartyClass}
-        and set(map(type, ratings)) <= {RatingBucket}
-        and set(map(type, nominal_units)) <= {int}
-        and min(nominal_units, default=0) >= 0
-        and set(map(type, ead_units)) <= _UNITS_OR_ABSENT
-        # filter(None, ...) drops the absent eads, and zeros, which pass anyway
-        and min(filter(None, ead_units), default=0) >= 0
-        and (
-            CounterpartyClass.BANK_SHORT_TERM not in counterparties
-            or all([
-                flag for counterparty, flag in zip(counterparties, short_term)
-                if counterparty is CounterpartyClass.BANK_SHORT_TERM
-            ])
-        )
-        and set(map(type, pds)) <= _RATIONAL_OR_ABSENT
-        and all([0 <= v.numerator <= v.denominator for v in _distinct(pds)])
-        and set(map(type, lgds)) <= _RATIONAL_OR_ABSENT
-        and all([0 <= v.numerator <= v.denominator for v in _distinct(lgds)])
-        and set(map(type, maturities)) <= _RATIONAL_OR_ABSENT
-        and all([v.numerator > 0 for v in _distinct(maturities)])
-    )
-
-
-def _distinct(column: tuple) -> list:
-    """The distinct objects of a column, None left out.
-
-    Equal cells of a loaded book share one object, so a column of a few
-    hundred distinct values is checked a few hundred times, not once a line.
-    """
-    return [value for value in {id(v): v for v in column}.values() if value is not None]
-
-
-def _rows(columns: tuple[tuple, ...], currency: str):
-    """Each line of the columns as a tuple in Exposure field order, with Money
-    amounts; an amount that is not an int is passed on as it is, for
-    ``_violations`` to name."""
-    nominal_units, ead_units = columns[3], columns[8]
-    nominals = [Money(u, currency) if type(u) is int else u for u in nominal_units]
-    eads = [Money(u, currency) if type(u) is int else u for u in ead_units]
-    return zip(*columns[:3], nominals, *columns[4:8], eads, columns[9])
-
-
-def _violations(rows, currency: str) -> list[str]:
-    """Every broken invariant of a book, line by line, then its currencies.
-
-    ``rows`` yields lines in ``Exposure`` field order, amounts as Money.
-    """
-    violations: list[str] = []
+    ead_units, maturities, currency: str, breaks: tuple = (),
+) -> list[str]:
+    """Every rule that a book's columns break, with ``breaks`` found outside
+    them, listed line by line and in rank order within a line."""
     seen: set[str] = set()
-    currencies = {currency}
-    for (
-        exposure_id, counterparty, rating, nominal, _, short_term, pd, lgd, ead,
-        maturity,
-    ) in rows:
-        problem = id_problem(exposure_id)
-        if problem is not None:
-            violations.append(problem)
-        else:
-            if exposure_id in seen:
-                violations.append(f"duplicate id {exposure_id!r}")
-            seen.add(exposure_id)
-        name = f"exposure {exposure_id!r}"
-        if not isinstance(counterparty, CounterpartyClass):
-            violations.append(f"{name}: no counterparty class")
-        if not isinstance(rating, RatingBucket):
-            violations.append(f"{name}: no rating bucket")
-        if not isinstance(nominal, Money):
-            violations.append(f"{name}: nominal {nominal!r} is not Money")
-        else:
-            currencies.add(nominal.currency)
-            if nominal.is_negative:
-                violations.append(f"{name}: negative amount {nominal}")
-        if ead is not None:
-            if not isinstance(ead, Money):
-                violations.append(f"{name}: ead {ead!r} is not Money")
-            else:
-                currencies.add(ead.currency)
-                if ead.is_negative:
-                    violations.append(f"{name}: negative exposure-at-default {ead}")
-        if counterparty is CounterpartyClass.BANK_SHORT_TERM and not short_term:
-            violations.append(f"{name}: bank_short_term requires the short-term flag")
-        if pd is not None:
-            if not isinstance(pd, _RATIONAL):
-                violations.append(f"{name}: pd {pd!r} is not a Fraction")
-            elif not 0 <= pd.numerator <= pd.denominator:
-                violations.append(f"{name}: pd {pd} outside [0, 1]")
-        if lgd is not None:
-            if not isinstance(lgd, _RATIONAL):
-                violations.append(f"{name}: lgd {lgd!r} is not a Fraction")
-            elif not 0 <= lgd.numerator <= lgd.denominator:
-                violations.append(f"{name}: lgd {lgd} outside [0, 1]")
-        if maturity is not None:
-            if not isinstance(maturity, _RATIONAL):
-                violations.append(f"{name}: maturity {maturity!r} is not a Fraction")
-            elif maturity.numerator <= 0:
-                violations.append(f"{name}: maturity must be positive")
-    if len(currencies) > 1:
-        violations.append("mixed currencies: " + ", ".join(sorted(currencies)))
-    return violations
+    add, short_term_bank = seen.add, CounterpartyClass.BANK_SHORT_TERM
+    breaks = [*breaks] + [
+        (line, 0, id_problem(value) or f"duplicate id {value!r}")
+        for line, value in enumerate(ids)
+        # a new id joins seen (add returns None) and goes on to the control
+        # character test: every one is unprintable, and most ids are printable
+        if not isinstance(value, str) or not value or value in seen or add(value)
+        or not value.isprintable() and _CONTROL_CHARACTER.search(value)
+    ] + [
+        (line, rank, message)
+        for column, kind, rank, message in (
+            (counterparties, CounterpartyClass, 1, "no counterparty class"),
+            (ratings, RatingBucket, 2, "no rating bucket"),
+        )
+        for line, value in enumerate(column) if type(value) is not kind
+    ] + _amount_breaks(nominal_units, currency, *_NOMINAL) + _amount_breaks(
+        ead_units, currency, *_EAD, required=False
+    ) + [
+        (line, 5, "bank_short_term requires the short-term flag")
+        for line, counterparty, flag in zip(count(), counterparties, short_term)
+        if counterparty is short_term_bank and not flag
+    ] + _component_breaks(pds, lgds, maturities)
+    return [
+        message if rank == 0 else f"exposure {ids[line]!r}: {message}"
+        for line, rank, message in sorted(breaks)
+    ]
+
+
+def component_problems(pd, lgd, ead, maturity) -> list[str]:
+    """What the book rules find wrong with one set of IRB components, ead as
+    Money; none of the four may be absent."""
+    breaks = _money_breaks(ead, 0, *_EAD) + _component_breaks((pd,), (lgd,), (maturity,), True)
+    return [message for _, _, message in breaks]  # one line each, so in rank order
 
 
 def validate_portfolio(exposures, currency: str | None = None) -> Portfolio:
     """Build a Portfolio from Exposure records, inferring its currency when none is given.
 
     ``currency`` is the book's currency; when omitted it is the first
-    exposure's, or the default for an empty book. Besides the book's own
-    invariants, every nominal and ead must be Money in that currency, and
-    every pd, lgd and maturity a Fraction or an int.
+    exposure's, or the default for an empty book. Besides the book's rules,
+    every nominal and ead must be Money in that currency: one that is not is
+    listed here (a negative one in its own currency) and enters the book as 0.
     """
     rows = [_exposure_fields(exposure) for exposure in exposures]
     if currency is None:
         first = rows[0][3] if rows else None
         currency = first.currency if isinstance(first, Money) else DEFAULT_CURRENCY
-    violations = _violations(rows, currency)
-    if violations:
-        raise ValidationFailure(violations)
     columns = list(zip(*rows)) or [()] * len(Exposure.__slots__)
-    columns[3] = tuple(nominal.units for nominal in columns[3])
-    columns[8] = tuple(None if ead is None else ead.units for ead in columns[8])
-    return Portfolio(*columns, currency)
+    currencies = {currency}.union(
+        amount.currency for amount in columns[3] + columns[8] if isinstance(amount, Money)
+    )
+    breaks = []
+    for position, rule in ((3, _NOMINAL), (8, _EAD)):
+        units = columns[position] = list(columns[position])
+        for line, amount in enumerate(units):
+            if isinstance(amount, Money) and amount.currency == currency:
+                units[line] = amount.units
+            elif amount is not None or rule is _NOMINAL:
+                breaks += _money_breaks(amount, line, *rule)
+                units[line] = 0
+    if len(currencies) > 1:
+        breaks.append((len(rows), 0, "mixed currencies: " + ", ".join(sorted(currencies))))
+    if not breaks:
+        return Portfolio(*columns, currency)
+    raise ValidationFailure(_listing(*columns, currency, breaks))
 
 
 class CapitalBase(Record):

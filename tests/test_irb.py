@@ -15,6 +15,7 @@ from regcap import (
     EngineConfig,
     Exposure,
     IrbParams,
+    Money,
     NonMonotoneFunction,
     RatingBucket,
     ValidationFailure,
@@ -146,6 +147,28 @@ class TestIrbParamsValidation:
             IrbParams(**{**good, "maturity_years": Fraction(0)})
         with pytest.raises(OutOfRange):
             IrbParams(**{**good, "ead": -eur("1")})
+        # The book's rules and wording, a wrong type included: never an
+        # AttributeError, and never a bool taken for a rational.
+        with pytest.raises(OutOfRange, match=r"^pd 0\.5 is not a Fraction$"):
+            IrbParams(0.5, Fraction(1, 2), Money(1), Fraction(3))
+        for field, value, problem in [
+            ("ead", 100, "ead 100 is not Money"),
+            ("ead", -eur("0.01"), "negative exposure-at-default -0.01 EUR"),
+            ("maturity_years", "3", "maturity '3' is not a Fraction"),
+            ("maturity_years", 0, "maturity must be positive"),
+            ("pd", True, "pd True is not a Fraction"),
+            ("pd", None, "pd None is not a Fraction"),
+            ("lgd", Fraction(101, 100), "lgd 101/100 outside [0, 1]"),
+        ]:
+            with pytest.raises(OutOfRange) as excinfo:
+                IrbParams(**{**good, field: value})
+            assert str(excinfo.value) == problem
+        with pytest.raises(OutOfRange) as excinfo:
+            IrbParams(pd=2, lgd=0.5, ead=None, maturity_years=Fraction(-1))
+        assert str(excinfo.value) == (
+            "ead None is not Money; pd 2 outside [0, 1]; lgd 0.5 is not a Fraction; "
+            "maturity must be positive"
+        )
 
 
 class TestRwaIrb:

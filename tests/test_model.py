@@ -8,6 +8,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regcap import (
     CapitalBase,
@@ -229,6 +230,11 @@ class TestValidatePortfolio:
         ("pds", 0.5, "exposure 'A': pd 0.5 is not a Fraction"),
         ("lgds", Fraction(101, 100), "exposure 'A': lgd 101/100 outside [0, 1]"),
         ("maturities", Fraction(0), "exposure 'A': maturity must be positive"),
+        ("nominal_units", None, "exposure 'A': nominal None is not Money"),
+        ("ead_units", "1", "exposure 'A': ead '1' is not Money"),
+        ("lgds", 0.5, "exposure 'A': lgd 0.5 is not a Fraction"),
+        ("maturities", "3", "exposure 'A': maturity '3' is not a Fraction"),
+        ("pds", True, "exposure 'A': pd True is not a Fraction"),
     ])
     def test_each_rule_holds_for_columns_alone(self, column, value, violation):
         # One broken cell in an otherwise valid two-line book.
@@ -241,9 +247,101 @@ class TestValidatePortfolio:
             Portfolio(**columns)
         assert excinfo.value.violations == [violation]
 
+    def test_an_amount_in_another_currency_is_listed_in_its_own(self):
+        bad = Exposure("A", CounterpartyClass.CORPORATE, RatingBucket.UNRATED,
+                       Money(-100, "USD"))
+        with pytest.raises(ValidationFailure) as excinfo:
+            validate_portfolio([bad], "EUR")
+        assert excinfo.value.violations == [
+            "exposure 'A': negative amount -1.00 USD",
+            "mixed currencies: EUR, USD",
+        ]
+
+    def test_a_bool_component_is_not_an_int(self):
+        with pytest.raises(ValidationFailure) as excinfo:
+            validate_portfolio([on_balance("A", pd=True, lgd=False, maturity_years=True)])
+        assert excinfo.value.violations == [
+            "exposure 'A': pd True is not a Fraction",
+            "exposure 'A': lgd False is not a Fraction",
+            "exposure 'A': maturity True is not a Fraction",
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_break_is_listed_by_line_then_rule(self, data):
+        # A valid book of 1-12 lines with 1-4 cells broken from BREAKS, each
+        # of which names its message; the listing is line by line, and
+        # within a line in the order of the rules' ranks.
+        size = data.draw(st.integers(1, 12), label="lines")
+        columns = {name: list(column) for name, column in zip(
+            Portfolio.__slots__, zip(*[data.draw(valid_line(f"L{i}")) for i in range(size)])
+        )}
+        broken = data.draw(st.lists(
+            st.tuples(st.integers(0, size - 1), st.sampled_from(BREAKS)),
+            min_size=1, max_size=4, unique_by=lambda cell: (cell[0], cell[1][0]),
+        ).filter(lambda cells: all(line > 0 for line, (column, *_) in cells if column == "ids")))
+        for line, (column, value, _, _) in broken:
+            columns[column][line] = value
+            if value is CounterpartyClass.BANK_SHORT_TERM:
+                columns["short_term"][line] = False
+        expected = [
+            message if rank == 0 else f"exposure {columns['ids'][line]!r}: {message}"
+            for line, (_, _, rank, message) in sorted(broken, key=lambda c: (c[0], c[1][2]))
+        ]
+        with pytest.raises(ValidationFailure) as excinfo:
+            Portfolio(**columns, currency="EUR")
+        assert excinfo.value.violations == expected
+
     def test_columns_of_unequal_length_are_refused(self):
         with pytest.raises(ValidationFailure, match="unequal length: 0, 1"):
             Portfolio(("A",), (), (), (), (), (), (), (), (), (), "EUR")
+
+
+@st.composite
+def valid_line(draw, exposure_id: str) -> tuple:
+    """One valid line of a book, in Portfolio column order."""
+    counterparty = draw(st.sampled_from(CounterpartyClass))
+    component = st.none() | st.sampled_from([0, 1, Fraction(1, 100), Fraction(1, 2)])
+    return (
+        exposure_id, counterparty, draw(st.sampled_from(RatingBucket)),
+        draw(st.integers(0, 10**9)), None,
+        counterparty is CounterpartyClass.BANK_SHORT_TERM or draw(st.booleans()),
+        draw(component), draw(component), draw(st.none() | st.integers(0, 10**9)),
+        draw(st.none() | st.sampled_from([1, Fraction(1, 2), Fraction(5)])),
+    )
+
+
+# (column, bad value, rank of its rule, message): every rule of a book. An id
+# is broken only past line 0, so "L0" is always a duplicate.
+BREAKS = [
+    ("ids", "L0", 0, "duplicate id 'L0'"),
+    ("ids", "", 0, "empty id"),
+    ("ids", "a\x85b", 0, "id 'a\\x85b' contains a control character"),
+    ("ids", 7, 0, "id 7 is not a string"),
+    ("counterparties", None, 1, "no counterparty class"),
+    ("counterparties", "bank", 1, "no counterparty class"),
+    ("ratings", None, 2, "no rating bucket"),
+    ("ratings", 0, 2, "no rating bucket"),
+    ("nominal_units", -1, 3, "negative amount -0.01 EUR"),
+    ("nominal_units", 1.0, 3, "nominal 1.0 is not Money"),
+    ("nominal_units", None, 3, "nominal None is not Money"),
+    ("nominal_units", True, 3, "nominal True is not Money"),
+    ("ead_units", -12345, 4, "negative exposure-at-default -123.45 EUR"),
+    ("ead_units", Decimal("1"), 4, "ead Decimal('1') is not Money"),
+    ("ead_units", False, 4, "ead False is not Money"),
+    ("counterparties", CounterpartyClass.BANK_SHORT_TERM, 5,
+     "bank_short_term requires the short-term flag"),
+    ("pds", Fraction(-1, 100), 6, "pd -1/100 outside [0, 1]"),
+    ("pds", 2, 6, "pd 2 outside [0, 1]"),
+    ("pds", 0.5, 6, "pd 0.5 is not a Fraction"),
+    ("pds", True, 6, "pd True is not a Fraction"),
+    ("lgds", Fraction(101, 100), 7, "lgd 101/100 outside [0, 1]"),
+    ("lgds", Decimal("0.5"), 7, "lgd Decimal('0.5') is not a Fraction"),
+    ("maturities", 0, 8, "maturity must be positive"),
+    ("maturities", Fraction(-1, 2), 8, "maturity must be positive"),
+    ("maturities", "3", 8, "maturity '3' is not a Fraction"),
+    ("maturities", False, 8, "maturity False is not a Fraction"),
+]
 
 
 IRB_FOUNDATION_CSV = (
