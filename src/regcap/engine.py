@@ -141,15 +141,20 @@ class ComputeResult(Record):
 
 
 def _texts(values: list[Fraction], render) -> tuple[str, ...]:
-    """``render(value)`` for each value, rendered once per distinct object.
+    """``render(value)`` for each value, rendered once per distinct object,
+    with one string per distinct text.
 
     Keyed by identity, which ``values`` keeps unique while it holds them:
     hashing a Fraction costs more than rendering it, and a loaded book shares
-    one object per distinct token.
+    one object per distinct token. Distinct objects often render alike (a pd
+    has many more digits than its two-decimal percent), so equal texts are
+    shared.
     """
     rendered = {id(value): value for value in values}
+    shared: dict[str, str] = {}
     for key, value in rendered.items():
-        rendered[key] = render(value)
+        text = render(value)
+        rendered[key] = shared.setdefault(text, text)
     return tuple([rendered[id(value)] for value in values])
 
 
@@ -166,16 +171,22 @@ def _credit_block(config: EngineConfig, portfolio: Portfolio, tables: TableSet) 
         else portfolio.ead_units
     )
     units, pds, lgds, maturities, weights, weight_texts = ([] for _ in range(6))
+    percent_texts: dict[int, str] = {}
     for index, ead in enumerate(eads):
         params = params_for_exposure(portfolio, index, approach)
         weight = evaluate_weight(fn, params)
         # One integer ratio per weight, and one half-even division per
         # figure: the line's units, and its weight in hundredths of a
-        # percent, printed as format_percent prints it (the weight is >= 0).
+        # percent, printed as format_percent prints it (the weight is >= 0)
+        # and built once per distinct value.
         numerator, denominator = weight.as_integer_ratio()
         units.append(_divide_half_even(ead * numerator, denominator))
         hundredths = _divide_half_even(numerator * 10_000, denominator)
-        weight_texts.append(f"{hundredths // 100}.{hundredths % 100:02d}%")
+        text = percent_texts.get(hundredths)
+        if text is None:
+            text = f"{hundredths // 100}.{hundredths % 100:02d}%"
+            percent_texts[hundredths] = text
+        weight_texts.append(text)
         pds.append(params.pd)
         lgds.append(params.lgd)
         maturities.append(params.maturity_years)

@@ -50,14 +50,29 @@ class IrbParams(Record):
 RiskWeightFunction = Callable[[IrbParams], Fraction]
 
 
+def _filled(
+    pd: Fraction, lgd: Fraction, ead_units: int, maturity_years: Fraction, currency: str
+) -> IrbParams:
+    """IrbParams of components that already hold to the book's rules, and
+    its ead Money, filled in without their public constructors' check."""
+    ead = object.__new__(Money)
+    init_field(ead, "units", ead_units)
+    init_field(ead, "currency", currency)
+    params = object.__new__(IrbParams)
+    init_field(params, "pd", pd)
+    init_field(params, "lgd", lgd)
+    init_field(params, "ead", ead)
+    init_field(params, "maturity_years", maturity_years)
+    return params
+
+
 def params_for_exposure(
     portfolio: Portfolio, index: int, approach: CreditApproach
 ) -> IrbParams:
     """Source the risk components of line ``index`` of a book under an IRB approach.
 
     The Portfolio's constructor has already checked every component's type
-    and range and every amount's type, so the IrbParams and its ead Money
-    are filled in without their public constructors' second check.
+    and range and every amount's type, so they are not checked again.
     """
     pd = portfolio.pds[index]
     if pd is None:
@@ -78,34 +93,24 @@ def params_for_exposure(
                 )
                 if value is None
             ])
-    amount = object.__new__(Money)
-    init_field(amount, "units", ead)
-    init_field(amount, "currency", portfolio.currency)
-    params = object.__new__(IrbParams)
-    init_field(params, "pd", pd)
-    init_field(params, "lgd", lgd)
-    init_field(params, "ead", amount)
-    init_field(params, "maturity_years", maturity_years)
-    return params
-
-
-def _coerce_weight(value) -> Fraction:
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise NonFiniteWeight(f"risk-weight function returned {value!r}")
-        return Fraction(Decimal(repr(value)))
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, Decimal):
-        if not value.is_finite():
-            raise NonFiniteWeight(f"risk-weight function returned {value!r}")
-        return Fraction(value)
-    raise NonFiniteWeight(f"risk-weight function returned {value!r}")
+    return _filled(pd, lgd, ead, maturity_years, portfolio.currency)
 
 
 def evaluate_weight(fn: RiskWeightFunction, params: IrbParams) -> Fraction:
-    """Call a risk-weight function and vet the result (finite, >= 0)."""
-    weight = _coerce_weight(fn(params))
+    """Call a risk-weight function and vet the result (finite, >= 0).
+
+    A float is read at its shortest round-trip decimal (``repr``); an int,
+    a Fraction or a finite Decimal exactly; anything else is refused.
+    """
+    value = fn(params)
+    if isinstance(value, float) and math.isfinite(value):
+        weight = Fraction(Decimal(repr(value)))
+    elif isinstance(value, (int, Fraction)) or (
+        isinstance(value, Decimal) and value.is_finite()
+    ):
+        weight = Fraction(value)
+    else:
+        raise NonFiniteWeight(f"risk-weight function returned {value!r}")
     if weight.numerator < 0:
         raise NonFiniteWeight(f"risk-weight function returned negative weight {weight}")
     return weight
@@ -133,8 +138,10 @@ def check_monotonicity(fn: RiskWeightFunction) -> str | None:
     def point(i: int, j: int) -> tuple[IrbParams, Fraction]:
         entry = points[i][j]
         if entry is None:
-            params = IrbParams(pd=GATE_VALUES[i], lgd=GATE_VALUES[j], ead=GATE_EAD,
-                               maturity_years=FOUNDATION_MATURITY_YEARS)
+            # Constants that hold to the book's rules, as tests/test_irb.py
+            # checks, so each point skips the check.
+            params = _filled(GATE_VALUES[i], GATE_VALUES[j], GATE_EAD.units,
+                             FOUNDATION_MATURITY_YEARS, GATE_EAD.currency)
             entry = points[i][j] = (params, evaluate_weight(fn, params))
         return entry
 

@@ -96,7 +96,7 @@ class Money(Record):
     __slots__ = ("units", "currency")
 
     def __init__(self, units: int, currency: str = DEFAULT_CURRENCY) -> None:
-        if not isinstance(units, int):
+        if type(units) is not int:  # a bool is an int, but not an amount
             raise TypeError(f"units must be int, got {type(units).__name__}")
         init_field(self, "units", units)
         init_field(self, "currency", currency)

@@ -199,8 +199,8 @@ def render_compute_text(result: ComputeResult) -> str:
         parts.extend(_oprisk_section(result.oprisk, result.config.oprisk_approach))
         parts.append("")
     parts.extend(_solvency_section(result))
-    parts.append(RULE)
-    return "\n".join(parts) + "\n"
+    parts += (RULE, "")  # the empty last part ends the text with a newline
+    return "\n".join(parts)
 
 
 def _ratio_doc(ratio: Fraction | None) -> str | None:
@@ -335,76 +335,80 @@ def compute_document(result: ComputeResult) -> dict:
 
 _LITERALS = {None: "null", True: "true", False: "false"}
 
+# Members of a list whose texts are joined into one string at a time.
+_CHUNK = 1024
 
-def _encode(value, indent: str) -> str:
-    """One JSON value laid out as json.dumps(sort_keys=True, indent=2) does.
 
-    Each container joins its members' finished texts once, so the document
-    is never held as millions of small fragments.
+def _write(value, indent: str, out: list[str], layouts: dict) -> None:
+    """Append one JSON value to ``out``, laid out as
+    json.dumps(sort_keys=True, indent=2) lays it out.
+
+    Every finished text goes straight into ``out``, so a dict's members
+    are never copied into a text of the dict. A list joins what its members
+    appended into one string every ``_CHUNK`` members, so the document is
+    never held as millions of small fragments.
+
+    ``layouts`` maps a dict's keys, in insertion order, to the indent it
+    was last written at and each key in sorted order with the text that
+    goes before its value: the dicts of a list of report lines sort their
+    keys and escape them once.
     """
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return _LITERALS[value]
-    if isinstance(value, dict):
-        return _encode_dict(value, indent, None)[0]
-    if isinstance(value, (list, tuple)):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append(_LITERALS[value])
+    elif isinstance(value, dict):
         if not value:
-            return "[]"
-        inner = indent + "  "
-        parts = ["["]
-        separator = "\n"
-        layout = None
-        for member in value:
-            parts.append(f"{separator}{inner}")
-            if isinstance(member, dict):
-                text, layout = _encode_dict(member, inner, layout)
-                parts.append(text)
+            out.append("{}")
+            return
+        order = tuple(value)
+        layout = layouts.get(order)
+        if layout is None or layout[0] != indent:
+            keys = sorted(order)
+            inner = indent + "  "
+            heads = [f",\n{inner}{encode_basestring_ascii(key)}: " for key in keys]
+            heads[0] = heads[0][1:]  # no comma before the first member
+            layout = layouts[order] = indent, tuple(zip(keys, heads))
+        out.append("{")
+        for key, head in layout[1]:
+            member = value[key]
+            # Scalars are written in place, without a call: a report line
+            # dict holds little else.
+            if isinstance(member, str):
+                out.append(head + encode_basestring_ascii(member))
+            elif member is None or member is True or member is False:
+                out.append(head + _LITERALS[member])
             else:
-                parts.append(_encode(member, inner))
-            separator = ",\n"
-        parts.append(f"\n{indent}]")
-        return "".join(parts)
-    return json.dumps(value)
-
-
-def _encode_dict(value: dict, indent: str, layout):
-    """A dict's text, and the layout it was written with.
-
-    A layout is the dict's keys in insertion order, then each key in sorted
-    order with the text that goes before its value. ``layout`` is the one a
-    previous dict of the same list used; it is reused when this dict has the
-    same keys in the same insertion order, so the dicts of a list of report
-    lines sort their keys and escape them once.
-    """
-    if not value:
-        return "{}", layout
-    order = tuple(value)
-    if layout is None or layout[0] != order:
-        keys = sorted(order)
+                out.append(head)
+                _write(member, indent + "  ", out, layouts)
+        out.append(f"\n{indent}}}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
         inner = indent + "  "
-        heads = [f",\n{inner}{encode_basestring_ascii(key)}: " for key in keys]
-        heads[0] = heads[0][1:]  # no comma before the first member
-        layout = order, tuple(zip(keys, heads))
-    parts = ["{"]
-    for key, head in layout[1]:
-        member = value[key]
-        # Scalars are written in place, without a call: a report line
-        # dict holds little else. A container's text is never copied.
-        if isinstance(member, str):
-            parts.append(head + encode_basestring_ascii(member))
-        elif member is None or member is True or member is False:
-            parts.append(head + _LITERALS[member])
-        else:
-            parts += (head, _encode(member, indent + "  "))
-    parts.append(f"\n{indent}}}")
-    return "".join(parts), layout
+        separator = f"[\n{inner}"
+        following = f",\n{inner}"
+        for first in range(0, len(value), _CHUNK):
+            start = len(out)
+            for member in value[first:first + _CHUNK]:
+                out.append(separator)
+                _write(member, inner, out, layouts)
+                separator = following
+            out[start:] = ["".join(out[start:])]
+        out.append(f"\n{indent}]")
+    else:
+        out.append(json.dumps(value))
 
 
 def render_json(document: dict) -> str:
     """The machine document: byte-identical to json.dumps(document,
-    sort_keys=True, indent=2) plus a final newline."""
-    return _encode(document, "") + "\n"
+    sort_keys=True, indent=2) plus a final newline. The document's text is
+    joined exactly once."""
+    out: list[str] = []
+    _write(document, "", out, {})
+    out.append("\n")
+    return "".join(out)
 
 
 def render_compare_text(comparison: CompareResult) -> str:
@@ -451,8 +455,8 @@ def render_compare_text(comparison: CompareResult) -> str:
     for novelty in comparison.novelties:
         box = "[x]" if novelty.applied else "[ ]"
         parts.append(f"  {box} {novelty.name}: {novelty.note}")
-    parts.append(RULE)
-    return "\n".join(parts) + "\n"
+    parts += (RULE, "")
+    return "\n".join(parts)
 
 
 def compare_document(comparison: CompareResult) -> dict:
@@ -511,8 +515,8 @@ def render_disclosure_text(disclosure: DisclosureReport) -> str:
     parts.append("CONFIGURATION ECHO")
     parts.append(LIGHT_RULE)
     parts.extend(_config_echo_lines(config, result.tables))
-    parts.append(RULE)
-    return "\n".join(parts) + "\n"
+    parts += (RULE, "")
+    return "\n".join(parts)
 
 
 def disclosure_document(disclosure: DisclosureReport) -> dict:

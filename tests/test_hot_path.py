@@ -111,6 +111,14 @@ def test_calls_per_line_stay_pinned(bench_book):
     assert pricing_calls / LINES <= PRICING_CALLS_PER_LINE
 
 
+def test_equal_texts_of_the_credit_view_are_one_string(bench_book):
+    path, config = bench_book
+    result = run_compute(config, fileio.load_portfolio(path), CapitalBase(Money(10**15)))
+    view = result.credit.lines
+    for column in (view.pd_texts, view.lgd_texts, view.maturity_texts, view.weight_texts):
+        assert len({id(text) for text in column}) == len(set(column)) < len(column)
+
+
 def test_load_peaks_near_the_book_it_returns(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     path = _write_book(tmp_path / "portfolio.csv", PEAK_LINES)

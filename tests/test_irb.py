@@ -32,7 +32,7 @@ from regcap.irb import (
     params_for_exposure,
     risk_weight_function,
 )
-from regcap.model import validate_portfolio
+from regcap.model import component_problems, validate_portfolio
 
 from conftest import eur, run_python
 
@@ -298,6 +298,15 @@ class TestMonotonicityGate:
     def test_grid_covers_unit_interval_endpoints(self):
         assert irb.GATE_VALUES[0] == 0 and irb.GATE_VALUES[-1] == 1
         assert len(irb.GATE_VALUES) == 20
+
+    def test_grid_points_hold_to_the_book_rules(self):
+        # The gate builds its points without IrbParams' check; this is that
+        # check, once for every point.
+        for pd in irb.GATE_VALUES:
+            for lgd in irb.GATE_VALUES:
+                assert component_problems(
+                    pd, lgd, irb.GATE_EAD, FOUNDATION_MATURITY_YEARS
+                ) == []
 
     def test_registration_gate_rejects_bad_function(self):
         with pytest.raises(NonMonotoneFunction, match="rejected") as caught:

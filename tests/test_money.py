@@ -46,8 +46,10 @@ class TestConstruction:
         assert Money.from_decimal("0e5000").units == 0
 
     def test_rejects_non_integer_units(self):
-        with pytest.raises(TypeError):
-            Money(units=1.5)  # type: ignore[arg-type]
+        # A bool is an int to isinstance, but Money(True) is not a cent.
+        for units in (1.5, True, False):
+            with pytest.raises(TypeError):
+                Money(units=units)  # type: ignore[arg-type]
 
     def test_amount_round_trips(self):
         assert Money.from_decimal(eur("1234.56").text(), "EUR") == eur("1234.56")
