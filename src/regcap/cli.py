@@ -2,8 +2,8 @@
 
 Subcommands: compute, compare, disclose, dump-tables, validate. Flags mirror
 config-file keys and override them one by one. Exit status: 0 when every
-computed compliance flag holds, 1 on non-compliance, 2 on input or config
-errors and on any unexpected failure.
+computed compliance flag holds, 1 on non-compliance, 2 on usage, input or
+config errors and on any unexpected failure.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .config import SETTINGS, EngineConfig, Regime, load_config
 from .engine import (
@@ -19,7 +20,7 @@ from .engine import (
     run_compute,
     run_disclose,
 )
-from .errors import ConfigError, RegcapError
+from .errors import ConfigError, RegcapError, UsageError
 from .fileio import (
     dump_betas,
     dump_ccf,
@@ -39,6 +40,15 @@ from .reporting import (
     render_disclosure_text,
     render_json,
 )
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error raises UsageError, so that main
+    prints it as one labelled line, instead of printing the usage block and
+    exiting. --help still prints argparse's text and exits 0."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(" ".join(message.splitlines()))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -70,7 +80,7 @@ def _add_run_inputs(parser: argparse.ArgumentParser, need_capital: bool) -> None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regcap",
         description=(
             "Regulatory-capital engine: credit and operational risk charges,"
@@ -227,10 +237,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = _COMMANDS[args.command]
     try:
-        return handler(args)
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except RegcapError as exc:
         sys.stderr.write(f"error [{exc.layer}]: {exc}\n")
         return 2

@@ -75,26 +75,29 @@ def resolve_tables(config: EngineConfig) -> TableSet:
 class IrbColumns(Record):
     """The internal-ratings credit lines as columns, in input order.
 
-    Line i is exposure ``ids[i]`` at ``weights[i]`` (exact) on an ead of
-    ``ead_units[i]``, priced to ``units[i]`` minor units of the total's
-    currency. The pd, lgd, maturity and weight columns hold the texts the
-    reports print, formatted once when the line is priced.
+    Line i is exposure ``ids[i]`` at the exact weight
+    ``weight_numerators[i] / weight_denominators[i]`` (in lowest terms, the
+    denominator positive) on an ead of ``ead_units[i]``, priced to
+    ``units[i]`` minor units of the total's currency. The pd, lgd, maturity
+    and weight columns hold the texts the reports print, formatted once
+    when the line is priced.
     """
 
     __slots__ = (
-        "ids", "units", "pd_texts", "lgd_texts", "maturity_texts", "weights",
-        "weight_texts", "ead_units", "off_balance",
+        "ids", "units", "pd_texts", "lgd_texts", "maturity_texts", "weight_numerators",
+        "weight_denominators", "weight_texts", "ead_units", "off_balance",
     )
 
     def __init__(
         self, ids: tuple[str, ...], units: tuple[int, ...], pd_texts: tuple[str, ...],
         lgd_texts: tuple[str, ...], maturity_texts: tuple[str, ...],
-        weights: tuple[Fraction, ...], weight_texts: tuple[str, ...],
-        ead_units: tuple[int, ...], off_balance: tuple[bool, ...],
+        weight_numerators: tuple[int, ...], weight_denominators: tuple[int, ...],
+        weight_texts: tuple[str, ...], ead_units: tuple[int, ...],
+        off_balance: tuple[bool, ...],
     ) -> None:
         super().__init__(
-            ids, units, pd_texts, lgd_texts, maturity_texts, weights, weight_texts,
-            ead_units, off_balance,
+            ids, units, pd_texts, lgd_texts, maturity_texts, weight_numerators,
+            weight_denominators, weight_texts, ead_units, off_balance,
         )
 
 
@@ -170,16 +173,16 @@ def _credit_block(config: EngineConfig, portfolio: Portfolio, tables: TableSet) 
         portfolio.nominal_units if approach is CreditApproach.IRB_FOUNDATION
         else portfolio.ead_units
     )
-    units, pds, lgds, maturities, weights, weight_texts = ([] for _ in range(6))
+    units, pds, lgds, maturities, numerators, denominators, weight_texts = (
+        [], [], [], [], [], [], []
+    )
     percent_texts: dict[int, str] = {}
     for index, ead in enumerate(eads):
         params = params_for_exposure(portfolio, index, approach)
-        weight = evaluate_weight(fn, params)
-        # One integer ratio per weight, and one half-even division per
-        # figure: the line's units, and its weight in hundredths of a
-        # percent, printed as format_percent prints it (the weight is >= 0)
-        # and built once per distinct value.
-        numerator, denominator = weight.as_integer_ratio()
+        numerator, denominator = evaluate_weight(fn, params)
+        # One half-even division per figure: the line's units, and its
+        # weight in hundredths of a percent, printed as format_percent
+        # prints it (the weight is >= 0) and built once per distinct value.
         units.append(_divide_half_even(ead * numerator, denominator))
         hundredths = _divide_half_even(numerator * 10_000, denominator)
         text = percent_texts.get(hundredths)
@@ -190,11 +193,12 @@ def _credit_block(config: EngineConfig, portfolio: Portfolio, tables: TableSet) 
         pds.append(params.pd)
         lgds.append(params.lgd)
         maturities.append(params.maturity_years)
-        weights.append(weight)
+        numerators.append(numerator)
+        denominators.append(denominator)
     lines = IrbColumns(
         portfolio.ids, tuple(units), _texts(pds, format_percent),
         _texts(lgds, format_percent), _texts(maturities, fraction_to_decimal_text),
-        tuple(weights), tuple(weight_texts), eads,
+        tuple(numerators), tuple(denominators), tuple(weight_texts), eads,
         tuple([category is not None for category in portfolio.categories]),
     )
     return CreditResult(total_rwa=Money(sum(units), portfolio.currency), lines=lines)

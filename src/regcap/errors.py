@@ -1,7 +1,8 @@
 """Exception types shared across the engine.
 
-Each type names the engine area it comes from in ``layer``; the command
-line prints that label in its one-line diagnostic. The types raised by
+Each type names the engine area it comes from in ``layer`` (``usage`` for
+command-line arguments the parser refuses); the command line prints that
+label in its one-line diagnostic. The types raised by
 record constructors for an out-of-range value are also ``ValueError``s.
 """
 
@@ -170,3 +171,10 @@ class ConfigError(RegcapError, ValueError):
     """Engine configuration is internally inconsistent."""
 
     layer = "input/config"
+
+
+class UsageError(RegcapError):
+    """Command-line arguments the parser refuses: an unknown flag, a value
+    outside a flag's choices, or a required flag left out."""
+
+    layer = "usage"

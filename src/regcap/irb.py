@@ -24,7 +24,7 @@ from .errors import (
     ValidationFailure,
 )
 from .model import Portfolio, component_problems
-from .money import Money
+from .money import Money, _divide_half_even
 from .record import Record, init_field
 
 # Supervisory foundation inputs: 50% recovery, exposure at nominal value,
@@ -47,7 +47,7 @@ class IrbParams(Record):
         super().__init__(pd, lgd, ead, maturity_years)
 
 
-RiskWeightFunction = Callable[[IrbParams], Fraction]
+RiskWeightFunction = Callable[[IrbParams], "float | int | Fraction | Decimal"]
 
 
 def _filled(
@@ -96,24 +96,27 @@ def params_for_exposure(
     return _filled(pd, lgd, ead, maturity_years, portfolio.currency)
 
 
-def evaluate_weight(fn: RiskWeightFunction, params: IrbParams) -> Fraction:
+def evaluate_weight(fn: RiskWeightFunction, params: IrbParams) -> tuple[int, int]:
     """Call a risk-weight function and vet the result (finite, >= 0).
 
-    A float is read at its shortest round-trip decimal (``repr``); an int,
-    a Fraction or a finite Decimal exactly; anything else is refused.
+    Returns the weight's exact (numerator, denominator), in lowest terms with
+    a positive denominator. A float is read at its shortest round-trip
+    decimal (``repr``); an int, a bool, a Fraction or a finite Decimal
+    exactly; anything else is refused.
     """
     value = fn(params)
     if isinstance(value, float) and math.isfinite(value):
-        weight = Fraction(Decimal(repr(value)))
+        numerator, denominator = Decimal(repr(value)).as_integer_ratio()
     elif isinstance(value, (int, Fraction)) or (
         isinstance(value, Decimal) and value.is_finite()
     ):
-        weight = Fraction(value)
+        numerator, denominator = value.as_integer_ratio()
     else:
         raise NonFiniteWeight(f"risk-weight function returned {value!r}")
-    if weight.numerator < 0:
+    if numerator < 0:
+        weight = Fraction(numerator, denominator)
         raise NonFiniteWeight(f"risk-weight function returned negative weight {weight}")
-    return weight
+    return numerator, denominator
 
 
 # The registration gate samples pd and lgd at 20 evenly spaced points each,
@@ -129,30 +132,32 @@ def check_monotonicity(fn: RiskWeightFunction) -> str | None:
     Returns None when it never does, else a message naming the first
     decreasing step. Every pd step is checked at each lgd, then every lgd
     step at each pd; each grid point is evaluated at most once, when a step
-    first needs it.
+    first needs it. Weights are compared as integer ratios by
+    cross-multiplying (denominators are positive).
     """
-    points: list[list[tuple[IrbParams, Fraction] | None]] = [
+    points: list[list[tuple[IrbParams, int, int] | None]] = [
         [None] * GATE_STEPS for _ in range(GATE_STEPS)
     ]
 
-    def point(i: int, j: int) -> tuple[IrbParams, Fraction]:
+    def point(i: int, j: int) -> tuple[IrbParams, int, int]:
         entry = points[i][j]
         if entry is None:
             # Constants that hold to the book's rules, as tests/test_irb.py
             # checks, so each point skips the check.
             params = _filled(GATE_VALUES[i], GATE_VALUES[j], GATE_EAD.units,
                              FOUNDATION_MATURITY_YEARS, GATE_EAD.currency)
-            entry = points[i][j] = (params, evaluate_weight(fn, params))
+            entry = points[i][j] = (params, *evaluate_weight(fn, params))
         return entry
 
     last = GATE_STEPS - 1
     steps = [((i, j), (i + 1, j)) for j in range(GATE_STEPS) for i in range(last)]
     steps += [((i, j), (i, j + 1)) for i in range(GATE_STEPS) for j in range(last)]
     for low, high in steps:
-        (a, low_weight), (b, high_weight) = point(*low), point(*high)
-        if high_weight < low_weight:
+        (a, low_n, low_d), (b, high_n, high_d) = point(*low), point(*high)
+        if high_n * low_d < low_n * high_d:
             return (
-                f"weight decreases from {low_weight} to {high_weight} between "
+                f"weight decreases from {Fraction(low_n, low_d)} to "
+                f"{Fraction(high_n, high_d)} between "
                 f"(pd={a.pd}, lgd={a.lgd}) and (pd={b.pd}, lgd={b.lgd})"
             )
     return None
@@ -161,7 +166,7 @@ def check_monotonicity(fn: RiskWeightFunction) -> str | None:
 # Reference function: weight 1 regardless of inputs. Useful for wiring tests
 # and as the documented default until a supervisory formula is registered.
 # Being constant it is monotone by construction, so it skips the gate.
-_FUNCTIONS: dict[str, RiskWeightFunction] = {"constant": lambda params: Fraction(1)}
+_FUNCTIONS: dict[str, RiskWeightFunction] = {"constant": lambda params: 1}
 
 
 def register_risk_weight_function(name: str, fn: RiskWeightFunction) -> None:
@@ -192,4 +197,6 @@ def rwa_irb(params: IrbParams, fn: RiskWeightFunction | str) -> Money:
     """
     if isinstance(fn, str):
         fn = risk_weight_function(fn)
-    return params.ead.scaled(evaluate_weight(fn, params))
+    numerator, denominator = evaluate_weight(fn, params)
+    ead = params.ead
+    return Money(_divide_half_even(ead.units * numerator, denominator), ead.currency)

@@ -226,9 +226,13 @@ class TestCompute:
         assert "151.80" in captured.out
 
     def test_missing_portfolio_flag_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["compute", "--capital", "1.00"])
-        assert excinfo.value.code == 2
+        status = main(["compute", "--capital", "1.00"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error [usage]: the following arguments are required: --portfolio\n"
+        )
 
     def test_supervisory_flags(self, capsys):
         status = main(
@@ -425,13 +429,16 @@ class TestValidate:
         assert "unknown.key" in captured.err
 
 
-# Flags whose values regcap parses itself; argparse checks the enum choices
-# and switches, and the file flags are fuzzed through their contents.
+# Flags whose values regcap parses itself, the choice flags argparse checks
+# and a flag no command takes; the file flags are fuzzed through their
+# contents.
 CAPITAL_FLAGS = ("--capital", "--tier1", "--tier2", "--market-charge")
 CONFIG_FLAGS = (
     "--irb-function", "--oprisk-approach", "--previous-oprisk-approach",
     "--min-ratio-override", "--capital-addon", "--period", "--currency",
 )
+CHOICE_FLAGS = {s.flag: s.choices for s in SETTINGS if s.choices}
+UNKNOWN_FLAG = "--no-such-flag"
 PLAUSIBLE_VALUES = ("1.00", "81000.00", "0", "10%", "2006-H2", "EUR", "standardized")
 
 
@@ -499,9 +506,11 @@ class TestTotality:
             argv.append("--capital=81000.00")  # a drawn --capital comes later and wins
             if data.draw(st.booleans(), label="--json-out"):
                 argv += ["--json-out", str(directory / "out.json")]
-        values = st.one_of(st.sampled_from(PLAUSIBLE_VALUES), st.text(max_size=12))
-        chosen = data.draw(st.dictionaries(st.sampled_from(flags), values, max_size=2))
-        argv += [f"{flag}={value}" for flag, value in chosen.items()]
+        flags += (*CHOICE_FLAGS, UNKNOWN_FLAG)
+        for flag in data.draw(st.lists(st.sampled_from(flags), max_size=2, unique=True)):
+            plausible = st.sampled_from(CHOICE_FLAGS.get(flag, PLAUSIBLE_VALUES))
+            value = data.draw(st.one_of(plausible, st.text(max_size=12)), label=flag)
+            argv.append(f"{flag}={value}")
 
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -522,7 +531,6 @@ class TestTotality:
 
 # The config flags the validate property draws: the choice flags with one of
 # their choices, the switches, and the flags whose values regcap parses.
-CHOICE_FLAGS = {s.flag: s.choices for s in SETTINGS if s.choices}
 SWITCHES = tuple(s.flag for s in SETTINGS if s.parser is bool)
 # Refusals that belong to a command, not to its inputs: compare needs the
 # full regime and disclose a period, and validate asks for neither.

@@ -69,10 +69,12 @@ class TestSettingsTable:
         assert sorted(keys) == sorted(s.key for s in SETTINGS)
 
     def test_enum_flags_offer_the_enum_values(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            _config_from_flags(["--bank-policy", "mid"])
-        assert excinfo.value.code == 2
-        assert "choose from 'low_end', 'high_end'" in capsys.readouterr().err
+        status = main(["validate", "--portfolio", WORKED, "--bank-policy", "mid"])
+        assert status == 2
+        assert capsys.readouterr().err == (
+            "error [usage]: argument --bank-policy: invalid choice: 'mid'"
+            " (choose from 'low_end', 'high_end')\n"
+        )
 
 
 @pytest.mark.parametrize("setting", SETTINGS, ids=_setting_id)

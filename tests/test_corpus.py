@@ -52,8 +52,8 @@ def replay(args: list[str], workdir: Path) -> dict:
         with redirect_stdout(stdout), redirect_stderr(stderr):
             try:
                 status = main(list(args))
-            except SystemExit as exc:  # --help and argparse usage errors
-                status = exc.code if isinstance(exc.code, int) else 2
+            except SystemExit as exc:  # --help prints argparse's text and exits 0
+                status = exc.code
         out = workdir / JSON_OUT
         document = _digest(out.read_bytes()) if out.exists() else None
     finally:

@@ -178,7 +178,7 @@ class TestCompute:
         assert view.lgd_texts == ("50.00%",)
         assert view.maturity_texts == ("3",)
         assert view.ead_units == (eur("1000.00").units,)
-        assert view.weights == (1,)
+        assert (view.weight_numerators, view.weight_denominators) == ((1,), (1,))
         assert view.weight_texts == ("100.00%",)
         assert view.off_balance == (False,)
         # builtin constant function weighs every exposure at 100%
@@ -211,8 +211,11 @@ class TestCompute:
         result = run_compute(config, portfolio, CapitalBase(eur("100000.00")))
         assert len(calls) == 10
         view = result.credit.lines
-        assert view.weights == tuple(Fraction(n, 7) for n in range(1, 11))
-        for params, weight, ead, units in zip(calls, view.weights, view.ead_units, view.units):
+        weights = tuple(Fraction(n, 7) for n in range(1, 11))
+        # The ratio in lowest terms: 7/7 is kept as 1/1.
+        assert view.weight_numerators == tuple(w.numerator for w in weights)
+        assert view.weight_denominators == tuple(w.denominator for w in weights)
+        for params, weight, ead, units in zip(calls, weights, view.ead_units, view.units):
             assert ead == params.ead.units
             assert Money(units, "EUR") == params.ead.scaled(weight)
 

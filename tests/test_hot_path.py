@@ -15,6 +15,7 @@ import importlib
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -31,9 +32,10 @@ LINES = 1_000
 # Calls of regcap's own functions per line, as this module counts them on
 # CPython 3.11 (later versions inline comprehensions and count fewer). A
 # change that adds per-line work raises them; lower a pin when a change
-# removes calls, so that the guard keeps what was won.
+# removes calls, so that the guard keeps what was won. Each resumption of a
+# generator counts as a call.
 LOAD_CALLS_PER_LINE = 13.492
-PRICING_CALLS_PER_LINE = 8.605
+PRICING_CALLS_PER_LINE = 8.598
 
 # The tracemalloc peak of loading a book, over what the loaded book holds.
 # Rows stream into the columns, so neither the file's text nor a record per
@@ -66,13 +68,14 @@ def bench_book(tmp_path_factory):
         yield path, config
 
 
-def _regcap_calls(work) -> tuple[object, int]:
-    """work()'s value and the number of calls into functions of regcap's source."""
+def _calls(work, counted) -> tuple[object, int]:
+    """work()'s value and the number of calls into functions whose code object
+    ``counted`` accepts."""
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(REGCAP):
+        if event == "call" and counted(frame.f_code):
             calls += 1
 
     sys.setprofile(profile)
@@ -81,6 +84,11 @@ def _regcap_calls(work) -> tuple[object, int]:
     finally:
         sys.setprofile(None)
     return value, calls
+
+
+def _regcap_calls(work) -> tuple[object, int]:
+    """work()'s value and the number of calls into functions of regcap's source."""
+    return _calls(work, lambda code: code.co_filename.startswith(REGCAP))
 
 
 @pytest.mark.parametrize("book", ["bench", "irb_small.csv", "portfolio_golden.csv"])
@@ -109,6 +117,30 @@ def test_calls_per_line_stay_pinned(bench_book):
     assert len(result.credit.lines.ids) == LINES
     assert load_calls / LINES <= LOAD_CALLS_PER_LINE
     assert pricing_calls / LINES <= PRICING_CALLS_PER_LINE
+
+
+def test_pricing_builds_no_fraction_per_line(bench_book):
+    # Each weight is kept as its integer numerator and denominator, so the
+    # Fractions a run builds are its few ratios and totals: 13 here, against
+    # 1,013 when each line's weight was a Fraction.
+    path, config = bench_book
+    portfolio = fileio.load_portfolio(path)
+    capital = CapitalBase(Money(10**15))
+    new = Fraction.__new__.__code__
+    result, built = _calls(lambda: run_compute(config, portfolio, capital), new.__eq__)
+    assert len(result.credit.lines.ids) == LINES
+    assert built <= LINES // 20
+
+
+def test_credit_view_holds_nothing_the_collector_tracks(bench_book):
+    # Ints, strs and bools only: the kept columns give the cyclic collector
+    # no reason to run while a book is priced.
+    path, config = bench_book
+    result = run_compute(config, fileio.load_portfolio(path), CapitalBase(Money(10**15)))
+    view = result.credit.lines
+    assert len(view.ids) == LINES
+    for name in type(view).__slots__:
+        assert not any(map(gc.is_tracked, getattr(view, name))), name
 
 
 def test_equal_texts_of_the_credit_view_are_one_string(bench_book):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import textwrap
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regcap import (
     CapitalBase,
@@ -260,6 +263,72 @@ class TestRwaIrb:
                              maturity_years=Fraction(3))
         assert rwa_irb(foundation, "constant") == rwa_irb(advanced, "constant")
         assert foundation == advanced
+
+
+def fraction_rule(value) -> Fraction:
+    """A returned weight as a Fraction: a float at its shortest round-trip
+    decimal, anything else exactly."""
+    return Fraction(Decimal(repr(value))) if isinstance(value, float) else Fraction(value)
+
+
+GRID_PARAMS = IrbParams(
+    Fraction(1, 100), FOUNDATION_LGD, eur("1000.00"), FOUNDATION_MATURITY_YEARS
+)
+# Floats whose binary value is not their shortest decimal (the ties), the
+# smallest and largest, and the zeros with a sign.
+EDGE_WEIGHTS = (
+    0.05, 0.025, 0.1, 1e-07, 5e-324, 1.7976931348623157e308, 0.0, -0.0,
+    Decimal("-0"), Decimal("1E+40"), Decimal("1E-40"), True, False, 0,
+)
+weights = st.one_of(
+    st.sampled_from(EDGE_WEIGHTS),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+    st.integers(min_value=0, max_value=10**40),
+    st.booleans(),
+    st.fractions(min_value=0, max_denominator=10**40),
+    st.decimals(min_value=0, max_value=10**40, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestWeightReading:
+    @settings(max_examples=300, deadline=None)
+    @given(value=weights)
+    def test_the_ratio_is_the_weight_in_lowest_terms(self, value):
+        numerator, denominator = irb.evaluate_weight(lambda params: value, GRID_PARAMS)
+        assert type(numerator) is int and type(denominator) is int
+        assert denominator > 0
+        assert math.gcd(numerator, denominator) == 1
+        assert Fraction(numerator, denominator) == fraction_rule(value)
+
+    @pytest.mark.parametrize("value, message", [
+        (float("nan"), "risk-weight function returned nan"),
+        (float("inf"), "risk-weight function returned inf"),
+        (float("-inf"), "risk-weight function returned -inf"),
+        (Decimal("NaN"), "risk-weight function returned Decimal('NaN')"),
+        (Decimal("-Infinity"), "risk-weight function returned Decimal('-Infinity')"),
+        ("heavy", "risk-weight function returned 'heavy'"),
+        ("0.5", "risk-weight function returned '0.5'"),
+        (None, "risk-weight function returned None"),
+        (-0.1, "risk-weight function returned negative weight -1/10"),
+        (-5e-324, "risk-weight function returned negative weight -1/2" + "0" * 323),
+        (-1, "risk-weight function returned negative weight -1"),
+        (Fraction(-3, 4), "risk-weight function returned negative weight -3/4"),
+        (Decimal("-2.50"), "risk-weight function returned negative weight -5/2"),
+    ])
+    def test_refusals_keep_their_messages(self, value, message):
+        with pytest.raises(NonFiniteWeight) as caught:
+            irb.evaluate_weight(lambda params: value, GRID_PARAMS)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("half, quarter", [
+        (Fraction(1, 2), Fraction(1, 4)), (0.5, 0.25), (Decimal("0.50"), Decimal("0.25")),
+    ])
+    def test_the_gate_words_a_decrease_as_a_fraction(self, half, quarter):
+        problem = check_monotonicity(lambda params: half if params.pd == 0 else quarter)
+        assert problem == (
+            "weight decreases from 1/2 to 1/4 between "
+            "(pd=0, lgd=0) and (pd=1/19, lgd=0)"
+        )
 
 
 class TestMonotonicityGate:

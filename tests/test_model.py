@@ -433,8 +433,8 @@ def _one_of_each_record():
         params,
         IrbColumns(
             ids=("E1",), units=(1,), pd_texts=("1.00%",), lgd_texts=("50.00%",),
-            maturity_texts=("3",), weights=(Fraction(1),), weight_texts=("100.00%",),
-            ead_units=(1,), off_balance=(False,),
+            maturity_texts=("3",), weight_numerators=(1,), weight_denominators=(1,),
+            weight_texts=("100.00%",), ead_units=(1,), off_balance=(False,),
         ),
         StandardizedColumns(
             ids=("E1",), key_index=(0,), units=(1,),

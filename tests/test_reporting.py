@@ -190,7 +190,7 @@ def reference_credit_lines(result) -> tuple[list[str], list[dict]]:
             })
             continue
         params = params_for_exposure(result.portfolio, index, config.credit_approach)
-        weight = evaluate_weight(risk_weight_function(config.irb_function), params)
+        weight = Fraction(*evaluate_weight(risk_weight_function(config.irb_function), params))
         amount = params.ead.scaled(weight)
         off_balance = exposure.off_balance_category is not None
         flag = " (off-balance)" if off_balance else ""
@@ -323,6 +323,11 @@ class TestCreditColumnsMatchPerLineFormulas:
         )
         result = run_compute(config, book, CapitalBase(eur("1.00")))
         assert _rendered_credit_lines(result) == reference_credit_lines(result)
+        view, fn = result.credit.lines, risk_weight_function(float_function)
+        assert list(zip(view.weight_numerators, view.weight_denominators)) == [
+            evaluate_weight(fn, params_for_exposure(book, index, config.credit_approach))
+            for index in range(len(book))
+        ]
 
 
 def reference_json(document) -> str:
@@ -542,6 +547,7 @@ class TestProvenance:
             "internal ratings",
             "operational risk",
             "aggregation",
+            "usage",
         }
         pending, subclasses = [RegcapError], []
         while pending:
