@@ -89,23 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    compute = subparsers.add_parser(
-        "compute", help="full capital computation and compliance verdict"
-    )
-    _add_config_flags(compute)
-    _add_run_inputs(compute, need_capital=True)
-
-    compare = subparsers.add_parser(
-        "compare", help="credit-only vs full regime, side by side"
-    )
-    _add_config_flags(compare)
-    _add_run_inputs(compare, need_capital=True)
-
-    disclose = subparsers.add_parser(
-        "disclose", help="semiannual capital-adequacy disclosure document"
-    )
-    _add_config_flags(disclose)
-    _add_run_inputs(disclose, need_capital=True)
+    for name, help_text in (
+        ("compute", "full capital computation and compliance verdict"),
+        ("compare", "credit-only vs full regime, side by side"),
+        ("disclose", "semiannual capital-adequacy disclosure document"),
+    ):
+        report = subparsers.add_parser(name, help=help_text)
+        _add_config_flags(report)
+        _add_run_inputs(report, need_capital=True)
 
     dump = subparsers.add_parser(
         "dump-tables", help="write the active tables in the loadable schema"
@@ -170,31 +161,33 @@ def _run_inputs(
 
 
 def _write_json(path: str, document: dict) -> None:
+    # Written before the text report, so a run that cannot write it prints
+    # no report before its one-line diagnostic.
     Path(path).write_text(render_json(document), encoding="utf-8")
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     result = run_compute(*_run_inputs(args))
-    sys.stdout.write(render_compute_text(result))
     if args.json_out:
         _write_json(args.json_out, compute_document(result))
+    sys.stdout.write(render_compute_text(result))
     return result.exit_status
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     comparison = run_compare(*_run_inputs(args))
-    sys.stdout.write(render_compare_text(comparison))
     if args.json_out:
         _write_json(args.json_out, compare_document(comparison))
+    sys.stdout.write(render_compare_text(comparison))
     return comparison.exit_status
 
 
 def _cmd_disclose(args: argparse.Namespace) -> int:
     result = run_compute(*_run_inputs(args))
     disclosure = run_disclose(result)
-    sys.stdout.write(render_disclosure_text(disclosure))
     if args.json_out:
         _write_json(args.json_out, disclosure_document(disclosure))
+    sys.stdout.write(render_disclosure_text(disclosure))
     return result.exit_status
 
 

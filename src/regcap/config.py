@@ -180,7 +180,7 @@ def _parse_approach(token: str) -> OpRiskApproach:
 def _parse_currency(token: str) -> str:
     if not (len(token) == 3 and token.isascii() and token.isalpha() and token.isupper()):
         raise ValueError(
-            f"currency must be a three-letter ISO code such as EUR, got {token!r}"
+            f"must be a three-letter ISO code such as EUR, got {token!r}"
         )
     return token
 
@@ -285,15 +285,20 @@ SETTINGS = (
 _KEYS = frozenset(setting.key for setting in SETTINGS)
 
 
-def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
-    """Read ``key = value`` lines into a raw mapping, rejecting unknown keys."""
-    values: dict[str, str] = {}
+def _data_lines(text: str):
+    """Yield (line_number, stripped line), skipping blank and ``#`` lines."""
     # Only "\n" ends a line (reading has turned "\r\n" and "\r" into it);
     # splitlines() would also break at a form feed inside a comment.
     for number, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
+        if line and not line.startswith("#"):
+            yield number, line
+
+
+def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
+    """Read ``key = value`` lines into a raw mapping, rejecting unknown keys."""
+    values: dict[str, str] = {}
+    for number, line in _data_lines(text):
         if "=" not in line:
             raise ConfigError(f"{origin}, line {number}: expected key = value")
         key, _, value = line.partition("=")
@@ -328,15 +333,15 @@ def build_config(values: Mapping[str, str]) -> EngineConfig:
         raise ConfigError("unknown config keys: " + ", ".join(unknown))
     currency = values.get("currency") or DEFAULT_CURRENCY
     kwargs: dict[str, Any] = {}
-    try:
-        for setting in SETTINGS:
-            token = values.get(setting.key)
-            if token:
+    for setting in SETTINGS:
+        token = values.get(setting.key)
+        if token:
+            try:
                 kwargs[setting.field] = setting.parse(token, currency)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if kwargs.get("regime") is Regime.BASEL1:
-        kwargs.setdefault("oprisk_approach", None)
+            except ValueError as exc:
+                raise ConfigError(f"{setting.key}: {exc}") from exc
+    if kwargs.pop("regime", None) is Regime.BASEL1:
+        return EngineConfig.basel1(**kwargs)
     return EngineConfig(**kwargs)
 
 

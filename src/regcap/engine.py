@@ -409,12 +409,12 @@ def run_compare(
 
 
 class DisclosureReport(Record):
-    """Semiannual disclosure content, shaped for deterministic rendering."""
+    """A computed result whose config names a disclosure period."""
 
-    __slots__ = ("period", "result")
+    __slots__ = ("result",)
 
-    def __init__(self, period: str, result: ComputeResult) -> None:
-        super().__init__(period, result)
+    def __init__(self, result: ComputeResult) -> None:
+        super().__init__(result)
 
 
 def run_disclose(result: ComputeResult) -> DisclosureReport:
@@ -422,7 +422,6 @@ def run_disclose(result: ComputeResult) -> DisclosureReport:
 
     The period is the configured one, whose form the config checked at load.
     """
-    period = result.config.disclosure_period
-    if not period:
+    if not result.config.disclosure_period:
         raise MissingPeriod("disclosure needs a semiannual period such as 2006-H2")
-    return DisclosureReport(period=period, result=result)
+    return DisclosureReport(result)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
 
-from .config import _parse_bool
+from .config import _data_lines, _parse_bool
 from .errors import MissingLine, ParseError, RegcapError
 from .model import (
     CounterpartyClass,
@@ -65,12 +65,7 @@ def table_source(path: str | Path, text: str) -> str:
 
 def _table_rows(text: str, origin: str, fields: int):
     """Yield (line_number, tokens) for data lines, checking token counts."""
-    # Only "\n" ends a line (reading has turned "\r\n" and "\r" into it);
-    # splitlines() would also break at a form feed inside a comment.
-    for number, raw_line in enumerate(text.split("\n"), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in _data_lines(text):
         tokens = line.split()
         if len(tokens) != fields:
             raise ParseError(

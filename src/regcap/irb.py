@@ -130,35 +130,29 @@ def check_monotonicity(fn: RiskWeightFunction) -> str | None:
     """Grid-check that a function never decreases in pd or in lgd.
 
     Returns None when it never does, else a message naming the first
-    decreasing step. Every pd step is checked at each lgd, then every lgd
-    step at each pd; each grid point is evaluated at most once, when a step
-    first needs it. Weights are compared as integer ratios by
-    cross-multiplying (denominators are positive).
+    decreasing step. Every grid point is evaluated once, up front; then every
+    pd step is checked at each lgd, and every lgd step at each pd. Weights
+    are compared as integer ratios by cross-multiplying (denominators are
+    positive).
     """
-    points: list[list[tuple[IrbParams, int, int] | None]] = [
-        [None] * GATE_STEPS for _ in range(GATE_STEPS)
+    # Constants that hold to the book's rules, as tests/test_irb.py checks,
+    # so each point skips the check.
+    weights = [
+        [evaluate_weight(fn, _filled(pd, lgd, GATE_EAD.units, FOUNDATION_MATURITY_YEARS,
+                                     GATE_EAD.currency)) for lgd in GATE_VALUES]
+        for pd in GATE_VALUES
     ]
-
-    def point(i: int, j: int) -> tuple[IrbParams, int, int]:
-        entry = points[i][j]
-        if entry is None:
-            # Constants that hold to the book's rules, as tests/test_irb.py
-            # checks, so each point skips the check.
-            params = _filled(GATE_VALUES[i], GATE_VALUES[j], GATE_EAD.units,
-                             FOUNDATION_MATURITY_YEARS, GATE_EAD.currency)
-            entry = points[i][j] = (params, *evaluate_weight(fn, params))
-        return entry
-
     last = GATE_STEPS - 1
     steps = [((i, j), (i + 1, j)) for j in range(GATE_STEPS) for i in range(last)]
     steps += [((i, j), (i, j + 1)) for i in range(GATE_STEPS) for j in range(last)]
-    for low, high in steps:
-        (a, low_n, low_d), (b, high_n, high_d) = point(*low), point(*high)
+    for (i, j), (k, m) in steps:
+        (low_n, low_d), (high_n, high_d) = weights[i][j], weights[k][m]
         if high_n * low_d < low_n * high_d:
             return (
                 f"weight decreases from {Fraction(low_n, low_d)} to "
                 f"{Fraction(high_n, high_d)} between "
-                f"(pd={a.pd}, lgd={a.lgd}) and (pd={b.pd}, lgd={b.lgd})"
+                f"(pd={GATE_VALUES[i]}, lgd={GATE_VALUES[j]}) and "
+                f"(pd={GATE_VALUES[k]}, lgd={GATE_VALUES[m]})"
             )
     return None
 

@@ -14,7 +14,7 @@ from operator import attrgetter
 
 from .errors import UnknownRating, ValidationFailure
 from .money import DEFAULT_CURRENCY, Money, units_text
-from .record import Record, init_field
+from .record import Record
 
 # Regulatory minimum ratio of own funds to the risk denominator (8%).
 MINIMUM_CAPITAL_RATIO = Fraction(8, 100)
@@ -130,16 +130,10 @@ class Exposure(Record):
         pd: Fraction | None = None, lgd: Fraction | None = None, ead: Money | None = None,
         maturity_years: Fraction | None = None,
     ) -> None:
-        init_field(self, "id", id)
-        init_field(self, "counterparty", counterparty)
-        init_field(self, "rating", rating)
-        init_field(self, "nominal", nominal)
-        init_field(self, "off_balance_category", off_balance_category)
-        init_field(self, "short_term", short_term)
-        init_field(self, "pd", pd)
-        init_field(self, "lgd", lgd)
-        init_field(self, "ead", ead)
-        init_field(self, "maturity_years", maturity_years)
+        super().__init__(
+            id, counterparty, rating, nominal, off_balance_category, short_term,
+            pd, lgd, ead, maturity_years,
+        )
 
 
 class Portfolio(Record):

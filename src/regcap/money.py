@@ -18,7 +18,6 @@ magnitude, so no cell can make the integer conversion run unbounded.
 
 from __future__ import annotations
 
-import functools
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -85,7 +84,6 @@ def scaled_units(units: int, factor: Fraction | int) -> int:
     return _divide_half_even(units * factor.numerator, factor.denominator)
 
 
-@functools.total_ordering
 class Money(Record):
     """An exact amount of one currency, stored in minor units.
 
@@ -126,10 +124,6 @@ class Money(Record):
 
     def __neg__(self) -> "Money":
         return Money(-self.units, self.currency)
-
-    def __lt__(self, other: "Money") -> bool:
-        self._check_compatible(other)
-        return self.units < other.units
 
     def scaled(self, factor: Fraction | int) -> "Money":
         """Exact product with a rational factor, then one half-even rounding."""

@@ -13,8 +13,8 @@ from __future__ import annotations
 from operator import attrgetter
 
 
-# Sets one field of a record under construction; the per-exposure records
-# call it directly, once per field.
+# Sets one field of a record under construction; Money's constructor and
+# irb._filled call it directly, once per field.
 init_field = object.__setattr__
 
 

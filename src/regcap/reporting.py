@@ -56,6 +56,10 @@ def _ratio_text(ratio: Fraction | None) -> str:
     return format_percent(ratio) if ratio is not None else UNDEFINED_RATIO
 
 
+def _status(compliant: bool) -> str:
+    return "COMPLIANT" if compliant else "NON-COMPLIANT"
+
+
 def _oprisk_label(approach: OpRiskApproach) -> str:
     if approach.kind is ApproachKind.BASIC_INDICATOR:
         return "basic indicator (alpha = 15% of average gross income)"
@@ -183,8 +187,7 @@ def _solvency_section(result: ComputeResult) -> list[str]:
         report.surplus if not report.surplus.is_negative else -report.surplus
     )
     lines.append(f"{surplus_label}:           {surplus_amount.formatted()}")
-    lines.append(f"status:            "
-                 f"{'COMPLIANT' if report.compliant else 'NON-COMPLIANT'}")
+    lines.append(f"status:            {_status(report.compliant)}")
     return lines
 
 
@@ -420,29 +423,17 @@ def render_compare_text(comparison: CompareResult) -> str:
         _config_echo_lines(comparison.full.config, comparison.full.tables)
     )
     parts.append("")
-    parts.append(f"{'':<28}{'credit-only':>18}{'full':>18}")
-    parts.append(
-        f"{'credit RWA':<28}"
-        f"{comparison.credit_only.credit.total_rwa.formatted():>18}"
-        f"{comparison.full.credit.total_rwa.formatted():>18}"
+    rows = (
+        ("", "credit-only", "full"),
+        ("credit RWA", comparison.credit_only.credit.total_rwa.formatted(),
+         comparison.full.credit.total_rwa.formatted()),
+        ("denominator", credit_only.denominator.formatted(), full.denominator.formatted()),
+        ("solvency ratio", _ratio_text(credit_only.cooke), _ratio_text(full.mcdonough)),
+        ("minimum required", credit_only.min_required_capital.formatted(),
+         full.min_required_capital.formatted()),
+        ("status", _status(credit_only.compliant), _status(full.compliant)),
     )
-    parts.append(
-        f"{'denominator':<28}{credit_only.denominator.formatted():>18}"
-        f"{full.denominator.formatted():>18}"
-    )
-    parts.append(
-        f"{'solvency ratio':<28}{_ratio_text(credit_only.cooke):>18}"
-        f"{_ratio_text(full.mcdonough):>18}"
-    )
-    parts.append(
-        f"{'minimum required':<28}{credit_only.min_required_capital.formatted():>18}"
-        f"{full.min_required_capital.formatted():>18}"
-    )
-    parts.append(
-        f"{'status':<28}"
-        f"{'COMPLIANT' if credit_only.compliant else 'NON-COMPLIANT':>18}"
-        f"{'COMPLIANT' if full.compliant else 'NON-COMPLIANT':>18}"
-    )
+    parts.extend(f"{label:<28}{left:>18}{right:>18}" for label, left, right in rows)
     parts.append("")
     delta = comparison.required_delta
     sign = "-" if delta.is_negative else "+"
@@ -477,7 +468,7 @@ def render_disclosure_text(disclosure: DisclosureReport) -> str:
     report = result.report
     config = result.config
     parts = [RULE, "SEMIANNUAL CAPITAL ADEQUACY DISCLOSURE", RULE]
-    parts.append(f"period:            {disclosure.period}")
+    parts.append(f"period:            {config.disclosure_period}")
     parts.append(f"scope:             {DISCLOSURE_SCOPE}")
     parts.append("")
     parts.append("OWN FUNDS: LEVEL AND STRUCTURE")
@@ -509,8 +500,7 @@ def render_disclosure_text(disclosure: DisclosureReport) -> str:
         parts.append(f"solvency ratio:    {_ratio_text(report.cooke)}")
     parts.append(f"minimum ratio:     {format_percent(report.minimum_ratio)}")
     parts.append(f"minimum required:  {report.min_required_capital.formatted()}")
-    parts.append(f"status:            "
-                 f"{'COMPLIANT' if report.compliant else 'NON-COMPLIANT'}")
+    parts.append(f"status:            {_status(report.compliant)}")
     parts.append("")
     parts.append("CONFIGURATION ECHO")
     parts.append(LIGHT_RULE)
@@ -522,7 +512,7 @@ def render_disclosure_text(disclosure: DisclosureReport) -> str:
 def disclosure_document(disclosure: DisclosureReport) -> dict:
     doc = compute_document(disclosure.result)
     return {
-        "period": disclosure.period,
+        "period": disclosure.result.config.disclosure_period,
         "scope": DISCLOSURE_SCOPE,
         "report": doc,
     }

@@ -188,6 +188,36 @@ class TestCompute:
         assert document["credit"]["total_rwa"] == "1000000.00"
         assert document["oprisk"]["charge"] == "150.00"
 
+    @pytest.mark.parametrize("command", ["compute", "compare", "disclose"])
+    def test_unwritable_json_out_prints_no_report(self, capsys, tmp_path, command):
+        # The document is written before the text report: a run that cannot
+        # write it exits 2 with one line and nothing on stdout.
+        status = main(
+            [
+                command, "--portfolio", GOLDEN, "--capital", "100",
+                "--period", "2006-H2", "--json-out", str(tmp_path),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error [input/config]: [Errno 21] Is a directory")
+        assert captured.err.count("\n") == 1
+
+    def test_a_value_that_fails_to_parse_names_its_key(self, capsys, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("supervisor.min_ratio = abc\n")
+        cases = [
+            (["--config", str(config)], "supervisor.min_ratio: not a decimal fraction: 'abc'"),
+            (["--capital-addon", "abc"], "supervisor.addon: not a decimal amount: 'abc'"),
+        ]
+        for flags, message in cases:
+            status = main(["compute", "--portfolio", WORKED, "--capital", "1.00", *flags])
+            captured = capsys.readouterr()
+            assert status == 2
+            assert captured.out == ""
+            assert captured.err == f"error [input/config]: {message}\n"
+
     def test_market_charge_flag(self, capsys):
         status = main(
             [

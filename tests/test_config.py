@@ -117,7 +117,8 @@ def test_bad_value_exits_two(capsys, tmp_path, line, detail):
     captured = capsys.readouterr()
     assert status == 2
     assert captured.out == ""
-    assert captured.err.startswith("error [input/config]:")
+    key = line.partition("=")[0].strip()
+    assert captured.err.startswith(f"error [input/config]: {key}: ")
     assert detail in captured.err
     assert captured.err.count("\n") == 1
 

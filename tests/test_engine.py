@@ -413,7 +413,7 @@ class TestDisclose:
         config = EngineConfig(disclosure_period="2006-H1")
         result = run_compute(config, worked_portfolio, CapitalBase(eur("80000.00")))
         report = run_disclose(result)
-        assert report.period == "2006-H1"
+        assert report.result.config.disclosure_period == "2006-H1"
         assert report.result is result
 
     def test_missing_period(self, worked_portfolio):

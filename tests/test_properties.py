@@ -134,7 +134,7 @@ class TestStandardizedInvariants:
         )
         _, on_total = rwa_portfolio(validate_portfolio([on]), policy=policy)
         _, off_total = rwa_portfolio(validate_portfolio([off]), policy=policy)
-        assert off_total <= on_total
+        assert off_total.units <= on_total.units
 
 
 class TestIrbInvariants:

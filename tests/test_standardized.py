@@ -358,7 +358,7 @@ class TestProperties:
             exposure(id="off", nominal="999.99",
                      category="medium_term_confirmed_facility")
         )
-        assert off.amount <= on.amount
+        assert off.amount.units <= on.amount.units
 
     def test_rating_monotonicity_spot(self):
         rated = [b for b in RatingBucket if b is not RatingBucket.UNRATED]
