@@ -21,13 +21,15 @@ from .config import CreditApproach, EngineConfig, Regime
 from .errors import ConfigError, MissingPeriod
 from .fileio import load_betas, load_ccf, load_risk_weights
 from .irb import (
+    FOUNDATION_LGD,
+    FOUNDATION_MATURITY_YEARS,
     evaluate_weight,
     params_for_exposure,
     risk_weight_function,
     rwa_irb,  # noqa: F401  not called here; perfbench's tracer spans it by this name
 )
 from .model import CapitalBase, Portfolio
-from .money import Money, _divide_half_even, format_percent, fraction_to_decimal_text
+from .money import Money, _divide_half_even, fraction_to_decimal_text
 from .oprisk import (
     ApproachKind,
     BetaTable,
@@ -143,7 +145,7 @@ class ComputeResult(Record):
         return 0 if self.report.compliant else 1
 
 
-def _texts(values: list[Fraction], render) -> tuple[str, ...]:
+def _texts(values: tuple[Fraction, ...], render) -> tuple[str, ...]:
     """``render(value)`` for each value, rendered once per distinct object,
     with one string per distinct text.
 
@@ -161,6 +163,25 @@ def _texts(values: list[Fraction], render) -> tuple[str, ...]:
     return tuple([rendered[id(value)] for value in values])
 
 
+def _hundredths(values: tuple[Fraction, ...]) -> list[int]:
+    """Each value in hundredths of a percent, rounded half-even as
+    ``format_percent`` rounds it, computed once per distinct object (keyed by
+    identity, as in ``_texts``)."""
+    counts = {id(value): value for value in values}
+    for key, value in counts.items():
+        numerator, denominator = value.as_integer_ratio()
+        counts[key] = _divide_half_even(numerator * 10_000, denominator)
+    return [counts[id(value)] for value in values]
+
+
+def _percent_texts(hundredths: list[int], texts: dict[int, str]) -> tuple[str, ...]:
+    """The text ``format_percent`` prints for each count of hundredths (all
+    >= 0), built once per count and kept in ``texts`` for the next column."""
+    for count in set(hundredths).difference(texts):
+        texts[count] = f"{count // 100}.{count % 100:02d}%"
+    return tuple(map(texts.__getitem__, hundredths))
+
+
 def _credit_block(config: EngineConfig, portfolio: Portfolio, tables: TableSet) -> CreditResult:
     if config.credit_approach is CreditApproach.STANDARDIZED:
         lines, total = rwa_portfolio(
@@ -169,36 +190,31 @@ def _credit_block(config: EngineConfig, portfolio: Portfolio, tables: TableSet) 
         return CreditResult(total_rwa=total, lines=lines)
     fn = risk_weight_function(config.irb_function)
     approach = config.credit_approach
-    eads = (
-        portfolio.nominal_units if approach is CreditApproach.IRB_FOUNDATION
-        else portfolio.ead_units
-    )
-    units, pds, lgds, maturities, numerators, denominators, weight_texts = (
-        [], [], [], [], [], [], []
-    )
-    percent_texts: dict[int, str] = {}
+    if approach is CreditApproach.IRB_FOUNDATION:
+        eads = portfolio.nominal_units
+        lgds = (FOUNDATION_LGD,) * len(eads)
+        maturities = (FOUNDATION_MATURITY_YEARS,) * len(eads)
+    else:
+        eads, lgds, maturities = portfolio.ead_units, portfolio.lgds, portfolio.maturities
+    units, numerators, denominators, weights = [], [], [], []
     for index, ead in enumerate(eads):
         params = params_for_exposure(portfolio, index, approach)
         numerator, denominator = evaluate_weight(fn, params)
         # One half-even division per figure: the line's units, and its
-        # weight in hundredths of a percent, printed as format_percent
-        # prints it (the weight is >= 0) and built once per distinct value.
+        # weight in hundredths of a percent (the weight is >= 0).
         units.append(_divide_half_even(ead * numerator, denominator))
-        hundredths = _divide_half_even(numerator * 10_000, denominator)
-        text = percent_texts.get(hundredths)
-        if text is None:
-            text = f"{hundredths // 100}.{hundredths % 100:02d}%"
-            percent_texts[hundredths] = text
-        weight_texts.append(text)
-        pds.append(params.pd)
-        lgds.append(params.lgd)
-        maturities.append(params.maturity_years)
+        weights.append(_divide_half_even(numerator * 10_000, denominator))
         numerators.append(numerator)
         denominators.append(denominator)
+    # params_for_exposure has refused a line missing a component, so the
+    # book's columns hold a value on every line; pd and lgd are in [0, 1].
+    percent_texts: dict[int, str] = {}
     lines = IrbColumns(
-        portfolio.ids, tuple(units), _texts(pds, format_percent),
-        _texts(lgds, format_percent), _texts(maturities, fraction_to_decimal_text),
-        tuple(numerators), tuple(denominators), tuple(weight_texts), eads,
+        portfolio.ids, tuple(units),
+        _percent_texts(_hundredths(portfolio.pds), percent_texts),
+        _percent_texts(_hundredths(lgds), percent_texts),
+        _texts(maturities, fraction_to_decimal_text),
+        tuple(numerators), tuple(denominators), _percent_texts(weights, percent_texts), eads,
         tuple([category is not None for category in portfolio.categories]),
     )
     return CreditResult(total_rwa=Money(sum(units), portfolio.currency), lines=lines)

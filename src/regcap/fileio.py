@@ -20,7 +20,6 @@ and a portfolio row's cells go straight into the book's columns.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 from fractions import Fraction
 from operator import itemgetter
@@ -54,12 +53,19 @@ from .oprisk import (
 )
 from .standardized import CcfTable, RiskWeightTable, WeightCell
 
+try:
+    # hashlib loads and initialises OpenSSL's libcrypto, a few MB of resident
+    # memory for one digest per table file; the interpreter's own module is lean.
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 _CLASS_BY_KEY = {member.key: member for member in CounterpartyClass}
 _BUCKET_BY_KEY = {member.key: member for member in RatingBucket}
 
 
 def table_source(path: str | Path, text: str) -> str:
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+    digest = sha256(text.encode("utf-8")).hexdigest()[:12]
     return f"{path}#{digest}"
 
 

@@ -186,7 +186,7 @@ def _solvency_section(result: ComputeResult) -> list[str]:
     surplus_amount = (
         report.surplus if not report.surplus.is_negative else -report.surplus
     )
-    lines.append(f"{surplus_label}:           {surplus_amount.formatted()}")
+    lines.append(f"{surplus_label + ':':<19}{surplus_amount.formatted()}")
     lines.append(f"status:            {_status(report.compliant)}")
     return lines
 

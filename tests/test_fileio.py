@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import json
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -29,10 +33,11 @@ from regcap.fileio import (
     dump_betas,
     dump_ccf,
     dump_risk_weights,
+    table_source,
 )
 from regcap.oprisk import BusinessLine
 
-from conftest import DATA_DIR, eur
+from conftest import DATA_DIR, eur, run_python
 
 
 def _rows(name: str) -> list[list[str]]:
@@ -194,6 +199,57 @@ class TestTableRoundTrips:
         with pytest.raises(ParseError) as excinfo:
             load_ccf(path)
         assert excinfo.value.line == 3
+
+
+class TestTableDigest:
+    """The provenance digest comes from the interpreter's own SHA-256 when it
+    has one, so that a run need not load OpenSSL through ``hashlib``."""
+
+    TEXT = "guarantee 100%\n# a comment, and a non-ASCII \u00e9\n"
+
+    @pytest.mark.skipif(
+        importlib.util.find_spec("_sha256") is None,
+        reason="this interpreter has no _sha256 module; the hashlib fallback runs",
+    )
+    def test_a_cli_run_loads_no_openssl(self, tmp_path):
+        argv = [
+            "compute", "--portfolio", str(DATA_DIR / "worked_example.csv"),
+            "--income", str(DATA_DIR / "income_3yr.csv"), "--capital", "81000.00",
+            "--json-out", str(tmp_path / "out.json"),
+        ]
+        for flag, table, writer in (
+            ("--risk-weights", DEFAULT_RISK_WEIGHTS, dump_risk_weights),
+            ("--ccf", DEFAULT_CCF, dump_ccf),
+            ("--betas", DEFAULT_BETAS, dump_betas),
+        ):
+            path = tmp_path / f"{flag[2:]}.tbl"
+            writer(table, path)
+            argv += [flag, str(path)]
+        script = textwrap.dedent(f"""
+            import contextlib, io, json, sys
+            from regcap.cli import main
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                status = main({argv!r})
+            print(json.dumps([status, out.getvalue(), "_hashlib" in sys.modules]))
+        """)
+        status, report, openssl = json.loads(run_python(script))
+        assert status == 0
+        assert f"{tmp_path / 'ccf.tbl'}#" in report  # a table was read and hashed
+        assert (tmp_path / "out.json").exists()
+        assert not openssl
+
+    def test_the_hashlib_fallback_gives_the_same_label(self):
+        script = textwrap.dedent(f"""
+            import hashlib, json, sys
+            sys.modules["_sha256"] = None  # the lean import fails; hashlib's runs
+            from regcap import fileio
+            print(json.dumps([fileio.sha256 is hashlib.sha256,
+                              fileio.table_source("ccf.tbl", {self.TEXT!r})]))
+        """)
+        fell_back, label = json.loads(run_python(script))
+        digest = hashlib.sha256(self.TEXT.encode("utf-8")).hexdigest()[:12]
+        assert fell_back
+        assert label == table_source("ccf.tbl", self.TEXT) == f"ccf.tbl#{digest}"
 
 
 class TestPortfolioCsv:

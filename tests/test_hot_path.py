@@ -35,7 +35,7 @@ LINES = 1_000
 # removes calls, so that the guard keeps what was won. Each resumption of a
 # generator counts as a call.
 LOAD_CALLS_PER_LINE = 13.492
-PRICING_CALLS_PER_LINE = 8.598
+PRICING_CALLS_PER_LINE = 6.86
 
 # The tracemalloc peak of loading a book, over what the loaded book holds.
 # Rows stream into the columns, so neither the file's text nor a record per

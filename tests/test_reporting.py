@@ -115,6 +115,17 @@ class TestComputeText:
         assert "full-denominator ratio" in text.lower() or "8.0" in text
         assert "credit-only" in text.lower()
 
+    @pytest.mark.parametrize(
+        "capital, label", [("81000.00", "surplus:"), ("79999.99", "shortfall:")]
+    )
+    def test_surplus_and_shortfall_values_start_at_column_19(self, capital, label):
+        portfolio = load_portfolio(DATA_DIR / "worked_example.csv")
+        result = run_compute(EngineConfig(), portfolio, CapitalBase(eur(capital)))
+        lines = render_compute_text(result).splitlines()
+        for name in (label, "minimum required:", "status:"):
+            (line,) = [line for line in lines if line.startswith(f"{name} ")]
+            assert line[:19] == f"{name:<19}" and line[19] != " ", line
+
     def test_basel1_hides_noncredit_sections(self):
         portfolio = load_portfolio(DATA_DIR / "worked_example.csv")
         result = run_compute(
