@@ -88,16 +88,6 @@ class CapitalReport(Record):
         "min_required_capital", "surplus", "compliant", "shares",
     )
 
-    def __init__(
-        self, denominator: Money, mcdonough: Fraction | None, cooke: Fraction | None,
-        minimum_ratio: Fraction, addon: Money, min_required_capital: Money,
-        surplus: Money, compliant: bool, shares: Mapping[str, Fraction] | None,
-    ) -> None:
-        super().__init__(
-            denominator, mcdonough, cooke, minimum_ratio, addon,
-            min_required_capital, surplus, compliant, shares,
-        )
-
 
 def denominator_shares(inputs: PillarOneInputs) -> Mapping[str, Fraction] | None:
     """Each block's share of the exact denominator; None when it is zero.

@@ -27,6 +27,7 @@ from .fileio import (
     dump_risk_weights,
     load_income,
     load_portfolio,
+    write_whole,
 )
 from .model import CapitalBase, Portfolio
 from .money import Money
@@ -160,16 +161,10 @@ def _run_inputs(
     return config, portfolio, capital, income, market
 
 
-def _write_json(path: str, document: dict) -> None:
-    # Written before the text report, so a run that cannot write it prints
-    # no report before its one-line diagnostic.
-    Path(path).write_text(render_json(document), encoding="utf-8")
-
-
 def _cmd_compute(args: argparse.Namespace) -> int:
     result = run_compute(*_run_inputs(args))
-    if args.json_out:
-        _write_json(args.json_out, compute_document(result))
+    if args.json_out:  # the document first: a run that cannot write it prints no report
+        write_whole(args.json_out, render_json(compute_document(result)))
     sys.stdout.write(render_compute_text(result))
     return result.exit_status
 
@@ -177,7 +172,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     comparison = run_compare(*_run_inputs(args))
     if args.json_out:
-        _write_json(args.json_out, compare_document(comparison))
+        write_whole(args.json_out, render_json(compare_document(comparison)))
     sys.stdout.write(render_compare_text(comparison))
     return comparison.exit_status
 
@@ -186,7 +181,7 @@ def _cmd_disclose(args: argparse.Namespace) -> int:
     result = run_compute(*_run_inputs(args))
     disclosure = run_disclose(result)
     if args.json_out:
-        _write_json(args.json_out, disclosure_document(disclosure))
+        write_whole(args.json_out, render_json(disclosure_document(disclosure)))
     sys.stdout.write(render_disclosure_text(disclosure))
     return result.exit_status
 

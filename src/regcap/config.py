@@ -13,7 +13,7 @@ import os
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from .aggregation import SupervisoryAdjustment
 from .errors import ConfigError, DowngradeWithoutOverride, InvalidOverride
@@ -161,12 +161,14 @@ def _parse_bool(token: str) -> bool:
 
 
 def _parse_approach(token: str) -> OpRiskApproach:
-    lowered = token.strip().lower()
-    if lowered.startswith("advanced:"):
-        name = lowered.split(":", 1)[1].strip()
+    stripped = token.strip()
+    # a hook is registered under its exact name: only the prefix ignores case
+    if stripped[:9].lower() == "advanced:":
+        name = stripped[9:].strip()
         if not name:
             raise ValueError("advanced approach needs a hook name after the colon")
         return OpRiskApproach.advanced_hook(name)
+    lowered = stripped.lower()
     if lowered == ApproachKind.BASIC_INDICATOR.value:
         return OpRiskApproach.basic_indicator()
     if lowered == ApproachKind.STANDARDIZED.value:
@@ -185,7 +187,7 @@ def _parse_currency(token: str) -> str:
     return token
 
 
-class Setting(Record):
+class Setting(Record, defaults=dict(help=None)):
     """One run setting: its config key, CLI flag and EngineConfig field.
 
     ``parser`` turns the raw text into the field value. An enum class
@@ -196,12 +198,6 @@ class Setting(Record):
     """
 
     __slots__ = ("key", "flag", "field", "parser", "help")
-
-    def __init__(
-        self, key: str, flag: str, field: str, parser: Callable[..., Any],
-        help: str | None = None,
-    ) -> None:
-        super().__init__(key, flag, field, parser, help)
 
     @property
     def choices(self) -> list[str] | None:

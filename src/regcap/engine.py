@@ -12,11 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .aggregation import (
-    CapitalReport,
-    PillarOneInputs,
-    compliance,
-)
+from .aggregation import PillarOneInputs, compliance
 from .config import CreditApproach, EngineConfig, Regime
 from .errors import ConfigError, MissingPeriod
 from .fileio import load_betas, load_ccf, load_risk_weights
@@ -32,33 +28,21 @@ from .model import CapitalBase, Portfolio
 from .money import Money, _divide_half_even, fraction_to_decimal_text
 from .oprisk import (
     ApproachKind,
-    BetaTable,
     DEFAULT_BETAS,
     IncomeHistory,
-    TsaResult,
     advanced_hook,
     average_gross_income,
     bia_capital,
     tsa_capital,
 )
 from .record import Record
-from .standardized import (
-    CcfTable,
-    DEFAULT_CCF,
-    DEFAULT_RISK_WEIGHTS,
-    RiskWeightTable,
-    StandardizedColumns,
-    rwa_portfolio,
-)
+from .standardized import DEFAULT_CCF, DEFAULT_RISK_WEIGHTS, rwa_portfolio
 
 
 class TableSet(Record):
     """The three active lookup tables with their provenance labels."""
 
     __slots__ = ("risk_weights", "ccf", "betas")
-
-    def __init__(self, risk_weights: RiskWeightTable, ccf: CcfTable, betas: BetaTable) -> None:
-        super().__init__(risk_weights, ccf, betas)
 
 
 def resolve_tables(config: EngineConfig) -> TableSet:
@@ -90,39 +74,19 @@ class IrbColumns(Record):
         "weight_denominators", "weight_texts", "ead_units", "off_balance",
     )
 
-    def __init__(
-        self, ids: tuple[str, ...], units: tuple[int, ...], pd_texts: tuple[str, ...],
-        lgd_texts: tuple[str, ...], maturity_texts: tuple[str, ...],
-        weight_numerators: tuple[int, ...], weight_denominators: tuple[int, ...],
-        weight_texts: tuple[str, ...], ead_units: tuple[int, ...],
-        off_balance: tuple[bool, ...],
-    ) -> None:
-        super().__init__(
-            ids, units, pd_texts, lgd_texts, maturity_texts, weight_numerators,
-            weight_denominators, weight_texts, ead_units, off_balance,
-        )
-
 
 class CreditResult(Record):
     """Credit block outcome: the per-line columns plus the exact total."""
 
     __slots__ = ("total_rwa", "lines")
 
-    def __init__(self, total_rwa: Money, lines: StandardizedColumns | IrbColumns) -> None:
-        super().__init__(total_rwa, lines)
 
-
-class OpRiskResult(Record):
+class OpRiskResult(
+    Record, defaults=dict(average_income=None, tsa=None, income_span=None, note=None)
+):
     """Operational block outcome; note explains a zero-by-absence charge."""
 
     __slots__ = ("charge", "average_income", "tsa", "income_span", "note")
-
-    def __init__(
-        self, charge: Money, average_income: Money | None = None,
-        tsa: TsaResult | None = None, income_span: str | None = None,
-        note: str | None = None,
-    ) -> None:
-        super().__init__(charge, average_income, tsa, income_span, note)
 
 
 class ComputeResult(Record):
@@ -130,15 +94,6 @@ class ComputeResult(Record):
         "config", "portfolio", "capital", "tables", "credit", "oprisk",
         "market_charge", "report",
     )
-
-    def __init__(
-        self, config: EngineConfig, portfolio: Portfolio, capital: CapitalBase,
-        tables: TableSet, credit: CreditResult, oprisk: OpRiskResult | None,
-        market_charge: Money | None, report: CapitalReport,
-    ) -> None:
-        super().__init__(
-            config, portfolio, capital, tables, credit, oprisk, market_charge, report
-        )
 
     @property
     def exit_status(self) -> int:
@@ -317,20 +272,11 @@ class Novelty(Record):
 
     __slots__ = ("name", "applied", "note")
 
-    def __init__(self, name: str, applied: bool, note: str) -> None:
-        super().__init__(name, applied, note)
-
 
 class CompareResult(Record):
     """Side-by-side of the credit-only and full regimes on the same book."""
 
     __slots__ = ("credit_only", "full", "required_delta", "novelties")
-
-    def __init__(
-        self, credit_only: ComputeResult, full: ComputeResult, required_delta: Money,
-        novelties: tuple[Novelty, ...],
-    ) -> None:
-        super().__init__(credit_only, full, required_delta, novelties)
 
     @property
     def exit_status(self) -> int:
@@ -428,9 +374,6 @@ class DisclosureReport(Record):
     """A computed result whose config names a disclosure period."""
 
     __slots__ = ("result",)
-
-    def __init__(self, result: ComputeResult) -> None:
-        super().__init__(result)
 
 
 def run_disclose(result: ComputeResult) -> DisclosureReport:

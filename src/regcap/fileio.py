@@ -12,6 +12,7 @@ Three plain-text surfaces, all UTF-8 with '.' decimal separators:
 Loaded tables carry a ``path#sha256-prefix`` provenance label so reports can
 cite exactly which file produced a number. Dump then load is the identity.
 
+A regular file regcap writes is replaced whole or not at all (``write_whole``).
 Every file is read as bytes and checked as UTF-8 before any line is parsed.
 CSV rows are then read one at a time from a text stream over those bytes,
 and a portfolio row's cells go straight into the book's columns.
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import stat
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
@@ -67,6 +70,32 @@ _BUCKET_BY_KEY = {member.key: member for member in RatingBucket}
 def table_source(path: str | Path, text: str) -> str:
     digest = sha256(text.encode("utf-8")).hexdigest()[:12]
     return f"{path}#{digest}"
+
+
+def write_whole(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, whole or not at all.
+
+    A regular file, through any symlink, is replaced by a complete temporary file
+    with its mode, so a write that fails in the run leaves it as it was; a device
+    or FIFO is written in place. The OSError raised names ``path``.
+    """
+    path = Path(path)
+    try:
+        mode = path.stat().st_mode if path.exists() else None
+        if mode is not None and not stat.S_ISREG(mode):
+            path.write_text(text, encoding="utf-8")
+            return
+        target = Path(os.path.realpath(path))
+        temporary = target.parent / f".{target.name}.{os.getpid()}.tmp"
+        try:
+            temporary.write_text(text, encoding="utf-8")
+            if mode is not None:
+                os.chmod(temporary, stat.S_IMODE(mode))
+            os.replace(temporary, target)
+        finally:
+            temporary.unlink(missing_ok=True)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _table_rows(text: str, origin: str, fields: int):
@@ -158,7 +187,7 @@ def dump_risk_weights(table: RiskWeightTable, path: str | Path) -> None:
         else:
             value = fraction_to_decimal_text(cell.low)
         lines.append(f"{counterparty.key}  {bucket.key}  {value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_whole(path, "\n".join(lines) + "\n")
 
 
 def load_ccf(path: str | Path) -> CcfTable:
@@ -181,7 +210,7 @@ def dump_ccf(table: CcfTable, path: str | Path) -> None:
     lines = ["# conversion-factor table: category  factor"]
     for category in sorted(table.factors):
         lines.append(f"{category}  {fraction_to_decimal_text(table.factors[category])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_whole(path, "\n".join(lines) + "\n")
 
 
 def load_betas(path: str | Path) -> BetaTable:
@@ -211,7 +240,7 @@ def dump_betas(table: BetaTable, path: str | Path) -> None:
     lines = ["# business-line multiplier table: line  beta"]
     for line in BusinessLine:
         lines.append(f"{line.key}  {fraction_to_decimal_text(table.betas[line])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_whole(path, "\n".join(lines) + "\n")
 
 
 def _read_bytes(path: Path) -> bytes:

@@ -111,7 +111,8 @@ def id_problem(value) -> str | None:
     return None
 
 
-class Exposure(Record):
+class Exposure(Record, defaults=dict(off_balance_category=None, short_term=False, pd=None,
+                                     lgd=None, ead=None, maturity_years=None)):
     """One on- or off-balance-sheet engagement.
 
     ``off_balance_category`` is None for on-balance positions. The optional
@@ -123,17 +124,6 @@ class Exposure(Record):
         "id", "counterparty", "rating", "nominal", "off_balance_category",
         "short_term", "pd", "lgd", "ead", "maturity_years",
     )
-
-    def __init__(
-        self, id: str, counterparty: CounterpartyClass, rating: RatingBucket,
-        nominal: Money, off_balance_category: str | None = None, short_term: bool = False,
-        pd: Fraction | None = None, lgd: Fraction | None = None, ead: Money | None = None,
-        maturity_years: Fraction | None = None,
-    ) -> None:
-        super().__init__(
-            id, counterparty, rating, nominal, off_balance_category, short_term,
-            pd, lgd, ead, maturity_years,
-        )
 
 
 class Portfolio(Record):

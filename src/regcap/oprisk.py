@@ -99,7 +99,8 @@ class NegativeGiPolicy(enum.Enum):
         return self.value
 
 
-class GrossIncomeRecord(Record):
+class GrossIncomeRecord(Record, defaults=dict.fromkeys((
+    "provisions", "banking_book_results", "extraordinary_items", "insurance_income"))):
     """A raw income figure with its excluded items retained for audit.
 
     ``effective`` is what enters the capital formulas: the raw amount less
@@ -111,15 +112,6 @@ class GrossIncomeRecord(Record):
         "amount", "provisions", "banking_book_results", "extraordinary_items",
         "insurance_income",
     )
-
-    def __init__(
-        self, amount: Money, provisions: Money | None = None,
-        banking_book_results: Money | None = None,
-        extraordinary_items: Money | None = None, insurance_income: Money | None = None,
-    ) -> None:
-        super().__init__(
-            amount, provisions, banking_book_results, extraordinary_items, insurance_income
-        )
 
     @property
     def effective(self) -> Money:
@@ -223,9 +215,6 @@ class TsaResult(Record):
     """Standardized-approach outcome; total is the authoritative figure."""
 
     __slots__ = ("per_line", "total")
-
-    def __init__(self, per_line: Mapping[BusinessLine, Money], total: Money) -> None:
-        super().__init__(per_line, total)
 
 
 def tsa_capital(

@@ -1,11 +1,14 @@
 """Immutable records: slotted classes with value semantics and no generated code.
 
-A record class lists its fields in ``__slots__``, in the order of its
-``__init__`` parameters, and sets each one once: with ``init_field``, or by
-passing the values in that order to ``Record.__init__``. Equality, hashing,
-the ``Name(field=value, ...)`` repr and copying read the fields from
-``__slots__``; a class declared with ``uncompared=(...)`` leaves those
-fields (provenance labels) out of equality and hashing.
+A record class lists its fields once, in ``__slots__``, and may declare
+defaults for its trailing fields as a class keyword, ``defaults=dict(...)``.
+``Record.__init__`` binds values to the fields by position or by name; a
+record that checks or converts its fields writes its own ``__init__``,
+which passes the values in field order to ``Record.__init__`` (or sets each
+one with ``init_field``). Equality, hashing, the ``Name(field=value, ...)``
+repr and copying read the fields from ``__slots__``; a class declared with
+``uncompared=(...)`` leaves those fields (provenance labels) out of equality
+and hashing.
 """
 
 from __future__ import annotations
@@ -27,16 +30,40 @@ class Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, uncompared: tuple[str, ...] = (), **kwargs) -> None:
+    def __init_subclass__(
+        cls, uncompared: tuple[str, ...] = (), defaults: dict | None = None, **kwargs
+    ) -> None:
         super().__init_subclass__(**kwargs)
         compared = [name for name in cls.__slots__ if name not in uncompared]
         get = attrgetter(*compared)
         # attrgetter of one name returns the bare value; keep it a tuple
         cls._compared = staticmethod(get if len(compared) > 1 else lambda r: (get(r),))
+        cls._defaults = dict(defaults or {})
+        # every record shares its defaults, so each must be immutable
+        hash(tuple(cls._defaults.values()))
 
-    def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, *values, **named) -> None:
+        """Bind ``values`` to the fields in ``__slots__`` order, then each
+        remaining field to its value in ``named``, else to its declared default.
+
+        A missing field, more values than fields, an unknown name or a field
+        given twice raises TypeError naming the class and the field.
+        """
+        fields, record = self.__slots__, type(self).__qualname__
+        if len(values) > len(fields):
+            raise TypeError(f"{record} takes {len(fields)} fields {fields}, got {len(values)}")
+        for name, value in zip(fields, values):
             init_field(self, name, value)
+        rest = fields[len(values):]
+        for name in named:
+            if name not in rest:
+                problem = "given twice" if name in fields else "unknown"
+                raise TypeError(f"{record}: field {name!r} {problem}")
+        given = self._defaults | named
+        for name in rest:
+            if name not in given:
+                raise TypeError(f"{record}: missing field {name!r}")
+            init_field(self, name, given[name])
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenRecordError(f"cannot assign to field {name!r}")

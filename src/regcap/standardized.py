@@ -71,7 +71,7 @@ def _row(counterparty: CounterpartyClass, cells) -> dict:
     return out
 
 
-class RiskWeightTable(Record, uncompared=("source",)):
+class RiskWeightTable(Record, uncompared=("source",), defaults=dict(source="builtin")):
     """Mapping (class, bucket) -> weight cell, with a provenance label.
 
     The provenance label is report metadata and not part of table equality,
@@ -79,12 +79,6 @@ class RiskWeightTable(Record, uncompared=("source",)):
     """
 
     __slots__ = ("cells", "source")
-
-    def __init__(
-        self, cells: Mapping[tuple[CounterpartyClass, RatingBucket], WeightCell],
-        source: str = "builtin",
-    ) -> None:
-        super().__init__(cells, source)
 
 
 # Built-in weight table, row per counterparty class, one cell per bucket in
@@ -133,12 +127,6 @@ class ResolvedKey(Record):
 
     __slots__ = ("ccf", "weight", "product", "ccf_text", "weight_text")
 
-    def __init__(
-        self, ccf: Fraction, weight: Fraction, product: Fraction, ccf_text: str,
-        weight_text: str,
-    ) -> None:
-        super().__init__(ccf, weight, product, ccf_text, weight_text)
-
 
 class StandardizedColumns(Record):
     """The standardized credit lines as columns, in input order.
@@ -148,12 +136,6 @@ class StandardizedColumns(Record):
     """
 
     __slots__ = ("ids", "key_index", "units", "keys")
-
-    def __init__(
-        self, ids: tuple[str, ...], key_index: tuple[int, ...], units: tuple[int, ...],
-        keys: tuple[ResolvedKey, ...],
-    ) -> None:
-        super().__init__(ids, key_index, units, keys)
 
 
 def _resolve(

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
+import os
+import signal
+import stat
 from decimal import Decimal
 
 import pytest
@@ -23,7 +27,7 @@ from regcap.fileio import (
 )
 from regcap.irb import _FUNCTIONS
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, run_python
 
 WORKED = str(DATA_DIR / "worked_example.csv")
 GOLDEN = str(DATA_DIR / "portfolio_golden.csv")
@@ -354,6 +358,95 @@ class TestDumpTables:
         assert load_risk_weights(tmp_path / "risk_weights.tbl") == DEFAULT_RISK_WEIGHTS
         assert load_ccf(tmp_path / "ccf.tbl") == DEFAULT_CCF
         assert load_betas(tmp_path / "betas.tbl") == DEFAULT_BETAS
+
+
+# Runs main(argv) under a file-size limit, with SIGXFSZ ignored so that a
+# write past the limit fails with EFBIG; prints [status, stdout, stderr].
+_LIMITED_RUN = """
+import contextlib, io, json, resource, signal
+from regcap.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    status = main({argv!r})
+print(json.dumps([status, out.getvalue(), err.getvalue()]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="POSIX file-size limits")
+@pytest.mark.parametrize(
+    "command, limit, target",
+    [("compute", 2000, "out.json"), ("dump-tables", 200, "risk_weights.tbl")],
+)
+def test_a_write_cut_short_leaves_the_file_as_it_was(tmp_path, command, limit, target):
+    path = tmp_path / target
+    path.write_text("previous\n")
+    argv = {
+        "compute": ["compute", "--portfolio", GOLDEN, "--capital", "100",
+                    "--json-out", str(path)],
+        "dump-tables": ["dump-tables", "--out-dir", str(tmp_path)],
+    }[command]
+    status, out, err = json.loads(run_python(_LIMITED_RUN.format(limit=limit, argv=argv)))
+    assert (status, out) == (2, "")
+    reason = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+    assert err == f"error [input/config]: {reason}: {str(path)!r}\n"
+    assert path.read_text() == "previous\n"
+    assert [entry.name for entry in tmp_path.iterdir()] == [target]
+
+
+def _json_out(path) -> str:
+    status = main(["compute", "--portfolio", GOLDEN, "--capital", "1000000",
+                   "--json-out", str(path)])
+    assert status == 0
+    return path.read_text() if path.is_file() else ""
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="symlinks")
+def test_json_out_through_a_symlink_updates_the_file_it_points_to(tmp_path, capsys):
+    expected = _json_out(tmp_path / "direct.json")
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("previous\n")
+    link.symlink_to(real)
+    _json_out(link)
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text() == link.read_text() == expected
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_json_out_keeps_the_mode_of_the_file_it_replaces(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    out.write_text("previous\n")
+    out.chmod(0o600)
+    assert json.loads(_json_out(out))["credit"]
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes")
+def test_json_out_to_a_fifo_writes_through_it(tmp_path, capsys):
+    expected = _json_out(tmp_path / "direct.json")
+    fifo = tmp_path / "out.json"
+    os.mkfifo(fifo)
+    # a reader opened first lets the run open the pipe for writing at once
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        _json_out(fifo)
+        written = os.read(reader, 1 << 16).decode("utf-8")
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert written == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_json_out_to_dev_stdout_writes_to_the_pipe(tmp_path, capsys):
+    expected = _json_out(tmp_path / "direct.json")
+    script = (
+        "import sys; from regcap.cli import main; sys.stdout.flush(); "
+        f"main(['compute', '--portfolio', {GOLDEN!r}, '--capital', '1000000', "
+        "'--json-out', '/dev/stdout'])"
+    )
+    assert run_python(script).startswith(expected)
 
 
 class TestValidate:

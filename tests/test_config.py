@@ -9,10 +9,13 @@ import pytest
 
 from regcap.cli import _config_from_args, build_parser, main
 from regcap.config import SETTINGS, EngineConfig, load_config
+from regcap.money import Money
+from regcap.oprisk import OpRiskApproach, register_advanced_hook
 
 from conftest import DATA_DIR
 
 WORKED = str(DATA_DIR / "worked_example.csv")
+INCOME = str(DATA_DIR / "income_3yr.csv")
 README = Path(__file__).parent.parent / "README.md"
 
 # Two non-default values per key: (file value, flag value).
@@ -146,3 +149,21 @@ def test_comment_with_a_line_separator_is_one_line(capsys, tmp_path, separator):
     captured = capsys.readouterr()
     assert status == 2
     assert captured.err == f"error [input/config]: {path}, line 3: expected key = value\n"
+
+
+def test_an_advanced_hook_name_keeps_its_case(capsys, tmp_path, monkeypatch):
+    # only the advanced: prefix ignores case; a hook is selected by its exact name
+    monkeypatch.setattr("regcap.oprisk._ADVANCED_HOOKS", {})
+    register_advanced_hook("AMA", lambda history: Money(123456))
+    path = tmp_path / "ama.cfg"
+    path.write_text("oprisk.approach = ADVANCED:AMA\n")
+    assert load_config(path).oprisk_approach == OpRiskApproach.advanced_hook("AMA")
+    run = ["compute", "--portfolio", WORKED, "--income", INCOME, "--capital", "90000.00"]
+    assert main([*run, "--oprisk-approach", "advanced:AMA"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "1,234.56" in captured.out
+    assert main([*run, "--oprisk-approach", "advanced:ama"]) == 2
+    assert capsys.readouterr().err == (
+        "error [operational risk]: no advanced estimator registered as 'ama'\n"
+    )

@@ -2,15 +2,18 @@
 
 Every ``Record`` subclass must behave as the frozen dataclass it replaces:
 no assignment or deletion, no instance dict, equality and hashing over its
-fields (table provenance excluded), and the ``Name(field=value, ...)`` repr.
+fields (table provenance excluded), the ``Name(field=value, ...)`` repr,
+and a constructor that takes the fields by position or by name.
 """
 
 from __future__ import annotations
 
+import ast
 import copy
 import inspect
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,11 +34,12 @@ from regcap import (
     run_compute,
     run_disclose,
 )
-from regcap.config import SETTINGS
+from regcap.config import SETTINGS, Setting
+from regcap.engine import Novelty, OpRiskResult
 from regcap.irb import FOUNDATION_LGD, FOUNDATION_MATURITY_YEARS, IrbParams
 from regcap.model import validate_portfolio
 from regcap.record import Record
-from regcap.standardized import WeightCell
+from regcap.standardized import RiskWeightTable, WeightCell
 
 from conftest import DATA_DIR, eur, run_python
 
@@ -63,6 +67,14 @@ def _walk(value, seen: dict[type, Record]) -> None:
         for key, item in value.items():
             _walk(key, seen)
             _walk(item, seen)
+
+
+def _constructor_fields(record: Record) -> list[str]:
+    """The parameters of a record's own ``__init__``; else, bound by
+    ``Record.__init__``, its ``__slots__``."""
+    if "__init__" in type(record).__dict__:
+        return list(inspect.signature(type(record)).parameters)
+    return list(record.__slots__)
 
 
 def _one_of_each_record() -> list[Record]:
@@ -115,7 +127,9 @@ class TestRecordSemantics:
     def test_fields_follow_the_constructor(self, record):
         # __slots__ is the field list in __init__ order; copying relies on it
         assert "__slots__" in type(record).__dict__
-        assert list(inspect.signature(type(record)).parameters) == list(record.__slots__)
+        assert _constructor_fields(record) == list(record.__slots__)
+        named = {name: getattr(record, name) for name in record.__slots__}
+        assert type(record)(**named) == record
 
     def test_assignment_and_deletion_raise(self, record):
         name = record.__slots__[0]
@@ -148,8 +162,7 @@ class TestRecordSemantics:
 
     def test_repr_is_the_dataclass_repr(self, record):
         fields = ", ".join(
-            f"{name}={getattr(record, name)!r}"
-            for name in inspect.signature(type(record)).parameters
+            f"{name}={getattr(record, name)!r}" for name in _constructor_fields(record)
         )
         assert repr(record) == f"{type(record).__name__}({fields})"
 
@@ -185,3 +198,92 @@ def test_importing_the_cli_loads_no_code_generator():
     assert "regcap.cli" in loaded
     assert "dataclasses" not in loaded
     assert "inspect" not in loaded
+
+
+class TestBinder:
+    """``Record.__init__`` binds a record without an ``__init__`` of its own."""
+
+    def test_by_position_by_name_or_both(self):
+        built = Novelty("basel2", True, "applied")
+        assert (built.name, built.applied, built.note) == ("basel2", True, "applied")
+        assert Novelty(note="applied", applied=True, name="basel2") == built
+        assert Novelty("basel2", note="applied", applied=True) == built
+
+    def test_an_omitted_field_takes_its_declared_default(self):
+        charge = OpRiskResult(eur("5.00"))
+        assert [getattr(charge, name) for name in charge.__slots__[1:]] == [None] * 4
+        assert OpRiskResult(eur("5.00"), note="none").note == "none"
+        assert RiskWeightTable({}).source == "builtin"
+        assert Setting("k", "--k", "field", str).help is None
+        assert Exposure("E", CounterpartyClass.BANK, RatingBucket.UNRATED, eur("1.00")) == (
+            Exposure("E", CounterpartyClass.BANK, RatingBucket.UNRATED, eur("1.00"),
+                     None, False, None, None, None, None)
+        )
+
+    @pytest.mark.parametrize(
+        "args, named, message",
+        [
+            (("basel2", True), {}, "Novelty: missing field 'note'"),
+            ((), {"name": "basel2", "note": "x"}, "Novelty: missing field 'applied'"),
+            (("basel2", True, "x", "y"), {},
+             r"Novelty takes 3 fields \('name', 'applied', 'note'\), got 4"),
+            (("basel2", True, "x"), {"notes": "y"}, "Novelty: field 'notes' unknown"),
+            (("basel2", True), {"name": "other", "note": "x"},
+             "Novelty: field 'name' given twice"),
+        ],
+        ids=["missing", "missing-by-name", "too-many", "unknown", "twice"],
+    )
+    def test_a_bad_binding_raises_type_error_naming_the_field(self, args, named, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            Novelty(*args, **named)
+
+    def test_a_mutable_default_is_refused(self):
+        script = (
+            "from regcap.record import Record\n"
+            "try:\n"
+            "    class Book(Record, defaults=dict(lines={})):\n"
+            "        __slots__ = ('lines',)\n"
+            "except TypeError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert run_python(script) == "unhashable type: 'dict'\n"
+
+
+def _passes_its_parameters_through(init: ast.FunctionDef) -> bool:
+    """Whether the only statement of ``init`` is ``super().__init__`` over
+    its own parameters, in any order, by position or by name."""
+    if len(init.body) != 1 or not isinstance(init.body[0], ast.Expr):
+        return False
+    call = init.body[0].value
+    if not (
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "__init__"
+        and isinstance(call.func.value, ast.Call)
+        and getattr(call.func.value.func, "id", None) == "super"
+    ):
+        return False
+    values = [*call.args, *(keyword.value for keyword in call.keywords)]
+    passed = [getattr(value, "id", None) for value in values]
+    parameters = [arg.arg for arg in init.args.args[1:] + init.args.kwonlyargs]
+    return sorted(passed, key=str) == sorted(parameters)
+
+
+def test_no_record_writes_a_pass_through_constructor():
+    # Record.__init__ binds fields by position or by name, and defaults are
+    # declared with defaults=dict(...); an __init__ that only forwards its
+    # parameters would write the field list a second and third time.
+    package = Path(__file__).resolve().parents[1] / "src" / "regcap"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", None) == "Record" for base in node.bases
+            ):
+                found += [
+                    f"{path.name}: {node.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                    and _passes_its_parameters_through(item)
+                ]
+    assert found == []
