@@ -3,12 +3,16 @@
 Subcommands: compute, compare, disclose, dump-tables, validate. Flags mirror
 config-file keys and override them one by one. Exit status: 0 when every
 computed compliance flag holds, 1 on non-compliance, 2 on usage, input or
-config errors and on any unexpected failure.
+config errors, on a report that cannot be written whole, and on any
+unexpected failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -161,32 +165,29 @@ def _run_inputs(
     return config, portfolio, capital, income, market
 
 
-def _cmd_compute(args: argparse.Namespace) -> int:
+def _cmd_compute(args: argparse.Namespace) -> tuple[int, str]:
     result = run_compute(*_run_inputs(args))
     if args.json_out:  # the document first: a run that cannot write it prints no report
         write_whole(args.json_out, render_json(compute_document(result)))
-    sys.stdout.write(render_compute_text(result))
-    return result.exit_status
+    return result.exit_status, render_compute_text(result)
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> tuple[int, str]:
     comparison = run_compare(*_run_inputs(args))
     if args.json_out:
         write_whole(args.json_out, render_json(compare_document(comparison)))
-    sys.stdout.write(render_compare_text(comparison))
-    return comparison.exit_status
+    return comparison.exit_status, render_compare_text(comparison)
 
 
-def _cmd_disclose(args: argparse.Namespace) -> int:
+def _cmd_disclose(args: argparse.Namespace) -> tuple[int, str]:
     result = run_compute(*_run_inputs(args))
     disclosure = run_disclose(result)
     if args.json_out:
         write_whole(args.json_out, render_json(disclosure_document(disclosure)))
-    sys.stdout.write(render_disclosure_text(disclosure))
-    return result.exit_status
+    return result.exit_status, render_disclosure_text(disclosure)
 
 
-def _cmd_dump_tables(args: argparse.Namespace) -> int:
+def _cmd_dump_tables(args: argparse.Namespace) -> tuple[int, str]:
     config = _config_from_args(args)
     tables = resolve_tables(config)
     out_dir = Path(args.out_dir)
@@ -198,21 +199,19 @@ def _cmd_dump_tables(args: argparse.Namespace) -> int:
     )
     for table, writer, path in targets:
         writer(table, path)
-        sys.stdout.write(f"wrote {path}\n")
-    return 0
+    return 0, "".join(f"wrote {path}\n" for _, _, path in targets)
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> tuple[int, str]:
     inputs = _run_inputs(args)
     config, portfolio, _, income, _ = inputs
     # Under the full regime, compare also prices the book with the
     # standardized tables; an IRB book needs those to cover it too.
     (run_compare if config.regime is Regime.BASEL2 else run_compute)(*inputs)
-    sys.stdout.write(f"portfolio OK: {len(portfolio)} exposure(s)\n")
+    report = f"portfolio OK: {len(portfolio)} exposure(s)\n"
     if income is not None:
-        sys.stdout.write(f"income OK: years {income.span()}\n")
-    sys.stdout.write("config OK\n")
-    return 0
+        report += f"income OK: years {income.span()}\n"
+    return 0, report + "config OK\n"
 
 
 _COMMANDS = {
@@ -224,22 +223,47 @@ _COMMANDS = {
 }
 
 
+def _write(stream, text: str) -> None:
+    """Write ``text`` to ``stream`` whole and flush it, or raise OSError.
+
+    Unbuffered (``python -u``), a stream drops what a short write leaves over,
+    so its file is written here until it has taken every byte. A stream that
+    failed is pointed at os.devnull, since the interpreter's flush at exit
+    would fail again and change the exit status.
+    """
+    try:
+        raw = getattr(stream, "buffer", None)
+        if isinstance(raw, io.RawIOBase):
+            data = memoryview(text.encode(stream.encoding, stream.errors))
+            while data:
+                data = data[raw.write(data):]
+        else:
+            stream.write(text)
+            stream.flush()
+    except OSError:
+        with contextlib.suppress(OSError):  # a stream with no descriptor is left alone
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        status, report = _COMMANDS[args.command](args)
+        _write(sys.stdout, report)
+        return status
     except RegcapError as exc:
-        sys.stderr.write(f"error [{exc.layer}]: {exc}\n")
-        return 2
+        line = f"error [{exc.layer}]: {exc}"
     except OSError as exc:
-        sys.stderr.write(f"error [input/config]: {exc}\n")
-        return 2
+        line = f"error [input/config]: {exc}"
     except Exception as exc:
         # A fault in regcap or in a registered function, never an input
         # error: one line and exit 2, since exit 1 means a capital shortfall.
         message = " ".join(str(exc).splitlines())
-        sys.stderr.write(f"error [internal]: {type(exc).__name__}: {message}\n")
-        return 2
+        line = f"error [internal]: {type(exc).__name__}: {message}"
+    with contextlib.suppress(OSError):  # a diagnostic that stderr cannot take is dropped
+        _write(sys.stderr, line + "\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -9,13 +9,17 @@ Three plain-text surfaces, all UTF-8 with '.' decimal separators:
 * income files: CSV of (year, line, amount) rows with optional excluded-item
   columns, where line is a business-line key or TOTAL.
 
-Loaded tables carry a ``path#sha256-prefix`` provenance label so reports can
-cite exactly which file produced a number. Dump then load is the identity.
+Loaded tables carry a ``path#sha256-prefix`` provenance label, a digest of
+the file's bytes, so reports can cite exactly which file produced a number.
+Dump then load is the identity.
 
 A regular file regcap writes is replaced whole or not at all (``write_whole``).
 Every file is read as bytes and checked as UTF-8 before any line is parsed.
 CSV rows are then read one at a time from a text stream over those bytes,
-and a portfolio row's cells go straight into the book's columns.
+and a portfolio row's cells go straight into the book's columns. Each row
+is read under one error boundary: its loader notes the column of each cell
+before reading it, and a ValueError from the cell, a parser's or one of the
+loader's own rules, becomes a ParseError citing that line and column.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .config import _data_lines, _parse_bool
-from .errors import MissingLine, ParseError, RegcapError
+from .errors import MissingLine, ParseError, UnknownRating
 from .model import (
     CounterpartyClass,
     Exposure,
@@ -58,18 +62,22 @@ from .standardized import CcfTable, RiskWeightTable, WeightCell
 
 try:
     # hashlib loads and initialises OpenSSL's libcrypto, a few MB of resident
-    # memory for one digest per table file; the interpreter's own module is lean.
-    from _sha256 import sha256
+    # memory for one digest per table file; the interpreter's own module is lean:
+    # _sha2 from CPython 3.12, _sha256 before it.
+    from _sha2 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 _CLASS_BY_KEY = {member.key: member for member in CounterpartyClass}
 _BUCKET_BY_KEY = {member.key: member for member in RatingBucket}
 
 
-def table_source(path: str | Path, text: str) -> str:
-    digest = sha256(text.encode("utf-8")).hexdigest()[:12]
-    return f"{path}#{digest}"
+def table_source(path: str | Path, data: bytes) -> str:
+    """``path#`` and the first 12 hex digits of the SHA-256 of the file's bytes."""
+    return f"{path}#{sha256(data).hexdigest()[:12]}"
 
 
 def write_whole(path: str | Path, text: str) -> None:
@@ -115,54 +123,35 @@ def _cell_error(path: Path, line: int, column: str, reason) -> ParseError:
     return ParseError(f"{reason} in {path}", line=line, column=column)
 
 
-def _parse_fraction_cell(token: str, path: Path, line: int, column: str) -> Fraction:
-    try:
-        return parse_fraction(token)
-    except ValueError as exc:
-        raise _cell_error(path, line, column, exc) from exc
-
-
-def _parse_cell(token: str, path: Path, number: int) -> WeightCell:
-    low_text, is_range, high_text = token.partition("..")
-    low = _parse_fraction_cell(low_text, path, number, "weight")
-    high = _parse_fraction_cell(high_text, path, number, "weight") if is_range else low
-    try:
-        return WeightCell(low, high)
-    except ValueError as exc:
-        raise _cell_error(path, number, "weight", exc) from exc
-
-
 def load_risk_weights(path: str | Path) -> RiskWeightTable:
     """Read a risk-weight table file (class, bucket, weight per line)."""
     path = Path(path)
-    text = _read_text(path)
+    text, source = _read_table(path)
     cells: dict[tuple[CounterpartyClass, RatingBucket], WeightCell] = {}
     for number, (class_key, bucket_key, weight_token) in _table_rows(
         text, str(path), 3
     ):
+        column = "class"
         try:
-            counterparty = _CLASS_BY_KEY[class_key.lower()]
-        except KeyError:
-            raise ParseError(
-                f"unknown counterparty class {class_key!r} in {path}",
-                line=number,
-                column="class",
-            ) from None
-        try:
-            bucket = _BUCKET_BY_KEY[bucket_key.lower()]
-        except KeyError:
-            raise ParseError(
-                f"unknown rating bucket {bucket_key!r} in {path}",
-                line=number,
-                column="bucket",
-            ) from None
-        key = (counterparty, bucket)
-        if key in cells:
-            raise ParseError(
-                f"duplicate cell ({class_key}, {bucket_key}) in {path}", line=number
-            )
-        cells[key] = _parse_cell(weight_token, path, number)
-    return RiskWeightTable(cells=cells, source=table_source(path, text))
+            counterparty = _CLASS_BY_KEY.get(class_key.lower())
+            if counterparty is None:
+                raise ValueError(f"unknown counterparty class {class_key!r}")
+            column = "bucket"
+            bucket = _BUCKET_BY_KEY.get(bucket_key.lower())
+            if bucket is None:
+                raise ValueError(f"unknown rating bucket {bucket_key!r}")
+            key = (counterparty, bucket)
+            if key in cells:
+                raise ParseError(
+                    f"duplicate cell ({class_key}, {bucket_key}) in {path}", line=number
+                )
+            column = "weight"
+            low_text, is_range, high_text = weight_token.partition("..")
+            low = parse_fraction(low_text)
+            cells[key] = WeightCell(low, parse_fraction(high_text) if is_range else low)
+        except ValueError as exc:
+            raise _cell_error(path, number, column, exc) from exc
+    return RiskWeightTable(cells=cells, source=source)
 
 
 def dump_risk_weights(table: RiskWeightTable, path: str | Path) -> None:
@@ -171,21 +160,14 @@ def dump_risk_weights(table: RiskWeightTable, path: str | Path) -> None:
         "# risk-weight table: class  bucket  weight",
         "# weight is a decimal fraction; range cells use low..high",
     ]
+    classes = list(CounterpartyClass)
     ordered = sorted(
-        table.cells.items(),
-        key=lambda item: (
-            list(CounterpartyClass).index(item[0][0]),
-            int(item[0][1]),
-        ),
+        table.cells.items(), key=lambda item: (classes.index(item[0][0]), int(item[0][1]))
     )
     for (counterparty, bucket), cell in ordered:
+        value = fraction_to_decimal_text(cell.low)
         if cell.is_range:
-            value = (
-                f"{fraction_to_decimal_text(cell.low)}"
-                f"..{fraction_to_decimal_text(cell.high)}"
-            )
-        else:
-            value = fraction_to_decimal_text(cell.low)
+            value += f"..{fraction_to_decimal_text(cell.high)}"
         lines.append(f"{counterparty.key}  {bucket.key}  {value}")
     write_whole(path, "\n".join(lines) + "\n")
 
@@ -193,17 +175,19 @@ def dump_risk_weights(table: RiskWeightTable, path: str | Path) -> None:
 def load_ccf(path: str | Path) -> CcfTable:
     """Read a conversion-factor table file (category, factor per line)."""
     path = Path(path)
-    text = _read_text(path)
+    text, source = _read_table(path)
     factors: dict[str, Fraction] = {}
     for number, (category, factor_token) in _table_rows(text, str(path), 2):
         if category in factors:
             raise ParseError(f"duplicate category {category!r} in {path}", line=number)
-        factor = _parse_fraction_cell(factor_token, path, number, "factor")
-        if not 0 <= factor <= 1:
-            reason = f"conversion factor {factor_token} outside [0, 1]"
-            raise _cell_error(path, number, "factor", reason)
+        try:
+            factor = parse_fraction(factor_token)
+            if not 0 <= factor <= 1:
+                raise ValueError(f"conversion factor {factor_token} outside [0, 1]")
+        except ValueError as exc:
+            raise _cell_error(path, number, "factor", exc) from exc
         factors[category] = factor
-    return CcfTable(factors=factors, source=table_source(path, text))
+    return CcfTable(factors=factors, source=source)
 
 
 def dump_ccf(table: CcfTable, path: str | Path) -> None:
@@ -216,22 +200,23 @@ def dump_ccf(table: CcfTable, path: str | Path) -> None:
 def load_betas(path: str | Path) -> BetaTable:
     """Read a business-line multiplier file (line, beta per line)."""
     path = Path(path)
-    text = _read_text(path)
+    text, source = _read_table(path)
     betas: dict[BusinessLine, Fraction] = {}
     for number, (line_key, beta_token) in _table_rows(text, str(path), 2):
+        column = "line"
         try:
             line = BusinessLine.from_key(line_key)
+            if line in betas:
+                raise ParseError(f"duplicate line {line_key!r} in {path}", line=number)
+            column = "beta"
+            beta = parse_fraction(beta_token)
+            if not 0 <= beta <= 1:
+                raise ValueError(f"beta for {line.key} outside [0, 1]")
         except ValueError as exc:
-            raise _cell_error(path, number, "line", exc) from exc
-        if line in betas:
-            raise ParseError(f"duplicate line {line_key!r} in {path}", line=number)
-        beta = _parse_fraction_cell(beta_token, path, number, "beta")
-        if not 0 <= beta <= 1:
-            reason = f"beta for {line.key} outside [0, 1]"
-            raise _cell_error(path, number, "beta", reason)
+            raise _cell_error(path, number, column, exc) from exc
         betas[line] = beta
     try:
-        return BetaTable(betas=betas, source=table_source(path, text))
+        return BetaTable(betas=betas, source=source)
     except MissingLine as exc:
         raise ParseError(f"{exc} in {path}") from exc
 
@@ -255,18 +240,20 @@ def _read_bytes(path: Path) -> bytes:
     return data
 
 
-def _text_stream(path: Path) -> io.TextIOWrapper:
-    """The file as a text stream that reads "\r\n" and "\r" as "\n".
+def _text_stream(data: bytes) -> io.TextIOWrapper:
+    """The bytes as a text stream that reads "\r\n" and "\r" as "\n".
 
     The text is decoded a chunk at a time as lines are read, so a CSV file
     is never held whole as a str (an io.StringIO would keep 4 bytes a
     character of it).
     """
-    return io.TextIOWrapper(io.BytesIO(_read_bytes(path)), encoding="utf-8")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
-def _read_text(path: Path) -> str:
-    return _text_stream(path).read()
+def _read_table(path: Path) -> tuple[str, str]:
+    """A table file's text, newlines translated, and its provenance label."""
+    data = _read_bytes(path)
+    return _text_stream(data).read(), table_source(path, data)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +314,7 @@ def _csv_records(path: Path, required: tuple[str, ...], optional: tuple[str, ...
     column. A row the csv module cannot read (an oversized cell, say) is a
     ParseError citing its line.
     """
-    reader = csv.reader(_text_stream(path))
+    reader = csv.reader(_text_stream(_read_bytes(path)))
     try:
         names = _read_header(reader, path, required, optional)
         width = len(names)
@@ -347,36 +334,14 @@ def _csv_records(path: Path, required: tuple[str, ...], optional: tuple[str, ...
         raise ParseError(f"{exc} in {path}", line=reader.line_num) from exc
 
 
-def _units_cell(token: str, path: Path, line: int, column: str) -> int:
-    try:
-        return decimal_units(token)
-    except ValueError as exc:
-        raise _cell_error(path, line, column, exc) from exc
-
-
-def _parse_money_cell(
-    token: str, currency: str, path: Path, line: int, column: str
-) -> Money:
-    return Money(_units_cell(token, path, line, column), currency)
-
-
-def _optional_money(
-    token: str, currency: str, path: Path, line: int, column: str
-) -> Money | None:
-    token = token.strip()
-    return _parse_money_cell(token, currency, path, line, column) if token else None
-
-
-def _optional_fraction(
-    token: str, fractions: dict[str, Fraction], path: Path, line: int, column: str
-) -> Fraction | None:
-    """A cell's value, shared with every equal token already parsed in the file."""
+def _shared_fraction(token: str, fractions: dict[str, Fraction]) -> Fraction | None:
+    """A cell's value, shared with every equal token parsed before; None if blank."""
     token = token.strip()
     if not token:
         return None
     value = fractions.get(token)
     if value is None:
-        value = fractions[token] = _parse_fraction_cell(token, path, line, column)
+        value = fractions[token] = parse_fraction(token)
     return value
 
 
@@ -399,78 +364,66 @@ def _portfolio_columns(path: Path) -> list[list]:
             exposure_id, class_key, rating_token, nominal_token, position,
             category, flag_token, pd_token, lgd_token, ead_token, maturity_token,
         ) = cells
-        exposure_id = exposure_id.strip()
-        problem = id_problem(exposure_id)
-        if problem is not None:
-            raise _cell_error(path, line, "id", problem)
-        add_id(exposure_id)
+        column = "id"
+        try:
+            exposure_id = exposure_id.strip()
+            problem = id_problem(exposure_id)
+            if problem is not None:
+                raise ValueError(problem)
+            add_id(exposure_id)
 
-        # Most cells are written as the key itself; the others are read
-        # as the grammar allows.
-        counterparty = _CLASS_BY_KEY.get(class_key)
-        if counterparty is None:
-            class_key = class_key.strip().lower()
+            # Most cells are written as the key itself; the others are read
+            # as the grammar allows.
+            column = "class"
             counterparty = _CLASS_BY_KEY.get(class_key)
             if counterparty is None:
-                reason = f"unknown counterparty class {class_key!r}"
-                raise _cell_error(path, line, "class", reason)
-        add_counterparty(counterparty)
-
-        rating = RATING_TOKENS.get(rating_token)
-        if rating is None:
-            try:
-                rating = parse_rating(rating_token)
-            except RegcapError as exc:
-                raise _cell_error(path, line, "rating", exc) from exc
-        add_rating(rating)
-
-        try:
+                class_key = class_key.strip().lower()
+                counterparty = _CLASS_BY_KEY.get(class_key)
+                if counterparty is None:
+                    raise ValueError(f"unknown counterparty class {class_key!r}")
+            add_counterparty(counterparty)
+            column = "rating"
+            rating = RATING_TOKENS.get(rating_token)
+            add_rating(parse_rating(rating_token) if rating is None else rating)
+            column = "nominal"
             add_nominal(decimal_units(nominal_token.strip()))
-        except ValueError as exc:
-            raise _cell_error(path, line, "nominal", exc) from exc
 
-        position = position.strip().lower()
-        if position not in ("on", "off"):
-            raise _cell_error(
-                path, line, "position", f"position must be 'on' or 'off', got {position!r}"
-            )
-        category = category.strip() or None
-        if position == "off" and category is None:
-            raise _cell_error(
-                path, line, "off_balance_category",
-                "off-balance position needs a category",
-            )
-        if position == "on" and category is not None:
-            raise _cell_error(
-                path, line, "off_balance_category",
-                "on-balance position must leave the category empty",
-            )
-        add_category(category)
-
-        flag_token = flag_token.strip().lower()
-        try:
+            column = "position"
+            position = position.strip().lower()
+            if position not in ("on", "off"):
+                raise ValueError(f"position must be 'on' or 'off', got {position!r}")
+            column = "off_balance_category"
+            category = category.strip() or None
+            if position == "off" and category is None:
+                raise ValueError("off-balance position needs a category")
+            if position == "on" and category is not None:
+                raise ValueError("on-balance position must leave the category empty")
+            add_category(category)
+            column = "short_term_flag"
+            flag_token = flag_token.strip().lower()
             add_short_term(_parse_bool(flag_token) if flag_token else False)
-        except ValueError as exc:
-            raise _cell_error(path, line, "short_term_flag", exc) from exc
 
-        # A token parsed before, written the same way, is one lookup.
-        pd = fractions.get(pd_token)
-        if pd is None and pd_token:
-            pd = _optional_fraction(pd_token, fractions, path, line, "pd")
-        add_pd(pd)
-        lgd = fractions.get(lgd_token)
-        if lgd is None and lgd_token:
-            lgd = _optional_fraction(lgd_token, fractions, path, line, "lgd")
-        add_lgd(lgd)
-        ead_token = ead_token.strip()
-        try:
+            # A token parsed before, written the same way, is one lookup.
+            column = "pd"
+            pd = fractions.get(pd_token)
+            if pd is None and pd_token:
+                pd = _shared_fraction(pd_token, fractions)
+            add_pd(pd)
+            column = "lgd"
+            lgd = fractions.get(lgd_token)
+            if lgd is None and lgd_token:
+                lgd = _shared_fraction(lgd_token, fractions)
+            add_lgd(lgd)
+            column = "ead"
+            ead_token = ead_token.strip()
             add_ead(decimal_units(ead_token) if ead_token else None)
-        except ValueError as exc:
-            raise _cell_error(path, line, "ead", exc) from exc
-        maturity = fractions.get(maturity_token)
-        if maturity is None and maturity_token:
-            maturity = _optional_fraction(maturity_token, fractions, path, line, "maturity")
-        add_maturity(maturity)
+            column = "maturity"
+            maturity = fractions.get(maturity_token)
+            if maturity is None and maturity_token:
+                maturity = _shared_fraction(maturity_token, fractions)
+            add_maturity(maturity)
+        except (ValueError, UnknownRating) as exc:
+            raise _cell_error(path, line, column, exc) from exc
     return columns
 
 
@@ -509,45 +462,39 @@ def load_income(path: str | Path, currency: str = DEFAULT_CURRENCY) -> IncomeHis
     per_line: dict[int, dict[BusinessLine, GrossIncomeRecord]] = {}
     records = _csv_records(path, INCOME_REQUIRED, INCOME_OPTIONAL)
     for number, (year_token, line_token, amount_token, *excluded) in records:
-        year_token = year_token.strip()
+        column = "year"
         try:
             year = int(year_token)
-        except ValueError:
-            raise _cell_error(
-                path, number, "year", f"not a year: {year_token!r}"
-            ) from None
-        income = GrossIncomeRecord(
-            _parse_money_cell(amount_token.strip(), currency, path, number, "amount"),
-            *(
-                _optional_money(token, currency, path, number, column)
-                for column, token in zip(INCOME_OPTIONAL, excluded)
-            ),
-        )
-        line_token = line_token.strip()
-        if line_token.upper() == TOTAL_LINE:
-            if year in totals:
-                raise ParseError(
-                    f"duplicate TOTAL row for year {year} in {path}", line=number
-                )
-            totals[year] = income
-            continue
-        try:
+            column = "amount"
+            amount = Money(decimal_units(amount_token.strip()), currency)
+            exclusions = []
+            for column, token in zip(INCOME_OPTIONAL, excluded):
+                token = token.strip()
+                exclusions.append(Money(decimal_units(token), currency) if token else None)
+            income = GrossIncomeRecord(amount, *exclusions)
+            column = "line"
+            line_token = line_token.strip()
+            if line_token.upper() == TOTAL_LINE:
+                if year in totals:
+                    raise ParseError(
+                        f"duplicate TOTAL row for year {year} in {path}", line=number
+                    )
+                totals[year] = income
+                continue
             business_line = BusinessLine.from_key(line_token)
+            year_lines = per_line.setdefault(year, {})
+            if business_line in year_lines:
+                raise ParseError(
+                    f"duplicate {business_line.key} row for year {year} in {path}",
+                    line=number,
+                )
+            year_lines[business_line] = income
         except ValueError as exc:
-            raise _cell_error(path, number, "line", exc) from exc
-        year_lines = per_line.setdefault(year, {})
-        if business_line in year_lines:
-            raise ParseError(
-                f"duplicate {business_line.key} row for year {year} in {path}",
-                line=number,
-            )
-        year_lines[business_line] = income
-
-    years = sorted(set(totals) | set(per_line))
+            # int()'s own message names no year.
+            reason = f"not a year: {year_token.strip()!r}" if column == "year" else exc
+            raise _cell_error(path, number, column, reason) from exc
     annuals = tuple(
-        AnnualIncome(
-            year=year, total=totals.get(year), per_line=per_line.get(year, {})
-        )
-        for year in years
+        AnnualIncome(year=year, total=totals.get(year), per_line=per_line.get(year, {}))
+        for year in sorted(set(totals) | set(per_line))
     )
     return IncomeHistory(years=annuals)

@@ -9,7 +9,10 @@ import json
 import os
 import signal
 import stat
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -436,6 +439,70 @@ def test_json_out_to_a_fifo_writes_through_it(tmp_path, capsys):
         os.close(reader)
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert written == expected
+
+
+# regcap as its console script runs it, so that the interpreter's own flush
+# of stdout and stderr at exit takes part.
+_ENTRY = "import sys; from regcap.cli import main; sys.exit(main(sys.argv[1:]))"
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _limit_file_size() -> None:
+    import resource
+
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000))
+
+
+def _failed_report(case: str, unbuffered: bool, tmp_path) -> tuple[int, str, str]:
+    """Run a compute whose output cannot all be written: [status, stdout, stderr]
+    of the run, each stream read back where it can be."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    portfolio = str(tmp_path / "absent.csv") if case == "stderr-full" else GOLDEN
+    argv = [sys.executable, "-c", _ENTRY, "compute", "--portfolio", portfolio,
+            "--capital", "1000000"]
+    out, err = tmp_path / "out", tmp_path / "err"
+    with contextlib.ExitStack() as stack:
+        streams = {"stdout": stack.enter_context(out.open("wb")),
+                   "stderr": stack.enter_context(err.open("wb"))}
+        preexec = None
+        if case == "closed-pipe":
+            reader, streams["stdout"] = os.pipe()
+            os.close(reader)
+            stack.callback(os.close, streams["stdout"])
+        elif case == "file-size-limit":
+            preexec = _limit_file_size
+        else:
+            full = "stderr" if case == "stderr-full" else "stdout"
+            streams[full] = stack.enter_context(open("/dev/full", "wb"))
+        status = subprocess.run(argv, env=env, timeout=60, preexec_fn=preexec,
+                                **streams).returncode
+    return status, out.read_text(), err.read_text()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        ("stdout-full", errno.ENOSPC),
+        ("closed-pipe", errno.EPIPE),
+        ("file-size-limit", errno.EFBIG),
+        ("stderr-full", None),
+    ],
+)
+def test_a_report_that_cannot_be_written_exits_two(tmp_path, case, code, unbuffered):
+    status, out, err = _failed_report(case, unbuffered, tmp_path)
+    assert status == 2
+    if case == "stderr-full":  # the diagnostic is dropped, and nothing else is written
+        assert (out, err) == ("", "")
+    else:
+        assert err == f"error [input/config]: [Errno {code}] {os.strerror(code)}\n"
+    if case == "file-size-limit":
+        assert len(out) == 1000
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")

@@ -178,6 +178,72 @@ class TestTableRoundTrips:
             f"line 2, column 'beta': beta for trading_and_sales outside [0, 1] in {path}"
         )
 
+    # One bad line in each table file, after a comment and a good line: the
+    # loader, the line, the column cited and the reason given.
+    CELL_ERRORS = [
+        (load_risk_weights, "alien aaa_to_aa_minus 0%", "class",
+         "unknown counterparty class 'alien'"),
+        (load_risk_weights, "sovereign zzz 0%", "bucket", "unknown rating bucket 'zzz'"),
+        (load_risk_weights, "sovereign a_plus_to_a_minus lots", "weight",
+         "not a decimal fraction: 'lots'"),
+        (load_risk_weights, "sovereign a_plus_to_a_minus x..1", "weight",
+         "not a decimal fraction: 'x'"),
+        (load_risk_weights, "sovereign a_plus_to_a_minus 1..x", "weight",
+         "not a decimal fraction: 'x'"),
+        (load_risk_weights, "sovereign a_plus_to_a_minus 300%", "weight",
+         "weight cell [3, 3] outside [0, 2]"),
+        (load_risk_weights, "sovereign a_plus_to_a_minus 1..0.5", "weight",
+         "weight cell [1, 1/2] outside [0, 2]"),
+        (load_ccf, "other x", "factor", "not a decimal fraction: 'x'"),
+        (load_ccf, "other 120%", "factor", "conversion factor 120% outside [0, 1]"),
+        (load_ccf, "other -1%", "factor", "conversion factor -1% outside [0, 1]"),
+        (load_betas, "hedge 0.1", "line", "unknown business line 'hedge'"),
+        (load_betas, "corporate_finance x", "beta", "not a decimal fraction: 'x'"),
+        (load_betas, "corporate_finance 1.5", "beta",
+         "beta for corporate_finance outside [0, 1]"),
+    ]
+
+    @pytest.mark.parametrize(
+        "load, bad, column, reason",
+        CELL_ERRORS,
+        ids=[f"{load.__name__}-{bad}" for load, bad, _, _ in CELL_ERRORS],
+    )
+    def test_each_column_cites_its_bad_cell(self, tmp_path, load, bad, column, reason):
+        good = {
+            load_risk_weights: "sovereign aaa_to_aa_minus 0%",
+            load_ccf: "guarantee 100%",
+            load_betas: "retail_banking 0.12",
+        }[load]
+        path = tmp_path / "table.tbl"
+        path.write_text(f"# a comment\n{good}\n{bad}\n")
+        with pytest.raises(ParseError) as excinfo:
+            load(path)
+        assert (excinfo.value.line, excinfo.value.column) == (3, column)
+        assert str(excinfo.value) == f"line 3, column {column!r}: {reason} in {path}"
+
+    @pytest.mark.parametrize(
+        "load, bad, reason",
+        [
+            (load_risk_weights, "sovereign aaa_to_aa_minus x",
+             "duplicate cell (sovereign, aaa_to_aa_minus)"),
+            (load_ccf, "guarantee x", "duplicate category 'guarantee'"),
+            (load_betas, "Retail_Banking x", "duplicate line 'Retail_Banking'"),
+        ],
+        ids=["risk_weights", "ccf", "betas"],
+    )
+    def test_a_duplicate_is_cited_before_its_value_is_read(self, tmp_path, load, bad, reason):
+        good = {
+            load_risk_weights: "sovereign aaa_to_aa_minus 0%",
+            load_ccf: "guarantee 100%",
+            load_betas: "retail_banking 0.12",
+        }[load]
+        path = tmp_path / "table.tbl"
+        path.write_text(f"{good}\n{bad}\n")
+        with pytest.raises(ParseError) as excinfo:
+            load(path)
+        assert (excinfo.value.line, excinfo.value.column) == (2, None)
+        assert str(excinfo.value) == f"line 2: {reason} in {path}"
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "betas.tbl"
         dump_betas(DEFAULT_BETAS, path)
@@ -205,11 +271,11 @@ class TestTableDigest:
     """The provenance digest comes from the interpreter's own SHA-256 when it
     has one, so that a run need not load OpenSSL through ``hashlib``."""
 
-    TEXT = "guarantee 100%\n# a comment, and a non-ASCII \u00e9\n"
+    DATA = "guarantee 100%\n# a comment, and a non-ASCII \u00e9\n".encode("utf-8")
 
     @pytest.mark.skipif(
-        importlib.util.find_spec("_sha256") is None,
-        reason="this interpreter has no _sha256 module; the hashlib fallback runs",
+        not any(map(importlib.util.find_spec, ("_sha2", "_sha256"))),
+        reason="this interpreter has no _sha2 or _sha256 module; the hashlib fallback runs",
     )
     def test_a_cli_run_loads_no_openssl(self, tmp_path):
         argv = [
@@ -241,15 +307,24 @@ class TestTableDigest:
     def test_the_hashlib_fallback_gives_the_same_label(self):
         script = textwrap.dedent(f"""
             import hashlib, json, sys
-            sys.modules["_sha256"] = None  # the lean import fails; hashlib's runs
+            # the lean imports fail; hashlib's runs
+            sys.modules["_sha2"] = sys.modules["_sha256"] = None
             from regcap import fileio
             print(json.dumps([fileio.sha256 is hashlib.sha256,
-                              fileio.table_source("ccf.tbl", {self.TEXT!r})]))
+                              fileio.table_source("ccf.tbl", {self.DATA!r})]))
         """)
         fell_back, label = json.loads(run_python(script))
-        digest = hashlib.sha256(self.TEXT.encode("utf-8")).hexdigest()[:12]
+        digest = hashlib.sha256(self.DATA).hexdigest()[:12]
         assert fell_back
-        assert label == table_source("ccf.tbl", self.TEXT) == f"ccf.tbl#{digest}"
+        assert label == table_source("ccf.tbl", self.DATA) == f"ccf.tbl#{digest}"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_a_label_digests_the_file_bytes(self, tmp_path, newline):
+        path = tmp_path / "ccf.tbl"
+        data = self.DATA.replace(b"\n", newline.encode())
+        path.write_bytes(data)
+        label = load_ccf(path).source
+        assert label == f"{path}#{hashlib.sha256(data).hexdigest()[:12]}"
 
 
 class TestPortfolioCsv:
@@ -272,21 +347,24 @@ class TestPortfolioCsv:
         assert excinfo.value.line == 3
         assert excinfo.value.column == "rating"
 
+    NON_FINITE = [
+        ("pd", "100.00,Infinity", "not a finite number: 'Infinity'"),
+        ("pd", "100.00,inf%", "not a finite number: 'inf%'"),
+        ("pd", "100.00,NaN", "not a finite number: 'NaN'"),
+        ("pd", "100.00,1e5000", "magnitude of '1e5000' outside 1e-30..1e31"),
+        ("pd", "100.00,1e-5000", "magnitude of '1e-5000' outside 1e-30..1e31"),
+        ("nominal", "1e5000,1%", "magnitude of '1e5000' outside 1e-30..1e31"),
+        ("nominal", "-Infinity,1%", "not a finite number: '-Infinity'"),
+        ("nominal", "1.234,1%", "amount '1.234' has more than 2 decimal places"),
+    ]
+
     @pytest.mark.parametrize(
-        "column, cells",
-        [
-            ("pd", "100.00,Infinity"),
-            ("pd", "100.00,inf%"),
-            ("pd", "100.00,NaN"),
-            ("pd", "100.00,1e5000"),
-            ("pd", "100.00,1e-5000"),
-            ("nominal", "1e5000,1%"),
-            ("nominal", "-Infinity,1%"),
-            ("nominal", "1.234,1%"),
-        ],
+        "column, cells, reason",
+        NON_FINITE,
+        ids=[f"{column}-{cells}" for column, cells, _ in NON_FINITE],
     )
     def test_non_finite_or_huge_cell_cites_line_and_column(
-        self, tmp_path, column, cells
+        self, tmp_path, column, cells, reason
     ):
         path = tmp_path / "p.csv"
         path.write_text(
@@ -297,7 +375,7 @@ class TestPortfolioCsv:
         with pytest.raises(ParseError) as excinfo:
             load_portfolio(path)
         assert (excinfo.value.line, excinfo.value.column) == (3, column)
-        assert "Decimal(" not in str(excinfo.value)
+        assert str(excinfo.value) == f"line 3, column {column!r}: {reason} in {path}"
 
     def test_header_only_gives_empty_portfolio(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -414,6 +492,50 @@ class TestPortfolioCsv:
             load_portfolio(path)
         assert excinfo.value.line == 4
 
+    # One bad cell in each column of a full row: the column cited, the cells
+    # that differ from a good row, and the reason given.
+    CELL_ERRORS = [
+        ("id", {"id": ""}, "empty id"),
+        ("id", {"id": "X\x07"}, "id 'X\\x07' contains a control character"),
+        ("class", {"class": " Alien "}, "unknown counterparty class 'alien'"),
+        ("rating", {"rating": "ZZZ"}, "unknown rating token 'ZZZ'"),
+        ("nominal", {"nominal": "lots"}, "not a decimal amount: 'lots'"),
+        ("position", {"position": "maybe"},
+         "position must be 'on' or 'off', got 'maybe'"),
+        ("off_balance_category", {"position": "off"},
+         "off-balance position needs a category"),
+        ("off_balance_category", {"off_balance_category": "guarantee"},
+         "on-balance position must leave the category empty"),
+        ("short_term_flag", {"short_term_flag": "PERHAPS"},
+         "not a boolean: 'perhaps'"),
+        ("pd", {"pd": "x"}, "not a decimal fraction: 'x'"),
+        ("lgd", {"lgd": " x "}, "not a decimal fraction: 'x'"),
+        ("ead", {"ead": "1.234"}, "amount '1.234' has more than 2 decimal places"),
+        ("ead", {"ead": "x"}, "not a decimal amount: 'x'"),
+        ("maturity", {"maturity": "x"}, "not a decimal fraction: 'x'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "column, bad, reason",
+        CELL_ERRORS,
+        ids=[f"{column}-{','.join(bad.values())}" for column, bad, _ in CELL_ERRORS],
+    )
+    def test_each_column_cites_its_bad_cell(self, tmp_path, column, bad, reason):
+        good = {
+            "id": "X1", "class": "corporate", "rating": "AAA", "nominal": "100.00",
+            "position": "on", "off_balance_category": "", "short_term_flag": "no",
+            "pd": "1%", "lgd": "0.45", "ead": "90.00", "maturity": "2.5",
+        }
+        row = {**good, "id": "X2", **bad}
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "".join(",".join(cells) + "\n" for cells in (good, good.values(), row.values()))
+        )
+        with pytest.raises(ParseError) as excinfo:
+            load_portfolio(path)
+        assert (excinfo.value.line, excinfo.value.column) == (3, column)
+        assert str(excinfo.value) == f"line 3, column {column!r}: {reason} in {path}"
+
     def test_repeated_fraction_tokens_share_one_value(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text(
@@ -448,6 +570,50 @@ class TestIncomeCsv:
         _check_column_order(
             load_income, order_dir / "income.csv", _rows("income_3yr.csv"), case
         )
+
+    # One bad cell in each column of a full row: the column cited, the cells
+    # that differ from a good row, and the reason given.
+    CELL_ERRORS = [
+        ("year", {"year": " MMIV "}, "not a year: 'MMIV'"),
+        ("line", {"line": "hedge_fund_desk"}, "unknown business line 'hedge_fund_desk'"),
+        ("amount", {"amount": "x"}, "not a decimal amount: 'x'"),
+        ("amount", {"amount": "1.234"}, "amount '1.234' has more than 2 decimal places"),
+        ("provisions", {"provisions": "x"}, "not a decimal amount: 'x'"),
+        ("banking_book_results", {"banking_book_results": "1.234"},
+         "amount '1.234' has more than 2 decimal places"),
+        ("extraordinary_items", {"extraordinary_items": "NaN"},
+         "not a finite number: 'NaN'"),
+        ("insurance_income", {"insurance_income": "1e5000"},
+         "magnitude of '1e5000' outside 1e-30..1e31"),
+    ]
+
+    @pytest.mark.parametrize(
+        "column, bad, reason",
+        CELL_ERRORS,
+        ids=[f"{column}-{','.join(bad.values())}" for column, bad, _ in CELL_ERRORS],
+    )
+    def test_each_column_cites_its_bad_cell(self, tmp_path, column, bad, reason):
+        good = {
+            "year": "2004", "line": "TOTAL", "amount": "100.00", "provisions": "1.00",
+            "banking_book_results": "2.00", "extraordinary_items": "3.00",
+            "insurance_income": "4.00",
+        }
+        row = {**good, "year": "2005", **bad}
+        path = tmp_path / "income.csv"
+        path.write_text(
+            "".join(",".join(cells) + "\n" for cells in (good, good.values(), row.values()))
+        )
+        with pytest.raises(ParseError) as excinfo:
+            load_income(path)
+        assert (excinfo.value.line, excinfo.value.column) == (3, column)
+        assert str(excinfo.value) == f"line 3, column {column!r}: {reason} in {path}"
+
+    def test_a_year_is_read_the_way_int_reads_it(self, tmp_path):
+        path = tmp_path / "income.csv"
+        path.write_text("year,line,amount\n2004,TOTAL,1.00\n2_004,TOTAL,1.00\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_income(path)
+        assert str(excinfo.value) == f"line 3: duplicate TOTAL row for year 2004 in {path}"
 
     def test_golden_income_loads(self):
         history = load_income(DATA_DIR / "income_3yr.csv")
