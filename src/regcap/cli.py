@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import os
 import sys
@@ -50,24 +51,14 @@ from .reporting import (
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, but a usage error raises UsageError, so that main
     prints it as one labelled line, instead of printing the usage block and
-    exiting. --help still prints argparse's text and exits 0."""
+    exiting. --help still prints argparse's text and exits 0; the text goes
+    through _write, so help that cannot be written fails as a report does."""
 
     def error(self, message: str) -> NoReturn:
         raise UsageError(" ".join(message.splitlines()))
 
-
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("configuration overrides")
-    group.add_argument("--config", help="config file path (else $REGCAP_CONFIG)")
-    for setting in SETTINGS:
-        if setting.parser is bool:
-            group.add_argument(
-                setting.flag, action="store_const", const="true", help=setting.help
-            )
-        else:
-            group.add_argument(
-                setting.flag, choices=setting.choices, help=setting.help
-            )
+    def _print_message(self, message: str, file=None) -> None:
+        _write(file, message)
 
 
 def _add_run_inputs(parser: argparse.ArgumentParser, need_capital: bool) -> None:
@@ -82,40 +73,6 @@ def _add_run_inputs(parser: argparse.ArgumentParser, need_capital: bool) -> None
         group.add_argument("--tier2", help="supplementary own funds (with --tier1)")
         group.add_argument("--market-charge", help="market capital charge, decimal")
         group.add_argument("--json-out", help="also write the machine document here")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="regcap",
-        description=(
-            "Regulatory-capital engine: credit and operational risk charges,"
-            " solvency ratios, supervisory adjustments, and disclosure reports."
-        ),
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("compute", "full capital computation and compliance verdict"),
-        ("compare", "credit-only vs full regime, side by side"),
-        ("disclose", "semiannual capital-adequacy disclosure document"),
-    ):
-        report = subparsers.add_parser(name, help=help_text)
-        _add_config_flags(report)
-        _add_run_inputs(report, need_capital=True)
-
-    dump = subparsers.add_parser(
-        "dump-tables", help="write the active tables in the loadable schema"
-    )
-    _add_config_flags(dump)
-    dump.add_argument("--out-dir", default=".", help="target directory")
-
-    validate = subparsers.add_parser(
-        "validate", help="parse and validate input files without computing"
-    )
-    _add_config_flags(validate)
-    _add_run_inputs(validate, need_capital=False)
-
-    return parser
 
 
 def _overrides(args: argparse.Namespace) -> dict[str, str]:
@@ -214,13 +171,49 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[int, str]:
     return 0, report + "config OK\n"
 
 
-_COMMANDS = {
-    "compute": _cmd_compute,
-    "compare": _cmd_compare,
-    "disclose": _cmd_disclose,
-    "dump-tables": _cmd_dump_tables,
-    "validate": _cmd_validate,
-}
+# name, help, run inputs (True: with the capital flags, False: without them,
+# None: --out-dir instead), handler. build_parser adds them in this order.
+_COMMANDS = (
+    ("compute", "full capital computation and compliance verdict", True, _cmd_compute),
+    ("compare", "credit-only vs full regime, side by side", True, _cmd_compare),
+    ("disclose", "semiannual capital-adequacy disclosure document", True,
+     _cmd_disclose),
+    ("dump-tables", "write the active tables in the loadable schema", None,
+     _cmd_dump_tables),
+    ("validate", "parse and validate input files without computing", False,
+     _cmd_validate),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)  # every command's config flags
+    group = shared.add_argument_group("configuration overrides")
+    group.add_argument("--config", help="config file path (else $REGCAP_CONFIG)")
+    for setting in SETTINGS:
+        if setting.parser is bool:
+            group.add_argument(
+                setting.flag, action="store_const", const="true", help=setting.help
+            )
+        else:
+            group.add_argument(
+                setting.flag, choices=setting.choices, help=setting.help
+            )
+    parser = _Parser(
+        prog="regcap",
+        description=(
+            "Regulatory-capital engine: credit and operational risk charges,"
+            " solvency ratios, supervisory adjustments, and disclosure reports."
+        ),
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, need_capital, handler in _COMMANDS:
+        command = subparsers.add_parser(name, help=help_text, parents=[shared])
+        if need_capital is None:
+            command.add_argument("--out-dir", default=".", help="target directory")
+        else:
+            _add_run_inputs(command, need_capital)
+        command.set_defaults(handler=handler)
+    return parser
 
 
 def _write(stream, text: str) -> None:
@@ -231,6 +224,8 @@ def _write(stream, text: str) -> None:
     failed is pointed at os.devnull, since the interpreter's flush at exit
     would fail again and change the exit status.
     """
+    if stream is None:  # its descriptor was closed before start, so Python set None
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     try:
         raw = getattr(stream, "buffer", None)
         if isinstance(raw, io.RawIOBase):
@@ -249,7 +244,7 @@ def _write(stream, text: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        status, report = _COMMANDS[args.command](args)
+        status, report = args.handler(args)
         _write(sys.stdout, report)
         return status
     except RegcapError as exc:

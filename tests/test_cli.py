@@ -454,16 +454,19 @@ def _limit_file_size() -> None:
     resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000))
 
 
-def _failed_report(case: str, unbuffered: bool, tmp_path) -> tuple[int, str, str]:
-    """Run a compute whose output cannot all be written: [status, stdout, stderr]
-    of the run, each stream read back where it can be."""
+def _failed_report(case: str, unbuffered: bool, tmp_path,
+                   command: list[str] | None = None) -> tuple[int, str, str]:
+    """Run regcap (a compute unless ``command`` is given) whose output cannot
+    all be written: [status, stdout, stderr] of the run, each stream read back
+    where it can be."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    portfolio = str(tmp_path / "absent.csv") if case == "stderr-full" else GOLDEN
-    argv = [sys.executable, "-c", _ENTRY, "compute", "--portfolio", portfolio,
-            "--capital", "1000000"]
+    if command is None:
+        portfolio = str(tmp_path / "absent.csv") if case.startswith("stderr") else GOLDEN
+        command = ["compute", "--portfolio", portfolio, "--capital", "1000000"]
+    argv = [sys.executable, "-c", _ENTRY, *command]
     out, err = tmp_path / "out", tmp_path / "err"
     with contextlib.ExitStack() as stack:
         streams = {"stdout": stack.enter_context(out.open("wb")),
@@ -475,6 +478,9 @@ def _failed_report(case: str, unbuffered: bool, tmp_path) -> tuple[int, str, str
             stack.callback(os.close, streams["stdout"])
         elif case == "file-size-limit":
             preexec = _limit_file_size
+        elif case.endswith("-closed"):  # closed at start: Python sets the stream to None
+            fd = 2 if case == "stderr-closed" else 1
+            preexec = lambda: os.close(fd)  # noqa: E731
         else:
             full = "stderr" if case == "stderr-full" else "stdout"
             streams[full] = stack.enter_context(open("/dev/full", "wb"))
@@ -492,17 +498,37 @@ def _failed_report(case: str, unbuffered: bool, tmp_path) -> tuple[int, str, str
         ("closed-pipe", errno.EPIPE),
         ("file-size-limit", errno.EFBIG),
         ("stderr-full", None),
+        ("stdout-closed", errno.EBADF),
+        ("stderr-closed", None),
     ],
 )
 def test_a_report_that_cannot_be_written_exits_two(tmp_path, case, code, unbuffered):
     status, out, err = _failed_report(case, unbuffered, tmp_path)
     assert status == 2
-    if case == "stderr-full":  # the diagnostic is dropped, and nothing else is written
+    if case.startswith("stderr"):  # the diagnostic is dropped, and nothing else written
         assert (out, err) == ("", "")
     else:
         assert err == f"error [input/config]: [Errno {code}] {os.strerror(code)}\n"
     if case == "file-size-limit":
         assert len(out) == 1000
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "case, code", [("stdout-full", errno.ENOSPC), ("stdout-closed", errno.EBADF)]
+)
+@pytest.mark.parametrize(
+    "command",
+    [["--help"], ["compute", "--help"], ["validate", "--portfolio", GOLDEN]],
+    ids=["help", "compute-help", "validate"],
+)
+def test_help_and_validate_fail_closed_on_stdout(tmp_path, command, case, code,
+                                                 unbuffered):
+    status, _, err = _failed_report(case, unbuffered, tmp_path, command)
+    assert (status, err) == (
+        2, f"error [input/config]: [Errno {code}] {os.strerror(code)}\n"
+    )
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")

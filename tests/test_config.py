@@ -46,8 +46,18 @@ def _flag_argv(setting, value: str) -> list[str]:
     return [setting.flag, value]
 
 
-def _config_from_flags(argv: list[str]) -> EngineConfig:
-    args = build_parser().parse_args(["validate", "--portfolio", WORKED, *argv])
+# Each subcommand with the inputs it requires, so that only the flags differ.
+COMMAND_ARGV = {
+    "compute": ["compute", "--portfolio", WORKED, "--capital", "1"],
+    "compare": ["compare", "--portfolio", WORKED, "--capital", "1"],
+    "disclose": ["disclose", "--portfolio", WORKED, "--capital", "1"],
+    "dump-tables": ["dump-tables"],
+    "validate": ["validate", "--portfolio", WORKED],
+}
+
+
+def _config_from_flags(argv: list[str], command: str = "validate") -> EngineConfig:
+    args = build_parser().parse_args([*COMMAND_ARGV[command], *argv])
     return _config_from_args(args)
 
 
@@ -98,6 +108,15 @@ class TestFileAndFlagAgree:
         path.write_text(f"{setting.key} = {file_value}\n")
         flag_argv = _flag_argv(setting, flag_value)
         both = _config_from_flags(["--config", str(path), *flag_argv])
+        assert both == _config_from_flags(flag_argv)
+
+    @pytest.mark.parametrize("command", COMMAND_ARGV)
+    def test_every_command_takes_the_flag(self, setting, command, tmp_path):
+        file_value, flag_value = SAMPLES[setting.key]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{setting.key} = {file_value}\n")
+        flag_argv = _flag_argv(setting, flag_value)
+        both = _config_from_flags(["--config", str(path), *flag_argv], command)
         assert both == _config_from_flags(flag_argv)
 
 
