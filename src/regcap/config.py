@@ -17,7 +17,7 @@ from typing import Any, Mapping
 
 from .aggregation import SupervisoryAdjustment
 from .errors import ConfigError, DowngradeWithoutOverride, InvalidOverride
-from .model import MINIMUM_CAPITAL_RATIO
+from .model import _CONTROL_CHARACTER, MINIMUM_CAPITAL_RATIO
 from .money import DEFAULT_CURRENCY, Money, parse_fraction
 from .oprisk import ApproachKind, NegativeGiPolicy, OpRiskApproach
 from .record import Record
@@ -110,6 +110,13 @@ class EngineConfig(Record):
         else:
             if self.oprisk_approach is None:
                 problems.append("the full regime requires an operational-risk approach")
+        # a path is echoed in the reports, where a line break would forge a line
+        for key, path in (
+            ("tables.risk_weights", self.risk_weights_path), ("tables.ccf", self.ccf_path),
+            ("tables.betas", self.betas_path),
+        ):
+            if path and _CONTROL_CHARACTER.search(str(path)):
+                problems.append(f"{key}: path {str(path)!r} contains a control character")
         period = self.disclosure_period
         if period is not None and not _PERIOD.fullmatch(period):
             problems.append(

@@ -25,7 +25,7 @@ from .irb import (
     rwa_irb,  # noqa: F401  not called here; perfbench's tracer spans it by this name
 )
 from .model import CapitalBase, Portfolio
-from .money import Money, _divide_half_even, fraction_to_decimal_text
+from .money import Money, _divide_half_even, format_percent, fraction_to_decimal_text
 from .oprisk import (
     ApproachKind,
     DEFAULT_BETAS,
@@ -315,7 +315,8 @@ def _novelties(result: ComputeResult) -> tuple[Novelty, ...]:
             name="individual supervisory requirements above the floor",
             applied=adjustment_active,
             note=(
-                f"minimum ratio {result.report.minimum_ratio}, add-on {result.report.addon}"
+                f"minimum ratio {format_percent(result.report.minimum_ratio)},"
+                f" add-on {result.report.addon}"
                 if adjustment_active
                 else "none configured"
             ),

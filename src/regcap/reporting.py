@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .aggregation import REFERENCE_ALLOCATION, CapitalReport
+from .aggregation import REFERENCE_ALLOCATION
 from .config import CreditApproach, EngineConfig, Regime
 from .engine import (
     CompareResult,
@@ -24,7 +24,7 @@ from .engine import (
     TableSet,
 )
 from .model import CapitalBase
-from .money import format_percent, units_text
+from .money import Money, format_percent, units_text
 from .oprisk import ApproachKind, BusinessLine, OpRiskApproach
 
 RULE = "=" * 72
@@ -68,31 +68,80 @@ def _oprisk_label(approach: OpRiskApproach) -> str:
     return f"advanced measurement via registered hook {approach.hook!r}"
 
 
-def _config_echo_lines(config: EngineConfig, tables: TableSet) -> list[str]:
-    lines = [
-        f"regime:            {config.regime.key}",
-        f"credit approach:   {_CREDIT_LABELS[config.credit_approach]}",
-        f"bank option:       {_BANK_POLICY_NOTES[config.bank_policy.key]}",
+# A section is a list of rows that declares each of its facts once. A row is
+# (label, key, text, value): the text report prints it as the line
+# f"{label:<18} {text}", so its value starts at column 19, and the JSON
+# document holds it as the member key: value. A label of None means JSON
+# only, a key of None means text only, and a str row is a line of its own.
+def _lines(rows: list) -> list[str]:
+    return [
+        row if isinstance(row, str) else f"{row[0]:<18} {row[2]}"
+        for row in rows
+        if isinstance(row, str) or row[0] is not None
+    ]
+
+
+def _members(rows: list) -> dict:
+    return {row[1]: row[3] for row in rows if not isinstance(row, str) and row[1] is not None}
+
+
+def _same(label: str | None, key: str | None, text: str) -> tuple:
+    return label, key, text, text
+
+
+def _money(label: str | None, key: str, amount: Money | None) -> tuple:
+    """An absent amount gives no text line and a JSON null."""
+    if amount is None:
+        return None, key, None, None
+    return label, key, amount.formatted(), amount.text()
+
+
+def _ratio(label: str | None, key: str, ratio: Fraction | None) -> tuple:
+    """An undefined ratio prints UNDEFINED_RATIO and is null in JSON."""
+    return label, key, _ratio_text(ratio), None if ratio is None else format_percent(ratio)
+
+
+def _config_rows(config: EngineConfig, tables: TableSet) -> list:
+    """The text echo leaves out the supervisory keys and, in the credit-only
+    regime, the beta table; the JSON lists all three tables."""
+    table_rows = [
+        _same("weights table:", "risk_weights", tables.risk_weights.source),
+        _same("ccf table:", "ccf", tables.ccf.source),
+        _same("beta table:", "betas", tables.betas.source),
+    ]
+    rows = [
+        _same("regime:", "regime", config.regime.key),
+        ("credit approach:", "credit_approach", _CREDIT_LABELS[config.credit_approach],
+         config.credit_approach.key),
+        ("bank option:", "bank_option_policy", _BANK_POLICY_NOTES[config.bank_policy.key],
+         config.bank_policy.key),
     ]
     if config.credit_approach.uses_irb:
-        lines.append(f"risk-weight fn:    {config.irb_function}")
-    if config.regime is Regime.BASEL2 and config.oprisk_approach is not None:
-        lines.append(f"oprisk approach:   {config.oprisk_approach.key}")
-        lines.append(f"negative-GI rule:  {config.negative_gi_policy.key}")
-    lines.append(f"weights table:     {tables.risk_weights.source}")
-    lines.append(f"ccf table:         {tables.ccf.source}")
-    if config.regime is Regime.BASEL2:
-        lines.append(f"beta table:        {tables.betas.source}")
-    lines.append(f"currency:          {config.currency}")
-    return lines
+        rows.append(_same("risk-weight fn:", "irb_function", config.irb_function))
+    if config.oprisk_approach is not None:  # set in the full regime only
+        rows += [
+            _same("oprisk approach:", "oprisk_approach", config.oprisk_approach.key),
+            _same("negative-GI rule:", "negative_gi_policy", config.negative_gi_policy.key),
+        ]
+    rows += _lines(table_rows if config.regime is Regime.BASEL2 else table_rows[:2])
+    rows.append(_same("currency:", "currency", config.currency))
+    override, addon = config.min_ratio_override, config.capital_addon
+    rows += [(None, key, None, value) for key, value in (
+        ("tables", _members(table_rows)),
+        ("min_ratio_override", None if override is None else format_percent(override)),
+        ("capital_addon", None if addon is None else addon.text()),
+        ("adjustment_justification", config.adjustment_justification),
+        ("disclosure_period", config.disclosure_period),
+    ) if value]
+    return rows
 
 
-def _capital_lines(capital: CapitalBase) -> list[str]:
-    lines = [f"total own funds:   {capital.total_own_funds.formatted()}"]
-    if capital.tier1 is not None and capital.tier2 is not None:
-        lines.append(f"  core (tier 1):   {capital.tier1.formatted()}")
-        lines.append(f"  suppl. (tier 2): {capital.tier2.formatted()}")
-    return lines
+def _capital_rows(capital: CapitalBase) -> list:
+    return [
+        _money("total own funds:", "total_own_funds", capital.total_own_funds),
+        _money("  core (tier 1):", "tier1", capital.tier1),
+        _money("  suppl. (tier 2):", "tier2", capital.tier2),
+    ]
 
 
 def _credit_section(result: ComputeResult) -> list[str]:
@@ -123,119 +172,98 @@ def _credit_section(result: ComputeResult) -> list[str]:
     return lines
 
 
-def _oprisk_section(result: OpRiskResult, approach: OpRiskApproach) -> list[str]:
-    lines = ["OPERATIONAL RISK", LIGHT_RULE]
-    lines.append(f"approach:          {_oprisk_label(approach)}")
-    if result.income_span:
-        lines.append(f"income years:      {result.income_span}")
-    if result.note:
-        lines.append(f"note:              {result.note}")
-    if result.average_income is not None:
-        lines.append(f"average income:    {result.average_income.formatted()}")
-    if result.tsa is not None:
-        for line in BusinessLine:
-            charge = result.tsa.per_line[line]
-            lines.append(f"  {line.key:<24} {charge.formatted():>18}")
-        lines.append(f"  {TSA_FOOTNOTE}")
-    lines.append(f"operational charge: {result.charge.formatted()}")
-    return lines
+def _oprisk_rows(oprisk: OpRiskResult, config: EngineConfig) -> list:
+    """The JSON leaves out what the run has no figure for."""
+    approach = config.oprisk_approach
+    rows = [
+        ("approach:", "approach", _oprisk_label(approach), approach.key),
+        (None, "negative_gi_policy", None, config.negative_gi_policy.key),
+    ]
+    if oprisk.income_span:
+        rows.append(_same("income years:", "income_years", oprisk.income_span))
+    if oprisk.note:
+        rows.append(_same("note:", "note", oprisk.note))
+    if oprisk.average_income is not None:
+        rows.append(_money("average income:", "average_income", oprisk.average_income))
+    if oprisk.tsa is not None:
+        charges = oprisk.tsa.per_line
+        per_line = [(f"  {line.key:<24}", line.key, f"{charges[line].formatted():>18}",
+                     charges[line].text()) for line in BusinessLine]
+        rows += _lines(per_line)
+        rows += [f"  {TSA_FOOTNOTE}", (None, "per_line", None, _members(per_line))]
+    rows.append(_money("operational charge:", "charge", oprisk.charge))
+    return rows
 
 
-def _shares_lines(report: CapitalReport) -> list[str]:
-    lines = ["denominator shares (data-driven vs published 75/20/5 reference):"]
-    if report.shares is None:
-        lines.append("  undefined: the denominator is zero")
-        return lines
-    for key, label in (("credit", "credit"), ("oprisk", "operational"),
-                       ("market", "market")):
-        share = report.shares[key]
-        reference = REFERENCE_ALLOCATION[key]
-        lines.append(
-            f"  {label:<12} {format_percent(share):>8}"
-            f"   (reference {format_percent(reference)})"
-        )
-    return lines
+def _market_rows(result: ComputeResult) -> list:
+    return [_money("market charge (input):", "capital_charge", result.market_charge)]
 
 
-def _solvency_section(result: ComputeResult) -> list[str]:
+def _solvency_rows(result: ComputeResult) -> list:
+    """The two ratio labels put their values at column 35."""
     report = result.report
-    config = result.config
-    lines = ["SOLVENCY", LIGHT_RULE]
-    lines.extend(_capital_lines(result.capital))
-    if config.regime is Regime.BASEL2:
-        market = result.market_charge
-        lines.append(f"market charge (input): {market.formatted()}")
-        lines.append(
-            "denominator = credit RWA + 12.5 x market charge"
-            " + 12.5 x operational charge"
-        )
-    else:
-        lines.append("denominator = credit RWA (credit-only regime)")
-    lines.append(f"denominator:       {report.denominator.formatted()}")
-    if config.regime is Regime.BASEL2:
-        lines.append(f"solvency ratio (full denominator): {_ratio_text(report.mcdonough)}")
-        lines.append(f"credit-only reference ratio:       {_ratio_text(report.cooke)}")
-        lines.extend(_shares_lines(report))
-    else:
-        lines.append(f"solvency ratio (credit-only):      {_ratio_text(report.cooke)}")
-    lines.append(f"minimum ratio:     {format_percent(report.minimum_ratio)}")
-    if report.addon.units:
-        lines.append(f"capital add-on:    {report.addon.formatted()}")
-    lines.append(f"minimum required:  {report.min_required_capital.formatted()}")
-    surplus_label = "surplus" if not report.surplus.is_negative else "shortfall"
-    surplus_amount = (
-        report.surplus if not report.surplus.is_negative else -report.surplus
-    )
-    lines.append(f"{surplus_label + ':':<19}{surplus_amount.formatted()}")
-    lines.append(f"status:            {_status(report.compliant)}")
-    return lines
+    basel2 = result.config.regime is Regime.BASEL2
+    cooke_label = "credit-only reference ratio:" if basel2 else "solvency ratio (credit-only):"
+    rows = [
+        "denominator = credit RWA + 12.5 x market charge + 12.5 x operational charge"
+        if basel2 else "denominator = credit RWA (credit-only regime)",
+        _money("denominator:", "denominator", report.denominator),
+        _ratio("solvency ratio (full denominator):" if basel2 else None, "full_ratio",
+               report.mcdonough),
+        _ratio(f"{cooke_label:<34}", "credit_only_ratio", report.cooke),
+    ]
+    shares = report.shares
+    if shares is not None:
+        shares = {key: format_percent(share) for key, share in sorted(shares.items())}
+    if basel2:
+        rows.append("denominator shares (data-driven vs published 75/20/5 reference):")
+        rows += ["  undefined: the denominator is zero"] if shares is None else [
+            f"  {label:<12} {shares[key]:>8}"
+            f"   (reference {format_percent(REFERENCE_ALLOCATION[key])})"
+            for key, label in (("credit", "credit"), ("oprisk", "operational"),
+                               ("market", "market"))
+        ]
+    surplus = report.surplus
+    rows += [
+        (None, "shares", None, shares),
+        _same("minimum ratio:", "minimum_ratio", format_percent(report.minimum_ratio)),
+        _money("capital add-on:" if report.addon.units else None, "capital_addon", report.addon),
+        _money("minimum required:", "min_required_capital", report.min_required_capital),
+        ("shortfall:" if surplus.is_negative else "surplus:", "surplus",
+         (-surplus if surplus.is_negative else surplus).formatted(), surplus.text()),
+        ("status:", "compliant", _status(report.compliant), report.compliant),
+    ]
+    return rows
 
 
-def render_compute_text(result: ComputeResult) -> str:
-    """The human-readable run report."""
-    parts = [RULE, "REGULATORY CAPITAL REPORT", RULE]
-    parts.extend(_config_echo_lines(result.config, result.tables))
-    parts.append("")
-    parts.extend(_credit_section(result))
-    parts.append("")
-    if result.oprisk is not None:
-        parts.extend(_oprisk_section(result.oprisk, result.config.oprisk_approach))
+def _section(title: str, rows: list) -> list[str]:
+    return [title, LIGHT_RULE, *_lines(rows)]
+
+
+def _text(title: str, head: list[str], *sections: list[str] | None) -> str:
+    """A text report: the ruled title, the head, then each section that is
+    not None after an empty line."""
+    parts = [RULE, title, RULE, *head]
+    for section in filter(None, sections):
         parts.append("")
-    parts.extend(_solvency_section(result))
+        parts += section
     parts += (RULE, "")  # the empty last part ends the text with a newline
     return "\n".join(parts)
 
 
-def _ratio_doc(ratio: Fraction | None) -> str | None:
-    return format_percent(ratio) if ratio is not None else None
-
-
-def _config_doc(config: EngineConfig, tables: TableSet) -> dict:
-    doc = {
-        "regime": config.regime.key,
-        "credit_approach": config.credit_approach.key,
-        "bank_option_policy": config.bank_policy.key,
-        "currency": config.currency,
-        "tables": {
-            "risk_weights": tables.risk_weights.source,
-            "ccf": tables.ccf.source,
-            "betas": tables.betas.source,
-        },
-    }
-    if config.credit_approach.uses_irb:
-        doc["irb_function"] = config.irb_function
-    if config.oprisk_approach is not None:
-        doc["oprisk_approach"] = config.oprisk_approach.key
-        doc["negative_gi_policy"] = config.negative_gi_policy.key
-    if config.min_ratio_override is not None:
-        doc["min_ratio_override"] = format_percent(config.min_ratio_override)
-    if config.capital_addon is not None:
-        doc["capital_addon"] = config.capital_addon.text()
-    if config.adjustment_justification:
-        doc["adjustment_justification"] = config.adjustment_justification
-    if config.disclosure_period:
-        doc["disclosure_period"] = config.disclosure_period
-    return doc
+def render_compute_text(result: ComputeResult) -> str:
+    """The human-readable run report."""
+    return _text(
+        "REGULATORY CAPITAL REPORT",
+        _lines(_config_rows(result.config, result.tables)),
+        _credit_section(result),
+        result.oprisk and _section(
+            "OPERATIONAL RISK", _oprisk_rows(result.oprisk, result.config)),
+        _section(
+            "SOLVENCY",
+            _capital_rows(result.capital) + _market_rows(result) + _solvency_rows(result),
+        ),
+    )
 
 
 def _credit_lines_doc(result: ComputeResult) -> list[dict]:
@@ -271,68 +299,21 @@ def _credit_lines_doc(result: ComputeResult) -> list[dict]:
 
 def compute_document(result: ComputeResult) -> dict:
     """The machine-readable run document (plain JSON-able types)."""
-    report = result.report
     config = result.config
-    credit = result.credit
     doc: dict = {
-        "config": _config_doc(config, result.tables),
+        "config": _members(_config_rows(config, result.tables)),
         "credit": {
             "approach": config.credit_approach.key,
-            "total_rwa": credit.total_rwa.text(),
+            "total_rwa": result.credit.total_rwa.text(),
             "lines": _credit_lines_doc(result),
         },
-        "capital": {
-            "total_own_funds": result.capital.total_own_funds.text(),
-            "tier1": (
-                result.capital.tier1.text()
-                if result.capital.tier1 is not None
-                else None
-            ),
-            "tier2": (
-                result.capital.tier2.text()
-                if result.capital.tier2 is not None
-                else None
-            ),
-        },
-        "solvency": {
-            "denominator": report.denominator.text(),
-            "full_ratio": _ratio_doc(report.mcdonough),
-            "credit_only_ratio": _ratio_doc(report.cooke),
-            "minimum_ratio": format_percent(report.minimum_ratio),
-            "capital_addon": report.addon.text(),
-            "min_required_capital": report.min_required_capital.text(),
-            "surplus": report.surplus.text(),
-            "compliant": report.compliant,
-            "shares": (
-                {
-                    key: format_percent(share)
-                    for key, share in sorted(report.shares.items())
-                }
-                if report.shares is not None
-                else None
-            ),
-        },
+        "capital": _members(_capital_rows(result.capital)),
+        "solvency": _members(_solvency_rows(result)),
     }
     if result.oprisk is not None:
-        oprisk_doc: dict = {
-            "approach": config.oprisk_approach.key,
-            "negative_gi_policy": config.negative_gi_policy.key,
-            "charge": result.oprisk.charge.text(),
-        }
-        if result.oprisk.average_income is not None:
-            oprisk_doc["average_income"] = result.oprisk.average_income.text()
-        if result.oprisk.tsa is not None:
-            oprisk_doc["per_line"] = {
-                line.key: result.oprisk.tsa.per_line[line].text()
-                for line in BusinessLine
-            }
-        if result.oprisk.income_span:
-            oprisk_doc["income_years"] = result.oprisk.income_span
-        if result.oprisk.note:
-            oprisk_doc["note"] = result.oprisk.note
-        doc["oprisk"] = oprisk_doc
+        doc["oprisk"] = _members(_oprisk_rows(result.oprisk, config))
     if result.market_charge is not None:
-        doc["market"] = {"capital_charge": result.market_charge.text()}
+        doc["market"] = _members(_market_rows(result))
     return doc
 
 
@@ -418,11 +399,6 @@ def render_compare_text(comparison: CompareResult) -> str:
     """Side-by-side regime report with the reform markers."""
     credit_only = comparison.credit_only.report
     full = comparison.full.report
-    parts = [RULE, "REGIME COMPARISON", RULE]
-    parts.extend(
-        _config_echo_lines(comparison.full.config, comparison.full.tables)
-    )
-    parts.append("")
     rows = (
         ("", "credit-only", "full"),
         ("credit RWA", comparison.credit_only.credit.total_rwa.formatted(),
@@ -433,21 +409,18 @@ def render_compare_text(comparison: CompareResult) -> str:
          full.min_required_capital.formatted()),
         ("status", _status(credit_only.compliant), _status(full.compliant)),
     )
-    parts.extend(f"{label:<28}{left:>18}{right:>18}" for label, left, right in rows)
-    parts.append("")
     delta = comparison.required_delta
-    sign = "-" if delta.is_negative else "+"
-    magnitude = -delta if delta.is_negative else delta
-    parts.append(
-        f"additional capital required by the full regime: {sign}{magnitude.formatted()}"
+    return _text(
+        "REGIME COMPARISON",
+        _lines(_config_rows(comparison.full.config, comparison.full.tables)),
+        [f"{label:<28}{left:>18}{right:>18}" for label, left, right in rows],
+        [f"additional capital required by the full regime:"
+         f" {'' if delta.is_negative else '+'}{delta.formatted()}"],
+        ["reform markers applied in this run:"] + [
+            f"  {'[x]' if novelty.applied else '[ ]'} {novelty.name}: {novelty.note}"
+            for novelty in comparison.novelties
+        ],
     )
-    parts.append("")
-    parts.append("reform markers applied in this run:")
-    for novelty in comparison.novelties:
-        box = "[x]" if novelty.applied else "[ ]"
-        parts.append(f"  {box} {novelty.name}: {novelty.note}")
-    parts += (RULE, "")
-    return "\n".join(parts)
 
 
 def compare_document(comparison: CompareResult) -> dict:
@@ -462,57 +435,45 @@ def compare_document(comparison: CompareResult) -> dict:
     }
 
 
+def _disclosure_rows(disclosure: DisclosureReport) -> list:
+    return [
+        _same("period:", "period", disclosure.result.config.disclosure_period),
+        _same("scope:", "scope", DISCLOSURE_SCOPE),
+    ]
+
+
 def render_disclosure_text(disclosure: DisclosureReport) -> str:
-    """The semiannual public document; field set is extensible."""
+    """The semiannual public document."""
     result = disclosure.result
-    report = result.report
     config = result.config
-    parts = [RULE, "SEMIANNUAL CAPITAL ADEQUACY DISCLOSURE", RULE]
-    parts.append(f"period:            {config.disclosure_period}")
-    parts.append(f"scope:             {DISCLOSURE_SCOPE}")
-    parts.append("")
-    parts.append("OWN FUNDS: LEVEL AND STRUCTURE")
-    parts.append(LIGHT_RULE)
-    parts.extend(_capital_lines(result.capital))
-    parts.append("")
-    parts.append("RISK EXPOSURE AND CAPITAL PER RISK")
-    parts.append(LIGHT_RULE)
-    parts.append(
-        f"credit:            rwa {result.credit.total_rwa.formatted()}"
-        f"  (method: {_CREDIT_LABELS[config.credit_approach]})"
+    risks = [_same("credit:", None, f"rwa {result.credit.total_rwa.formatted()}"
+                   f"  (method: {_CREDIT_LABELS[config.credit_approach]})")]
+    if config.regime is Regime.BASEL2:
+        risks += [
+            _same("market:", None,
+                  f"charge {result.market_charge.formatted()}  (method: input figure)"),
+            _same("operational:", None, f"charge {result.oprisk.charge.formatted()}"
+                  f"  (method: {_oprisk_label(config.oprisk_approach)})"),
+        ]
+    solvency = {row[1]: row for row in _solvency_rows(result) if not isinstance(row, str)}
+    ratio = "full_ratio" if config.regime is Regime.BASEL2 else "credit_only_ratio"
+    adequacy = [(label, *solvency[key][1:]) for label, key in (
+        ("denominator:", "denominator"), ("solvency ratio:", ratio),
+        ("minimum ratio:", "minimum_ratio"), ("minimum required:", "min_required_capital"),
+        ("status:", "compliant"),
+    )]
+    return _text(
+        "SEMIANNUAL CAPITAL ADEQUACY DISCLOSURE",
+        _lines(_disclosure_rows(disclosure)),
+        _section("OWN FUNDS: LEVEL AND STRUCTURE", _capital_rows(result.capital)),
+        _section("RISK EXPOSURE AND CAPITAL PER RISK", risks),
+        _section("CAPITAL ADEQUACY", adequacy),
+        _section("CONFIGURATION ECHO", _config_rows(config, result.tables)),
     )
-    if config.regime is Regime.BASEL2:
-        market = result.market_charge
-        parts.append(
-            f"market:            charge {market.formatted()}  (method: input figure)"
-        )
-        parts.append(
-            f"operational:       charge {result.oprisk.charge.formatted()}"
-            f"  (method: {_oprisk_label(config.oprisk_approach)})"
-        )
-    parts.append("")
-    parts.append("CAPITAL ADEQUACY")
-    parts.append(LIGHT_RULE)
-    parts.append(f"denominator:       {report.denominator.formatted()}")
-    if config.regime is Regime.BASEL2:
-        parts.append(f"solvency ratio:    {_ratio_text(report.mcdonough)}")
-    else:
-        parts.append(f"solvency ratio:    {_ratio_text(report.cooke)}")
-    parts.append(f"minimum ratio:     {format_percent(report.minimum_ratio)}")
-    parts.append(f"minimum required:  {report.min_required_capital.formatted()}")
-    parts.append(f"status:            {_status(report.compliant)}")
-    parts.append("")
-    parts.append("CONFIGURATION ECHO")
-    parts.append(LIGHT_RULE)
-    parts.extend(_config_echo_lines(config, result.tables))
-    parts += (RULE, "")
-    return "\n".join(parts)
 
 
 def disclosure_document(disclosure: DisclosureReport) -> dict:
-    doc = compute_document(disclosure.result)
     return {
-        "period": disclosure.result.config.disclosure_period,
-        "scope": DISCLOSURE_SCOPE,
-        "report": doc,
+        **_members(_disclosure_rows(disclosure)),
+        "report": compute_document(disclosure.result),
     }

@@ -289,6 +289,24 @@ class TestCompute:
         assert status == 1
         assert "100,000.00" in captured.out
 
+    @pytest.mark.parametrize(
+        "flag, path",
+        [
+            ("--risk-weights", "w\nstatus:            COMPLIANT.tbl"),
+            ("--ccf", "c\tf.tbl"),
+            ("--betas", "b\u2028.tbl"),
+        ],
+    )
+    def test_table_path_with_a_control_character_exits_two(self, capsys, flag, path):
+        # the path would be echoed in the report, where it could forge a line
+        status = main(["compute", "--portfolio", WORKED, "--capital", "1.00", flag, path])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error [input/config]: tables.")
+        assert "contains a control character" in captured.err
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
 
 class TestCompare:
     def test_smoke_and_exit(self, capsys):

@@ -396,6 +396,17 @@ class TestCompare:
         assert applied["semiannual public disclosure"]
         assert len(compare.novelties) == 5
 
+    def test_supervisory_novelty_prints_the_floor_as_a_percent(self, worked_portfolio):
+        compare = run_compare(
+            EngineConfig(min_ratio_override=Fraction(1, 10), capital_addon=eur("5000.00")),
+            worked_portfolio,
+            CapitalBase(eur("81000.00")),
+        )
+        notes = {n.name: (n.applied, n.note) for n in compare.novelties}
+        assert notes["individual supervisory requirements above the floor"] == (
+            True, "minimum ratio 10.00%, add-on 5000.00 EUR"
+        )
+
     def test_exit_zero_only_when_both_legs_comply(self, worked_portfolio, income):
         short = run_compare(
             EngineConfig(),

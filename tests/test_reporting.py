@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -57,11 +58,17 @@ from regcap.irb import (
     params_for_exposure,
     risk_weight_function,
 )
-from regcap.money import format_percent, fraction_to_decimal_text
+from regcap.money import format_percent, fraction_to_decimal_text, units_text
 from regcap.oprisk import ApproachKind, BetaTable, BusinessLine
 from regcap.reporting import (
     _CHUNK,
     UNDEFINED_RATIO,
+    _capital_rows,
+    _config_rows,
+    _disclosure_rows,
+    _market_rows,
+    _oprisk_rows,
+    _solvency_rows,
     compare_document,
     compute_document,
     disclosure_document,
@@ -111,9 +118,10 @@ class TestComputeText:
         assert "COMPLIANT" in text
 
     def test_solvency_shows_both_ratios(self, worked_result):
-        text = render_compute_text(worked_result)
-        assert "full-denominator ratio" in text.lower() or "8.0" in text
-        assert "credit-only" in text.lower()
+        lines = render_compute_text(worked_result).splitlines()
+        # both values start at column 35
+        assert "solvency ratio (full denominator): 8.08%" in lines
+        assert "credit-only reference ratio:       8.10%" in lines
 
     @pytest.mark.parametrize(
         "capital, label", [("81000.00", "surplus:"), ("79999.99", "shortfall:")]
@@ -171,6 +179,133 @@ class TestComputeJson:
         parsed = json.loads(render_json(compute_document(worked_result)))
         assert parsed["solvency"]["compliant"] is True
         assert parsed["solvency"]["min_required_capital"] == "80150.00"
+
+
+# ---------------------------------------------------------------------------
+# Each summary fact is declared once, as a row: its text line and its JSON
+# member must say the same thing.
+
+# What a described JSON value prints as.
+DESCRIPTIONS = {
+    ("credit_approach", "standardized"): "standardized (external ratings)",
+    ("credit_approach", "irb_advanced"): "internal ratings, advanced",
+    ("bank_option_policy", "low_end"):
+        "bank-row range cells resolved to the low end (50%), both cells together",
+    ("approach", "basic_indicator"): "basic indicator (alpha = 15% of average gross income)",
+    ("approach", "standardized"): "standardized (per-business-line beta)",
+    ("compliant", True): "COMPLIANT",
+    ("compliant", False): "NON-COMPLIANT",
+}
+
+
+def _printed(label: str, key: str, value) -> str:
+    """The text that the JSON ``value`` under ``key`` prints as on its line."""
+    if (key, value) in DESCRIPTIONS:
+        return DESCRIPTIONS[key, value]
+    if value is None:
+        return UNDEFINED_RATIO
+    if key == "surplus":  # the text line names the sign and prints the magnitude
+        assert label == ("shortfall:" if value.startswith("-") else "surplus:")
+        value = value.removeprefix("-")
+    if re.fullmatch(r"-?[0-9]+\.[0-9]{2}", value):  # an amount: commas in the text
+        return units_text(int(value.replace(".", "")), ",")
+    return value
+
+
+def _summary_sections(result) -> list[tuple[str, list]]:
+    """Each summary section's JSON member in a compute document, and its rows."""
+    sections = [
+        ("config", _config_rows(result.config, result.tables)),
+        ("capital", _capital_rows(result.capital)),
+        ("solvency", _solvency_rows(result)),
+    ]
+    if result.oprisk is not None:
+        sections.append(("oprisk", _oprisk_rows(result.oprisk, result.config)))
+    if result.market_charge is not None:
+        sections.append(("market", _market_rows(result)))
+    return sections
+
+
+def _assert_rows_agree(rows: list, members: dict, text_lines: set[str]) -> None:
+    facts = [row for row in rows if not isinstance(row, str)]
+    assert members == {key: value for _, key, _, value in facts if key is not None}
+    for label, key, text, value in facts:
+        if label is not None:
+            assert f"{label:<18} {text}" in text_lines
+        if label is not None and key is not None:
+            assert _printed(label, key, value) == text, (label, key)
+
+
+SUMMARY_CASES = [
+    pytest.param(
+        regime, approach, tiers, adjusted, empty, oprisk,
+        id=f"{regime}-{approach}-{tiers}-{adjusted}-{empty}-{oprisk}",
+    )
+    for regime in ("basel1", "basel2")
+    for approach in ("standardized", "irb_advanced")
+    for tiers in ("tiers", "no_tiers")
+    for adjusted in ("adjusted", "floor")
+    for empty in ("empty_book", "book")
+    for oprisk in ("basic_indicator", "standardized", "no_income")
+    if regime == "basel2"
+    or (approach, adjusted, oprisk) == ("standardized", "floor", "no_income")
+]
+
+
+class TestTextAndJsonAgree:
+    @pytest.mark.parametrize(
+        "regime, approach, tiers, adjusted, empty, oprisk", SUMMARY_CASES
+    )
+    def test_every_summary_fact(self, regime, approach, tiers, adjusted, empty, oprisk):
+        settings = dict(
+            credit_approach=CreditApproach(approach), disclosure_period="2006-H2"
+        )
+        if adjusted == "adjusted":
+            settings.update(
+                min_ratio_override=Fraction(10, 100), capital_addon=eur("5000.00"),
+                adjustment_justification="concentration",
+            )
+        if regime == "basel1":
+            config = EngineConfig.basel1(**settings)
+        else:
+            settings["oprisk_approach"] = (
+                OpRiskApproach.standardized() if oprisk == "standardized"
+                else OpRiskApproach.basic_indicator()
+            )
+            config = EngineConfig(**settings)
+        book = "irb_small.csv" if approach == "irb_advanced" else "worked_example.csv"
+        portfolio = (
+            validate_portfolio((), "EUR") if empty == "empty_book"
+            else load_portfolio(DATA_DIR / book)
+        )
+        capital = (
+            CapitalBase(eur("81000.00"), eur("60000.00"), eur("21000.00"))
+            if tiers == "tiers" else CapitalBase(eur("81000.00"))
+        )
+        income = (
+            load_income(DATA_DIR / "income_3yr.csv")
+            if regime == "basel2" and oprisk != "no_income" else None
+        )
+        result = run_compute(config, portfolio, capital, income=income)
+        document = json.loads(render_json(compute_document(result)))
+        text_lines = set(render_compute_text(result).splitlines())
+        for member, rows in _summary_sections(result):
+            _assert_rows_agree(rows, document[member], text_lines)
+        assert set(document["capital"]) == {"total_own_funds", "tier1", "tier2"}
+        assert set(document["config"]["tables"]) == {"risk_weights", "ccf", "betas"}
+        assert ("beta table:        builtin" in text_lines) == (regime == "basel2")
+
+        disclosure = run_disclose(result)
+        document = json.loads(render_json(disclosure_document(disclosure)))
+        text_lines = set(render_disclosure_text(disclosure).splitlines())
+        rows = _disclosure_rows(disclosure)
+        _assert_rows_agree(rows, {key: document[key] for _, key, _, _ in rows}, text_lines)
+        solvency = document["report"]["solvency"]
+        ratio = solvency["full_ratio" if regime == "basel2" else "credit_only_ratio"]
+        assert f"solvency ratio:    {_printed('', 'ratio', ratio)}" in text_lines
+        assert f"status:            {_printed('', 'compliant', solvency['compliant'])}" in (
+            text_lines
+        )
 
 
 # ---------------------------------------------------------------------------
