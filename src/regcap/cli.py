@@ -34,7 +34,7 @@ from .fileio import (
     load_portfolio,
     write_whole,
 )
-from .model import CapitalBase, Portfolio
+from .model import _CONTROL_CHARACTER, CapitalBase, Portfolio
 from .money import Money
 from .oprisk import IncomeHistory
 from .reporting import (
@@ -55,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
     through _write, so help that cannot be written fails as a report does."""
 
     def error(self, message: str) -> NoReturn:
-        raise UsageError(" ".join(message.splitlines()))
+        raise UsageError(message)
 
     def _print_message(self, message: str, file=None) -> None:
         _write(file, message)
@@ -254,8 +254,10 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         # A fault in regcap or in a registered function, never an input
         # error: one line and exit 2, since exit 1 means a capital shortfall.
-        message = " ".join(str(exc).splitlines())
-        line = f"error [internal]: {type(exc).__name__}: {message}"
+        line = f"error [internal]: {type(exc).__name__}: {exc}"
+    # A message, or a path or cell text in it, may hold a control character;
+    # each is written as repr writes it, so the diagnostic stays one line.
+    line = _CONTROL_CHARACTER.sub(lambda match: repr(match[0])[1:-1], line)
     with contextlib.suppress(OSError):  # a diagnostic that stderr cannot take is dropped
         _write(sys.stderr, line + "\n")
     return 2

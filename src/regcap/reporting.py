@@ -11,6 +11,7 @@ time, on top of already-exact values.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -26,6 +27,7 @@ from .engine import (
 from .model import CapitalBase
 from .money import Money, format_percent, units_text
 from .oprisk import ApproachKind, BusinessLine, OpRiskApproach
+from .standardized import StandardizedColumns
 
 RULE = "=" * 72
 LIGHT_RULE = "-" * 72
@@ -266,46 +268,16 @@ def render_compute_text(result: ComputeResult) -> str:
     )
 
 
-def _credit_lines_doc(result: ComputeResult) -> list[dict]:
-    view = result.credit.lines
-    if result.config.credit_approach is CreditApproach.STANDARDIZED:
-        keys = view.keys
-        return [
-            {
-                "id": exposure_id,
-                "ccf": keys[index].ccf_text,
-                "weight": keys[index].weight_text,
-                "amount": units_text(units),
-            }
-            for exposure_id, index, units in zip(view.ids, view.key_index, view.units)
-        ]
-    return [
-        {
-            "id": exposure_id,
-            "pd": pd,
-            "lgd": lgd,
-            "maturity_years": maturity,
-            "ead": units_text(ead),
-            "weight": weight,
-            "amount": units_text(units),
-            "off_balance": off_balance,
-        }
-        for exposure_id, pd, lgd, maturity, ead, weight, units, off_balance in zip(
-            view.ids, view.pd_texts, view.lgd_texts, view.maturity_texts,
-            view.ead_units, view.weight_texts, view.units, view.off_balance,
-        )
-    ]
-
-
 def compute_document(result: ComputeResult) -> dict:
-    """The machine-readable run document (plain JSON-able types)."""
+    """The machine-readable run document: plain JSON-able types, except that
+    credit.lines is a _CreditLines, a sequence of one dict per line."""
     config = result.config
     doc: dict = {
         "config": _members(_config_rows(config, result.tables)),
         "credit": {
             "approach": config.credit_approach.key,
             "total_rwa": result.credit.total_rwa.text(),
-            "lines": _credit_lines_doc(result),
+            "lines": _CreditLines(result.credit.lines),
         },
         "capital": _members(_capital_rows(result.capital)),
         "solvency": _members(_solvency_rows(result)),
@@ -317,80 +289,90 @@ def compute_document(result: ComputeResult) -> dict:
     return doc
 
 
-_LITERALS = {None: "null", True: "true", False: "false"}
+def _line_texts(view, start: int, stop: int, indent: str):
+    """Lines ``start`` to ``stop`` of a credit view as json.dumps(sort_keys=True,
+    indent=2) writes them at ``indent``, by one template per approach. Only the
+    id is escaped: every other field is ASCII digits, ".", "%" or a literal."""
+    cut, inner = slice(start, stop), indent + "  "
+    if isinstance(view, StandardizedColumns):
+        return (
+            f'{indent}{{\n{inner}"amount": "{units_text(units)}",\n'
+            f'{inner}"ccf": "{view.keys[index].ccf_text}",\n'
+            f'{inner}"id": {encode_basestring_ascii(exposure_id)},\n'
+            f'{inner}"weight": "{view.keys[index].weight_text}"\n{indent}}}'
+            for exposure_id, index, units in zip(
+                view.ids[cut], view.key_index[cut], view.units[cut])
+        )
+    return (
+        f'{indent}{{\n{inner}"amount": "{units_text(units)}",\n'
+        f'{inner}"ead": "{units_text(ead)}",\n'
+        f'{inner}"id": {encode_basestring_ascii(exposure_id)},\n{inner}"lgd": "{lgd}",\n'
+        f'{inner}"maturity_years": "{maturity}",\n'
+        f'{inner}"off_balance": {"true" if off_balance else "false"},\n'
+        f'{inner}"pd": "{pd}",\n{inner}"weight": "{weight}"\n{indent}}}'
+        for exposure_id, pd, lgd, maturity, ead, weight, units, off_balance in zip(
+            view.ids[cut], view.pd_texts[cut], view.lgd_texts[cut], view.maturity_texts[cut],
+            view.ead_units[cut], view.weight_texts[cut], view.units[cut], view.off_balance[cut],
+        )
+    )
 
-# Members of a list whose texts are joined into one string at a time.
-_CHUNK = 1024
+
+class _CreditLines(Sequence):
+    """A credit view as a sequence of line dicts, each made from its JSON text when
+    asked for and kept; render_json writes the view by template until one is kept."""
+
+    def __init__(self, view) -> None:
+        self.view, self.kept = view, {}
+
+    def __len__(self) -> int:
+        return len(self.view.ids)
+
+    def __getitem__(self, index: int) -> dict:
+        index = range(len(self))[index]  # an IndexError outside the lines
+        if index not in self.kept:
+            self.kept[index] = json.loads(next(_line_texts(self.view, index, index + 1, "")))
+        return self.kept[index]
 
 
-def _write(value, indent: str, out: list[str], layouts: dict) -> None:
-    """Append one JSON value to ``out``, laid out as
-    json.dumps(sort_keys=True, indent=2) lays it out.
+_CHUNK = 1024  # credit lines joined into one string at a time
 
-    Every finished text goes straight into ``out``, so a dict's members
-    are never copied into a text of the dict. A list joins what its members
-    appended into one string every ``_CHUNK`` members, so the document is
-    never held as millions of small fragments.
 
-    ``layouts`` maps a dict's keys, in insertion order, to the indent it
-    was last written at and each key in sorted order with the text that
-    goes before its value: the dicts of a list of report lines sort their
-    keys and escape them once.
-    """
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None or value is True or value is False:
-        out.append(_LITERALS[value])
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append one JSON value to ``out``, laid out as json.dumps(sort_keys=True,
+    indent=2) lays it out. Every finished text goes straight into ``out``: no
+    container is copied into a text of its own."""
+    inner = indent + "  "
+    if not isinstance(value, (dict, list, tuple, _CreditLines)):
+        out.append(json.dumps(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
     elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        order = tuple(value)
-        layout = layouts.get(order)
-        if layout is None or layout[0] != indent:
-            keys = sorted(order)
-            inner = indent + "  "
-            heads = [f",\n{inner}{encode_basestring_ascii(key)}: " for key in keys]
-            heads[0] = heads[0][1:]  # no comma before the first member
-            layout = layouts[order] = indent, tuple(zip(keys, heads))
-        out.append("{")
-        for key, head in layout[1]:
-            member = value[key]
-            # Scalars are written in place, without a call: a report line
-            # dict holds little else.
-            if isinstance(member, str):
-                out.append(head + encode_basestring_ascii(member))
-            elif member is None or member is True or member is False:
-                out.append(head + _LITERALS[member])
-            else:
-                out.append(head)
-                _write(member, indent + "  ", out, layouts)
+        separator = "{"
+        for key in sorted(value):
+            out.append(f"{separator}\n{inner}{encode_basestring_ascii(key)}: ")
+            _write(value[key], inner, out)
+            separator = ","
         out.append(f"\n{indent}}}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        separator = f"[\n{inner}"
-        following = f",\n{inner}"
-        for first in range(0, len(value), _CHUNK):
-            start = len(out)
-            for member in value[first:first + _CHUNK]:
-                out.append(separator)
-                _write(member, inner, out, layouts)
-                separator = following
-            out[start:] = ["".join(out[start:])]
+    elif isinstance(value, _CreditLines) and not value.kept:
+        separator = "[\n"
+        for start in range(0, len(value), _CHUNK):
+            out += separator, ",\n".join(_line_texts(value.view, start, start + _CHUNK, inner))
+            separator = ",\n"
         out.append(f"\n{indent}]")
     else:
-        out.append(json.dumps(value))
+        separator = "["
+        for member in value:
+            out.append(f"{separator}\n{inner}")
+            _write(member, inner, out)
+            separator = ","
+        out.append(f"\n{indent}]")
 
 
 def render_json(document: dict) -> str:
-    """The machine document: byte-identical to json.dumps(document,
-    sort_keys=True, indent=2) plus a final newline. The document's text is
-    joined exactly once."""
+    """json.dumps(document, sort_keys=True, indent=2) plus a final newline, byte
+    for byte, with credit lines written as a list. Its text is joined once."""
     out: list[str] = []
-    _write(document, "", out, {})
+    _write(document, "", out)
     out.append("\n")
     return "".join(out)
 

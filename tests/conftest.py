@@ -1,8 +1,12 @@
-"""Shared test helpers: money, fixture paths, a fresh interpreter, summary lines."""
+"""Shared test helpers: money, fixture paths, benchmark books, a fresh
+interpreter, summary lines."""
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,9 +16,11 @@ from pathlib import Path
 import pytest
 
 from regcap import Money
+from regcap.irb import _FUNCTIONS
 from regcap.oprisk import AnnualIncome, GrossIncomeRecord, IncomeHistory
 
 DATA_DIR = Path(__file__).parent / "data"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def eur(text: str | int) -> Money:
@@ -35,6 +41,27 @@ def history_of_totals(first_year: int, totals: list[Money]) -> IncomeHistory:
 @pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR
+
+
+@pytest.fixture(scope="module")
+def bench_weight():
+    """With the benchmark's modules importable, registers its float weight
+    function for a module's tests; the function's name."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        irbfn = importlib.import_module("irbfn")
+        patch.setitem(_FUNCTIONS, irbfn.NAME, irbfn.CountingWeight())
+        yield irbfn.NAME
+
+
+def write_bench_book(path: Path, lines: int, workload: str = "irb_book_100k") -> Path:
+    """The first ``lines`` lines of the benchmark's seed-1 ``workload`` book,
+    at ``path``. The benchmark's modules must be importable."""
+    bookgen = importlib.import_module("bookgen")
+    spec = dataclasses.replace(bookgen.SPECS[workload], exposures=lines)
+    rows, _ = bookgen.book_lines(random.Random(f"{workload}:1"), spec)
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
 
 
 def run_python(script: str) -> str:

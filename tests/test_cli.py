@@ -173,7 +173,7 @@ class TestCompute:
         captured = capsys.readouterr()
         assert status == 2
         assert captured.out == ""
-        assert captured.err == "error [internal]: RuntimeError: weight table unavailable\n"
+        assert captured.err == "error [internal]: RuntimeError: weight table\\nunavailable\n"
 
     def test_json_out_written(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -306,6 +306,41 @@ class TestCompute:
         assert captured.err.startswith("error [input/config]: tables.")
         assert "contains a control character" in captured.err
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "flag, name, shown",
+        [
+            ("--portfolio", "bad\nname.csv", "bad\\nname.csv"),
+            ("--income", "no\rincome\x85.csv", "no\\rincome\\x85.csv"),
+            ("--config", "no\tconfig\u2028.cfg", "no\\tconfig\\u2028.cfg"),
+        ],
+    )
+    def test_a_path_with_a_control_character_gives_one_diagnostic_line(
+        self, capsys, tmp_path, flag, name, shown
+    ):
+        # The portfolio exists and has a bad nominal; the other two are missing.
+        path = tmp_path / name
+        if flag == "--portfolio":
+            path.write_text(
+                "id,class,rating,nominal,position,off_balance_category\n"
+                "W1,bank,AAA,abc,on,\n",
+                encoding="utf-8",
+            )
+        status = main(
+            ["compute", "--portfolio", WORKED, "--capital", "1.00", flag, str(path)]
+        )
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error [input/config]: ")
+        assert captured.err.endswith("\n") and captured.err[:-1].isprintable()
+        assert f"{tmp_path}/{shown}" in captured.err
+
+    def test_a_usage_error_with_a_line_break_gives_one_diagnostic_line(self, capsys):
+        status = main(["compute", "--portfolio", WORKED, "--capital", "1.00", "odd\nword"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err == "error [usage]: unrecognized arguments: odd\\nword\n"
 
 
 class TestCompare:

@@ -9,10 +9,7 @@ weight function.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
-import importlib
-import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -21,11 +18,10 @@ from pathlib import Path
 import pytest
 
 from regcap import CapitalBase, CreditApproach, EngineConfig, Exposure, Money, run_compute
-from regcap import fileio, irb
+from regcap import fileio
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, PERFBENCH, write_bench_book
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REGCAP = str(Path(fileio.__file__).resolve().parent)
 LINES = 1_000
 
@@ -45,27 +41,13 @@ PEAK_LINES = 20_000
 LOAD_PEAK_RATIO = 1.75
 
 
-def _write_book(path: Path, lines: int) -> Path:
-    """The first ``lines`` lines of the benchmark's seed-1 IRB book, at ``path``."""
-    bookgen = importlib.import_module("bookgen")
-    spec = dataclasses.replace(bookgen.SPECS["irb_book_100k"], exposures=lines)
-    rows, _ = bookgen.book_lines(random.Random("irb_book_100k:1"), spec)
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    return path
-
-
 @pytest.fixture(scope="module")
-def bench_book(tmp_path_factory):
+def bench_book(tmp_path_factory, bench_weight):
     """The book file and a config that prices it with the float weight."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.syspath_prepend(str(PERFBENCH))
-        irbfn = importlib.import_module("irbfn")
-        patch.setitem(irb._FUNCTIONS, irbfn.NAME, irbfn.CountingWeight())
-        path = _write_book(tmp_path_factory.mktemp("hot_path") / "portfolio.csv", LINES)
-        config = EngineConfig(
-            credit_approach=CreditApproach.IRB_ADVANCED, irb_function=irbfn.NAME
-        )
-        yield path, config
+    path = write_bench_book(tmp_path_factory.mktemp("hot_path") / "portfolio.csv", LINES)
+    return path, EngineConfig(
+        credit_approach=CreditApproach.IRB_ADVANCED, irb_function=bench_weight
+    )
 
 
 def _calls(work, counted) -> tuple[object, int]:
@@ -159,7 +141,7 @@ def test_equal_texts_of_the_credit_view_are_one_string(bench_book):
 
 def test_load_peaks_near_the_book_it_returns(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    path = _write_book(tmp_path / "portfolio.csv", PEAK_LINES)
+    path = write_bench_book(tmp_path / "portfolio.csv", PEAK_LINES)
     gc.collect()
     tracemalloc.start()
     try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import re
@@ -79,7 +80,7 @@ from regcap.reporting import (
 )
 from regcap.standardized import CcfTable, RiskWeightTable, WeightCell
 
-from conftest import DATA_DIR, eur
+from conftest import DATA_DIR, eur, write_bench_book
 
 
 def fresh_worked_result(period: str | None = None):
@@ -447,7 +448,8 @@ def _rendered_credit_lines(result) -> tuple[list[str], list[dict]]:
     text = render_compute_text(result).splitlines()
     first = text.index("CREDIT RISK") + 3  # title, rule, column header
     last = next(i for i, line in enumerate(text) if line.startswith("total risk-weighted"))
-    return text[first:last], compute_document(result)["credit"]["lines"]
+    document = json.loads(render_json(compute_document(result)))
+    return text[first:last], document["credit"]["lines"]
 
 
 class TestCreditColumnsMatchPerLineFormulas:
@@ -521,28 +523,33 @@ def _fixture_documents():
         yield disclosure_document(run_disclose(period_result))
 
 
-def _irb_shaped_document(lines: int) -> dict:
-    return {
-        "config": {"regime": "basel2", "credit_approach": "irb_advanced"},
-        "credit": {
-            "approach": "irb_advanced",
-            "total_rwa": "123456789.00",
-            "lines": [
-                {
-                    "id": f"E{i:06d}",
-                    "pd": "1.25%",
-                    "lgd": "45.00%",
-                    "maturity_years": "2.5",
-                    "ead": f"{1000 + i}.00",
-                    "weight": "87.31%",
-                    "amount": f"{870 + i}.31",
-                    "off_balance": i % 2 == 0,
-                }
-                for i in range(lines)
-            ],
-        },
-        "capital": {"total_own_funds": "1.00", "tier1": None, "tier2": None},
-    }
+def _credit_book(ids, irb: bool):
+    """A book with one exposure per id; every other line is off balance."""
+    return validate_portfolio(
+        [
+            Exposure(
+                id=exposure_id,
+                counterparty=CounterpartyClass.CORPORATE,
+                rating=RatingBucket.UNRATED,
+                nominal=Money(1_000_000 + 37 * index, "EUR"),
+                off_balance_category="guarantee" if index % 2 else None,
+                **(dict(
+                    pd=Fraction(1 + index % 997, 10_000), lgd=Fraction(45, 100),
+                    ead=Money(2_000_000 + 41 * index, "EUR"),
+                    maturity_years=Fraction(5 + index % 40, 2),
+                ) if irb else {}),
+            )
+            for index, exposure_id in enumerate(ids)
+        ],
+        "EUR",
+    )
+
+
+def _credit_run(book, irb: bool, function: str):
+    config = EngineConfig(
+        credit_approach=CreditApproach.IRB_ADVANCED, irb_function=function
+    ) if irb else EngineConfig()
+    return run_compute(config, book, CapitalBase(eur("1.00")))
 
 
 class TestRenderJson:
@@ -555,41 +562,69 @@ class TestRenderJson:
         documents = list(_fixture_documents())
         assert len(documents) == 6
         for document in documents:
-            assert render_json(document) == reference_json(document)
+            output = render_json(document)
+            assert output == reference_json(json.loads(output))
 
-    def test_lists_longer_than_a_chunk_match_json_dumps(self):
-        # The lists the property test draws stay within one chunk. Here the
-        # dicts' keys change at each chunk boundary, and scalars, empty
-        # containers and nested lists sit on both sides of one.
-        members = []
-        for index in range(2 * _CHUNK + 1):
-            keys = ("id", "pd", "weight") if index < _CHUNK else ("weight", "id")
-            if index % 7 == 3:
-                members.append([index, [], {}, [str(index), None]])
-            elif index % 11 == 5:
-                members.append(index % 2 == 0 or None)
-            else:
-                members.append({key: f"{key}{index}" for key in keys[index % 2:]})
-        members[_CHUNK - 1] = {}
-        members[_CHUNK] = []
-        members[-1] = {"id": "last", "nested": [[], [{}], [1, "two"]]}
-        document = {"lines": members, "total": "1.00"}
-        assert render_json(document) == reference_json(document)
-        assert render_json(members) == reference_json(members)
+    @pytest.mark.parametrize("irb", [False, True], ids=["standardized", "irb"])
+    def test_lists_longer_than_a_chunk_match_json_dumps(self, irb, float_function):
+        # The lines are joined a chunk at a time: two whole chunks and one
+        # line of a third.
+        book = _credit_book([f"L{index}" for index in range(2 * _CHUNK + 1)], irb)
+        result = _credit_run(book, irb, float_function)
+        output = render_json(compute_document(result))
+        assert output == reference_json(json.loads(output))
+        assert _rendered_credit_lines(result) == reference_credit_lines(result)
 
-    def test_peak_memory_is_bounded_by_the_output(self):
-        # json.dumps with indent peaks at about 6.6 times its output here.
-        # A list is joined a chunk at a time and the document once, so the
-        # peak is the output plus the chunks it is joined from: about 2.0.
-        document = _irb_shaped_document(5000)
+    @pytest.mark.parametrize("irb", [False, True], ids=["standardized", "irb"])
+    def test_ids_are_escaped_as_json_dumps_escapes_them(self, irb, float_function):
+        # The id is the one field of a credit line that the writer escapes.
+        ids = ['q"uote', "back\\slash", "a/b", "caf\u00e9", "smile\U0001f600", "plain"]
+        result = _credit_run(_credit_book(ids, irb), irb, float_function)
+        output = render_json(compute_document(result))
+        assert output == reference_json(json.loads(output))
+        assert output.isascii()
+        assert [line["id"] for line in json.loads(output)["credit"]["lines"]] == ids
+
+    @pytest.mark.parametrize(
+        "workload, irb", [("std_book_100k", False), ("irb_book_100k", True)],
+        ids=["standardized", "irb"],
+    )
+    def test_peak_memory_is_bounded_by_the_output(
+        self, workload, irb, bench_weight, tmp_path
+    ):
+        # The credit lines are joined a chunk at a time and the document
+        # once, so the peak is the output plus the chunks it is joined from,
+        # about 2.0 times the output; one dict per line took it to 3.7-4.0.
+        path = write_bench_book(tmp_path / "portfolio.csv", 5000, workload)
+        result = _credit_run(load_portfolio(path), irb, bench_weight)
         tracemalloc.start()
         try:
-            rendered = render_json(document)
+            rendered = render_json(compute_document(result))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rendered == reference_json(document)
+        assert len(json.loads(rendered)["credit"]["lines"]) == 5000
         assert peak <= 2.1 * len(rendered)
+
+    @pytest.mark.parametrize("irb", [False, True], ids=["standardized", "irb"])
+    def test_credit_lines_read_and_change_as_a_list_of_dicts(self, irb, float_function):
+        result = _credit_run(_credit_book(["A", "B", "C"], irb), irb, float_function)
+        document = compute_document(result)
+        changed = copy.deepcopy(document)  # before any line dict is made
+        output = render_json(document)
+        lines = document["credit"]["lines"]
+        assert list(lines) == json.loads(output)["credit"]["lines"]
+        assert lines[-1] is lines[2] and lines[2]["id"] == "C"
+        with pytest.raises(IndexError):
+            lines[3]
+        # A changed line shows in what is written, and only in its copy.
+        changed["credit"]["lines"][1]["amount"] = "1.00"
+        assert render_json(document) == output
+        written = render_json(changed)
+        assert written == reference_json(json.loads(written))
+        assert [line["amount"] for line in json.loads(written)["credit"]["lines"]] == [
+            lines[0]["amount"], "1.00", lines[2]["amount"]
+        ]
 
 
 class TestCompareText:
