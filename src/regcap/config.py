@@ -1,9 +1,10 @@
 """Engine configuration: regimes, approach selection, policy knobs.
 
 Config files are plain ``key = value`` lines with ``#`` comments. Every key
-has a matching CLI flag that overrides it; both are declared once, in
-``SETTINGS``. The default config path can be supplied via the REGCAP_CONFIG
-environment variable.
+has a matching CLI flag that overrides it and an EngineConfig field; the
+three, and the field's default, are declared once, in ``SETTINGS``. The
+default config path can be supplied via the REGCAP_CONFIG environment
+variable.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import enum
 import os
 import re
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -47,13 +47,148 @@ class CreditApproach(enum.Enum):
     def key(self) -> str:
         return self.value
 
+
+def _parse_bool(token: str) -> bool:
+    lowered = token.strip().lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"not a boolean: {token!r}")
+
+
+def _parse_approach(token: str) -> OpRiskApproach:
+    stripped = token.strip()
+    # a hook is registered under its exact name: only the prefix ignores case
+    if stripped[:9].lower() == "advanced:":
+        name = stripped[9:].strip()
+        if not name:
+            raise ValueError("advanced approach needs a hook name after the colon")
+        return OpRiskApproach.advanced_hook(name)
+    lowered = stripped.lower()
+    if lowered == ApproachKind.BASIC_INDICATOR.value:
+        return OpRiskApproach.basic_indicator()
+    if lowered == ApproachKind.STANDARDIZED.value:
+        return OpRiskApproach.standardized()
+    raise ValueError(
+        f"unknown operational-risk approach {token!r}; expected basic_indicator,"
+        " standardized, or advanced:<hook>"
+    )
+
+
+def _parse_currency(token: str) -> str:
+    if not (len(token) == 3 and token.isascii() and token.isalpha() and token.isupper()):
+        raise ValueError(
+            f"must be a three-letter ISO code such as EUR, got {token!r}"
+        )
+    return token
+
+
+class Setting(Record, defaults=dict(help=None, default=None)):
+    """One run setting: its config key, CLI flag, EngineConfig field and
+    that field's default.
+
+    ``parser`` turns the raw text into the field value. An enum class
+    accepts its values case-insensitively (and the flag offers them as
+    choices), ``bool`` makes the flag a switch, and ``Money`` reads an
+    amount in the run's currency. ``help`` is argparse text, so ``%`` is
+    doubled.
+    """
+
+    __slots__ = ("key", "flag", "field", "parser", "help", "default")
+
     @property
-    def uses_irb(self) -> bool:
-        return self is not CreditApproach.STANDARDIZED
+    def choices(self) -> list[str] | None:
+        if isinstance(self.parser, enum.EnumMeta):
+            return [member.value for member in self.parser]
+        return None
+
+    def parse(self, token: str, currency: str) -> Any:
+        if self.parser is Money:
+            return Money.from_decimal(token, currency)
+        if self.parser is bool:
+            return _parse_bool(token)
+        choices = self.choices
+        if choices is None:
+            return self.parser(token)
+        try:
+            return self.parser(token.strip().lower())
+        except ValueError:
+            raise ValueError(
+                f"expected one of {', '.join(choices)}; got {token!r}"
+            ) from None
 
 
-class EngineConfig(Record):
-    """Validated run configuration.
+# Every run setting, in --help order and EngineConfig field order. A flag
+# overrides its key's file value.
+SETTINGS = (
+    Setting("regime", "--regime", "regime", Regime, default=Regime.BASEL2),
+    Setting(
+        "credit.approach", "--credit-approach", "credit_approach", CreditApproach,
+        default=CreditApproach.STANDARDIZED,
+    ),
+    Setting(
+        "credit.bank_policy", "--bank-policy", "bank_policy", BankOptionPolicy,
+        default=BankOptionPolicy.LOW_END,
+    ),
+    Setting(
+        "irb.function", "--irb-function", "irb_function", str,
+        "registered risk-weight function name", default="constant",
+    ),
+    Setting(
+        "oprisk.approach", "--oprisk-approach", "oprisk_approach", _parse_approach,
+        "basic_indicator, standardized, or advanced:<hook>",
+        default=OpRiskApproach.basic_indicator(),
+    ),
+    Setting(
+        "oprisk.previous_approach", "--previous-oprisk-approach",
+        "previous_oprisk_approach", _parse_approach,
+        "previously approved approach, for the downgrade rule",
+    ),
+    Setting(
+        "oprisk.downgrade_override", "--downgrade-override", "downgrade_override",
+        bool, "supervisory override allowing a simpler approach than before",
+        default=False,
+    ),
+    Setting(
+        "oprisk.negative_gi_policy", "--negative-gi-policy", "negative_gi_policy",
+        NegativeGiPolicy, default=NegativeGiPolicy.EXCLUDE_NEGATIVE_YEARS,
+    ),
+    Setting(
+        "tables.risk_weights", "--risk-weights", "risk_weights_path", str,
+        "risk-weight table file",
+    ),
+    Setting("tables.ccf", "--ccf", "ccf_path", str, "conversion-factor table file"),
+    Setting(
+        "tables.betas", "--betas", "betas_path", str,
+        "business-line multiplier table file",
+    ),
+    Setting(
+        "supervisor.min_ratio", "--min-ratio-override", "min_ratio_override",
+        parse_fraction, "supervisory floor, e.g. 10%%",
+    ),
+    Setting(
+        "supervisor.addon", "--capital-addon", "capital_addon", Money,
+        "supervisory capital add-on amount",
+    ),
+    Setting(
+        "supervisor.justification", "--justification", "adjustment_justification",
+        str, "supervisory adjustment rationale", default="",
+    ),
+    Setting(
+        "disclosure.period", "--period", "disclosure_period", str,
+        "disclosure period, e.g. 2006-H2",
+    ),
+    Setting(
+        "currency", "--currency", "currency", _parse_currency,
+        "ISO currency code (default EUR)", default=DEFAULT_CURRENCY,
+    ),
+)
+
+
+class EngineConfig(Record, defaults={s.field: s.default for s in SETTINGS}):
+    """Validated run configuration: one field per row of ``SETTINGS``, in
+    its order and with its default.
 
     The credit-only regime admits no operational-risk approach, no market
     charge, no internal-ratings approach, and no supervisory adjustment;
@@ -63,34 +198,10 @@ class EngineConfig(Record):
     checked here, at load time.
     """
 
-    __slots__ = (
-        "regime", "credit_approach", "bank_policy", "irb_function", "oprisk_approach",
-        "previous_oprisk_approach", "downgrade_override", "negative_gi_policy",
-        "risk_weights_path", "ccf_path", "betas_path", "min_ratio_override",
-        "capital_addon", "adjustment_justification", "disclosure_period", "currency",
-    )
+    __slots__ = tuple(s.field for s in SETTINGS)
 
-    def __init__(
-        self,
-        regime: Regime = Regime.BASEL2,
-        credit_approach: CreditApproach = CreditApproach.STANDARDIZED,
-        bank_policy: BankOptionPolicy = BankOptionPolicy.LOW_END,
-        irb_function: str = "constant",
-        oprisk_approach: OpRiskApproach | None = OpRiskApproach.basic_indicator(),
-        previous_oprisk_approach: OpRiskApproach | None = None,
-        downgrade_override: bool = False,
-        negative_gi_policy: NegativeGiPolicy = NegativeGiPolicy.EXCLUDE_NEGATIVE_YEARS,
-        risk_weights_path: str | None = None, ccf_path: str | None = None,
-        betas_path: str | None = None, min_ratio_override: Fraction | None = None,
-        capital_addon: Money | None = None, adjustment_justification: str = "",
-        disclosure_period: str | None = None, currency: str = DEFAULT_CURRENCY,
-    ) -> None:
-        super().__init__(
-            regime, credit_approach, bank_policy, irb_function, oprisk_approach,
-            previous_oprisk_approach, downgrade_override, negative_gi_policy,
-            risk_weights_path, ccf_path, betas_path, min_ratio_override,
-            capital_addon, adjustment_justification, disclosure_period, currency,
-        )
+    def __init__(self, *values, **named) -> None:
+        super().__init__(*values, **named)
         problems = []
         if self.regime is Regime.BASEL1:
             if self.oprisk_approach is not None:
@@ -158,133 +269,6 @@ class EngineConfig(Record):
         return cls(regime=Regime.BASEL1, **kwargs)
 
 
-def _parse_bool(token: str) -> bool:
-    lowered = token.strip().lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {token!r}")
-
-
-def _parse_approach(token: str) -> OpRiskApproach:
-    stripped = token.strip()
-    # a hook is registered under its exact name: only the prefix ignores case
-    if stripped[:9].lower() == "advanced:":
-        name = stripped[9:].strip()
-        if not name:
-            raise ValueError("advanced approach needs a hook name after the colon")
-        return OpRiskApproach.advanced_hook(name)
-    lowered = stripped.lower()
-    if lowered == ApproachKind.BASIC_INDICATOR.value:
-        return OpRiskApproach.basic_indicator()
-    if lowered == ApproachKind.STANDARDIZED.value:
-        return OpRiskApproach.standardized()
-    raise ValueError(
-        f"unknown operational-risk approach {token!r}; expected basic_indicator,"
-        " standardized, or advanced:<hook>"
-    )
-
-
-def _parse_currency(token: str) -> str:
-    if not (len(token) == 3 and token.isascii() and token.isalpha() and token.isupper()):
-        raise ValueError(
-            f"must be a three-letter ISO code such as EUR, got {token!r}"
-        )
-    return token
-
-
-class Setting(Record, defaults=dict(help=None)):
-    """One run setting: its config key, CLI flag and EngineConfig field.
-
-    ``parser`` turns the raw text into the field value. An enum class
-    accepts its values case-insensitively (and the flag offers them as
-    choices), ``bool`` makes the flag a switch, and ``Money`` reads an
-    amount in the run's currency. ``help`` is argparse text, so ``%`` is
-    doubled.
-    """
-
-    __slots__ = ("key", "flag", "field", "parser", "help")
-
-    @property
-    def choices(self) -> list[str] | None:
-        if isinstance(self.parser, enum.EnumMeta):
-            return [member.value for member in self.parser]
-        return None
-
-    def parse(self, token: str, currency: str) -> Any:
-        if self.parser is Money:
-            return Money.from_decimal(token, currency)
-        if self.parser is bool:
-            return _parse_bool(token)
-        choices = self.choices
-        if choices is None:
-            return self.parser(token)
-        try:
-            return self.parser(token.strip().lower())
-        except ValueError:
-            raise ValueError(
-                f"expected one of {', '.join(choices)}; got {token!r}"
-            ) from None
-
-
-# Every run setting, in --help order. A flag overrides its key's file value.
-SETTINGS = (
-    Setting("regime", "--regime", "regime", Regime),
-    Setting("credit.approach", "--credit-approach", "credit_approach", CreditApproach),
-    Setting("credit.bank_policy", "--bank-policy", "bank_policy", BankOptionPolicy),
-    Setting(
-        "irb.function", "--irb-function", "irb_function", str,
-        "registered risk-weight function name",
-    ),
-    Setting(
-        "oprisk.approach", "--oprisk-approach", "oprisk_approach", _parse_approach,
-        "basic_indicator, standardized, or advanced:<hook>",
-    ),
-    Setting(
-        "oprisk.previous_approach", "--previous-oprisk-approach",
-        "previous_oprisk_approach", _parse_approach,
-        "previously approved approach, for the downgrade rule",
-    ),
-    Setting(
-        "oprisk.downgrade_override", "--downgrade-override", "downgrade_override",
-        bool, "supervisory override allowing a simpler approach than before",
-    ),
-    Setting(
-        "oprisk.negative_gi_policy", "--negative-gi-policy", "negative_gi_policy",
-        NegativeGiPolicy,
-    ),
-    Setting(
-        "tables.risk_weights", "--risk-weights", "risk_weights_path", str,
-        "risk-weight table file",
-    ),
-    Setting("tables.ccf", "--ccf", "ccf_path", str, "conversion-factor table file"),
-    Setting(
-        "tables.betas", "--betas", "betas_path", str,
-        "business-line multiplier table file",
-    ),
-    Setting(
-        "supervisor.min_ratio", "--min-ratio-override", "min_ratio_override",
-        parse_fraction, "supervisory floor, e.g. 10%%",
-    ),
-    Setting(
-        "supervisor.addon", "--capital-addon", "capital_addon", Money,
-        "supervisory capital add-on amount",
-    ),
-    Setting(
-        "supervisor.justification", "--justification", "adjustment_justification",
-        str, "supervisory adjustment rationale",
-    ),
-    Setting(
-        "disclosure.period", "--period", "disclosure_period", str,
-        "disclosure period, e.g. 2006-H2",
-    ),
-    Setting(
-        "currency", "--currency", "currency", _parse_currency,
-        "ISO currency code (default EUR)",
-    ),
-)
-
 _KEYS = frozenset(setting.key for setting in SETTINGS)
 
 
@@ -298,66 +282,48 @@ def _data_lines(text: str):
             yield number, line
 
 
-def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
-    """Read ``key = value`` lines into a raw mapping, rejecting unknown keys."""
-    values: dict[str, str] = {}
-    for number, line in _data_lines(text):
-        if "=" not in line:
-            raise ConfigError(f"{origin}, line {number}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _KEYS:
-            raise ConfigError(f"{origin}, line {number}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{origin}, line {number}: duplicate key {key!r}")
-        values[key] = value
-    return values
-
-
-def read_config_file(path: str | Path) -> dict[str, str]:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
-    return parse_config_text(text, origin=str(path))
-
-
-def build_config(values: Mapping[str, str]) -> EngineConfig:
-    """Assemble an EngineConfig from raw key strings (file and/or flags).
-
-    An empty value leaves the field at its default.
-    """
-    unknown = sorted(set(values) - _KEYS)
-    if unknown:
-        raise ConfigError("unknown config keys: " + ", ".join(unknown))
-    currency = values.get("currency") or DEFAULT_CURRENCY
-    kwargs: dict[str, Any] = {}
-    for setting in SETTINGS:
-        token = values.get(setting.key)
-        if token:
-            try:
-                kwargs[setting.field] = setting.parse(token, currency)
-            except ValueError as exc:
-                raise ConfigError(f"{setting.key}: {exc}") from exc
-    if kwargs.pop("regime", None) is Regime.BASEL1:
-        return EngineConfig.basel1(**kwargs)
-    return EngineConfig(**kwargs)
-
-
 def load_config(path: str | None = None, overrides: Mapping[str, str] | None = None) -> EngineConfig:
     """Config from an explicit path, the environment default, or built-ins.
 
-    ``overrides`` (CLI flags) win over file values key by key.
+    The file's ``key = value`` lines are checked against ``SETTINGS`` (an
+    unknown or repeated key is refused); ``overrides`` (CLI flags) win over
+    its values key by key. An empty value leaves the field at its default.
     """
     values: dict[str, str] = {}
     source = path or os.environ.get(ENV_CONFIG_PATH)
     if source:
-        values.update(read_config_file(source))
+        file = Path(source)
+        try:
+            text = file.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {file}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {file} is not valid UTF-8: {exc}") from exc
+        for number, line in _data_lines(text):
+            if "=" not in line:
+                raise ConfigError(f"{file}, line {number}: expected key = value")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in _KEYS:
+                raise ConfigError(f"{file}, line {number}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"{file}, line {number}: duplicate key {key!r}")
+            values[key] = value.strip()
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = value
-    return build_config(values)
+    unknown = sorted(set(values) - _KEYS)
+    if unknown:
+        raise ConfigError("unknown config keys: " + ", ".join(unknown))
+    currency = values.get("currency") or DEFAULT_CURRENCY
+    fields: dict[str, Any] = {}
+    for setting in SETTINGS:
+        token = values.get(setting.key)
+        if token:
+            try:
+                fields[setting.field] = setting.parse(token, currency)
+            except ValueError as exc:
+                raise ConfigError(f"{setting.key}: {exc}") from exc
+    if fields.pop("regime", None) is Regime.BASEL1:
+        return EngineConfig.basel1(**fields)
+    return EngineConfig(**fields)

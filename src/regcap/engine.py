@@ -11,15 +11,18 @@ only what its run produced; what the config decides is read from the config.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import is_
 
 from .aggregation import PillarOneInputs, compliance
 from .config import CreditApproach, EngineConfig, Regime
-from .errors import ConfigError, MissingPeriod
+from .errors import ConfigError, MissingPeriod, ValidationFailure
 from .fileio import load_betas, load_ccf, load_risk_weights
 from .irb import (
     FOUNDATION_LGD,
     FOUNDATION_MATURITY_YEARS,
     evaluate_weight,
+    missing_components,
     params_for_exposure,
     risk_weight_function,
     rwa_irb,  # noqa: F401  not called here; perfbench's tracer spans it by this name
@@ -151,6 +154,9 @@ def _credit_block(config: EngineConfig, portfolio: Portfolio, tables: TableSet) 
         maturities = (FOUNDATION_MATURITY_YEARS,) * len(eads)
     else:
         eads, lgds, maturities = portfolio.ead_units, portfolio.lgds, portfolio.maturities
+    # Identity tests in C: ``None in column`` would call Fraction.__eq__ per line.
+    if any(map(is_, chain(portfolio.pds, lgds, eads, maturities), repeat(None))):
+        raise ValidationFailure(missing_components(portfolio, range(len(eads)), approach))
     units, numerators, denominators, weights = [], [], [], []
     for index, ead in enumerate(eads):
         params = params_for_exposure(portfolio, index, approach)
@@ -161,8 +167,8 @@ def _credit_block(config: EngineConfig, portfolio: Portfolio, tables: TableSet) 
         weights.append(_divide_half_even(numerator * 10_000, denominator))
         numerators.append(numerator)
         denominators.append(denominator)
-    # params_for_exposure has refused a line missing a component, so the
-    # book's columns hold a value on every line; pd and lgd are in [0, 1].
+    # A line missing a component has been refused, so the book's columns
+    # hold a value on every line; pd and lgd are in [0, 1].
     percent_texts: dict[int, str] = {}
     lines = IrbColumns(
         portfolio.ids, tuple(units),
@@ -179,6 +185,8 @@ def _oprisk_block(
     config: EngineConfig, income: IncomeHistory | None, tables: TableSet, currency: str
 ) -> OpRiskResult:
     approach = config.oprisk_approach
+    if approach.kind is ApproachKind.ADVANCED:  # an unregistered hook fails on any run
+        estimator = advanced_hook(approach.hook)
     if income is None:
         return OpRiskResult(
             charge=Money.zero(currency),
@@ -198,7 +206,6 @@ def _oprisk_block(
             tsa=result,
             income_span=income.span(),
         )
-    estimator = advanced_hook(approach.hook)
     charge = estimator(income)
     if charge.is_negative:
         raise ConfigError(

@@ -10,6 +10,7 @@ in via configuration.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable
@@ -66,6 +67,27 @@ def _filled(
     return params
 
 
+def missing_components(
+    portfolio: Portfolio, lines: Iterable[int], approach: CreditApproach
+) -> list[str]:
+    """Every component the given lines of a book lack under an IRB approach,
+    line by line, and pd, lgd, ead, maturity within a line. Foundation
+    sources only the pd from the book."""
+    columns = [("pd", portfolio.pds, "irb")]
+    if approach is not CreditApproach.IRB_FOUNDATION:
+        columns += [
+            ("lgd", portfolio.lgds, "advanced irb"),
+            ("ead", portfolio.ead_units, "advanced irb"),
+            ("maturity", portfolio.maturities, "advanced irb"),
+        ]
+    return [
+        f"exposure {portfolio.ids[index]!r}: {name} required for {source}"
+        for index in lines
+        for name, column, source in columns
+        if column[index] is None
+    ]
+
+
 def params_for_exposure(
     portfolio: Portfolio, index: int, approach: CreditApproach
 ) -> IrbParams:
@@ -75,8 +97,6 @@ def params_for_exposure(
     and range and every amount's type, so they are not checked again.
     """
     pd = portfolio.pds[index]
-    if pd is None:
-        raise ValidationFailure([f"exposure {portfolio.ids[index]!r}: pd required for irb"])
     if approach is CreditApproach.IRB_FOUNDATION:
         lgd, ead, maturity_years = (
             FOUNDATION_LGD, portfolio.nominal_units[index], FOUNDATION_MATURITY_YEARS
@@ -85,14 +105,8 @@ def params_for_exposure(
         lgd, ead, maturity_years = (
             portfolio.lgds[index], portfolio.ead_units[index], portfolio.maturities[index]
         )
-        if lgd is None or ead is None or maturity_years is None:
-            raise ValidationFailure([
-                f"exposure {portfolio.ids[index]!r}: {name} required for advanced irb"
-                for name, value in (
-                    ("lgd", lgd), ("ead", ead), ("maturity", maturity_years)
-                )
-                if value is None
-            ])
+    if pd is None or lgd is None or ead is None or maturity_years is None:
+        raise ValidationFailure(missing_components(portfolio, (index,), approach))
     return _filled(pd, lgd, ead, maturity_years, portfolio.currency)
 
 

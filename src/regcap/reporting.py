@@ -118,7 +118,7 @@ def _config_rows(config: EngineConfig, tables: TableSet) -> list:
         ("bank option:", "bank_option_policy", _BANK_POLICY_NOTES[config.bank_policy.key],
          config.bank_policy.key),
     ]
-    if config.credit_approach.uses_irb:
+    if config.credit_approach is not CreditApproach.STANDARDIZED:
         rows.append(_same("risk-weight fn:", "irb_function", config.irb_function))
     if config.oprisk_approach is not None:  # set in the full regime only
         rows += [

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from regcap.cli import _config_from_args, build_parser, main
-from regcap.config import SETTINGS, EngineConfig, load_config
+from regcap.config import ENV_CONFIG_PATH, SETTINGS, EngineConfig, load_config
+from regcap.errors import ConfigError
 from regcap.money import Money
 from regcap.oprisk import OpRiskApproach, register_advanced_hook
 
@@ -67,7 +68,10 @@ def _setting_id(setting) -> str:
 
 class TestSettingsTable:
     def test_one_row_per_engine_config_field(self):
-        assert sorted(s.field for s in SETTINGS) == sorted(EngineConfig.__slots__)
+        assert EngineConfig.__slots__ == tuple(s.field for s in SETTINGS)
+        default = EngineConfig()
+        for setting in SETTINGS:
+            assert getattr(default, setting.field) == setting.default, setting.key
 
     def test_keys_and_flags_are_unique(self):
         assert len({s.key for s in SETTINGS}) == len(SETTINGS)
@@ -76,10 +80,15 @@ class TestSettingsTable:
     def test_every_setting_has_samples(self):
         assert sorted(SAMPLES) == sorted(s.key for s in SETTINGS)
 
-    def test_readme_ini_block_lists_exactly_the_keys(self):
+    def test_readme_ini_block_lists_exactly_the_keys(self, tmp_path):
         block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
-        keys = [line.partition("=")[0].strip() for line in block.splitlines()]
+        lines = [line for line in block.splitlines() if not line.startswith("#")]
+        keys = [line.partition("=")[0].strip() for line in lines]
         assert sorted(keys) == sorted(s.key for s in SETTINGS)
+        # the documented values are the defaults
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert load_config(str(path)) == EngineConfig()
 
     def test_enum_flags_offer_the_enum_values(self, capsys):
         status = main(["validate", "--portfolio", WORKED, "--bank-policy", "mid"])
@@ -185,4 +194,59 @@ def test_an_advanced_hook_name_keeps_its_case(capsys, tmp_path, monkeypatch):
     assert main([*run, "--oprisk-approach", "advanced:ama"]) == 2
     assert capsys.readouterr().err == (
         "error [operational risk]: no advanced estimator registered as 'ama'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("# run\nbogus = 1\n", "line 2: unknown key 'bogus'"),
+        ("regime = basel2\n\nregime = basel1\n", "line 3: duplicate key 'regime'"),
+    ],
+    ids=["unknown", "duplicate"],
+)
+def test_a_bad_config_line_is_named(capsys, tmp_path, text, detail):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(str(path))
+    assert str(excinfo.value) == f"{path}, {detail}"
+    status = main(["validate", "--config", str(path), "--portfolio", WORKED])
+    assert status == 2
+    assert capsys.readouterr() == ("", f"error [input/config]: {path}, {detail}\n")
+
+
+def test_a_missing_config_file_is_named(capsys, tmp_path):
+    path = tmp_path / "absent.cfg"
+    expected = (
+        f"cannot read config file {path}:"
+        f" [Errno 2] No such file or directory: '{path}'"
+    )
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(str(path))
+    assert str(excinfo.value) == expected
+    status = main(["validate", "--config", str(path), "--portfolio", WORKED])
+    assert status == 2
+    assert capsys.readouterr() == ("", f"error [input/config]: {expected}\n")
+
+
+def test_unknown_override_keys_are_all_named(monkeypatch):
+    # flags are built from SETTINGS, so only a library caller can pass one
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(None, {"zeta": "1", "regime": "basel2", "alpha.key": "2"})
+    assert str(excinfo.value) == "unknown config keys: alpha.key, zeta"
+
+
+@pytest.mark.parametrize("command", ["compute", "validate"])
+def test_an_unregistered_advanced_hook_fails_without_income(
+    capsys, tmp_path, monkeypatch, command
+):
+    monkeypatch.setattr("regcap.oprisk._ADVANCED_HOOKS", {})
+    path = tmp_path / "c.cfg"
+    path.write_text("oprisk.approach = advanced:X\n")
+    status = main([*COMMAND_ARGV[command], "--config", str(path)])
+    assert status == 2
+    assert capsys.readouterr() == (
+        "", "error [operational risk]: no advanced estimator registered as 'X'\n"
     )

@@ -7,7 +7,8 @@ Each case runs in a fresh directory holding a copy of ``data/``, so every
 path in the arguments, and so in the reports, is relative.
 
 A change that alters output on purpose re-records the digests in the same
-diff with ``python tests/test_corpus.py``, run with ``src`` on PYTHONPATH.
+diff with ``python tests/test_corpus.py [NAME ...]``, run with ``src`` on
+PYTHONPATH: the named cases only, or every case when none is named.
 """
 
 from __future__ import annotations
@@ -88,18 +89,39 @@ def test_corpus_covers_every_command_and_book():
     assert {case["status"] for case in cases} == {0, 1, 2}
 
 
-def record() -> None:
-    """Re-record every case's digests in place, keeping names and arguments."""
+def test_recording_named_cases_leaves_the_others(tmp_path, monkeypatch):
+    cases = _cases()[:3]
+    for case in cases:
+        case["stdout"] = "stale"
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(cases), encoding="utf-8")
+    monkeypatch.setattr(sys.modules[__name__], "CORPUS", corpus)
+    with pytest.raises(SystemExit, match="no corpus case named absent"):
+        record([cases[1]["name"], "absent"])
+    record([cases[1]["name"]])
+    stdout = [case["stdout"] for case in _cases()]
+    assert stdout[0] == stdout[2] == "stale" != stdout[1]
+    record([])
+    assert "stale" not in [case["stdout"] for case in _cases()]
+
+
+def record(names: list[str]) -> None:
+    """Re-record the digests of the named cases in place, or of every case
+    when none is named, keeping names and arguments."""
     import tempfile
 
     cases = _cases()
-    for case in cases:
+    unknown = set(names) - {case["name"] for case in cases}
+    if unknown:
+        sys.exit(f"no corpus case named {', '.join(sorted(unknown))}")
+    chosen = [case for case in cases if not names or case["name"] in names]
+    for case in chosen:
         with tempfile.TemporaryDirectory() as workdir:
             case.update(replay(case["args"], Path(workdir)))
     lines = ",\n".join(json.dumps(case) for case in cases)
     CORPUS.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
-    print(f"recorded {len(cases)} cases in {CORPUS}", file=sys.stderr)
+    print(f"recorded {len(chosen)} of {len(cases)} cases in {CORPUS}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

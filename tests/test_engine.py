@@ -28,7 +28,7 @@ from regcap import (
 )
 from regcap import engine
 from regcap.engine import resolve_tables
-from regcap.errors import CurrencyMismatch, MissingPeriod
+from regcap.errors import CurrencyMismatch, MissingPeriod, UnregisteredAdvancedHook
 from regcap.irb import _FUNCTIONS
 from regcap.model import Portfolio
 from regcap.oprisk import IncomeHistory, _ADVANCED_HOOKS, register_advanced_hook
@@ -117,6 +117,15 @@ class TestCompute:
             assert result.oprisk.charge == eur("500.00")
         finally:
             _ADVANCED_HOOKS.pop("fixed_charge", None)
+
+    def test_unregistered_advanced_hook_fails_without_income(
+        self, worked_portfolio, monkeypatch
+    ):
+        monkeypatch.setattr("regcap.oprisk._ADVANCED_HOOKS", {})
+        config = EngineConfig(oprisk_approach=OpRiskApproach.advanced_hook("X"))
+        with pytest.raises(UnregisteredAdvancedHook) as excinfo:
+            run_compute(config, worked_portfolio, CapitalBase(eur("90000.00")))
+        assert str(excinfo.value) == "no advanced estimator registered as 'X'"
 
     def test_downgrade_without_override_rejected(self):
         from regcap.errors import DowngradeWithoutOverride
@@ -233,6 +242,43 @@ class TestCompute:
         config = EngineConfig(credit_approach=CreditApproach.IRB_ADVANCED)
         with pytest.raises(ValidationFailure):
             run_compute(config, portfolio, CapitalBase(eur("100.00")))
+
+    @pytest.mark.parametrize(
+        "approach, expected",
+        [
+            (CreditApproach.IRB_FOUNDATION, [
+                "exposure 'A': pd required for irb",
+                "exposure 'B': pd required for irb",
+            ]),
+            (CreditApproach.IRB_ADVANCED, [
+                "exposure 'A': pd required for irb",
+                "exposure 'A': lgd required for advanced irb",
+                "exposure 'B': pd required for irb",
+                "exposure 'B': ead required for advanced irb",
+                "exposure 'B': maturity required for advanced irb",
+                "exposure 'C': lgd required for advanced irb",
+            ]),
+        ],
+        ids=["foundation", "advanced"],
+    )
+    def test_every_missing_irb_component_is_listed(self, approach, expected):
+        def line(id, **irb_fields):
+            return Exposure(
+                id, CounterpartyClass.CORPORATE, RatingBucket.UNRATED, eur("1000.00"),
+                **irb_fields,
+            )
+
+        portfolio = validate_portfolio((
+            line("A", ead=eur("900.00"), maturity_years=Fraction(2)),
+            line("B", lgd=Fraction(1, 5)),
+            line("C", pd=Fraction(1, 100), ead=eur("900.00"), maturity_years=Fraction(2)),
+            line("D", pd=Fraction(1, 100), lgd=Fraction(1, 5), ead=eur("900.00"),
+                 maturity_years=Fraction(2)),
+        ), "EUR")
+        config = EngineConfig(credit_approach=approach)
+        with pytest.raises(ValidationFailure) as excinfo:
+            run_compute(config, portfolio, CapitalBase(eur("100.00")))
+        assert excinfo.value.violations == expected
 
     def test_basel1_reference_run(self, worked_portfolio):
         config = EngineConfig.basel1()

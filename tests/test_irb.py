@@ -137,6 +137,16 @@ class TestParamsForExposure:
                 validate_portfolio([exposure]), 0, CreditApproach.IRB_ADVANCED
             )
         assert len(excinfo.value.violations) == 3
+        with pytest.raises(ValidationFailure) as excinfo:
+            params_for_exposure(
+                validate_portfolio([self.exposure()]), 0, CreditApproach.IRB_ADVANCED
+            )
+        assert excinfo.value.violations == [
+            "exposure 'I1': pd required for irb",
+            "exposure 'I1': lgd required for advanced irb",
+            "exposure 'I1': ead required for advanced irb",
+            "exposure 'I1': maturity required for advanced irb",
+        ]
 
 
 class TestIrbParamsValidation:

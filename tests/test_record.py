@@ -71,9 +71,12 @@ def _walk(value, seen: dict[type, Record]) -> None:
 
 def _constructor_fields(record: Record) -> list[str]:
     """The parameters of a record's own ``__init__``; else, bound by
-    ``Record.__init__``, its ``__slots__``."""
+    ``Record.__init__`` (directly, or through an ``__init__(*values, **named)``
+    that passes them on), its ``__slots__``."""
     if "__init__" in type(record).__dict__:
-        return list(inspect.signature(type(record)).parameters)
+        parameters = list(inspect.signature(type(record)).parameters)
+        if parameters != ["values", "named"]:
+            return parameters
     return list(record.__slots__)
 
 
