@@ -90,8 +90,8 @@ def _money_arg(text: str, currency: str, flag: str) -> Money:
 
 def _capital_base(args: argparse.Namespace, currency: str) -> CapitalBase:
     total = _money_arg(args.capital, currency, "--capital")
-    tier1 = _money_arg(args.tier1, currency, "--tier1") if args.tier1 else None
-    tier2 = _money_arg(args.tier2, currency, "--tier2") if args.tier2 else None
+    tier1 = _money_arg(args.tier1, currency, "--tier1") if args.tier1 is not None else None
+    tier2 = _money_arg(args.tier2, currency, "--tier2") if args.tier2 is not None else None
     return CapitalBase(total_own_funds=total, tier1=tier1, tier2=tier2)
 
 
@@ -108,12 +108,12 @@ def _run_inputs(
     """
     config = _config_from_args(args)
     portfolio = load_portfolio(args.portfolio, config.currency)
-    income = load_income(args.income, config.currency) if args.income else None
+    income = load_income(args.income, config.currency) if args.income is not None else None
     if "capital" not in args:
         return config, portfolio, CapitalBase(Money.zero(config.currency)), income, None
     capital = _capital_base(args, config.currency)
     market = None
-    if args.market_charge:
+    if args.market_charge is not None:
         market = _money_arg(args.market_charge, config.currency, "--market-charge")
         if market.is_negative:
             raise ConfigError(
@@ -124,14 +124,15 @@ def _run_inputs(
 
 def _cmd_compute(args: argparse.Namespace) -> tuple[int, str]:
     result = run_compute(*_run_inputs(args))
-    if args.json_out:  # the document first: a run that cannot write it prints no report
+    # the document first: a run that cannot write it prints no report
+    if args.json_out is not None:
         write_whole(args.json_out, render_json(compute_document(result)))
     return result.exit_status, render_compute_text(result)
 
 
 def _cmd_compare(args: argparse.Namespace) -> tuple[int, str]:
     comparison = run_compare(*_run_inputs(args))
-    if args.json_out:
+    if args.json_out is not None:
         write_whole(args.json_out, render_json(compare_document(comparison)))
     return comparison.exit_status, render_compare_text(comparison)
 
@@ -139,7 +140,7 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[int, str]:
 def _cmd_disclose(args: argparse.Namespace) -> tuple[int, str]:
     result = run_compute(*_run_inputs(args))
     disclosure = run_disclose(result)
-    if args.json_out:
+    if args.json_out is not None:
         write_whole(args.json_out, render_json(disclosure_document(disclosure)))
     return result.exit_status, render_disclosure_text(disclosure)
 

@@ -19,8 +19,7 @@ from .config import CreditApproach, EngineConfig, Regime
 from .errors import ConfigError, MissingPeriod, ValidationFailure
 from .fileio import load_betas, load_ccf, load_risk_weights
 from .irb import (
-    FOUNDATION_LGD,
-    FOUNDATION_MATURITY_YEARS,
+    components,
     evaluate_weight,
     missing_components,
     params_for_exposure,
@@ -147,20 +146,16 @@ def _credit_block(config: EngineConfig, portfolio: Portfolio, tables: TableSet) 
         )
         return CreditResult(total_rwa=total, lines=lines)
     fn = risk_weight_function(config.irb_function)
-    approach = config.credit_approach
-    if approach is CreditApproach.IRB_FOUNDATION:
-        eads = portfolio.nominal_units
-        lgds = (FOUNDATION_LGD,) * len(eads)
-        maturities = (FOUNDATION_MATURITY_YEARS,) * len(eads)
-    else:
-        eads, lgds, maturities = portfolio.ead_units, portfolio.lgds, portfolio.maturities
+    pds, lgds, eads, maturities = components(portfolio, config.credit_approach)
     # Identity tests in C: ``None in column`` would call Fraction.__eq__ per line.
-    if any(map(is_, chain(portfolio.pds, lgds, eads, maturities), repeat(None))):
-        raise ValidationFailure(missing_components(portfolio, range(len(eads)), approach))
+    if any(map(is_, chain(pds, lgds, eads, maturities), repeat(None))):
+        raise ValidationFailure(missing_components(portfolio, config.credit_approach))
+    currency = portfolio.currency
     units, numerators, denominators, weights = [], [], [], []
-    for index, ead in enumerate(eads):
-        params = params_for_exposure(portfolio, index, approach)
-        numerator, denominator = evaluate_weight(fn, params)
+    for pd, lgd, ead, maturity in zip(pds, lgds, eads, maturities):
+        numerator, denominator = evaluate_weight(
+            fn, params_for_exposure(pd, lgd, ead, maturity, currency)
+        )
         # One half-even division per figure: the line's units, and its
         # weight in hundredths of a percent (the weight is >= 0).
         units.append(_divide_half_even(ead * numerator, denominator))
@@ -172,13 +167,13 @@ def _credit_block(config: EngineConfig, portfolio: Portfolio, tables: TableSet) 
     percent_texts: dict[int, str] = {}
     lines = IrbColumns(
         portfolio.ids, tuple(units),
-        _percent_texts(_hundredths(portfolio.pds), percent_texts),
+        _percent_texts(_hundredths(pds), percent_texts),
         _percent_texts(_hundredths(lgds), percent_texts),
         _texts(maturities, fraction_to_decimal_text),
         tuple(numerators), tuple(denominators), _percent_texts(weights, percent_texts), eads,
         tuple([category is not None for category in portfolio.categories]),
     )
-    return CreditResult(total_rwa=Money(sum(units), portfolio.currency), lines=lines)
+    return CreditResult(total_rwa=Money(sum(units), currency), lines=lines)
 
 
 def _oprisk_block(

@@ -56,6 +56,7 @@ from .oprisk import (
     BetaTable,
     BusinessLine,
     GrossIncomeRecord,
+    INCOME_EXCLUSIONS,
     IncomeHistory,
 )
 from .standardized import CcfTable, RiskWeightTable, WeightCell
@@ -445,12 +446,7 @@ def load_portfolio(path: str | Path, currency: str = DEFAULT_CURRENCY) -> Portfo
 # Income files
 
 INCOME_REQUIRED = ("year", "line", "amount")
-INCOME_OPTIONAL = (
-    "provisions",
-    "banking_book_results",
-    "extraordinary_items",
-    "insurance_income",
-)
+INCOME_OPTIONAL = INCOME_EXCLUSIONS
 
 TOTAL_LINE = "TOTAL"
 

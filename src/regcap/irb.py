@@ -10,7 +10,6 @@ in via configuration.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable
@@ -22,7 +21,6 @@ from .errors import (
     NonMonotoneFunction,
     OutOfRange,
     UnknownFunction,
-    ValidationFailure,
 )
 from .model import Portfolio, component_problems
 from .money import Money, _divide_half_even
@@ -51,11 +49,34 @@ class IrbParams(Record):
 RiskWeightFunction = Callable[[IrbParams], "float | int | Fraction | Decimal"]
 
 
-def _filled(
+def components(portfolio: Portfolio, approach: CreditApproach) -> tuple[tuple, ...]:
+    """The (pds, lgds, ead_units, maturities) columns an IRB approach prices a
+    book with. Foundation takes the bank's pd and the supervisory inputs above."""
+    if approach is not CreditApproach.IRB_FOUNDATION:
+        return portfolio.pds, portfolio.lgds, portfolio.ead_units, portfolio.maturities
+    count = len(portfolio.pds)
+    return (portfolio.pds, (FOUNDATION_LGD,) * count, portfolio.nominal_units,
+            (FOUNDATION_MATURITY_YEARS,) * count)
+
+
+def missing_components(portfolio: Portfolio, approach: CreditApproach) -> list[str]:
+    """Every component a book lacks under an IRB approach, line by line, and
+    pd, lgd, ead, maturity within a line."""
+    sources = ("irb",) + ("advanced irb",) * 3
+    return [
+        f"exposure {exposure_id!r}: {name} required for {source}"
+        for exposure_id, *line in zip(portfolio.ids, *components(portfolio, approach))
+        for name, source, value in zip(("pd", "lgd", "ead", "maturity"), sources, line)
+        if value is None
+    ]
+
+
+def params_for_exposure(
     pd: Fraction, lgd: Fraction, ead_units: int, maturity_years: Fraction, currency: str
 ) -> IrbParams:
-    """IrbParams of components that already hold to the book's rules, and
-    its ead Money, filled in without their public constructors' check."""
+    """IrbParams of components that already hold to the book's rules, as a
+    Portfolio's constructor checks them, and its ead Money, filled in without
+    their public constructors' check."""
     ead = object.__new__(Money)
     init_field(ead, "units", ead_units)
     init_field(ead, "currency", currency)
@@ -65,49 +86,6 @@ def _filled(
     init_field(params, "ead", ead)
     init_field(params, "maturity_years", maturity_years)
     return params
-
-
-def missing_components(
-    portfolio: Portfolio, lines: Iterable[int], approach: CreditApproach
-) -> list[str]:
-    """Every component the given lines of a book lack under an IRB approach,
-    line by line, and pd, lgd, ead, maturity within a line. Foundation
-    sources only the pd from the book."""
-    columns = [("pd", portfolio.pds, "irb")]
-    if approach is not CreditApproach.IRB_FOUNDATION:
-        columns += [
-            ("lgd", portfolio.lgds, "advanced irb"),
-            ("ead", portfolio.ead_units, "advanced irb"),
-            ("maturity", portfolio.maturities, "advanced irb"),
-        ]
-    return [
-        f"exposure {portfolio.ids[index]!r}: {name} required for {source}"
-        for index in lines
-        for name, column, source in columns
-        if column[index] is None
-    ]
-
-
-def params_for_exposure(
-    portfolio: Portfolio, index: int, approach: CreditApproach
-) -> IrbParams:
-    """Source the risk components of line ``index`` of a book under an IRB approach.
-
-    The Portfolio's constructor has already checked every component's type
-    and range and every amount's type, so they are not checked again.
-    """
-    pd = portfolio.pds[index]
-    if approach is CreditApproach.IRB_FOUNDATION:
-        lgd, ead, maturity_years = (
-            FOUNDATION_LGD, portfolio.nominal_units[index], FOUNDATION_MATURITY_YEARS
-        )
-    else:
-        lgd, ead, maturity_years = (
-            portfolio.lgds[index], portfolio.ead_units[index], portfolio.maturities[index]
-        )
-    if pd is None or lgd is None or ead is None or maturity_years is None:
-        raise ValidationFailure(missing_components(portfolio, (index,), approach))
-    return _filled(pd, lgd, ead, maturity_years, portfolio.currency)
 
 
 def evaluate_weight(fn: RiskWeightFunction, params: IrbParams) -> tuple[int, int]:
@@ -152,8 +130,9 @@ def check_monotonicity(fn: RiskWeightFunction) -> str | None:
     # Constants that hold to the book's rules, as tests/test_irb.py checks,
     # so each point skips the check.
     weights = [
-        [evaluate_weight(fn, _filled(pd, lgd, GATE_EAD.units, FOUNDATION_MATURITY_YEARS,
-                                     GATE_EAD.currency)) for lgd in GATE_VALUES]
+        [evaluate_weight(fn, params_for_exposure(
+            pd, lgd, GATE_EAD.units, FOUNDATION_MATURITY_YEARS, GATE_EAD.currency
+        )) for lgd in GATE_VALUES]
         for pd in GATE_VALUES
     ]
     last = GATE_STEPS - 1

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Mapping
 
 from .errors import (
@@ -99,8 +100,15 @@ class NegativeGiPolicy(enum.Enum):
         return self.value
 
 
-class GrossIncomeRecord(Record, defaults=dict.fromkeys((
-    "provisions", "banking_book_results", "extraordinary_items", "insurance_income"))):
+# The items gross income excludes, in the order an income file's optional
+# columns name them.
+INCOME_EXCLUSIONS = (
+    "provisions", "banking_book_results", "extraordinary_items", "insurance_income"
+)
+_excluded = attrgetter(*INCOME_EXCLUSIONS)
+
+
+class GrossIncomeRecord(Record, defaults=dict.fromkeys(INCOME_EXCLUSIONS)):
     """A raw income figure with its excluded items retained for audit.
 
     ``effective`` is what enters the capital formulas: the raw amount less
@@ -108,20 +116,12 @@ class GrossIncomeRecord(Record, defaults=dict.fromkeys((
     insurance income. Raw and effective may both be negative.
     """
 
-    __slots__ = (
-        "amount", "provisions", "banking_book_results", "extraordinary_items",
-        "insurance_income",
-    )
+    __slots__ = ("amount", *INCOME_EXCLUSIONS)
 
     @property
     def effective(self) -> Money:
         value = self.amount
-        for excluded in (
-            self.provisions,
-            self.banking_book_results,
-            self.extraordinary_items,
-            self.insurance_income,
-        ):
+        for excluded in _excluded(self):
             if excluded is not None:
                 value = value - excluded
         return value

@@ -17,7 +17,7 @@ from operator import attrgetter
 
 
 # Sets one field of a record under construction; Money's constructor and
-# irb._filled call it directly, once per field.
+# irb.params_for_exposure call it directly, once per field.
 init_field = object.__setattr__
 
 

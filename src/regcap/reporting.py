@@ -27,7 +27,7 @@ from .engine import (
 from .model import CapitalBase
 from .money import Money, format_percent, units_text
 from .oprisk import ApproachKind, BusinessLine, OpRiskApproach
-from .standardized import StandardizedColumns
+from .standardized import BankOptionPolicy, RiskWeightTable, StandardizedColumns
 
 RULE = "=" * 72
 LIGHT_RULE = "-" * 72
@@ -40,11 +40,6 @@ _CREDIT_LABELS = {
     CreditApproach.STANDARDIZED: "standardized (external ratings)",
     CreditApproach.IRB_FOUNDATION: "internal ratings, foundation",
     CreditApproach.IRB_ADVANCED: "internal ratings, advanced",
-}
-
-_BANK_POLICY_NOTES = {
-    "low_end": "bank-row range cells resolved to the low end (50%), both cells together",
-    "high_end": "bank-row range cells resolved to the high end (100%), both cells together",
 }
 
 TSA_FOOTNOTE = (
@@ -103,6 +98,20 @@ def _ratio(label: str | None, key: str, ratio: Fraction | None) -> tuple:
     return label, key, _ratio_text(ratio), None if ratio is None else format_percent(ratio)
 
 
+def _bank_policy_note(policy: BankOptionPolicy, table: RiskWeightTable) -> str:
+    """The end the policy takes and, in ascending order, each weight that end
+    of the table's range cells resolves to; a whole percent prints without
+    its ".00", as the built-in table's 50% and 100% always have."""
+    ends = sorted({cell.resolve(policy) for cell in table.cells.values() if cell.is_range})
+    if not ends:
+        return "the weights table has no range cell"
+    figures = ", ".join(format_percent(end).replace(".00%", "%") for end in ends)
+    return (
+        f"bank-row range cells resolved to the {policy.key.replace('_', ' ')}"
+        f" ({figures}), both cells together"
+    )
+
+
 def _config_rows(config: EngineConfig, tables: TableSet) -> list:
     """The text echo leaves out the supervisory keys and, in the credit-only
     regime, the beta table; the JSON lists all three tables."""
@@ -115,8 +124,8 @@ def _config_rows(config: EngineConfig, tables: TableSet) -> list:
         _same("regime:", "regime", config.regime.key),
         ("credit approach:", "credit_approach", _CREDIT_LABELS[config.credit_approach],
          config.credit_approach.key),
-        ("bank option:", "bank_option_policy", _BANK_POLICY_NOTES[config.bank_policy.key],
-         config.bank_policy.key),
+        ("bank option:", "bank_option_policy",
+         _bank_policy_note(config.bank_policy, tables.risk_weights), config.bank_policy.key),
     ]
     if config.credit_approach is not CreditApproach.STANDARDIZED:
         rows.append(_same("risk-weight fn:", "irb_function", config.irb_function))

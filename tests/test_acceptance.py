@@ -36,7 +36,7 @@ from regcap import (
     tsa_capital,
     validate_portfolio,
 )
-from regcap.irb import IrbParams, params_for_exposure
+from regcap.irb import IrbParams, components, params_for_exposure
 from regcap.money import round_half_even
 from regcap.oprisk import (
     AnnualIncome,
@@ -332,7 +332,8 @@ def _check_foundation_injection(rng: random.Random, cases: int) -> int:
         book = validate_portfolio([Exposure(
             "F1", CounterpartyClass.CORPORATE, RatingBucket.UNRATED, nominal, pd=pd
         )])
-        params = params_for_exposure(book, 0, CreditApproach.IRB_FOUNDATION)
+        line = [column[0] for column in components(book, CreditApproach.IRB_FOUNDATION)]
+        params = params_for_exposure(*line, book.currency)
         assert params.pd == pd
         assert params.lgd == Fraction(1, 2)
         assert params.ead == nominal

@@ -211,6 +211,23 @@ class TestCompute:
         assert captured.err.startswith("error [input/config]: [Errno 21] Is a directory")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag)
+        for command in ("compute", "compare", "disclose")
+        for flag in ("--income", "--market-charge", "--tier1", "--tier2", "--json-out")
+    ] + [("validate", "--income")])  # validate takes no capital flags
+    def test_an_empty_run_input_is_refused(self, capsys, command, flag):
+        # An empty value (say, an unset shell variable) is a value, not an
+        # absent flag: it must not drop the operational charge, the market
+        # charge, a tier or the document.
+        argv = [command, "--portfolio", WORKED, "--period", "2006-H2", flag, ""]
+        status = main(argv if command == "validate" else argv + ["--capital", "90000"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error [input/config]: ")
+        assert captured.err.count("\n") == 1
+
     def test_a_value_that_fails_to_parse_names_its_key(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("supervisor.min_ratio = abc\n")
@@ -414,6 +431,34 @@ class TestDumpTables:
         assert load_risk_weights(tmp_path / "risk_weights.tbl") == DEFAULT_RISK_WEIGHTS
         assert load_ccf(tmp_path / "ccf.tbl") == DEFAULT_CCF
         assert load_betas(tmp_path / "betas.tbl") == DEFAULT_BETAS
+
+    @pytest.mark.parametrize("policy, weight, echo", [
+        ("low_end", "30.00%", "low end (30%)"),
+        ("high_end", "70.00%", "high end (70%)"),
+    ])
+    def test_the_bank_option_echo_states_the_loaded_table(
+        self, capsys, tmp_path, policy, weight, echo
+    ):
+        assert main(["dump-tables", "--out-dir", str(tmp_path)]) == 0
+        table = tmp_path / "risk_weights.tbl"
+        text = table.read_text()
+        for cell in ("bbb_plus_to_bbb_minus", "unrated"):
+            text = text.replace(f"bank  {cell}  0.5..1", f"bank  {cell}  0.3..0.7")
+        table.write_text(text)
+        book = tmp_path / "book.csv"
+        book.write_text("id,class,rating,nominal,position\nB1,bank,BBB,1000.00,on\n")
+        capsys.readouterr()
+        status = main([
+            "compute", "--portfolio", str(book), "--capital", "1000",
+            "--risk-weights", str(table), "--bank-policy", policy,
+        ])
+        out = capsys.readouterr().out
+        assert status == 0
+        assert f" {weight} " in out.split("CREDIT RISK")[1].splitlines()[3]
+        assert (
+            f"bank option:       bank-row range cells resolved to the {echo},"
+            " both cells together\n"
+        ) in out
 
 
 # Runs main(argv) under a file-size limit, with SIGXFSZ ignored so that a

@@ -31,7 +31,8 @@ LINES = 1_000
 # removes calls, so that the guard keeps what was won. Each resumption of a
 # generator counts as a call.
 LOAD_CALLS_PER_LINE = 11.701
-PRICING_CALLS_PER_LINE = 6.86
+PRICING_CALLS_PER_LINE = 5.86
+FOUNDATION_PRICING_CALLS_PER_LINE = 5.066
 
 # The tracemalloc peak of loading a book, over what the loaded book holds.
 # Rows stream into the columns, so neither the file's text nor a record per
@@ -105,6 +106,20 @@ def test_calls_per_line_stay_pinned(bench_book):
     assert len(result.credit.lines.ids) == LINES
     assert load_calls / LINES <= LOAD_CALLS_PER_LINE
     assert pricing_calls / LINES <= PRICING_CALLS_PER_LINE
+
+
+def test_foundation_pricing_calls_stay_pinned(bench_book):
+    # The same book under foundation: its lgd, ead and maturity columns are
+    # sourced once per run, not once per line.
+    path, config = bench_book
+    portfolio = fileio.load_portfolio(path)
+    config = EngineConfig(
+        credit_approach=CreditApproach.IRB_FOUNDATION, irb_function=config.irb_function
+    )
+    capital = CapitalBase(Money(10**15))
+    result, pricing_calls = _regcap_calls(lambda: run_compute(config, portfolio, capital))
+    assert len(result.credit.lines.ids) == LINES
+    assert pricing_calls / LINES <= FOUNDATION_PRICING_CALLS_PER_LINE
 
 
 def test_pricing_builds_no_fraction_per_line(bench_book):

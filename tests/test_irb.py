@@ -32,6 +32,8 @@ from regcap.irb import (
     FOUNDATION_LGD,
     FOUNDATION_MATURITY_YEARS,
     check_monotonicity,
+    components,
+    missing_components,
     params_for_exposure,
     risk_weight_function,
 )
@@ -49,13 +51,19 @@ def decreasing_in_pd(params: IrbParams) -> Fraction:
     return 1 - params.pd
 
 
+def sourced(book, index: int, approach: CreditApproach) -> IrbParams:
+    """The components the engine sources for line ``index`` of a book."""
+    line = [column[index] for column in components(book, approach)]
+    return params_for_exposure(*line, book.currency)
+
+
 def foundation_sourced(pd: Fraction, nominal) -> IrbParams:
     """The components the engine sources for a one-line foundation book."""
     book = validate_portfolio([Exposure(
         id="F1", counterparty=CounterpartyClass.CORPORATE,
         rating=RatingBucket.UNRATED, nominal=nominal, pd=pd,
     )])
-    return params_for_exposure(book, 0, CreditApproach.IRB_FOUNDATION)
+    return sourced(book, 0, CreditApproach.IRB_FOUNDATION)
 
 
 class TestFoundationParams:
@@ -107,9 +115,7 @@ class TestParamsForExposure:
 
     def test_foundation_keeps_only_the_bank_pd(self):
         exposure = self.exposure(pd=Fraction(1, 100), lgd=Fraction(1, 5))
-        params = params_for_exposure(
-            validate_portfolio([exposure]), 0, CreditApproach.IRB_FOUNDATION
-        )
+        params = sourced(validate_portfolio([exposure]), 0, CreditApproach.IRB_FOUNDATION)
         assert params == IrbParams(
             Fraction(1, 100), FOUNDATION_LGD, eur("1000.00"), FOUNDATION_MATURITY_YEARS
         )
@@ -119,34 +125,31 @@ class TestParamsForExposure:
             pd=Fraction(1, 100), lgd=Fraction(1, 5), ead=eur("900.00"),
             maturity_years=Fraction(5, 2),
         )
-        params = params_for_exposure(
-            validate_portfolio([exposure]), 0, CreditApproach.IRB_ADVANCED
-        )
+        params = sourced(validate_portfolio([exposure]), 0, CreditApproach.IRB_ADVANCED)
         assert params == IrbParams(
             Fraction(1, 100), Fraction(1, 5), eur("900.00"), Fraction(5, 2)
         )
 
     def test_missing_components_are_all_named(self):
-        with pytest.raises(ValidationFailure, match="pd required"):
-            params_for_exposure(
-                validate_portfolio([self.exposure()]), 0, CreditApproach.IRB_FOUNDATION
-            )
+        bare = validate_portfolio([self.exposure()])
+        assert missing_components(bare, CreditApproach.IRB_FOUNDATION) == [
+            "exposure 'I1': pd required for irb",
+        ]
         exposure = self.exposure(pd=Fraction(1, 100))
-        with pytest.raises(ValidationFailure) as excinfo:
-            params_for_exposure(
-                validate_portfolio([exposure]), 0, CreditApproach.IRB_ADVANCED
-            )
-        assert len(excinfo.value.violations) == 3
-        with pytest.raises(ValidationFailure) as excinfo:
-            params_for_exposure(
-                validate_portfolio([self.exposure()]), 0, CreditApproach.IRB_ADVANCED
-            )
-        assert excinfo.value.violations == [
+        assert len(missing_components(
+            validate_portfolio([exposure]), CreditApproach.IRB_ADVANCED
+        )) == 3
+        assert missing_components(bare, CreditApproach.IRB_ADVANCED) == [
             "exposure 'I1': pd required for irb",
             "exposure 'I1': lgd required for advanced irb",
             "exposure 'I1': ead required for advanced irb",
             "exposure 'I1': maturity required for advanced irb",
         ]
+        for approach in (CreditApproach.IRB_FOUNDATION, CreditApproach.IRB_ADVANCED):
+            with pytest.raises(ValidationFailure) as excinfo:
+                run_compute(EngineConfig(credit_approach=approach), bare,
+                            CapitalBase(eur("1.00")))
+            assert excinfo.value.violations == missing_components(bare, approach)
 
 
 class TestIrbParamsValidation:

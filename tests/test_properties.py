@@ -25,7 +25,7 @@ from regcap import (
     validate_portfolio,
 )
 from regcap.errors import UnknownRating
-from regcap.irb import IrbParams, params_for_exposure
+from regcap.irb import IrbParams, components, params_for_exposure
 from regcap.model import RATING_TOKENS, parse_rating
 from regcap.money import round_half_even
 
@@ -149,7 +149,8 @@ class TestIrbInvariants:
             "F1", CounterpartyClass.CORPORATE, RatingBucket.UNRATED,
             Money(units, "EUR"), pd=pd,
         )])
-        params = params_for_exposure(book, 0, CreditApproach.IRB_FOUNDATION)
+        line = [column[0] for column in components(book, CreditApproach.IRB_FOUNDATION)]
+        params = params_for_exposure(*line, book.currency)
         assert params.pd == pd
         assert params.lgd == Fraction(1, 2)
         assert params.ead == Money(units, "EUR")

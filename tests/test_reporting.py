@@ -53,12 +53,7 @@ from regcap.errors import (
     OutOfRange,
     UnknownRating,
 )
-from regcap.irb import (
-    _FUNCTIONS,
-    evaluate_weight,
-    params_for_exposure,
-    risk_weight_function,
-)
+from regcap.irb import _FUNCTIONS, IrbParams, evaluate_weight, risk_weight_function
 from regcap.money import format_percent, fraction_to_decimal_text, units_text
 from regcap.oprisk import ApproachKind, BetaTable, BusinessLine
 from regcap.reporting import (
@@ -111,6 +106,33 @@ class TestComputeText:
         assert "bank option" in text
         assert "builtin" in text
         assert text.endswith("\n")
+
+    @pytest.mark.parametrize("policy, echo", [
+        (BankOptionPolicy.LOW_END, "the low end (25%, 33.33%)"),
+        (BankOptionPolicy.HIGH_END, "the high end (50%, 125%)"),
+    ])
+    def test_the_bank_option_echo_lists_each_resolved_end(self, policy, echo):
+        thirds = WeightCell(Fraction(1, 3), Fraction(1, 2))
+        cells = {
+            (CounterpartyClass.BANK, RatingBucket.UNRATED): thirds,
+            (CounterpartyClass.SOVEREIGN, RatingBucket.UNRATED): thirds,
+            (CounterpartyClass.CORPORATE, RatingBucket.UNRATED):
+                WeightCell(Fraction(1, 4), Fraction(5, 4)),
+            (CounterpartyClass.CORPORATE, RatingBucket.AAA_TO_AA_MINUS):
+                WeightCell.fixed(Fraction(1, 5)),
+        }
+        config = EngineConfig(bank_policy=policy)
+
+        def echoed(cells) -> tuple:
+            tables = TableSet(RiskWeightTable(cells), DEFAULT_CCF, DEFAULT_BETAS)
+            [row] = [row for row in _config_rows(config, tables) if row[0] == "bank option:"]
+            return row[2:]
+
+        assert echoed(cells) == (
+            f"bank-row range cells resolved to {echo}, both cells together", policy.key
+        )
+        fixed = {key: WeightCell.fixed(cell.low) for key, cell in cells.items()}
+        assert echoed(fixed) == ("the weights table has no range cell", policy.key)
 
     def test_worked_numbers_appear(self, worked_result):
         text = render_compute_text(worked_result)
@@ -313,12 +335,20 @@ class TestTextAndJsonAgree:
 # Differential check of the credit columns against the per-line formulas
 
 
+def reference_params(exposure: Exposure, approach: CreditApproach) -> IrbParams:
+    """An IRB line's components, checked: foundation keeps the bank's pd and
+    takes an lgd of 1/2, the nominal as ead and a maturity of 3 years."""
+    if approach is CreditApproach.IRB_FOUNDATION:
+        return IrbParams(exposure.pd, Fraction(1, 2), exposure.nominal, Fraction(3))
+    return IrbParams(exposure.pd, exposure.lgd, exposure.ead, exposure.maturity_years)
+
+
 def reference_credit_lines(result) -> tuple[list[str], list[dict]]:
     """The credit section's line rows and line dicts, each line formatted from
     its exact factors as the per-line renderers did before the columns."""
     config = result.config
     texts, docs = [], []
-    for index, exposure in enumerate(result.portfolio):
+    for exposure in result.portfolio:
         if config.credit_approach is CreditApproach.STANDARDIZED:
             category = exposure.off_balance_category
             ccf = Fraction(1) if category is None else result.tables.ccf.factors[category]
@@ -336,7 +366,7 @@ def reference_credit_lines(result) -> tuple[list[str], list[dict]]:
                 "amount": amount.text(),
             })
             continue
-        params = params_for_exposure(result.portfolio, index, config.credit_approach)
+        params = reference_params(exposure, config.credit_approach)
         weight = Fraction(*evaluate_weight(risk_weight_function(config.irb_function), params))
         amount = params.ead.scaled(weight)
         off_balance = exposure.off_balance_category is not None
@@ -466,16 +496,24 @@ class TestCreditColumnsMatchPerLineFormulas:
     @settings(max_examples=150, deadline=None)
     @given(book=irb_books())
     def test_advanced_irb_lines(self, float_function, book):
-        config = EngineConfig(
-            credit_approach=CreditApproach.IRB_ADVANCED, irb_function=float_function
-        )
-        result = run_compute(config, book, CapitalBase(eur("1.00")))
-        assert _rendered_credit_lines(result) == reference_credit_lines(result)
-        view, fn = result.credit.lines, risk_weight_function(float_function)
-        assert list(zip(view.weight_numerators, view.weight_denominators)) == [
-            evaluate_weight(fn, params_for_exposure(book, index, config.credit_approach))
-            for index in range(len(book))
-        ]
+        _assert_irb_lines_match(book, CreditApproach.IRB_ADVANCED, float_function)
+
+    @settings(max_examples=150, deadline=None)
+    @given(book=irb_books())
+    def test_foundation_irb_lines(self, float_function, book):
+        _assert_irb_lines_match(book, CreditApproach.IRB_FOUNDATION, float_function)
+
+
+def _assert_irb_lines_match(book, approach: CreditApproach, function: str) -> None:
+    result = run_compute(
+        EngineConfig(credit_approach=approach, irb_function=function), book,
+        CapitalBase(eur("1.00")),
+    )
+    assert _rendered_credit_lines(result) == reference_credit_lines(result)
+    view, fn = result.credit.lines, risk_weight_function(function)
+    assert list(zip(view.weight_numerators, view.weight_denominators)) == [
+        evaluate_weight(fn, reference_params(exposure, approach)) for exposure in book
+    ]
 
 
 def reference_json(document) -> str:
