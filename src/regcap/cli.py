@@ -217,6 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags that name a file or a directory. An empty one is refused before
+# anything is read or written: Path("") is the working directory, and an
+# empty --config would fall back to $REGCAP_CONFIG or the built-ins.
+_PATH_FLAGS = ("--config", "--portfolio", "--income", "--json-out", "--out-dir")
+
+
 def _write(stream, text: str) -> None:
     """Write ``text`` to ``stream`` whole and flush it, or raise OSError.
 
@@ -245,6 +251,9 @@ def _write(stream, text: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for flag in _PATH_FLAGS:
+            if getattr(args, flag[2:].replace("-", "_"), None) == "":
+                raise ConfigError(f"{flag}: not a path: ''")
         status, report = args.handler(args)
         _write(sys.stdout, report)
         return status

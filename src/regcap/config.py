@@ -20,7 +20,7 @@ from .errors import ConfigError, DowngradeWithoutOverride, InvalidOverride
 from .model import _CONTROL_CHARACTER, MINIMUM_CAPITAL_RATIO
 from .money import DEFAULT_CURRENCY, Money, parse_fraction
 from .oprisk import ApproachKind, NegativeGiPolicy, OpRiskApproach
-from .record import Record
+from .record import KeyedEnum, Record
 from .standardized import BankOptionPolicy
 
 ENV_CONFIG_PATH = "REGCAP_CONFIG"
@@ -29,23 +29,15 @@ ENV_CONFIG_PATH = "REGCAP_CONFIG"
 _PERIOD = re.compile("[0-9]{4}-H[12]")
 
 
-class Regime(enum.Enum):
+class Regime(KeyedEnum):
     BASEL1 = "basel1"
     BASEL2 = "basel2"
 
-    @property
-    def key(self) -> str:
-        return self.value
 
-
-class CreditApproach(enum.Enum):
+class CreditApproach(KeyedEnum):
     STANDARDIZED = "standardized"
     IRB_FOUNDATION = "irb_foundation"
     IRB_ADVANCED = "irb_advanced"
-
-    @property
-    def key(self) -> str:
-        return self.value
 
 
 def _parse_bool(token: str) -> bool:
@@ -66,9 +58,9 @@ def _parse_approach(token: str) -> OpRiskApproach:
             raise ValueError("advanced approach needs a hook name after the colon")
         return OpRiskApproach.advanced_hook(name)
     lowered = stripped.lower()
-    if lowered == ApproachKind.BASIC_INDICATOR.value:
+    if lowered == ApproachKind.BASIC_INDICATOR.key:
         return OpRiskApproach.basic_indicator()
-    if lowered == ApproachKind.STANDARDIZED.value:
+    if lowered == ApproachKind.STANDARDIZED.key:
         return OpRiskApproach.standardized()
     raise ValueError(
         f"unknown operational-risk approach {token!r}; expected basic_indicator,"
@@ -100,7 +92,7 @@ class Setting(Record, defaults=dict(help=None, default=None)):
     @property
     def choices(self) -> list[str] | None:
         if isinstance(self.parser, enum.EnumMeta):
-            return [member.value for member in self.parser]
+            return [member.key for member in self.parser]
         return None
 
     def parse(self, token: str, currency: str) -> Any:

@@ -460,6 +460,10 @@ def load_income(path: str | Path, currency: str = DEFAULT_CURRENCY) -> IncomeHis
     for number, (year_token, line_token, amount_token, *excluded) in records:
         column = "year"
         try:
+            year_token = year_token.strip()
+            # int() would also read digit-group underscores and non-ASCII digits
+            if "_" in year_token or not year_token.isascii():
+                raise ValueError
             year = int(year_token)
             column = "amount"
             amount = Money(decimal_units(amount_token.strip()), currency)
@@ -487,7 +491,7 @@ def load_income(path: str | Path, currency: str = DEFAULT_CURRENCY) -> IncomeHis
             year_lines[business_line] = income
         except ValueError as exc:
             # int()'s own message names no year.
-            reason = f"not a year: {year_token.strip()!r}" if column == "year" else exc
+            reason = f"not a year: {year_token!r}" if column == "year" else exc
             raise _cell_error(path, number, column, reason) from exc
     annuals = tuple(
         AnnualIncome(year=year, total=totals.get(year), per_line=per_line.get(year, {}))

@@ -14,7 +14,7 @@ from operator import attrgetter
 
 from .errors import UnknownRating, ValidationFailure
 from .money import DEFAULT_CURRENCY, Money, units_text
-from .record import Record
+from .record import KeyedEnum, Record
 
 # Regulatory minimum ratio of own funds to the risk denominator (8%).
 MINIMUM_CAPITAL_RATIO = Fraction(8, 100)
@@ -27,15 +27,11 @@ _RATIONAL = {Fraction, int}
 _CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 
-class CounterpartyClass(enum.Enum):
+class CounterpartyClass(KeyedEnum):
     SOVEREIGN = "sovereign"
     BANK = "bank"
     BANK_SHORT_TERM = "bank_short_term"
     CORPORATE = "corporate"
-
-    @property
-    def key(self) -> str:
-        return self.value
 
 
 class RatingBucket(enum.IntEnum):

@@ -67,6 +67,9 @@ def decimal_units(value: Decimal | str | int) -> int:
     Every amount read from a file or an option is read here.
     """
     try:
+        # Decimal() would also read digit-group underscores and non-ASCII digits
+        if type(value) is str and ("_" in value or not value.isascii()):
+            raise InvalidOperation
         dec = Decimal(value)
     except InvalidOperation as exc:
         raise ValueError(f"not a decimal amount: {value!r}") from exc
@@ -191,6 +194,8 @@ def parse_fraction(text: str) -> Fraction:
     if percent:
         token = token[:-1].strip()
     try:
+        if "_" in token or not token.isascii():  # as in decimal_units
+            raise InvalidOperation
         dec = Decimal(token)
     except InvalidOperation as exc:
         raise ValueError(f"not a decimal fraction: {text!r}") from exc

@@ -19,7 +19,6 @@ minor unit; the total is authoritative.
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Mapping
@@ -34,13 +33,13 @@ from .errors import (
     ValidationFailure,
 )
 from .money import Money, round_half_even, sum_money
-from .record import Record
+from .record import KeyedEnum, Record
 
 # Firm-wide gross-income multiplier for the basic-indicator approach.
 ALPHA = Fraction(15, 100)
 
 
-class BusinessLine(enum.Enum):
+class BusinessLine(KeyedEnum):
     CORPORATE_FINANCE = "corporate_finance"
     TRADING_AND_SALES = "trading_and_sales"
     RETAIL_BANKING = "retail_banking"
@@ -49,10 +48,6 @@ class BusinessLine(enum.Enum):
     AGENCY_SERVICES = "agency_services"
     ASSET_MANAGEMENT = "asset_management"
     RETAIL_BROKERAGE = "retail_brokerage"
-
-    @property
-    def key(self) -> str:
-        return self.value
 
     @classmethod
     def from_key(cls, key: str) -> BusinessLine:
@@ -91,13 +86,9 @@ DEFAULT_BETAS = BetaTable(
 )
 
 
-class NegativeGiPolicy(enum.Enum):
+class NegativeGiPolicy(KeyedEnum):
     EXCLUDE_NEGATIVE_YEARS = "exclude_negative_years"
     INCLUDE_ALL = "include_all"
-
-    @property
-    def key(self) -> str:
-        return self.value
 
 
 # The items gross income excludes, in the order an income file's optional
@@ -251,19 +242,10 @@ def tsa_capital(
     return TsaResult(per_line=per_line, total=Money(total_units, currency))
 
 
-class ApproachKind(enum.Enum):
+class ApproachKind(KeyedEnum):
     BASIC_INDICATOR = "basic_indicator"
     STANDARDIZED = "standardized"
     ADVANCED = "advanced"
-
-
-# Complexity order for the downgrade rule: reverting to a simpler approach
-# needs an explicit supervisory override.
-_COMPLEXITY = {
-    ApproachKind.BASIC_INDICATOR: 0,
-    ApproachKind.STANDARDIZED: 1,
-    ApproachKind.ADVANCED: 2,
-}
 
 
 class OpRiskApproach(Record):
@@ -290,13 +272,15 @@ class OpRiskApproach(Record):
 
     @property
     def complexity(self) -> int:
-        return _COMPLEXITY[self.kind]
+        """The kind's position in ApproachKind, which declares the simplest
+        first: reverting to a simpler approach needs a supervisory override."""
+        return list(ApproachKind).index(self.kind)
 
     @property
     def key(self) -> str:
         if self.kind is ApproachKind.ADVANCED:
             return f"advanced:{self.hook}"
-        return self.kind.value
+        return self.kind.key
 
 
 AdvancedEstimator = Callable[[IncomeHistory], Money]

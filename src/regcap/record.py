@@ -9,16 +9,27 @@ one with ``init_field``). Equality, hashing, the ``Name(field=value, ...)``
 repr and copying read the fields from ``__slots__``; a class declared with
 ``uncompared=(...)`` leaves those fields (provenance labels) out of equality
 and hashing.
+
+``KeyedEnum`` is the base of every named choice (regime, approach, policy,
+counterparty class, business line): a member's ``key``, the spelling that
+config files, table files, flags and reports use, is its value.
 """
 
 from __future__ import annotations
 
+import enum
 from operator import attrgetter
 
 
 # Sets one field of a record under construction; Money's constructor and
 # irb.params_for_exposure call it directly, once per field.
 init_field = object.__setattr__
+
+
+class KeyedEnum(enum.Enum):
+    """An enum whose members are spelt by their values."""
+
+    key = property(attrgetter("value"), doc="The member's spelling: its value.")
 
 
 class FrozenRecordError(AttributeError):

@@ -5,35 +5,31 @@ Risk-weighted assets from external ratings: each exposure is looked up in a
 converted to credit equivalents via a conversion-factor table, and the
 portfolio total is the exact sum of per-line amounts.
 
-The built-in weight table carries two range cells on the bank row; a
-BankOptionPolicy picks the low or high end for both at once. Per-line amounts
-round half-to-even at minor-unit scale once, after the full product.
+Any weight-table cell may be a range (the built-in table has two, on the
+bank row); a BankOptionPolicy picks the same end, low or high, of every range
+cell in the table. Per-line amounts round half-to-even at minor-unit scale
+once, after the full product.
 """
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import InvalidWeight, MissingCell, UnknownCategory
 from .model import CounterpartyClass, Portfolio, RatingBucket
 from .money import Money, format_percent, scaled_units
-from .record import Record
+from .record import KeyedEnum, Record
 
 
-class BankOptionPolicy(enum.Enum):
-    """Resolution rule for the bank row's two range cells.
+class BankOptionPolicy(KeyedEnum):
+    """Resolution rule for the weights table's range cells.
 
-    One policy applies to both range cells; they are never mixed.
+    The policy picks the same end of every range cell; ends are never mixed.
     """
 
     LOW_END = "low_end"
     HIGH_END = "high_end"
-
-    @property
-    def key(self) -> str:
-        return self.value
 
 
 class WeightCell(Record):

@@ -107,6 +107,10 @@ class TestCompute:
             for amount in ("lots", "Infinity", "1e5000", "1.234")
         ]
         cases += [
+            (["--capital", amount], f"--capital: not a decimal amount: {amount!r}\n")
+            for amount in ("1_000.00", "\uff11\uff10\uff10\uff10", "\u0661\u0662\u0663.00")
+        ]
+        cases += [
             (["--capital", "1.234"], "--capital: amount '1.234' has more than 2"),
             (["--capital", "1.00", "--market-charge", "-5"], "--market-charge"),
             (
@@ -214,19 +218,37 @@ class TestCompute:
     @pytest.mark.parametrize("command, flag", [
         (command, flag)
         for command in ("compute", "compare", "disclose")
-        for flag in ("--income", "--market-charge", "--tier1", "--tier2", "--json-out")
-    ] + [("validate", "--income")])  # validate takes no capital flags
-    def test_an_empty_run_input_is_refused(self, capsys, command, flag):
+        for flag in (
+            "--config", "--portfolio", "--income", "--market-charge", "--tier1",
+            "--tier2", "--json-out",
+        )
+    ] + [  # validate takes no capital flags, dump-tables no run inputs
+        ("validate", "--config"), ("validate", "--portfolio"), ("validate", "--income"),
+        ("dump-tables", "--config"), ("dump-tables", "--out-dir"),
+    ])
+    def test_an_empty_run_input_is_refused(self, capsys, tmp_path, monkeypatch, command, flag):
         # An empty value (say, an unset shell variable) is a value, not an
-        # absent flag: it must not drop the operational charge, the market
-        # charge, a tier or the document.
-        argv = [command, "--portfolio", WORKED, "--period", "2006-H2", flag, ""]
-        status = main(argv if command == "validate" else argv + ["--capital", "90000"])
+        # absent flag: it must not drop the config file, the operational
+        # charge, the market charge, a tier or the document. An empty path
+        # is named as given, not as the working directory Path("") stands
+        # for, and nothing is written there.
+        monkeypatch.chdir(tmp_path)
+        if command == "dump-tables":
+            argv = [command, flag, ""]
+        elif command == "validate":
+            argv = [command, "--portfolio", WORKED, flag, ""]
+        else:
+            argv = [command, "--portfolio", WORKED, "--period", "2006-H2",
+                    "--capital", "90000", flag, ""]
+        status = main(argv)
         captured = capsys.readouterr()
         assert status == 2
         assert captured.out == ""
-        assert captured.err.startswith("error [input/config]: ")
-        assert captured.err.count("\n") == 1
+        if flag in ("--market-charge", "--tier1", "--tier2"):
+            assert captured.err == f"error [input/config]: {flag}: not a decimal amount: ''\n"
+        else:
+            assert captured.err == f"error [input/config]: {flag}: not a path: ''\n"
+        assert os.listdir(tmp_path) == []
 
     def test_a_value_that_fails_to_parse_names_its_key(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"

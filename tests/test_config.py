@@ -238,6 +238,27 @@ def test_unknown_override_keys_are_all_named(monkeypatch):
     assert str(excinfo.value) == "unknown config keys: alpha.key, zeta"
 
 
+@pytest.mark.parametrize(
+    "variable", [None, str(DATA_DIR / "config_basel2.cfg")], ids=["unset", "set"]
+)
+def test_an_empty_config_flag_is_refused(capsys, monkeypatch, variable):
+    # not "no flag": neither $REGCAP_CONFIG's file nor the built-ins stand in
+    if variable is None:
+        monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    else:
+        monkeypatch.setenv(ENV_CONFIG_PATH, variable)
+    status = main(["validate", "--portfolio", WORKED, "--config", ""])
+    assert status == 2
+    assert capsys.readouterr() == ("", "error [input/config]: --config: not a path: ''\n")
+
+
+def test_an_empty_config_variable_reads_no_file(capsys, monkeypatch):
+    monkeypatch.setenv(ENV_CONFIG_PATH, "")
+    assert load_config() == EngineConfig()
+    assert main(["validate", "--portfolio", WORKED]) == 0
+    assert capsys.readouterr() == ("portfolio OK: 1 exposure(s)\nconfig OK\n", "")
+
+
 @pytest.mark.parametrize("command", ["compute", "validate"])
 def test_an_unregistered_advanced_hook_fails_without_income(
     capsys, tmp_path, monkeypatch, command

@@ -199,6 +199,8 @@ class TestTableRoundTrips:
         (load_ccf, "other -1%", "factor", "conversion factor -1% outside [0, 1]"),
         (load_betas, "hedge 0.1", "line", "unknown business line 'hedge'"),
         (load_betas, "corporate_finance x", "beta", "not a decimal fraction: 'x'"),
+        (load_betas, "corporate_finance 0.1_2", "beta",
+         "not a decimal fraction: '0.1_2'"),
         (load_betas, "corporate_finance 1.5", "beta",
          "beta for corporate_finance outside [0, 1]"),
     ]
@@ -500,6 +502,7 @@ class TestPortfolioCsv:
         ("class", {"class": " Alien "}, "unknown counterparty class 'alien'"),
         ("rating", {"rating": "ZZZ"}, "unknown rating token 'ZZZ'"),
         ("nominal", {"nominal": "lots"}, "not a decimal amount: 'lots'"),
+        ("nominal", {"nominal": "1_000.00"}, "not a decimal amount: '1_000.00'"),
         ("position", {"position": "maybe"},
          "position must be 'on' or 'off', got 'maybe'"),
         ("off_balance_category", {"position": "off"},
@@ -513,6 +516,9 @@ class TestPortfolioCsv:
         ("ead", {"ead": "1.234"}, "amount '1.234' has more than 2 decimal places"),
         ("ead", {"ead": "x"}, "not a decimal amount: 'x'"),
         ("maturity", {"maturity": "x"}, "not a decimal fraction: 'x'"),
+        ("pd", {"pd": "\u0661%"}, "not a decimal fraction: '\u0661%'"),
+        ("ead", {"ead": "\uff19\uff10.00"}, "not a decimal amount: '\uff19\uff10.00'"),
+        ("maturity", {"maturity": "2_5"}, "not a decimal fraction: '2_5'"),
     ]
 
     @pytest.mark.parametrize(
@@ -529,7 +535,8 @@ class TestPortfolioCsv:
         row = {**good, "id": "X2", **bad}
         path = tmp_path / "p.csv"
         path.write_text(
-            "".join(",".join(cells) + "\n" for cells in (good, good.values(), row.values()))
+            "".join(",".join(cells) + "\n" for cells in (good, good.values(), row.values())),
+            encoding="utf-8",
         )
         with pytest.raises(ParseError) as excinfo:
             load_portfolio(path)
@@ -575,6 +582,13 @@ class TestIncomeCsv:
     # that differ from a good row, and the reason given.
     CELL_ERRORS = [
         ("year", {"year": " MMIV "}, "not a year: 'MMIV'"),
+        # int() and Decimal() read these, but a numeric cell takes ASCII digits only
+        ("year", {"year": "2_005"}, "not a year: '2_005'"),
+        ("year", {"year": "\uff12\uff10\uff10\uff15"},
+         "not a year: '\uff12\uff10\uff10\uff15'"),
+        ("amount", {"amount": "1_000.00"}, "not a decimal amount: '1_000.00'"),
+        ("amount", {"amount": "\u0661\u0662\u0663.00"},
+         "not a decimal amount: '\u0661\u0662\u0663.00'"),
         ("line", {"line": "hedge_fund_desk"}, "unknown business line 'hedge_fund_desk'"),
         ("amount", {"amount": "x"}, "not a decimal amount: 'x'"),
         ("amount", {"amount": "1.234"}, "amount '1.234' has more than 2 decimal places"),
@@ -601,7 +615,8 @@ class TestIncomeCsv:
         row = {**good, "year": "2005", **bad}
         path = tmp_path / "income.csv"
         path.write_text(
-            "".join(",".join(cells) + "\n" for cells in (good, good.values(), row.values()))
+            "".join(",".join(cells) + "\n" for cells in (good, good.values(), row.values())),
+            encoding="utf-8",
         )
         with pytest.raises(ParseError) as excinfo:
             load_income(path)
@@ -610,7 +625,7 @@ class TestIncomeCsv:
 
     def test_a_year_is_read_the_way_int_reads_it(self, tmp_path):
         path = tmp_path / "income.csv"
-        path.write_text("year,line,amount\n2004,TOTAL,1.00\n2_004,TOTAL,1.00\n")
+        path.write_text("year,line,amount\n2004,TOTAL,1.00\n +02004 ,TOTAL,1.00\n")
         with pytest.raises(ParseError) as excinfo:
             load_income(path)
         assert str(excinfo.value) == f"line 3: duplicate TOTAL row for year 2004 in {path}"

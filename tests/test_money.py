@@ -34,7 +34,11 @@ class TestConstruction:
             Money.from_decimal(Decimal("1.005"), "EUR")
 
     @pytest.mark.parametrize(
-        "token", ["Infinity", "-inf", "NaN", "1e5000", "-1e5000", "1e-5000", "1e31"]
+        "token", [
+            "Infinity", "-inf", "NaN", "1e5000", "-1e5000", "1e-5000", "1e31",
+            # Decimal() reads these, but a numeric cell takes ASCII digits only
+            "1_000.00", "\uff11\uff10.00", "\u0661\u0662\u0663.00",
+        ]
     )
     def test_rejects_non_finite_and_out_of_range_amounts(self, token):
         with pytest.raises(ValueError):
@@ -133,7 +137,10 @@ class TestFractionHelpers:
         assert parse_fraction("8 %") == Fraction(2, 25)
 
     def test_parse_fraction_rejects_junk(self):
-        for token in ("half", "Infinity", "inf%", "-inf", "NaN", "1e5000", "1e-5000 %"):
+        for token in (
+            "half", "Infinity", "inf%", "-inf", "NaN", "1e5000", "1e-5000 %",
+            "0_5", "1_0 %", "\uff15%", "0.\u0665",
+        ):
             with pytest.raises(ValueError):
                 parse_fraction(token)
 

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import ast
 import copy
+import enum
+import importlib
 import inspect
 import pickle
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import regcap
 from regcap import (
     CapitalBase,
     CounterpartyClass,
@@ -38,7 +42,7 @@ from regcap.config import SETTINGS, Setting
 from regcap.engine import Novelty, OpRiskResult
 from regcap.irb import FOUNDATION_LGD, FOUNDATION_MATURITY_YEARS, IrbParams
 from regcap.model import validate_portfolio
-from regcap.record import Record
+from regcap.record import KeyedEnum, Record
 from regcap.standardized import RiskWeightTable, WeightCell
 
 from conftest import DATA_DIR, eur, run_python
@@ -194,6 +198,20 @@ def test_tables_compare_without_their_source(table):
     relabelled = type(table)(getattr(table, table.__slots__[0]), source="elsewhere")
     assert relabelled == table
     assert relabelled.source == "elsewhere"
+
+
+def test_every_enum_is_keyed_by_its_value_in_one_place():
+    # A member's key is its value, and KeyedEnum alone says so. RatingBucket
+    # is the exception: an IntEnum whose value is its rank.
+    for module in pkgutil.iter_modules(regcap.__path__):
+        importlib.import_module(f"regcap.{module.name}")
+    enums = [cls for cls in _subclasses(enum.Enum) if cls.__module__.startswith("regcap.")]
+    assert [cls.__name__ for cls in enums if not issubclass(cls, KeyedEnum)] == [
+        "RatingBucket"
+    ]
+    assert sorted(cls.__name__ for cls in enums if "key" in vars(cls)) == [
+        "KeyedEnum", "RatingBucket"
+    ]
 
 
 def test_importing_the_cli_loads_no_code_generator():
