@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import InvalidOverride, NegativeBlock
+from .errors import AggregationError
 from .model import MINIMUM_CAPITAL_RATIO, CapitalBase
 from .money import Money, round_half_even
 from .record import Record
@@ -45,7 +45,7 @@ class PillarOneInputs(Record):
             ("oprisk capital charge", oprisk_capital_charge),
         ):
             if amount.is_negative:
-                raise NegativeBlock(f"{label} must be non-negative, got {amount}")
+                raise AggregationError(f"{label} must be non-negative, got {amount}")
         credit_rwa._check_compatible(market_capital_charge)
         credit_rwa._check_compatible(oprisk_capital_charge)
         super().__init__(credit_rwa, market_capital_charge, oprisk_capital_charge)
@@ -76,7 +76,7 @@ class SupervisoryAdjustment(Record):
         if addon is not None and addon.is_negative:
             problems.append(f"capital add-on must be non-negative, got {addon}")
         if problems:
-            raise InvalidOverride("; ".join(problems))
+            raise AggregationError("; ".join(problems))
         super().__init__(minimum_ratio, addon)
 
 

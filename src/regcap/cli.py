@@ -217,9 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The flags that name a file or a directory. An empty one is refused before
-# anything is read or written: Path("") is the working directory, and an
-# empty --config would fall back to $REGCAP_CONFIG or the built-ins.
+# The flags that name a file or a directory. An empty one is refused, with
+# its flag named, before anything is read or written: Path("") is the working
+# directory, which dump-tables would write its tables into.
 _PATH_FLAGS = ("--config", "--portfolio", "--income", "--json-out", "--out-dir")
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .aggregation import SupervisoryAdjustment
-from .errors import ConfigError, DowngradeWithoutOverride, InvalidOverride
+from .errors import AggregationError, ConfigError, OperationalRiskError
 from .model import _CONTROL_CHARACTER, MINIMUM_CAPITAL_RATIO
 from .money import DEFAULT_CURRENCY, Money, parse_fraction
 from .oprisk import ApproachKind, NegativeGiPolicy, OpRiskApproach
@@ -227,7 +227,7 @@ class EngineConfig(Record, defaults={s.field: s.default for s in SETTINGS}):
             )
         try:
             self.adjustment()
-        except InvalidOverride as exc:
+        except AggregationError as exc:
             problems.append(str(exc))
         if problems:
             raise ConfigError("; ".join(problems))
@@ -238,7 +238,7 @@ class EngineConfig(Record, defaults={s.field: s.default for s in SETTINGS}):
             and not self.downgrade_override
             and self.oprisk_approach.complexity < previous.complexity
         ):
-            raise DowngradeWithoutOverride(
+            raise OperationalRiskError(
                 "supervisory override required to revert to a simpler approach"
             )
 
@@ -280,7 +280,10 @@ def load_config(path: str | None = None, overrides: Mapping[str, str] | None = N
     The file's ``key = value`` lines are checked against ``SETTINGS`` (an
     unknown or repeated key is refused); ``overrides`` (CLI flags) win over
     its values key by key. An empty value leaves the field at its default.
+    An empty ``path`` is refused; an empty ``$REGCAP_CONFIG`` names no file.
     """
+    if path == "":
+        raise ConfigError(f"not a path: {path!r}")
     values: dict[str, str] = {}
     source = path or os.environ.get(ENV_CONFIG_PATH)
     if source:

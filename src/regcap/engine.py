@@ -16,7 +16,7 @@ from operator import is_
 
 from .aggregation import PillarOneInputs, compliance
 from .config import CreditApproach, EngineConfig, Regime
-from .errors import ConfigError, MissingPeriod, ValidationFailure
+from .errors import ConfigError, ValidationFailure
 from .fileio import load_betas, load_ccf, load_risk_weights
 from .irb import (
     components,
@@ -385,5 +385,5 @@ def run_disclose(result: ComputeResult) -> DisclosureReport:
     The period is the configured one, whose form the config checked at load.
     """
     if not result.config.disclosure_period:
-        raise MissingPeriod("disclosure needs a semiannual period such as 2006-H2")
+        raise ConfigError("disclosure needs a semiannual period such as 2006-H2")
     return DisclosureReport(result)

@@ -1,9 +1,14 @@
 """Exception types shared across the engine.
 
-Each type names the engine area it comes from in ``layer`` (``usage`` for
-command-line arguments the parser refuses); the command line prints that
-label in its one-line diagnostic. The types raised by
-record constructors for an out-of-range value are also ``ValueError``s.
+Each engine area has one class that names it in ``layer``:
+``CoreModelError``, ``StandardizedCreditError``, ``InternalRatingsError``,
+``OperationalRiskError`` and ``AggregationError``; ``ParseError`` and
+``ConfigError`` name the inputs (``input/config``) and ``UsageError`` the
+command-line arguments the parser refuses (``usage``). Every other error
+inherits its area's ``layer``, and the command line prints that label in
+its one-line diagnostic. The core-model, standardized, operational-risk,
+aggregation and config classes are ``ValueError``s, as is ``OutOfRange``,
+so a record constructor given an out-of-range value raises a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -15,132 +20,70 @@ class RegcapError(Exception):
     layer = "engine"
 
 
-class CurrencyMismatch(RegcapError):
-    """Arithmetic or comparison attempted across different currencies."""
+class CoreModelError(RegcapError, ValueError):
+    """Money, rating tokens and exposures: a currency mismatch or an unknown rating."""
 
     layer = "core model"
 
 
-class UnknownRating(RegcapError):
-    """Rating token outside the published bucket grammar."""
+class StandardizedCreditError(RegcapError, ValueError):
+    """Lookup tables: a missing cell, an unknown category, a weight out of range."""
 
-    layer = "core model"
+    layer = "standardized credit"
 
 
-class ValidationFailure(RegcapError, ValueError):
+class InternalRatingsError(RegcapError):
+    """Risk-weight functions and their inputs; an unregistered function name."""
+
+    layer = "internal ratings"
+
+
+class OperationalRiskError(RegcapError, ValueError):
+    """Income histories, multipliers, approaches and advanced estimators."""
+
+    layer = "operational risk"
+
+
+class AggregationError(RegcapError, ValueError):
+    """The denominator's blocks and the supervisory minimum-ratio override."""
+
+    layer = "aggregation"
+
+
+class ValidationFailure(CoreModelError):
     """Carries every violation found, never just the first."""
-
-    layer = "core model"
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
 
-class MissingCell(RegcapError):
-    """Risk-weight table has no entry for a (class, bucket) pair."""
-
-    layer = "standardized credit"
-
-
-class UnknownCategory(RegcapError):
-    """Off-balance category does not resolve in the active CCF table."""
-
-    layer = "standardized credit"
-
-
-class InvalidWeight(RegcapError, ValueError):
-    """Weight cell or conversion factor outside its legal interval."""
-
-    layer = "standardized credit"
-
-
-class OutOfRange(RegcapError, ValueError):
+class OutOfRange(InternalRatingsError, ValueError):
     """Probability or fraction outside its legal interval."""
 
-    layer = "internal ratings"
 
-
-class UnknownFunction(RegcapError):
-    """No risk-weight function registered under the requested name."""
-
-    layer = "internal ratings"
-
-
-class NonFiniteWeight(RegcapError):
+class NonFiniteWeight(InternalRatingsError):
     """A risk-weight function returned a non-finite or negative weight."""
 
-    layer = "internal ratings"
 
-
-class NonMonotoneFunction(RegcapError):
+class NonMonotoneFunction(InternalRatingsError):
     """A risk-weight function decreases in pd or lgd on the registration grid."""
 
-    layer = "internal ratings"
 
-
-class DuplicateFunction(RegcapError):
+class DuplicateFunction(InternalRatingsError):
     """A risk-weight function is already registered under the requested name."""
 
-    layer = "internal ratings"
 
-
-class IncompleteHistory(RegcapError):
-    """Gross-income history does not cover exactly three consecutive years."""
-
-    layer = "operational risk"
-
-
-class MissingLine(RegcapError):
+class MissingLine(OperationalRiskError):
     """Business lines absent from a per-line income statement."""
-
-    layer = "operational risk"
 
     def __init__(self, lines: list[str]):
         self.lines = sorted(lines)
         super().__init__("missing business lines: " + ", ".join(self.lines))
 
 
-class InvalidBeta(RegcapError, ValueError):
-    """Business-line multiplier outside [0, 1]."""
-
-    layer = "operational risk"
-
-
-class InvalidApproach(RegcapError, ValueError):
-    """Hook name given to a non-advanced approach, or missing from an advanced one."""
-
-    layer = "operational risk"
-
-
-class DowngradeWithoutOverride(RegcapError):
-    """Operational-risk approach moved to a simpler one without the override flag."""
-
-    layer = "operational risk"
-
-
-class UnregisteredAdvancedHook(RegcapError):
-    """Advanced operational-risk approach selected but no estimator registered."""
-
-    layer = "operational risk"
-
-
-class DuplicateAdvancedHook(RegcapError):
+class DuplicateAdvancedHook(OperationalRiskError):
     """An advanced estimator is already registered under the requested name."""
-
-    layer = "operational risk"
-
-
-class InvalidOverride(RegcapError, ValueError):
-    """Supervisory minimum-ratio override below the 8% floor."""
-
-    layer = "aggregation"
-
-
-class NegativeBlock(RegcapError, ValueError):
-    """A denominator block (credit RWA or a capital charge) below zero."""
-
-    layer = "aggregation"
 
 
 class ParseError(RegcapError):
@@ -161,14 +104,9 @@ class ParseError(RegcapError):
         super().__init__(f"{prefix}: {reason}" if prefix else reason)
 
 
-class MissingPeriod(RegcapError):
-    """Disclosure requested without a reporting period."""
-
-    layer = "input/config"
-
-
 class ConfigError(RegcapError, ValueError):
-    """Engine configuration is internally inconsistent."""
+    """Engine configuration is inconsistent or unreadable, or a disclosure
+    has no reporting period."""
 
     layer = "input/config"
 

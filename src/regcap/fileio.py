@@ -25,6 +25,7 @@ loader's own rules, becomes a ParseError citing that line and column.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import os
 import stat
@@ -33,7 +34,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .config import _data_lines, _parse_bool
-from .errors import MissingLine, ParseError, UnknownRating
+from .errors import MissingLine, ParseError
 from .model import (
     CounterpartyClass,
     Exposure,
@@ -86,8 +87,11 @@ def write_whole(path: str | Path, text: str) -> None:
 
     A regular file, through any symlink, is replaced by a complete temporary file
     with its mode, so a write that fails in the run leaves it as it was; a device
-    or FIFO is written in place. The OSError raised names ``path``.
+    or FIFO is written in place. The OSError raised names ``path``; "" is
+    refused, not taken for the working directory that Path("") stands for.
     """
+    if path == "":
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     path = Path(path)
     try:
         mode = path.stat().st_mode if path.exists() else None
@@ -126,7 +130,7 @@ def _cell_error(path: Path, line: int, column: str, reason) -> ParseError:
 
 def load_risk_weights(path: str | Path) -> RiskWeightTable:
     """Read a risk-weight table file (class, bucket, weight per line)."""
-    path = Path(path)
+    path = _input_path(path)
     text, source = _read_table(path)
     cells: dict[tuple[CounterpartyClass, RatingBucket], WeightCell] = {}
     for number, (class_key, bucket_key, weight_token) in _table_rows(
@@ -175,7 +179,7 @@ def dump_risk_weights(table: RiskWeightTable, path: str | Path) -> None:
 
 def load_ccf(path: str | Path) -> CcfTable:
     """Read a conversion-factor table file (category, factor per line)."""
-    path = Path(path)
+    path = _input_path(path)
     text, source = _read_table(path)
     factors: dict[str, Fraction] = {}
     for number, (category, factor_token) in _table_rows(text, str(path), 2):
@@ -200,7 +204,7 @@ def dump_ccf(table: CcfTable, path: str | Path) -> None:
 
 def load_betas(path: str | Path) -> BetaTable:
     """Read a business-line multiplier file (line, beta per line)."""
-    path = Path(path)
+    path = _input_path(path)
     text, source = _read_table(path)
     betas: dict[BusinessLine, Fraction] = {}
     for number, (line_key, beta_token) in _table_rows(text, str(path), 2):
@@ -229,8 +233,22 @@ def dump_betas(table: BetaTable, path: str | Path) -> None:
     write_whole(path, "\n".join(lines) + "\n")
 
 
-def _read_bytes(path: Path) -> bytes:
-    """The file's bytes, checked to decode as UTF-8 before anything reads them."""
+def _input_path(path: str | Path) -> Path:
+    """The path a reader reads; "" is refused, not read as the working directory
+    that Path("") stands for."""
+    if path == "":
+        raise ParseError(f"not a path: {path!r}")
+    return Path(path)
+
+
+def _read_text(path: Path) -> tuple[io.TextIOWrapper, bytes]:
+    """The file as a text stream that reads "\r\n" and "\r" as "\n", and its
+    bytes, checked to decode as UTF-8 before anything reads them.
+
+    The text is decoded a chunk at a time as lines are read, so a CSV file
+    is never held whole as a str (an io.StringIO would keep 4 bytes a
+    character of it).
+    """
     try:
         data = path.read_bytes()
         data.decode("utf-8")
@@ -238,23 +256,13 @@ def _read_bytes(path: Path) -> bytes:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
-    return data
-
-
-def _text_stream(data: bytes) -> io.TextIOWrapper:
-    """The bytes as a text stream that reads "\r\n" and "\r" as "\n".
-
-    The text is decoded a chunk at a time as lines are read, so a CSV file
-    is never held whole as a str (an io.StringIO would keep 4 bytes a
-    character of it).
-    """
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), data
 
 
 def _read_table(path: Path) -> tuple[str, str]:
     """A table file's text, newlines translated, and its provenance label."""
-    data = _read_bytes(path)
-    return _text_stream(data).read(), table_source(path, data)
+    stream, data = _read_text(path)
+    return stream.read(), table_source(path, data)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +323,7 @@ def _csv_records(path: Path, required: tuple[str, ...], optional: tuple[str, ...
     column. A row the csv module cannot read (an oversized cell, say) is a
     ParseError citing its line.
     """
-    reader = csv.reader(_text_stream(_read_bytes(path)))
+    reader = csv.reader(_read_text(path)[0])
     try:
         names = _read_header(reader, path, required, optional)
         width = len(names)
@@ -423,7 +431,7 @@ def _portfolio_columns(path: Path) -> list[list]:
             if maturity is None and maturity_token:
                 maturity = _shared_fraction(maturity_token, fractions)
             add_maturity(maturity)
-        except (ValueError, UnknownRating) as exc:
+        except ValueError as exc:
             raise _cell_error(path, line, column, exc) from exc
     return columns
 
@@ -436,7 +444,7 @@ def load_portfolio(path: str | Path, currency: str = DEFAULT_CURRENCY) -> Portfo
     built. Each column list becomes its tuple in turn, so at most one list
     and its tuple are alive together.
     """
-    columns = _portfolio_columns(Path(path))
+    columns = _portfolio_columns(_input_path(path))
     for position, column in enumerate(columns):
         columns[position] = tuple(column)
     return Portfolio(*columns, currency)
@@ -453,7 +461,7 @@ TOTAL_LINE = "TOTAL"
 
 def load_income(path: str | Path, currency: str = DEFAULT_CURRENCY) -> IncomeHistory:
     """Read a three-year income statement file into an IncomeHistory."""
-    path = Path(path)
+    path = _input_path(path)
     totals: dict[int, GrossIncomeRecord] = {}
     per_line: dict[int, dict[BusinessLine, GrossIncomeRecord]] = {}
     records = _csv_records(path, INCOME_REQUIRED, INCOME_OPTIONAL)

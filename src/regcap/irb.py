@@ -17,10 +17,10 @@ from typing import Callable
 from .config import CreditApproach
 from .errors import (
     DuplicateFunction,
+    InternalRatingsError,
     NonFiniteWeight,
     NonMonotoneFunction,
     OutOfRange,
-    UnknownFunction,
 )
 from .model import Portfolio, component_problems
 from .money import Money, _divide_half_even
@@ -174,7 +174,7 @@ def risk_weight_function(name: str) -> RiskWeightFunction:
     try:
         return _FUNCTIONS[name]
     except KeyError:
-        raise UnknownFunction(f"no risk-weight function registered as {name!r}") from None
+        raise InternalRatingsError(f"no risk-weight function registered as {name!r}") from None
 
 
 def rwa_irb(params: IrbParams, fn: RiskWeightFunction | str) -> Money:

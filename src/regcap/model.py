@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import count
 from operator import attrgetter
 
-from .errors import UnknownRating, ValidationFailure
+from .errors import CoreModelError, ValidationFailure
 from .money import DEFAULT_CURRENCY, Money, units_text
 from .record import KeyedEnum, Record
 
@@ -83,13 +83,13 @@ def parse_rating(text: str) -> RatingBucket:
     """Map an external rating token to its bucket.
 
     Total over the published token set plus the literal unrated marker;
-    anything else raises UnknownRating (never coerced to UNRATED).
+    anything else raises CoreModelError (never coerced to UNRATED).
     """
     token = text.strip().upper()
     try:
         return RATING_TOKENS[token]
     except KeyError:
-        raise UnknownRating(f"unknown rating token {text.strip()!r}") from None
+        raise CoreModelError(f"unknown rating token {text.strip()!r}") from None
 
 
 def id_problem(value) -> str | None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from .errors import CurrencyMismatch
+from .errors import CoreModelError
 from .record import Record, init_field
 
 DEFAULT_CURRENCY = "EUR"
@@ -64,12 +64,15 @@ def _integer_ratio(dec: Decimal, text: str) -> tuple[int, int]:
 def decimal_units(value: Decimal | str | int) -> int:
     """Minor units of a decimal literal; rejects sub-minor-unit amounts.
 
-    Every amount read from a file or an option is read here.
+    Every amount read from a file or an option is read here; blanks around
+    a ``str`` are ignored, as ``parse_fraction`` ignores them.
     """
     try:
-        # Decimal() would also read digit-group underscores and non-ASCII digits
-        if type(value) is str and ("_" in value or not value.isascii()):
-            raise InvalidOperation
+        if type(value) is str:
+            token = value.strip()
+            # Decimal() would also read digit-group underscores and non-ASCII digits
+            if "_" in token or not token.isascii():
+                raise InvalidOperation
         dec = Decimal(value)
     except InvalidOperation as exc:
         raise ValueError(f"not a decimal amount: {value!r}") from exc
@@ -115,7 +118,7 @@ class Money(Record):
 
     def _check_compatible(self, other: "Money") -> None:
         if self.currency != other.currency:
-            raise CurrencyMismatch(f"{self.currency} vs {other.currency}")
+            raise CoreModelError(f"{self.currency} vs {other.currency}")
 
     def __add__(self, other: "Money") -> "Money":
         self._check_compatible(other)
@@ -176,14 +179,14 @@ def sum_money(items, currency: str = DEFAULT_CURRENCY) -> Money:
     """Exact ordered sum; returns a zero of the given currency when empty.
 
     The total takes the first item's currency; an item in any other currency
-    raises CurrencyMismatch, never has its units relabelled.
+    raises CoreModelError, never has its units relabelled.
     """
     items = tuple(items)
     if items:
         currency = items[0].currency
     for item in items:
         if item.currency != currency:
-            raise CurrencyMismatch(f"{currency} vs {item.currency}")
+            raise CoreModelError(f"{currency} vs {item.currency}")
     return Money(sum(item.units for item in items), currency)
 
 

@@ -23,15 +23,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Mapping
 
-from .errors import (
-    DuplicateAdvancedHook,
-    IncompleteHistory,
-    InvalidApproach,
-    InvalidBeta,
-    MissingLine,
-    UnregisteredAdvancedHook,
-    ValidationFailure,
-)
+from .errors import DuplicateAdvancedHook, MissingLine, OperationalRiskError, ValidationFailure
 from .money import Money, round_half_even, sum_money
 from .record import KeyedEnum, Record
 
@@ -68,7 +60,7 @@ class BetaTable(Record, uncompared=("source",)):
             raise MissingLine(absent)
         for line, beta in betas.items():
             if not 0 <= beta <= 1:
-                raise InvalidBeta(f"beta for {line.key} outside [0, 1]")
+                raise OperationalRiskError(f"beta for {line.key} outside [0, 1]")
         super().__init__(betas, source)
 
 
@@ -137,7 +129,7 @@ class AnnualIncome(Record):
             return self.total.effective
         if self.per_line:
             return sum_money(record.effective for record in self.per_line.values())
-        raise IncompleteHistory(f"year {self.year} has no gross-income data")
+        raise OperationalRiskError(f"year {self.year} has no gross-income data")
 
 
 class IncomeHistory(Record):
@@ -147,10 +139,10 @@ class IncomeHistory(Record):
 
     def __init__(self, years: tuple[AnnualIncome, AnnualIncome, AnnualIncome]) -> None:
         if len(years) != 3:
-            raise IncompleteHistory(f"need exactly three annual records, got {len(years)}")
+            raise OperationalRiskError(f"need exactly three annual records, got {len(years)}")
         labels = [annual.year for annual in years]
         if labels != [labels[0], labels[0] + 1, labels[0] + 2]:
-            raise IncompleteHistory(
+            raise OperationalRiskError(
                 f"years must be consecutive and ascending, got {labels}"
             )
         violations = []
@@ -255,7 +247,7 @@ class OpRiskApproach(Record):
 
     def __init__(self, kind: ApproachKind, hook: str | None = None) -> None:
         if (kind is ApproachKind.ADVANCED) != (hook is not None):
-            raise InvalidApproach("hook name is required exactly for the advanced approach")
+            raise OperationalRiskError("hook name is required exactly for the advanced approach")
         super().__init__(kind, hook)
 
     @classmethod
@@ -301,6 +293,6 @@ def advanced_hook(name: str) -> AdvancedEstimator:
     try:
         return _ADVANCED_HOOKS[name]
     except KeyError:
-        raise UnregisteredAdvancedHook(
+        raise OperationalRiskError(
             f"no advanced estimator registered as {name!r}"
         ) from None

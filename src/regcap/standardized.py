@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import InvalidWeight, MissingCell, UnknownCategory
+from .errors import StandardizedCreditError
 from .model import CounterpartyClass, Portfolio, RatingBucket
 from .money import Money, format_percent, scaled_units
 from .record import KeyedEnum, Record
@@ -39,7 +39,7 @@ class WeightCell(Record):
 
     def __init__(self, low: Fraction, high: Fraction) -> None:
         if not 0 <= low <= high <= 2:
-            raise InvalidWeight(f"weight cell [{low}, {high}] outside [0, 2]")
+            raise StandardizedCreditError(f"weight cell [{low}, {high}] outside [0, 2]")
         super().__init__(low, high)
 
     @classmethod
@@ -101,7 +101,7 @@ class CcfTable(Record, uncompared=("source",)):
     def __init__(self, factors: Mapping[str, Fraction], source: str = "builtin") -> None:
         for category, factor in factors.items():
             if not 0 <= factor <= 1:
-                raise InvalidWeight(f"conversion factor for {category!r} outside [0, 1]")
+                raise StandardizedCreditError(f"conversion factor for {category!r} outside [0, 1]")
         super().__init__(factors, source)
 
 
@@ -145,12 +145,12 @@ def _resolve(
     counterparty, rating, category = key
     factor = Fraction(1) if category is None else ccf.factors.get(category)
     if factor is None:
-        raise UnknownCategory(
+        raise StandardizedCreditError(
             f"exposure {exposure_id!r}: unknown off-balance category {category!r}"
         )
     cell = table.cells.get((counterparty, rating))
     if cell is None:
-        raise MissingCell(
+        raise StandardizedCreditError(
             f"exposure {exposure_id!r}: no weight for"
             f" ({counterparty.key}, {rating.key})"
         )

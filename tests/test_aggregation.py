@@ -17,7 +17,7 @@ from regcap import (
     denominator,
 )
 from regcap.aggregation import RWA_MULTIPLIER, denominator_shares
-from regcap.errors import InvalidOverride, NegativeBlock
+from regcap.errors import AggregationError
 
 from conftest import eur
 
@@ -58,11 +58,11 @@ class TestDenominator:
         assert both == eur("0.25")
 
     def test_negative_inputs_rejected(self):
-        with pytest.raises(NegativeBlock, match="^credit rwa must"):
+        with pytest.raises(AggregationError, match="^credit rwa must"):
             inputs("-1", "0", "0")
-        with pytest.raises(NegativeBlock, match="^market capital charge must"):
+        with pytest.raises(AggregationError, match="^market capital charge must"):
             inputs("0", "-1", "0")
-        with pytest.raises(NegativeBlock, match="^oprisk capital charge must"):
+        with pytest.raises(AggregationError, match="^oprisk capital charge must"):
             inputs("0", "0", "-1")
 
 
@@ -137,14 +137,18 @@ class TestCompliance:
         assert not report.compliant
 
     def test_override_below_floor_rejected(self):
-        with pytest.raises(InvalidOverride):
+        with pytest.raises(
+            AggregationError, match="^supervisory minimum 3/50 is below the 8% floor$"
+        ):
             SupervisoryAdjustment(minimum_ratio=Fraction(6, 100))
         # the config reports the same check, with every problem, at load time
         with pytest.raises(ConfigError, match="8% floor; capital add-on"):
             EngineConfig(min_ratio_override=Fraction(6, 100), capital_addon=-eur("1"))
 
     def test_negative_addon_rejected(self):
-        with pytest.raises(InvalidOverride):
+        with pytest.raises(
+            AggregationError, match="^capital add-on must be non-negative, got -1.00 EUR$"
+        ):
             SupervisoryAdjustment(addon=-eur("1"))
 
     def test_addon_stacks_on_floor(self):

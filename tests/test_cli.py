@@ -108,7 +108,10 @@ class TestCompute:
         ]
         cases += [
             (["--capital", amount], f"--capital: not a decimal amount: {amount!r}\n")
-            for amount in ("1_000.00", "\uff11\uff10\uff10\uff10", "\u0661\u0662\u0663.00")
+            for amount in (
+                "1_000.00", "\uff11\uff10\uff10\uff10", "\u0661\u0662\u0663.00",
+                "\xa01_000.00\u2003",
+            )
         ]
         cases += [
             (["--capital", "1.234"], "--capital: amount '1.234' has more than 2"),
@@ -263,6 +266,21 @@ class TestCompute:
             assert status == 2
             assert captured.out == ""
             assert captured.err == f"error [input/config]: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flag, amount",
+        [("--capital", "80008.00"), ("--tier1", "80000.00"), ("--tier2", "8.00"),
+         ("--market-charge", "8.00"), ("--capital-addon", "8.00")],
+    )
+    def test_an_amount_flag_reads_blanks_around_the_number(self, capsys, flag, amount):
+        # as a file cell does: a no-break or em space around it is no part of it
+        outcomes = []
+        for value in (amount, f"\xa0{amount}\u2003"):
+            status = main(["compute", "--portfolio", WORKED, "--capital", "80008.00",
+                           "--tier1", "80000.00", "--tier2", "8.00", flag, value])
+            outcomes.append((status, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] == ""
 
     def test_market_charge_flag(self, capsys):
         status = main(

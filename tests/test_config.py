@@ -250,11 +250,14 @@ def test_an_empty_config_flag_is_refused(capsys, monkeypatch, variable):
     status = main(["validate", "--portfolio", WORKED, "--config", ""])
     assert status == 2
     assert capsys.readouterr() == ("", "error [input/config]: --config: not a path: ''\n")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config("")
+    assert str(excinfo.value) == "not a path: ''"
 
 
 def test_an_empty_config_variable_reads_no_file(capsys, monkeypatch):
     monkeypatch.setenv(ENV_CONFIG_PATH, "")
-    assert load_config() == EngineConfig()
+    assert load_config() == load_config(None) == EngineConfig()
     assert main(["validate", "--portfolio", WORKED]) == 0
     assert capsys.readouterr() == ("portfolio OK: 1 exposure(s)\nconfig OK\n", "")
 

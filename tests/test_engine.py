@@ -28,7 +28,7 @@ from regcap import (
 )
 from regcap import engine
 from regcap.engine import resolve_tables
-from regcap.errors import CurrencyMismatch, MissingPeriod, UnregisteredAdvancedHook
+from regcap.errors import ConfigError, CoreModelError, OperationalRiskError
 from regcap.irb import _FUNCTIONS
 from regcap.model import Portfolio
 from regcap.oprisk import IncomeHistory, _ADVANCED_HOOKS, register_advanced_hook
@@ -123,14 +123,15 @@ class TestCompute:
     ):
         monkeypatch.setattr("regcap.oprisk._ADVANCED_HOOKS", {})
         config = EngineConfig(oprisk_approach=OpRiskApproach.advanced_hook("X"))
-        with pytest.raises(UnregisteredAdvancedHook) as excinfo:
+        with pytest.raises(OperationalRiskError) as excinfo:
             run_compute(config, worked_portfolio, CapitalBase(eur("90000.00")))
         assert str(excinfo.value) == "no advanced estimator registered as 'X'"
 
     def test_downgrade_without_override_rejected(self):
-        from regcap.errors import DowngradeWithoutOverride
-
-        with pytest.raises(DowngradeWithoutOverride):
+        with pytest.raises(
+            OperationalRiskError,
+            match="^supervisory override required to revert to a simpler approach$",
+        ):
             EngineConfig(
                 oprisk_approach=OpRiskApproach.basic_indicator(),
                 previous_oprisk_approach=OpRiskApproach.standardized(),
@@ -348,7 +349,7 @@ class TestCurrencyFailsClosed:
             )
 
     def test_book_in_another_currency_than_the_config_raises(self, approach):
-        with pytest.raises(CurrencyMismatch, match=r"^USD vs EUR$"):
+        with pytest.raises(CoreModelError, match=r"^USD vs EUR$"):
             run_compute(
                 EngineConfig(credit_approach=approach),
                 _book_in("USD", "USD", "USD"),
@@ -356,7 +357,7 @@ class TestCurrencyFailsClosed:
             )
 
     def test_empty_book_in_another_currency_than_the_config_raises(self, approach):
-        with pytest.raises(CurrencyMismatch, match=r"^USD vs EUR$"):
+        with pytest.raises(CoreModelError, match=r"^USD vs EUR$"):
             run_compute(
                 EngineConfig(credit_approach=approach),
                 _book_in("USD"),
@@ -477,7 +478,9 @@ class TestDisclose:
         result = run_compute(
             EngineConfig(), worked_portfolio, CapitalBase(eur("80000.00"))
         )
-        with pytest.raises(MissingPeriod):
+        with pytest.raises(
+            ConfigError, match="^disclosure needs a semiannual period such as 2006-H2$"
+        ):
             run_disclose(result)
 
     def test_malformed_period(self):

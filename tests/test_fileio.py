@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
 import textwrap
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from regcap.fileio import (
     dump_ccf,
     dump_risk_weights,
     table_source,
+    write_whole,
 )
 from regcap.oprisk import BusinessLine
 
@@ -105,6 +107,37 @@ def _check_column_order(load, path, rows, case) -> None:
     canonical = _outcome(load, path)
     _write_columns(path, rows, [column for column in order if column not in omitted])
     assert _outcome(load, path) == canonical
+
+
+@pytest.mark.parametrize(
+    "read",
+    [load_risk_weights, load_ccf, load_betas, load_portfolio, load_income],
+    ids=lambda read: read.__name__,
+)
+def test_a_reader_refuses_an_empty_path(tmp_path, monkeypatch, read):
+    # not the working directory that Path("") stands for
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ParseError) as excinfo:
+        read("")
+    assert str(excinfo.value) == "not a path: ''"
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: write_whole(path, "text\n"),
+        lambda path: dump_risk_weights(DEFAULT_RISK_WEIGHTS, path),
+        lambda path: dump_ccf(DEFAULT_CCF, path),
+        lambda path: dump_betas(DEFAULT_BETAS, path),
+    ],
+    ids=["write_whole", "dump_risk_weights", "dump_ccf", "dump_betas"],
+)
+def test_a_writer_refuses_an_empty_path(tmp_path, monkeypatch, write):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(OSError) as excinfo:
+        write("")
+    assert str(excinfo.value) == "[Errno 2] No such file or directory: ''"
+    assert os.listdir(tmp_path) == []
 
 
 class TestTableRoundTrips:
@@ -686,9 +719,11 @@ class TestIncomeCsv:
         path.write_text(
             "year,line,amount\n2004,TOTAL,100.00\n2005,TOTAL,100.00\n"
         )
-        from regcap.errors import IncompleteHistory
+        from regcap.errors import OperationalRiskError
 
-        with pytest.raises(IncompleteHistory):
+        with pytest.raises(
+            OperationalRiskError, match="^need exactly three annual records, got 2$"
+        ):
             load_income(path)
 
     def test_duplicate_column(self, tmp_path):

@@ -27,7 +27,7 @@ from regcap import (
     rwa_irb,
 )
 from regcap import irb
-from regcap.errors import NonFiniteWeight, OutOfRange, UnknownFunction
+from regcap.errors import InternalRatingsError, NonFiniteWeight, OutOfRange
 from regcap.irb import (
     FOUNDATION_LGD,
     FOUNDATION_MATURITY_YEARS,
@@ -237,14 +237,20 @@ class TestRwaIrb:
         params = IrbParams(
             Fraction(1, 100), FOUNDATION_LGD, eur("1"), FOUNDATION_MATURITY_YEARS
         )
-        with pytest.raises(UnknownFunction):
+        with pytest.raises(
+            InternalRatingsError,
+            match="^no risk-weight function registered as 'supervisory_curve'$",
+        ):
             rwa_irb(params, "supervisory_curve")
 
     def test_unregistered_name_raises_even_at_zero_ead(self):
         params = IrbParams(
             Fraction(1, 100), FOUNDATION_LGD, eur("0"), FOUNDATION_MATURITY_YEARS
         )
-        with pytest.raises(UnknownFunction):
+        with pytest.raises(
+            InternalRatingsError,
+            match="^no risk-weight function registered as 'supervisory_curve'$",
+        ):
             rwa_irb(params, "supervisory_curve")
 
     def test_non_finite_weight_rejected(self):
@@ -394,7 +400,9 @@ class TestMonotonicityGate:
         with pytest.raises(NonMonotoneFunction, match="rejected") as caught:
             register_risk_weight_function("bad", decreasing_in_pd)
         assert caught.value.layer == "internal ratings"
-        with pytest.raises(UnknownFunction):
+        with pytest.raises(
+            InternalRatingsError, match="^no risk-weight function registered as 'bad'$"
+        ):
             risk_weight_function("bad")
 
     def test_registration_refuses_a_taken_name(self):

@@ -22,7 +22,7 @@ from regcap import (
     validate_portfolio,
 )
 from regcap.engine import IrbColumns
-from regcap.errors import UnknownRating
+from regcap.errors import CoreModelError
 from regcap.model import Portfolio, parse_rating
 from regcap.standardized import ResolvedKey, StandardizedColumns
 
@@ -69,8 +69,9 @@ class TestParseRating:
 
     @pytest.mark.parametrize("junk", ["CCC", "D", "", "AAA+", "B--", "sub-b"])
     def test_unknown_tokens_rejected(self, junk):
-        with pytest.raises(UnknownRating):
+        with pytest.raises(CoreModelError) as caught:
             parse_rating(junk)
+        assert str(caught.value) == f"unknown rating token {junk!r}"
 
     def test_buckets_ordered_strong_to_weak(self):
         rated = [b for b in RatingBucket if b is not RatingBucket.UNRATED]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regcap import Money
-from regcap.errors import CurrencyMismatch
+from regcap.errors import CoreModelError
 from regcap.money import (
     MAX_DECIMAL_EXPONENT,
     format_percent,
@@ -38,11 +39,17 @@ class TestConstruction:
             "Infinity", "-inf", "NaN", "1e5000", "-1e5000", "1e-5000", "1e31",
             # Decimal() reads these, but a numeric cell takes ASCII digits only
             "1_000.00", "\uff11\uff10.00", "\u0661\u0662\u0663.00",
+            # blanks around a refused token are quoted with it, as given
+            "\xa01_000.00\u2003", " lots\n",
         ]
     )
     def test_rejects_non_finite_and_out_of_range_amounts(self, token):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
             Money.from_decimal(token, "EUR")
+
+    @pytest.mark.parametrize("token", ["10.25", " 10.25\n", "\xa010.25\u2003", "\t1025e-2 "])
+    def test_reads_blanks_around_an_amount_as_a_cell_does(self, token):
+        assert Money.from_decimal(token, "EUR") == eur("10.25")
 
     def test_magnitude_bound_keeps_31_integer_digits_and_any_zero(self):
         largest = "9" * (MAX_DECIMAL_EXPONENT + 1) + ".99"
@@ -81,7 +88,7 @@ class TestArithmetic:
             eur("1") < eur("2")
 
     def test_currency_mismatch(self):
-        with pytest.raises(CurrencyMismatch):
+        with pytest.raises(CoreModelError, match="^EUR vs USD$"):
             eur("1") + Money.from_decimal(Decimal("1"), "USD")
 
 
@@ -124,7 +131,7 @@ class TestSumMoney:
 
     def test_takes_the_first_currency_and_never_relabels(self):
         assert sum_money([Money(1, "USD")], currency="EUR") == Money(1, "USD")
-        with pytest.raises(CurrencyMismatch, match=r"^EUR vs USD$"):
+        with pytest.raises(CoreModelError, match=r"^EUR vs USD$"):
             sum_money([eur("0.01"), Money(1, "USD")])
 
 

@@ -23,13 +23,7 @@ from regcap import (
     run_compute,
     tsa_capital,
 )
-from regcap.errors import (
-    DowngradeWithoutOverride,
-    IncompleteHistory,
-    InvalidApproach,
-    MissingLine,
-    UnregisteredAdvancedHook,
-)
+from regcap.errors import MissingLine, OperationalRiskError
 from regcap.model import validate_portfolio
 from regcap.oprisk import (
     ALPHA,
@@ -94,14 +88,19 @@ def tsa_oracle_units(history: IncomeHistory, betas: BetaTable,
 
 class TestIncomeHistory:
     def test_exactly_three_years(self):
-        with pytest.raises(IncompleteHistory):
+        with pytest.raises(
+            OperationalRiskError, match="^need exactly three annual records, got 2$"
+        ):
             history_of_totals(2004, [eur("1"), eur("2")])
 
     def test_years_must_be_consecutive(self):
         annuals = tuple(
             AnnualIncome(year=y, total=record(100)) for y in (2004, 2006, 2007)
         )
-        with pytest.raises(IncompleteHistory):
+        with pytest.raises(
+            OperationalRiskError,
+            match=r"^years must be consecutive and ascending, got \[2004, 2006, 2007\]$",
+        ):
             IncomeHistory(years=annuals)
 
     def test_per_line_must_sum_to_total(self):
@@ -133,7 +132,7 @@ class TestIncomeHistory:
     def test_year_without_data_is_incomplete(self):
         annuals = tuple(AnnualIncome(year=y) for y in (2004, 2005, 2006))
         history = IncomeHistory(years=annuals)
-        with pytest.raises(IncompleteHistory):
+        with pytest.raises(OperationalRiskError, match="^year 2004 has no gross-income data$"):
             average_gross_income(history)
 
 
@@ -284,7 +283,10 @@ class TestTsaCapital:
 
 class TestApproaches:
     def test_advanced_needs_hook_name(self):
-        with pytest.raises(InvalidApproach, match="required exactly for the advanced"):
+        with pytest.raises(
+            OperationalRiskError,
+            match="^hook name is required exactly for the advanced approach$",
+        ):
             OpRiskApproach(kind=OpRiskApproach.basic_indicator().kind, hook="x")
 
     def test_complexity_order(self):
@@ -294,7 +296,10 @@ class TestApproaches:
         assert bia.complexity < tsa.complexity < ama.complexity
 
     def test_downgrade_requires_override(self):
-        with pytest.raises(DowngradeWithoutOverride):
+        with pytest.raises(
+            OperationalRiskError,
+            match="^supervisory override required to revert to a simpler approach$",
+        ):
             EngineConfig(
                 oprisk_approach=OpRiskApproach.basic_indicator(),
                 previous_oprisk_approach=OpRiskApproach.standardized(),
@@ -337,7 +342,9 @@ class TestOpriskCapital:
 
     def test_unregistered_advanced_hook(self):
         history = totals_history(100, 100, 100)
-        with pytest.raises(UnregisteredAdvancedHook):
+        with pytest.raises(
+            OperationalRiskError, match="^no advanced estimator registered as 'loss_model'$"
+        ):
             oprisk_charge(OpRiskApproach.advanced_hook("loss_model"), history)
 
     def test_registered_hook_used(self):

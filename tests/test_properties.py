@@ -24,7 +24,7 @@ from regcap import (
     rwa_portfolio,
     validate_portfolio,
 )
-from regcap.errors import UnknownRating
+from regcap.errors import CoreModelError
 from regcap.irb import IrbParams, components, params_for_exposure
 from regcap.model import RATING_TOKENS, parse_rating
 from regcap.money import round_half_even
@@ -258,5 +258,6 @@ class TestRatingParser:
     @given(text=st.text(max_size=12))
     def test_everything_else_rejected(self, text):
         assume(text.strip().upper() not in RATING_TOKENS)
-        with pytest.raises(UnknownRating):
+        with pytest.raises(CoreModelError) as caught:
             parse_rating(text)
+        assert str(caught.value) == f"unknown rating token {text.strip()!r}"

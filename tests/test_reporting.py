@@ -41,17 +41,13 @@ from regcap import (
 )
 from regcap.engine import TableSet
 from regcap.errors import (
-    CurrencyMismatch,
-    IncompleteHistory,
-    InvalidApproach,
-    InvalidBeta,
-    InvalidOverride,
-    InvalidWeight,
-    MissingCell,
-    MissingPeriod,
-    NegativeBlock,
+    AggregationError,
+    CoreModelError,
+    InternalRatingsError,
+    OperationalRiskError,
     OutOfRange,
-    UnknownRating,
+    StandardizedCreditError,
+    UsageError,
 )
 from regcap.irb import _FUNCTIONS, IrbParams, evaluate_weight, risk_weight_function
 from regcap.money import format_percent, fraction_to_decimal_text, units_text
@@ -715,13 +711,14 @@ class TestProvenance:
         [
             (ParseError("x"), "input/config"),
             (ConfigError("x"), "input/config"),
-            (MissingPeriod("x"), "input/config"),
-            (UnknownRating("x"), "core model"),
-            (CurrencyMismatch("x"), "core model"),
-            (MissingCell("x"), "standardized credit"),
+            (UsageError("x"), "usage"),
+            (CoreModelError("x"), "core model"),
+            (_raised(lambda: Money(1) + Money(1, "USD")), "core model"),
+            (StandardizedCreditError("x"), "standardized credit"),
             (OutOfRange("x"), "internal ratings"),
-            (IncompleteHistory("x"), "operational risk"),
-            (InvalidOverride("x"), "aggregation"),
+            (_raised(lambda: risk_weight_function("no-such-function")), "internal ratings"),
+            (OperationalRiskError("x"), "operational risk"),
+            (AggregationError("x"), "aggregation"),
             (
                 _raised(lambda: SupervisoryAdjustment(minimum_ratio=Fraction(6, 100))),
                 "aggregation",
@@ -750,8 +747,8 @@ class TestProvenance:
     @pytest.mark.parametrize(
         "error",
         [
-            InvalidWeight, InvalidBeta, InvalidApproach, NegativeBlock, OutOfRange,
-            InvalidOverride, ValidationFailure, ConfigError,
+            CoreModelError, StandardizedCreditError, OperationalRiskError, AggregationError,
+            ConfigError, OutOfRange, ValidationFailure,
         ],
     )
     def test_constructor_range_errors_are_still_value_errors(self, error):
@@ -768,12 +765,25 @@ class TestProvenance:
             "aggregation",
             "usage",
         }
-        pending, subclasses = [RegcapError], []
+        areas = {
+            RegcapError,
+            CoreModelError,
+            StandardizedCreditError,
+            InternalRatingsError,
+            OperationalRiskError,
+            AggregationError,
+            ParseError,
+            ConfigError,
+            UsageError,
+        }
+        pending, subclasses = [RegcapError], set()
         while pending:
             children = pending.pop().__subclasses__()
-            subclasses.extend(children)
+            subclasses.update(children)
             pending.extend(children)
-        assert len(subclasses) >= 17
+        assert len(subclasses) == 15
         for cls in subclasses:
-            assert cls.__dict__.get("layer") in labels, cls.__name__
+            assert cls.layer in labels, cls.__name__
+            # only an area class says which area it is; the rest inherit it
+            assert ("layer" in cls.__dict__) == (cls in areas), cls.__name__
         assert RegcapError.layer == "engine"

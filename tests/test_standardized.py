@@ -22,7 +22,7 @@ from regcap import (
     rwa_portfolio,
     validate_portfolio,
 )
-from regcap.errors import InvalidWeight, MissingCell, NegativeBlock, UnknownCategory
+from regcap.errors import AggregationError, StandardizedCreditError
 from regcap.money import format_percent, sum_money
 from regcap.standardized import CcfTable, RiskWeightTable, WeightCell
 
@@ -58,13 +58,13 @@ def reference_rwa_exposure(exposure, table, ccf, policy):
         try:
             factor = ccf.factors[exposure.off_balance_category]
         except KeyError:
-            raise UnknownCategory(
+            raise StandardizedCreditError(
                 f"unknown off-balance category {exposure.off_balance_category!r}"
             ) from None
     try:
         cell = table.cells[(exposure.counterparty, exposure.rating)]
     except KeyError:
-        raise MissingCell(
+        raise StandardizedCreditError(
             f"no weight for ({exposure.counterparty.key}, {exposure.rating.key})"
         ) from None
     weight = cell.resolve(policy)
@@ -78,7 +78,7 @@ def reference_rwa_portfolio(exposures, table, ccf, policy):
     for exposure in exposures:
         try:
             lines.append(reference_rwa_exposure(exposure, table, ccf, policy))
-        except (MissingCell, UnknownCategory) as err:
+        except StandardizedCreditError as err:
             raise type(err)(f"exposure {exposure.id!r}: {err}") from err
     currency = exposures[0].nominal.currency if exposures else "EUR"
     return lines, sum_money((line.amount for line in lines), currency=currency)
@@ -153,13 +153,19 @@ class TestTableValidation:
                 )
             }
         )
-        with pytest.raises(MissingCell):
+        with pytest.raises(
+            StandardizedCreditError, match=r"^exposure 'E': no weight for \(sovereign, unrated\)$"
+        ):
             price(exposure(cls=CounterpartyClass.SOVEREIGN), table=sparse)
 
     def test_weights_capped_at_two(self):
-        with pytest.raises(InvalidWeight, match=r"weight cell \[21/10, 21/10\] outside"):
+        with pytest.raises(
+            StandardizedCreditError, match=r"^weight cell \[21/10, 21/10\] outside \[0, 2\]$"
+        ):
             WeightCell.fixed(Fraction(21, 10))
-        with pytest.raises(InvalidWeight, match=r"weight cell \[-1/10, 1/2\] outside"):
+        with pytest.raises(
+            StandardizedCreditError, match=r"^weight cell \[-1/10, 1/2\] outside \[0, 2\]$"
+        ):
             WeightCell(Fraction(-1, 10), Fraction(1, 2))
 
     def test_custom_table_may_use_any_weight_up_to_cap(self):
@@ -199,11 +205,16 @@ class TestConvertOffBalance:
         assert line.amount == eur("1000.00")
 
     def test_unknown_category(self):
-        with pytest.raises(UnknownCategory):
+        with pytest.raises(
+            StandardizedCreditError,
+            match="^exposure 'E': unknown off-balance category 'revolving_underwriting_facility'$",
+        ):
             price(exposure(category="revolving_underwriting_facility"))
 
     def test_factor_bounds_enforced(self):
-        with pytest.raises(InvalidWeight, match="conversion factor for 'x' outside"):
+        with pytest.raises(
+            StandardizedCreditError, match=r"^conversion factor for 'x' outside \[0, 1\]$"
+        ):
             CcfTable(factors={"x": Fraction(3, 2)})
 
 class TestRwaExposure:
@@ -251,7 +262,9 @@ class TestRwaExposure:
 
     def test_propagates_missing_cell(self):
         sparse = RiskWeightTable(cells={})
-        with pytest.raises(MissingCell):
+        with pytest.raises(
+            StandardizedCreditError, match=r"^exposure 'E': no weight for \(corporate, unrated\)$"
+        ):
             price(exposure(), table=sparse)
 
 
@@ -311,7 +324,10 @@ class TestRwaPortfolio:
 
     def test_per_line_error_cites_exposure_id(self):
         book = validate_portfolio([exposure(id="BAD", category="mystery")])
-        with pytest.raises(UnknownCategory, match="'BAD'"):
+        with pytest.raises(
+            StandardizedCreditError,
+            match="^exposure 'BAD': unknown off-balance category 'mystery'$",
+        ):
             rwa_portfolio(book)
 
     def test_refuses_an_unvalidated_list(self):
@@ -347,7 +363,9 @@ class TestRequiredCapital:
         assert required_capital(eur("1000000.00")) == eur("80000.00")
 
     def test_negative_rejected(self):
-        with pytest.raises(NegativeBlock, match="credit rwa must be non-negative"):
+        with pytest.raises(
+            AggregationError, match="^credit rwa must be non-negative, got -1.00 EUR$"
+        ):
             required_capital(-eur("1"))
 
 
@@ -433,7 +451,7 @@ def outcome(pricer, book, table, ccf, policy):
     """(lines, total), or the (type, message) of the error raised."""
     try:
         return pricer(book, table, ccf, policy)
-    except (MissingCell, UnknownCategory) as exc:
+    except StandardizedCreditError as exc:
         return type(exc), str(exc)
 
 
@@ -473,7 +491,7 @@ class TestResolvedOncePerKey:
         table = RiskWeightTable(cells={corporate: WeightCell.fixed(Fraction(1))})
         book = [exposure(id="OK"), exposure(id="B1", cls=CounterpartyClass.BANK),
                 exposure(id="B2", cls=CounterpartyClass.BANK)]
-        expected = (MissingCell, "exposure 'B1': no weight for (bank, unrated)")
+        expected = (StandardizedCreditError, "exposure 'B1': no weight for (bank, unrated)")
         for pricer in (expanded_rwa_portfolio, reference_rwa_portfolio):
             assert outcome(pricer, book, table, DEFAULT_CCF, LOW) == expected
 
@@ -481,7 +499,7 @@ class TestResolvedOncePerKey:
         book = [exposure(id="X", cls=CounterpartyClass.BANK, category="mystery")]
         table = RiskWeightTable(cells={})
         expected = (
-            UnknownCategory, "exposure 'X': unknown off-balance category 'mystery'"
+            StandardizedCreditError, "exposure 'X': unknown off-balance category 'mystery'"
         )
         for pricer in (expanded_rwa_portfolio, reference_rwa_portfolio):
             assert outcome(pricer, book, table, DEFAULT_CCF, LOW) == expected

@@ -99,3 +99,34 @@ def test_perfbench_span_targets_resolve(monkeypatch):
         "reporting.render_json",
     )
     assert [name for name in wanted if name not in named] == []
+
+
+# Imported only so that perfbench's tracer finds them on the importing module.
+TRACED_IMPORTS = {("engine.py", "rwa_irb"), ("fileio.py", "validate_portfolio")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # The unused-import rule of a linter (F401), without the linter. The
+    # traced imports are the only exceptions, and each keeps its marker.
+    unused, marked = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # it imports to export
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).partition(".")[0]
+                if name not in used:
+                    unused.add((path.name, name))
+                if "# noqa: F401" in lines[alias.lineno - 1]:
+                    marked.add((path.name, name))
+    assert sorted(unused - TRACED_IMPORTS) == []
+    assert marked == TRACED_IMPORTS
+    assert unused >= TRACED_IMPORTS
