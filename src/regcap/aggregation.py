@@ -11,8 +11,8 @@ does not fail: the report marks the ratio over it as undefined (None).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import AggregationError
 from .model import MINIMUM_CAPITAL_RATIO, CapitalBase
@@ -36,19 +36,16 @@ class PillarOneInputs(Record):
 
     __slots__ = ("credit_rwa", "market_capital_charge", "oprisk_capital_charge")
 
-    def __init__(
-        self, credit_rwa: Money, market_capital_charge: Money, oprisk_capital_charge: Money
-    ) -> None:
+    def __post_init__(self) -> None:
         for label, amount in (
-            ("credit rwa", credit_rwa),
-            ("market capital charge", market_capital_charge),
-            ("oprisk capital charge", oprisk_capital_charge),
+            ("credit rwa", self.credit_rwa),
+            ("market capital charge", self.market_capital_charge),
+            ("oprisk capital charge", self.oprisk_capital_charge),
         ):
             if amount.is_negative:
                 raise AggregationError(f"{label} must be non-negative, got {amount}")
-        credit_rwa._check_compatible(market_capital_charge)
-        credit_rwa._check_compatible(oprisk_capital_charge)
-        super().__init__(credit_rwa, market_capital_charge, oprisk_capital_charge)
+        self.credit_rwa._check_compatible(self.market_capital_charge)
+        self.credit_rwa._check_compatible(self.oprisk_capital_charge)
 
     def exact_denominator_units(self) -> Fraction:
         """The denominator before its single rounding, in minor units."""
@@ -62,22 +59,19 @@ def denominator(inputs: PillarOneInputs) -> Money:
     return Money(units, inputs.credit_rwa.currency)
 
 
-class SupervisoryAdjustment(Record):
+class SupervisoryAdjustment(Record, defaults=dict(minimum_ratio=MINIMUM_CAPITAL_RATIO, addon=None)):
     """Pillar 2 action: a ratio floor at or above 8%, an optional add-on."""
 
     __slots__ = ("minimum_ratio", "addon")
 
-    def __init__(
-        self, minimum_ratio: Fraction = MINIMUM_CAPITAL_RATIO, addon: Money | None = None
-    ) -> None:
+    def __post_init__(self) -> None:
         problems = []
-        if minimum_ratio < MINIMUM_CAPITAL_RATIO:
-            problems.append(f"supervisory minimum {minimum_ratio} is below the 8% floor")
-        if addon is not None and addon.is_negative:
-            problems.append(f"capital add-on must be non-negative, got {addon}")
+        if self.minimum_ratio < MINIMUM_CAPITAL_RATIO:
+            problems.append(f"supervisory minimum {self.minimum_ratio} is below the 8% floor")
+        if self.addon is not None and self.addon.is_negative:
+            problems.append(f"capital add-on must be non-negative, got {self.addon}")
         if problems:
             raise AggregationError("; ".join(problems))
-        super().__init__(minimum_ratio, addon)
 
 
 class CapitalReport(Record):

@@ -16,7 +16,6 @@ import io
 import os
 import sys
 from pathlib import Path
-from typing import NoReturn
 
 from .config import SETTINGS, EngineConfig, Regime, load_config
 from .engine import (
@@ -46,6 +45,11 @@ from .reporting import (
     render_disclosure_text,
     render_json,
 )
+
+# True only for a type checker: importing typing would cost every cold start
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import NoReturn
 
 
 class _Parser(argparse.ArgumentParser):

@@ -12,8 +12,8 @@ from __future__ import annotations
 import enum
 import os
 import re
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, Mapping
 
 from .aggregation import SupervisoryAdjustment
 from .errors import AggregationError, ConfigError, OperationalRiskError
@@ -95,7 +95,7 @@ class Setting(Record, defaults=dict(help=None, default=None)):
             return [member.key for member in self.parser]
         return None
 
-    def parse(self, token: str, currency: str) -> Any:
+    def parse(self, token: str, currency: str) -> object:
         if self.parser is Money:
             return Money.from_decimal(token, currency)
         if self.parser is bool:
@@ -192,8 +192,7 @@ class EngineConfig(Record, defaults={s.field: s.default for s in SETTINGS}):
 
     __slots__ = tuple(s.field for s in SETTINGS)
 
-    def __init__(self, *values, **named) -> None:
-        super().__init__(*values, **named)
+    def __post_init__(self) -> None:
         problems = []
         if self.regime is Regime.BASEL1:
             if self.oprisk_approach is not None:
@@ -311,7 +310,7 @@ def load_config(path: str | None = None, overrides: Mapping[str, str] | None = N
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(unknown))
     currency = values.get("currency") or DEFAULT_CURRENCY
-    fields: dict[str, Any] = {}
+    fields: dict[str, object] = {}
     for setting in SETTINGS:
         token = values.get(setting.key)
         if token:

@@ -343,14 +343,15 @@ def _csv_records(path: Path, required: tuple[str, ...], optional: tuple[str, ...
         raise ParseError(f"{exc} in {path}", line=reader.line_num) from exc
 
 
-def _shared_fraction(token: str, fractions: dict[str, Fraction]) -> Fraction | None:
-    """A cell's value, shared with every equal token parsed before; None if blank."""
-    token = token.strip()
+def _shared_fraction(cell: str, fractions: dict[str, Fraction]) -> Fraction | None:
+    """A cell's value, shared with every equal token parsed before; None if
+    blank. A refused cell is quoted as written, blanks and all."""
+    token = cell.strip()
     if not token:
         return None
     value = fractions.get(token)
     if value is None:
-        value = fractions[token] = parse_fraction(token)
+        value = fractions[token] = parse_fraction(cell)
     return value
 
 
@@ -395,7 +396,7 @@ def _portfolio_columns(path: Path) -> list[list]:
             rating = RATING_TOKENS.get(rating_token)
             add_rating(parse_rating(rating_token) if rating is None else rating)
             column = "nominal"
-            add_nominal(decimal_units(nominal_token.strip()))
+            add_nominal(decimal_units(nominal_token))
 
             column = "position"
             position = position.strip().lower()
@@ -424,8 +425,7 @@ def _portfolio_columns(path: Path) -> list[list]:
                 lgd = _shared_fraction(lgd_token, fractions)
             add_lgd(lgd)
             column = "ead"
-            ead_token = ead_token.strip()
-            add_ead(decimal_units(ead_token) if ead_token else None)
+            add_ead(decimal_units(ead_token) if ead_token and not ead_token.isspace() else None)
             column = "maturity"
             maturity = fractions.get(maturity_token)
             if maturity is None and maturity_token:
@@ -474,11 +474,11 @@ def load_income(path: str | Path, currency: str = DEFAULT_CURRENCY) -> IncomeHis
                 raise ValueError
             year = int(year_token)
             column = "amount"
-            amount = Money(decimal_units(amount_token.strip()), currency)
+            amount = Money(decimal_units(amount_token), currency)
             exclusions = []
             for column, token in zip(INCOME_OPTIONAL, excluded):
-                token = token.strip()
-                exclusions.append(Money(decimal_units(token), currency) if token else None)
+                blank = not token or token.isspace()
+                exclusions.append(None if blank else Money(decimal_units(token), currency))
             income = GrossIncomeRecord(amount, *exclusions)
             column = "line"
             line_token = line_token.strip()

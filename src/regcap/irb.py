@@ -10,9 +10,9 @@ in via configuration.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable
 
 from .config import CreditApproach
 from .errors import (
@@ -39,11 +39,10 @@ class IrbParams(Record):
 
     __slots__ = ("pd", "lgd", "ead", "maturity_years")
 
-    def __init__(self, pd: Fraction, lgd: Fraction, ead: Money, maturity_years: Fraction) -> None:
-        problems = component_problems(pd, lgd, ead, maturity_years)
+    def __post_init__(self) -> None:
+        problems = component_problems(self.pd, self.lgd, self.ead, self.maturity_years)
         if problems:
             raise OutOfRange("; ".join(problems))
-        super().__init__(pd, lgd, ead, maturity_years)
 
 
 RiskWeightFunction = Callable[[IrbParams], "float | int | Fraction | Decimal"]
@@ -75,7 +74,7 @@ def params_for_exposure(
     pd: Fraction, lgd: Fraction, ead_units: int, maturity_years: Fraction, currency: str
 ) -> IrbParams:
     """IrbParams of components that already hold to the book's rules, as a
-    Portfolio's constructor checks them, and its ead Money, filled in without
+    Portfolio checks them when built, and its ead Money, filled in without
     their public constructors' check."""
     ead = object.__new__(Money)
     init_field(ead, "units", ead_units)

@@ -14,7 +14,7 @@ from operator import attrgetter
 
 from .errors import CoreModelError, ValidationFailure
 from .money import DEFAULT_CURRENCY, Money, units_text
-from .record import KeyedEnum, Record
+from .record import KeyedEnum, Record, init_field
 
 # Regulatory minimum ratio of own funds to the risk denominator (8%).
 MINIMUM_CAPITAL_RATIO = Fraction(8, 100)
@@ -140,27 +140,18 @@ class Portfolio(Record):
         "short_term", "pds", "lgds", "ead_units", "maturities", "currency",
     )
 
-    def __init__(
-        self, ids: tuple[str, ...], counterparties: tuple[CounterpartyClass, ...],
-        ratings: tuple[RatingBucket, ...], nominal_units: tuple[int, ...],
-        categories: tuple[str | None, ...], short_term: tuple[bool, ...],
-        pds: tuple[Fraction | None, ...], lgds: tuple[Fraction | None, ...],
-        ead_units: tuple[int | None, ...], maturities: tuple[Fraction | None, ...],
-        currency: str,
-    ) -> None:
-        columns = tuple(map(tuple, (
-            ids, counterparties, ratings, nominal_units, categories, short_term, pds,
-            lgds, ead_units, maturities,
-        )))
+    def __post_init__(self) -> None:
+        columns = tuple(map(tuple, _columns(self)))
         lengths = sorted({len(column) for column in columns})
         if len(lengths) > 1:
             raise ValidationFailure(
                 ["columns of unequal length: " + ", ".join(map(str, lengths))]
             )
-        violations = _listing(*columns, currency)
+        violations = _listing(*columns, self.currency)
         if violations:
             raise ValidationFailure(violations)
-        super().__init__(*columns, currency)
+        for name, column in zip(self.__slots__, columns):
+            init_field(self, name, column)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -306,24 +297,21 @@ def validate_portfolio(exposures, currency: str | None = None) -> Portfolio:
     raise ValidationFailure(_listing(*columns, currency, breaks))
 
 
-class CapitalBase(Record):
+class CapitalBase(Record, defaults=dict(tier1=None, tier2=None)):
     """Regulatory own funds; the tier split is report metadata only."""
 
     __slots__ = ("total_own_funds", "tier1", "tier2")
 
-    def __init__(
-        self, total_own_funds: Money, tier1: Money | None = None, tier2: Money | None = None
-    ) -> None:
+    def __post_init__(self) -> None:
         violations = []
-        if total_own_funds.is_negative:
+        if self.total_own_funds.is_negative:
             violations.append("total own funds must be non-negative")
-        if (tier1 is None) != (tier2 is None):
+        if (self.tier1 is None) != (self.tier2 is None):
             violations.append("tier1 and tier2 must be supplied together or not at all")
-        if tier1 is not None and tier2 is not None:
-            if tier1.is_negative or tier2.is_negative:
+        if self.tier1 is not None and self.tier2 is not None:
+            if self.tier1.is_negative or self.tier2.is_negative:
                 violations.append("tier amounts must be non-negative")
-            elif tier1 + tier2 != total_own_funds:
+            elif self.tier1 + self.tier2 != self.total_own_funds:
                 violations.append("tier1 + tier2 must equal total own funds")
         if violations:
             raise ValidationFailure(violations)
-        super().__init__(total_own_funds, tier1, tier2)

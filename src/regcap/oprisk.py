@@ -19,13 +19,13 @@ minor unit; the total is authoritative.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Mapping
 
 from .errors import DuplicateAdvancedHook, MissingLine, OperationalRiskError, ValidationFailure
 from .money import Money, round_half_even, sum_money
-from .record import KeyedEnum, Record
+from .record import KeyedEnum, Record, init_field
 
 # Firm-wide gross-income multiplier for the basic-indicator approach.
 ALPHA = Fraction(15, 100)
@@ -49,19 +49,18 @@ class BusinessLine(KeyedEnum):
             raise ValueError(f"unknown business line {key!r}") from None
 
 
-class BetaTable(Record, uncompared=("source",)):
+class BetaTable(Record, uncompared=("source",), defaults=dict(source="builtin")):
     """Per-line multipliers; a table must price all eight lines."""
 
     __slots__ = ("betas", "source")
 
-    def __init__(self, betas: Mapping[BusinessLine, Fraction], source: str = "builtin") -> None:
-        absent = [line.key for line in BusinessLine if line not in betas]
+    def __post_init__(self) -> None:
+        absent = [line.key for line in BusinessLine if line not in self.betas]
         if absent:
             raise MissingLine(absent)
-        for line, beta in betas.items():
+        for line, beta in self.betas.items():
             if not 0 <= beta <= 1:
                 raise OperationalRiskError(f"beta for {line.key} outside [0, 1]")
-        super().__init__(betas, source)
 
 
 DEFAULT_BETAS = BetaTable(
@@ -110,7 +109,7 @@ class GrossIncomeRecord(Record, defaults=dict.fromkeys(INCOME_EXCLUSIONS)):
         return value
 
 
-class AnnualIncome(Record):
+class AnnualIncome(Record, defaults=dict(total=None, per_line=None)):
     """One year's gross income: firm-wide total and/or per-line figures.
 
     ``per_line`` defaults to a fresh empty mapping.
@@ -118,11 +117,9 @@ class AnnualIncome(Record):
 
     __slots__ = ("year", "total", "per_line")
 
-    def __init__(
-        self, year: int, total: GrossIncomeRecord | None = None,
-        per_line: Mapping[BusinessLine, GrossIncomeRecord] | None = None,
-    ) -> None:
-        super().__init__(year, total, {} if per_line is None else per_line)
+    def __post_init__(self) -> None:
+        if self.per_line is None:
+            init_field(self, "per_line", {})
 
     def effective_total(self) -> Money:
         if self.total is not None:
@@ -137,7 +134,8 @@ class IncomeHistory(Record):
 
     __slots__ = ("years",)
 
-    def __init__(self, years: tuple[AnnualIncome, AnnualIncome, AnnualIncome]) -> None:
+    def __post_init__(self) -> None:
+        years = self.years
         if len(years) != 3:
             raise OperationalRiskError(f"need exactly three annual records, got {len(years)}")
         labels = [annual.year for annual in years]
@@ -159,7 +157,6 @@ class IncomeHistory(Record):
                     )
         if violations:
             raise ValidationFailure(violations)
-        super().__init__(years)
 
     def span(self) -> str:
         return f"{self.years[0].year}-{self.years[-1].year}"
@@ -240,15 +237,14 @@ class ApproachKind(KeyedEnum):
     ADVANCED = "advanced"
 
 
-class OpRiskApproach(Record):
+class OpRiskApproach(Record, defaults=dict(hook=None)):
     """One of the three approaches; advanced carries its hook name."""
 
     __slots__ = ("kind", "hook")
 
-    def __init__(self, kind: ApproachKind, hook: str | None = None) -> None:
-        if (kind is ApproachKind.ADVANCED) != (hook is not None):
+    def __post_init__(self) -> None:
+        if (self.kind is ApproachKind.ADVANCED) != (self.hook is not None):
             raise OperationalRiskError("hook name is required exactly for the advanced approach")
-        super().__init__(kind, hook)
 
     @classmethod
     def basic_indicator(cls) -> OpRiskApproach:

@@ -2,13 +2,14 @@
 
 A record class lists its fields once, in ``__slots__``, and may declare
 defaults for its trailing fields as a class keyword, ``defaults=dict(...)``.
-``Record.__init__`` binds values to the fields by position or by name; a
-record that checks or converts its fields writes its own ``__init__``,
-which passes the values in field order to ``Record.__init__`` (or sets each
-one with ``init_field``). Equality, hashing, the ``Name(field=value, ...)``
-repr and copying read the fields from ``__slots__``; a class declared with
-``uncompared=(...)`` leaves those fields (provenance labels) out of equality
-and hashing.
+``Record.__init__`` binds values to the fields by position or by name, then
+calls the class's ``__post_init__``, if any, which checks the record's rules
+on ``self.<field>`` and stores a converted value with ``init_field``. Only
+``Money`` writes its own ``__init__``: built once per priced line, it sets
+its two fields itself, so that a line costs no second call. Equality,
+hashing, the ``Name(field=value, ...)`` repr and copying read the fields
+from ``__slots__``; a class declared with ``uncompared=(...)`` leaves those
+fields (provenance labels) out of equality and hashing.
 
 ``KeyedEnum`` is the base of every named choice (regime, approach, policy,
 counterparty class, business line): a member's ``key``, the spelling that
@@ -21,8 +22,8 @@ import enum
 from operator import attrgetter
 
 
-# Sets one field of a record under construction; Money's constructor and
-# irb.params_for_exposure call it directly, once per field.
+# Sets one field of a record under construction, for Record.__init__ and a
+# __post_init__; Money and irb.params_for_exposure set every field with it.
 init_field = object.__setattr__
 
 
@@ -52,10 +53,13 @@ class Record:
         cls._defaults = dict(defaults or {})
         # every record shares its defaults, so each must be immutable
         hash(tuple(cls._defaults.values()))
+        # worked out once, so that a record without the hook adds no call
+        cls._checked = hasattr(cls, "__post_init__")
 
     def __init__(self, *values, **named) -> None:
         """Bind ``values`` to the fields in ``__slots__`` order, then each
-        remaining field to its value in ``named``, else to its declared default.
+        remaining field to its value in ``named``, else to its declared
+        default; then check the record with its class's ``__post_init__``.
 
         A missing field, more values than fields, an unknown name or a field
         given twice raises TypeError naming the class and the field.
@@ -75,6 +79,8 @@ class Record:
             if name not in given:
                 raise TypeError(f"{record}: missing field {name!r}")
             init_field(self, name, given[name])
+        if self._checked:
+            self.__post_init__()
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenRecordError(f"cannot assign to field {name!r}")

@@ -14,7 +14,6 @@ once, after the full product.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import StandardizedCreditError
 from .model import CounterpartyClass, Portfolio, RatingBucket
@@ -37,10 +36,9 @@ class WeightCell(Record):
 
     __slots__ = ("low", "high")
 
-    def __init__(self, low: Fraction, high: Fraction) -> None:
-        if not 0 <= low <= high <= 2:
-            raise StandardizedCreditError(f"weight cell [{low}, {high}] outside [0, 2]")
-        super().__init__(low, high)
+    def __post_init__(self) -> None:
+        if not 0 <= self.low <= self.high <= 2:
+            raise StandardizedCreditError(f"weight cell [{self.low}, {self.high}] outside [0, 2]")
 
     @classmethod
     def fixed(cls, weight: Fraction) -> WeightCell:
@@ -93,16 +91,15 @@ DEFAULT_RISK_WEIGHTS = RiskWeightTable(
 )
 
 
-class CcfTable(Record, uncompared=("source",)):
+class CcfTable(Record, uncompared=("source",), defaults=dict(source="builtin")):
     """Conversion factors for off-balance categories, each in [0, 1]."""
 
     __slots__ = ("factors", "source")
 
-    def __init__(self, factors: Mapping[str, Fraction], source: str = "builtin") -> None:
-        for category, factor in factors.items():
+    def __post_init__(self) -> None:
+        for category, factor in self.factors.items():
             if not 0 <= factor <= 1:
                 raise StandardizedCreditError(f"conversion factor for {category!r} outside [0, 1]")
-        super().__init__(factors, source)
 
 
 # Only the medium-term confirmed facility has a sourced factor (50%); the

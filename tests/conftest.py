@@ -64,13 +64,14 @@ def write_bench_book(path: Path, lines: int, workload: str = "irb_book_100k") ->
     return path
 
 
-def run_python(script: str) -> str:
-    """Run ``script`` in a fresh interpreter importing regcap from ``src``; its stdout."""
+def run_python(script: str, *flags: str) -> str:
+    """Run ``script`` in a fresh interpreter, started with ``flags`` and
+    importing regcap from ``src``; its stdout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     ))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+    done = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
                           text=True, env=env, check=True, timeout=60)
     return done.stdout
 

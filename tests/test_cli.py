@@ -282,6 +282,29 @@ class TestCompute:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][2] == ""
 
+    @pytest.mark.parametrize(
+        "token, reason",
+        [(" 1_0 ", "not a decimal amount: ' 1_0 '"),
+         ("\xa0lots\u2003", "not a decimal amount: '\\xa0lots\\u2003'"),
+         (" 1.234 ", "amount ' 1.234 ' has more than 2 decimal places")],
+    )
+    def test_a_cell_and_a_flag_quote_a_refused_amount_alike(
+        self, capsys, tmp_path, token, reason
+    ):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            f"id,class,rating,nominal,position\nX1,corporate,AAA,{token},on\n",
+            encoding="utf-8",
+        )
+        errors = []
+        for portfolio, capital in ((str(path), "1.00"), (WORKED, token)):
+            assert main(["compute", "--portfolio", portfolio, "--capital", capital]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == [
+            f"error [input/config]: line 2, column 'nominal': {reason} in {path}\n",
+            f"error [input/config]: --capital: {reason}\n",
+        ]
+
     def test_market_charge_flag(self, capsys):
         status = main(
             [

@@ -536,6 +536,8 @@ class TestPortfolioCsv:
         ("rating", {"rating": "ZZZ"}, "unknown rating token 'ZZZ'"),
         ("nominal", {"nominal": "lots"}, "not a decimal amount: 'lots'"),
         ("nominal", {"nominal": "1_000.00"}, "not a decimal amount: '1_000.00'"),
+        # a refused number is quoted as written, blanks and all, as a flag's is
+        ("nominal", {"nominal": " 1_0 "}, "not a decimal amount: ' 1_0 '"),
         ("position", {"position": "maybe"},
          "position must be 'on' or 'off', got 'maybe'"),
         ("off_balance_category", {"position": "off"},
@@ -545,13 +547,16 @@ class TestPortfolioCsv:
         ("short_term_flag", {"short_term_flag": "PERHAPS"},
          "not a boolean: 'perhaps'"),
         ("pd", {"pd": "x"}, "not a decimal fraction: 'x'"),
-        ("lgd", {"lgd": " x "}, "not a decimal fraction: 'x'"),
+        ("pd", {"pd": " x "}, "not a decimal fraction: ' x '"),
+        ("lgd", {"lgd": " x "}, "not a decimal fraction: ' x '"),
         ("ead", {"ead": "1.234"}, "amount '1.234' has more than 2 decimal places"),
+        ("ead", {"ead": " 1.234 "}, "amount ' 1.234 ' has more than 2 decimal places"),
         ("ead", {"ead": "x"}, "not a decimal amount: 'x'"),
         ("maturity", {"maturity": "x"}, "not a decimal fraction: 'x'"),
         ("pd", {"pd": "\u0661%"}, "not a decimal fraction: '\u0661%'"),
         ("ead", {"ead": "\uff19\uff10.00"}, "not a decimal amount: '\uff19\uff10.00'"),
         ("maturity", {"maturity": "2_5"}, "not a decimal fraction: '2_5'"),
+        ("maturity", {"maturity": " 2_5"}, "not a decimal fraction: ' 2_5'"),
     ]
 
     @pytest.mark.parametrize(
@@ -595,6 +600,15 @@ class TestPortfolioCsv:
             load_portfolio, order_dir / "p.csv", _rows("irb_small.csv"), case
         )
 
+    @pytest.mark.parametrize("blank", ["", " ", "\t", "\xa0\u2003"])
+    def test_a_blank_ead_cell_is_no_ead(self, tmp_path, blank):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            f"id,class,rating,nominal,position,ead\nX1,corporate,AAA,100.00,on,{blank}\n",
+            encoding="utf-8",
+        )
+        assert load_portfolio(path).ead_units == (None,)
+
     def test_blank_rows_skipped(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text(
@@ -620,12 +634,15 @@ class TestIncomeCsv:
         ("year", {"year": "\uff12\uff10\uff10\uff15"},
          "not a year: '\uff12\uff10\uff10\uff15'"),
         ("amount", {"amount": "1_000.00"}, "not a decimal amount: '1_000.00'"),
+        # a refused number is quoted as written, blanks and all, as a flag's is
+        ("amount", {"amount": " 1_0 "}, "not a decimal amount: ' 1_0 '"),
         ("amount", {"amount": "\u0661\u0662\u0663.00"},
          "not a decimal amount: '\u0661\u0662\u0663.00'"),
         ("line", {"line": "hedge_fund_desk"}, "unknown business line 'hedge_fund_desk'"),
         ("amount", {"amount": "x"}, "not a decimal amount: 'x'"),
         ("amount", {"amount": "1.234"}, "amount '1.234' has more than 2 decimal places"),
         ("provisions", {"provisions": "x"}, "not a decimal amount: 'x'"),
+        ("provisions", {"provisions": " x "}, "not a decimal amount: ' x '"),
         ("banking_book_results", {"banking_book_results": "1.234"},
          "amount '1.234' has more than 2 decimal places"),
         ("extraordinary_items", {"extraordinary_items": "NaN"},
@@ -655,6 +672,16 @@ class TestIncomeCsv:
             load_income(path)
         assert (excinfo.value.line, excinfo.value.column) == (3, column)
         assert str(excinfo.value) == f"line 3, column {column!r}: {reason} in {path}"
+
+    @pytest.mark.parametrize("blank", ["", " ", "\t", "\xa0\u2003"])
+    def test_a_blank_exclusion_cell_is_no_exclusion(self, tmp_path, blank):
+        path = tmp_path / "income.csv"
+        path.write_text(
+            "year,line,amount,provisions\n"
+            + "".join(f"{year},TOTAL,100.00,{blank}\n" for year in (2004, 2005, 2006)),
+            encoding="utf-8",
+        )
+        assert [annual.total.provisions for annual in load_income(path).years] == [None] * 3
 
     def test_a_year_is_read_the_way_int_reads_it(self, tmp_path):
         path = tmp_path / "income.csv"

@@ -38,12 +38,28 @@ from regcap import (
     run_compute,
     run_disclose,
 )
-from regcap.config import SETTINGS, Setting
+from regcap.config import SETTINGS, Regime, Setting
 from regcap.engine import Novelty, OpRiskResult
+from regcap.errors import (
+    AggregationError,
+    ConfigError,
+    OperationalRiskError,
+    OutOfRange,
+    StandardizedCreditError,
+    ValidationFailure,
+)
 from regcap.irb import FOUNDATION_LGD, FOUNDATION_MATURITY_YEARS, IrbParams
-from regcap.model import validate_portfolio
+from regcap.model import MINIMUM_CAPITAL_RATIO, Portfolio, validate_portfolio
+from regcap.oprisk import (
+    DEFAULT_BETAS,
+    AnnualIncome,
+    ApproachKind,
+    BetaTable,
+    BusinessLine,
+    IncomeHistory,
+)
 from regcap.record import KeyedEnum, Record
-from regcap.standardized import RiskWeightTable, WeightCell
+from regcap.standardized import CcfTable, RiskWeightTable, WeightCell
 
 from conftest import DATA_DIR, eur, run_python
 
@@ -75,12 +91,9 @@ def _walk(value, seen: dict[type, Record]) -> None:
 
 def _constructor_fields(record: Record) -> list[str]:
     """The parameters of a record's own ``__init__``; else, bound by
-    ``Record.__init__`` (directly, or through an ``__init__(*values, **named)``
-    that passes them on), its ``__slots__``."""
+    ``Record.__init__``, its ``__slots__``."""
     if "__init__" in type(record).__dict__:
-        parameters = list(inspect.signature(type(record)).parameters)
-        if parameters != ["values", "named"]:
-            return parameters
+        return list(inspect.signature(type(record)).parameters)
     return list(record.__slots__)
 
 
@@ -221,6 +234,14 @@ def test_importing_the_cli_loads_no_code_generator():
     assert "inspect" not in loaded
 
 
+def test_a_clean_interpreter_importing_the_cli_loads_no_typing():
+    # -S: a site hook may load typing before regcap is imported at all
+    script = "import sys, regcap.cli; print(' '.join(sys.modules))"
+    loaded = run_python(script, "-S").split()
+    assert "regcap.cli" in loaded and "site" not in loaded
+    assert [name for name in ("typing", "dataclasses", "inspect") if name in loaded] == []
+
+
 class TestBinder:
     """``Record.__init__`` binds a record without an ``__init__`` of its own."""
 
@@ -270,19 +291,24 @@ class TestBinder:
         assert run_python(script) == "unhashable type: 'dict'\n"
 
 
+def _calls_super_init(node: ast.AST) -> bool:
+    """Whether ``node`` is a call of ``super().__init__``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__init__"
+        and isinstance(node.func.value, ast.Call)
+        and getattr(node.func.value.func, "id", None) == "super"
+    )
+
+
 def _passes_its_parameters_through(init: ast.FunctionDef) -> bool:
     """Whether the only statement of ``init`` is ``super().__init__`` over
     its own parameters, in any order, by position or by name."""
     if len(init.body) != 1 or not isinstance(init.body[0], ast.Expr):
         return False
     call = init.body[0].value
-    if not (
-        isinstance(call, ast.Call)
-        and isinstance(call.func, ast.Attribute)
-        and call.func.attr == "__init__"
-        and isinstance(call.func.value, ast.Call)
-        and getattr(call.func.value.func, "id", None) == "super"
-    ):
+    if not _calls_super_init(call):
         return False
     values = [*call.args, *(keyword.value for keyword in call.keywords)]
     passed = [getattr(value, "id", None) for value in values]
@@ -308,3 +334,84 @@ def test_no_record_writes_a_pass_through_constructor():
                     and _passes_its_parameters_through(item)
                 ]
     assert found == []
+
+
+def test_only_money_writes_a_constructor():
+    # Record.__init__ binds every other record, then calls its __post_init__;
+    # Money, built once per priced line, sets its two fields itself. Only the
+    # exceptions in errors.py hand their arguments on to super().__init__.
+    assert [cls.__name__ for cls in _subclasses(Record) if "__init__" in vars(cls)] == [
+        "Money"
+    ]
+    package = Path(__file__).resolve().parents[1] / "src" / "regcap"
+    callers = {
+        (path.name, node.name)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and any(map(_calls_super_init, ast.walk(node)))
+    }
+    assert callers and {module for module, _ in callers} == {"errors.py"}
+
+
+# A record with rules, values that break one (its omitted trailing fields take
+# their declared defaults), and the error it raises.
+CHECKED_RECORDS = [
+    (IrbParams, (Fraction(2), FOUNDATION_LGD, eur("-1.00"), FOUNDATION_MATURITY_YEARS),
+     OutOfRange, "negative exposure-at-default -1.00 EUR; pd 2 outside [0, 1]"),
+    (PillarOneInputs, (eur("1.00"), eur("-2.00"), eur("3.00")),
+     AggregationError, "market capital charge must be non-negative, got -2.00 EUR"),
+    (SupervisoryAdjustment, (Fraction(1, 20),),
+     AggregationError, "supervisory minimum 1/20 is below the 8% floor"),
+    (CapitalBase, (eur("10.00"), eur("4.00")),
+     ValidationFailure, "tier1 and tier2 must be supplied together or not at all"),
+    (WeightCell, (Fraction(3), Fraction(1)),
+     StandardizedCreditError, "weight cell [3, 1] outside [0, 2]"),
+    (CcfTable, ({"guarantee": Fraction(2)},),
+     StandardizedCreditError, "conversion factor for 'guarantee' outside [0, 1]"),
+    (BetaTable, ({**DEFAULT_BETAS.betas, BusinessLine.RETAIL_BANKING: Fraction(2)},),
+     OperationalRiskError, "beta for retail_banking outside [0, 1]"),
+    (IncomeHistory, ((),),
+     OperationalRiskError, "need exactly three annual records, got 0"),
+    (OpRiskApproach, (ApproachKind.ADVANCED,),
+     OperationalRiskError, "hook name is required exactly for the advanced approach"),
+    (EngineConfig, (Regime.BASEL1,),
+     ConfigError, "the credit-only regime admits no operational-risk approach"),
+    (Portfolio, (["X"], [CounterpartyClass.CORPORATE], [RatingBucket.UNRATED], [-1],
+                 [None], [False], [None], [None], [None], [None], "EUR"),
+     ValidationFailure, "exposure 'X': negative amount -0.01 EUR"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, values, error, message",
+    CHECKED_RECORDS,
+    ids=[record.__name__ for record, *_ in CHECKED_RECORDS],
+)
+def test_a_record_checks_its_rules_however_its_fields_are_given(
+    record, values, error, message
+):
+    # by position, and by name in the reverse order
+    named = dict(reversed(list(zip(record.__slots__, values))))
+    for build in (lambda: record(*values), lambda: record(**named)):
+        with pytest.raises(error) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+
+def test_an_omitted_field_of_a_checked_record_takes_its_default():
+    assert (CapitalBase(eur("1.00")).tier1, CapitalBase(eur("1.00")).tier2) == (None, None)
+    assert SupervisoryAdjustment() == SupervisoryAdjustment(MINIMUM_CAPITAL_RATIO, None)
+    assert OpRiskApproach(kind=ApproachKind.STANDARDIZED).hook is None
+    assert CcfTable({}).source == BetaTable(DEFAULT_BETAS.betas).source == "builtin"
+    assert EngineConfig() == EngineConfig(*(setting.default for setting in SETTINGS))
+    # AnnualIncome reads an omitted per_line as a fresh mapping of its own
+    first, second = AnnualIncome(2004), AnnualIncome(year=2005)
+    assert (first.total, first.per_line, second.per_line) == (None, {}, {})
+    assert first.per_line is not second.per_line
+
+
+def test_a_book_holds_its_columns_as_tuples():
+    book = Portfolio(["X"], [CounterpartyClass.CORPORATE], [RatingBucket.UNRATED], [100],
+                     [None], [False], [None], [None], [None], [None], "EUR")
+    assert all(type(getattr(book, name)) is tuple for name in book.__slots__[:-1])
+    assert book.nominal_units == (100,)
