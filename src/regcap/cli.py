@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import gc
 import io
 import os
 import sys
@@ -190,6 +191,18 @@ _COMMANDS = (
 )
 
 
+def _choice(choices: list[str]):
+    """An enum flag's token as Setting.parse reads it, stripped and lowercased,
+    when that is one of ``choices``; any other token is left as given, so that
+    argparse's invalid-choice error quotes it."""
+
+    def normalized(token: str) -> str:
+        lowered = token.strip().lower()
+        return lowered if lowered in choices else token
+
+    return normalized
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)  # every command's config flags
     group = shared.add_argument_group("configuration overrides")
@@ -200,8 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
                 setting.flag, action="store_const", const="true", help=setting.help
             )
         else:
+            choices = setting.choices
             group.add_argument(
-                setting.flag, choices=setting.choices, help=setting.help
+                setting.flag, choices=choices, help=setting.help,
+                type=None if choices is None else _choice(choices),
             )
     parser = _Parser(
         prog="regcap",
@@ -252,6 +267,10 @@ def _write(stream, text: str) -> None:
         raise
 
 
+# Each control character as repr writes it, for str.translate.
+_ESCAPES = {ord(ch): repr(ch)[1:-1] for ch in _CONTROL_CHARACTER}
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -271,11 +290,29 @@ def main(argv: list[str] | None = None) -> int:
         line = f"error [internal]: {type(exc).__name__}: {exc}"
     # A message, or a path or cell text in it, may hold a control character;
     # each is written as repr writes it, so the diagnostic stays one line.
-    line = _CONTROL_CHARACTER.sub(lambda match: repr(match[0])[1:-1], line)
+    line = line.translate(_ESCAPES)
     with contextlib.suppress(OSError):  # a diagnostic that stderr cannot take is dropped
         _write(sys.stderr, line + "\n")
     return 2
 
 
+def run() -> NoReturn:
+    """The program behind ``python -m regcap.cli`` and the ``regcap`` script:
+    main on the command line, then exit with its status.
+
+    Every byte is written by then: stdout and stderr flushed by _write,
+    --json-out closed by write_whole. The freeze moves each object still
+    alive, the imported modules' classes and functions among them, into the
+    collector's permanent generation, so that the interpreter's full
+    collections at exit skip them. Exit still runs its atexit handlers, the
+    final flush of stdout and stderr, and module teardown; only cyclic garbage
+    still alive at exit is not freed, and CPython never promises __del__ for
+    it. main alone never freezes: an in-process caller keeps its collector.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

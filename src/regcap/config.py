@@ -217,7 +217,7 @@ class EngineConfig(Record, defaults={s.field: s.default for s in SETTINGS}):
             ("tables.risk_weights", self.risk_weights_path), ("tables.ccf", self.ccf_path),
             ("tables.betas", self.betas_path),
         ):
-            if path and _CONTROL_CHARACTER.search(str(path)):
+            if path and not _CONTROL_CHARACTER.isdisjoint(str(path)):
                 problems.append(f"{key}: path {str(path)!r} contains a control character")
         period = self.disclosure_period
         if period is not None and not _PERIOD.fullmatch(period):

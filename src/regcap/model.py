@@ -7,7 +7,6 @@ threads; computation lives in the sibling modules.
 from __future__ import annotations
 
 import enum
-import re
 from fractions import Fraction
 from itertools import count
 from operator import attrgetter
@@ -23,8 +22,9 @@ MINIMUM_CAPITAL_RATIO = Fraction(8, 100)
 _RATIONAL = {Fraction, int}
 
 # C0, DEL, C1 and the line and paragraph separators U+2028 and U+2029: an
-# id holding one would break the fixed-width text report.
-_CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+# id holding one would break the fixed-width text report. A set, not a regex
+# class: one that reaches U+2028 makes re build a 64k-entry charset map.
+_CONTROL_CHARACTER = frozenset(map(chr, [*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029]))
 
 
 class CounterpartyClass(KeyedEnum):
@@ -102,7 +102,7 @@ def id_problem(value) -> str | None:
     if not value:
         return "empty id"
     # Every control character is unprintable; most ids are printable.
-    if not value.isprintable() and _CONTROL_CHARACTER.search(value):
+    if not value.isprintable() and not _CONTROL_CHARACTER.isdisjoint(value):
         return f"id {value!r} contains a control character"
     return None
 
@@ -237,7 +237,7 @@ def _listing(
         # a new id joins seen (add returns None) and goes on to the control
         # character test: every one is unprintable, and most ids are printable
         if not isinstance(value, str) or not value or value in seen or add(value)
-        or not value.isprintable() and _CONTROL_CHARACTER.search(value)
+        or not value.isprintable() and not _CONTROL_CHARACTER.isdisjoint(value)
     ] + [
         (line, rank, message)
         for column, kind, rank, message in (

@@ -10,10 +10,8 @@ time, on top of already-exact values.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .aggregation import REFERENCE_ALLOCATION
 from .config import CreditApproach, EngineConfig, Regime
@@ -24,10 +22,17 @@ from .engine import (
     OpRiskResult,
     TableSet,
 )
-from .model import CapitalBase
+from .model import CapitalBase, CounterpartyClass
 from .money import Money, format_percent, units_text
 from .oprisk import ApproachKind, BusinessLine, OpRiskApproach
 from .standardized import BankOptionPolicy, RiskWeightTable, StandardizedColumns
+
+try:
+    # importing json loads its decoder and scanner and compiles their regexes;
+    # the writer needs only the C escaper json itself uses
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 RULE = "=" * 72
 LIGHT_RULE = "-" * 72
@@ -99,16 +104,24 @@ def _ratio(label: str | None, key: str, ratio: Fraction | None) -> tuple:
 
 
 def _bank_policy_note(policy: BankOptionPolicy, table: RiskWeightTable) -> str:
-    """The end the policy takes and, in ascending order, each weight that end
-    of the table's range cells resolves to; a whole percent prints without
-    its ".00", as the built-in table's 50% and 100% always have."""
-    ends = sorted({cell.resolve(policy) for cell in table.cells.values() if cell.is_range})
-    if not ends:
+    """The end the policy takes, each weight that end of the table's range
+    cells resolves to, in ascending order, and where those cells are. A whole
+    percent prints without its ".00", as the built-in table's 50% and 100%
+    always have; the built-in shape, two range cells on the bank row, keeps
+    its own wording."""
+    ranges = {key: cell for key, cell in table.cells.items() if cell.is_range}
+    if not ranges:
         return "the weights table has no range cell"
+    ends = sorted({cell.resolve(policy) for cell in ranges.values()})
     figures = ", ".join(format_percent(end).replace(".00%", "%") for end in ends)
+    resolved = f"resolved to the {policy.key.replace('_', ' ')} ({figures})"
+    rows = [row.key for row in CounterpartyClass if any(key[0] is row for key in ranges)]
+    if rows == ["bank"] and len(ranges) == 2:
+        return f"bank-row range cells {resolved}, both cells together"
+    named = rows[0] if len(rows) == 1 else f"{', '.join(rows[:-1])} and {rows[-1]}"
     return (
-        f"bank-row range cells resolved to the {policy.key.replace('_', ' ')}"
-        f" ({figures}), both cells together"
+        f"{len(ranges)} range cell{'s' * (len(ranges) > 1)} on the {named}"
+        f" row{'s' * (len(rows) > 1)} {resolved}"
     )
 
 
@@ -339,11 +352,14 @@ class _CreditLines(Sequence):
     def __getitem__(self, index: int) -> dict:
         index = range(len(self))[index]  # an IndexError outside the lines
         if index not in self.kept:
+            import json  # only a reader of the lines parses them
+
             self.kept[index] = json.loads(next(_line_texts(self.view, index, index + 1, "")))
         return self.kept[index]
 
 
 _CHUNK = 1024  # credit lines joined into one string at a time
+_INFINITY = float("inf")
 
 
 def _write(value, indent: str, out: list[str]) -> None:
@@ -351,8 +367,17 @@ def _write(value, indent: str, out: list[str]) -> None:
     indent=2) lays it out. Every finished text goes straight into ``out``: no
     container is copied into a text of its own."""
     inner = indent + "  "
-    if not isinstance(value, (dict, list, tuple, _CreditLines)):
-        out.append(json.dumps(value))
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):  # json.dumps's names for the non-finite ones
+        out.append("NaN" if value != value else "Infinity" if value == _INFINITY
+                   else "-Infinity" if value == -_INFINITY else float.__repr__(value))
+    elif not isinstance(value, (dict, list, tuple, _CreditLines)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     elif not value:
         out.append("{}" if isinstance(value, dict) else "[]")
     elif isinstance(value, dict):

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import gc
 import io
 import json
 import os
+import re
+import shutil
 import signal
 import stat
 import subprocess
@@ -602,10 +605,83 @@ def test_json_out_to_a_fifo_writes_through_it(tmp_path, capsys):
     assert written == expected
 
 
-# regcap as its console script runs it, so that the interpreter's own flush
-# of stdout and stderr at exit takes part.
-_ENTRY = "import sys; from regcap.cli import main; sys.exit(main(sys.argv[1:]))"
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
+# regcap as its console script runs it: the wrapper pip writes for the entry
+# that pyproject.toml declares. So the program's own exit takes part, with the
+# interpreter's flush of stdout and stderr in it.
+_ROOT = Path(__file__).resolve().parents[1]
+_MODULE, _FUNCTION = re.search(
+    r'^regcap = "([\w.]+):(\w+)"$', (_ROOT / "pyproject.toml").read_text(), re.M
+).groups()
+_ENTRY = f"import sys; from {_MODULE} import {_FUNCTION}; sys.exit({_FUNCTION}())"
+_SRC = str(_ROOT / "src")
+
+
+def _program_env(unbuffered: bool = False) -> dict[str, str]:
+    """The environment a program run gets: regcap from ``src``, and stdout
+    and stderr buffered unless ``unbuffered``."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _exit_case(case: str, out: Path) -> list[str]:
+    """The argv of one program run of the exit-path cases, writing into ``out``."""
+    capital = ["--capital", "79999.99" if case == "compute-short" else "81000.00"]
+    run = ["--portfolio", WORKED, "--income", INCOME, *capital,
+           "--json-out", str(out / "document.json")]
+    return {
+        "compute": ["compute", *run],
+        "compute-short": ["compute", *run],
+        "compare": ["compare", *run],
+        "disclose": ["disclose", *run, "--period", "2006-H2"],
+        "validate": ["validate", "--portfolio", WORKED, "--income", INCOME],
+        "dump-tables": ["dump-tables", "--out-dir", str(out)],
+        "input-error": ["compute", "--portfolio", BAD_RATING, *capital],
+        "usage-error": ["compute", *capital],
+    }[case]
+
+
+def _written(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("case, status", [
+    ("compute", 0), ("compute-short", 1), ("compare", 0), ("disclose", 0),
+    ("validate", 0), ("dump-tables", 0), ("input-error", 2), ("usage-error", 2),
+])
+def test_the_program_exits_as_main_returns(tmp_path, capsys, case, status):
+    # The same status, streams and files from main in this process, from
+    # python -m regcap.cli and from the console script.
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = _exit_case(case, out)
+    expected = (main(argv), *capsys.readouterr(), _written(out))
+    assert expected[0] == status
+    for entry in (["-m", "regcap.cli"], ["-c", _ENTRY]):
+        shutil.rmtree(out)
+        out.mkdir()
+        done = subprocess.run([sys.executable, *entry, *argv], capture_output=True,
+                              text=True, env=_program_env(), timeout=60)
+        assert (done.returncode, done.stdout, done.stderr, _written(out)) == expected
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    assert main(["compute", "--portfolio", WORKED, "--capital", "80000.00"]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_the_program_exits_frozen_and_still_runs_its_exit_handlers():
+    # The handler's line is buffered: only the interpreter's flush at exit
+    # writes it.
+    script = ("import atexit, gc; from regcap.cli import run; atexit.register("
+              "lambda: print('frozen at exit:', gc.get_freeze_count() > 0)); run()")
+    done = subprocess.run([sys.executable, "-c", script, "validate", "--portfolio", WORKED],
+                          capture_output=True, text=True, env=_program_env(), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "portfolio OK: 1 exposure(s)\nconfig OK\nfrozen at exit: True\n", ""
+    )
 
 
 def _limit_file_size() -> None:
@@ -620,10 +696,7 @@ def _failed_report(case: str, unbuffered: bool, tmp_path,
     """Run regcap (a compute unless ``command`` is given) whose output cannot
     all be written: [status, stdout, stderr] of the run, each stream read back
     where it can be."""
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+    env = _program_env(unbuffered)
     if command is None:
         portfolio = str(tmp_path / "absent.csv") if case.startswith("stderr") else GOLDEN
         command = ["compute", "--portfolio", portfolio, "--capital", "1000000"]
@@ -817,6 +890,32 @@ CONFIG_FLAGS = (
 CHOICE_FLAGS = {s.flag: s.choices for s in SETTINGS if s.choices}
 UNKNOWN_FLAG = "--no-such-flag"
 PLAUSIBLE_VALUES = ("1.00", "81000.00", "0", "10%", "2006-H2", "EUR", "standardized")
+
+
+@pytest.mark.parametrize("flag", sorted(CHOICE_FLAGS))
+class TestChoiceFlags:
+    """An enum flag takes every spelling its config key takes."""
+
+    @pytest.mark.parametrize("spell", [str.upper, str.title, lambda key: f"  {key}\t"],
+                             ids=["upper", "title", "blanks"])
+    def test_a_choice_is_read_as_the_config_file_reads_it(self, capsys, flag, spell):
+        for choice in CHOICE_FLAGS[flag]:
+            argv = ["validate", "--portfolio", WORKED, flag]
+            exact = main([*argv, choice]), *capsys.readouterr()
+            assert (main([*argv, spell(choice)]), *capsys.readouterr()) == exact
+
+    def test_an_unknown_token_is_quoted_as_given(self, capsys, flag):
+        assert main(["validate", "--portfolio", WORKED, flag, " Mid"]) == 2
+        choices = ", ".join(map(repr, CHOICE_FLAGS[flag]))
+        assert capsys.readouterr() == ("", (
+            f"error [usage]: argument {flag}: invalid choice: ' Mid' (choose from {choices})\n"
+        ))
+
+    def test_help_lists_the_choices(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compute", "--help"])
+        assert excinfo.value.code == 0
+        assert f" {flag} {{{','.join(CHOICE_FLAGS[flag])}}}" in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,9 +23,10 @@ from regcap import (
     load_portfolio,
     validate_portfolio,
 )
+from regcap.cli import _ESCAPES
 from regcap.engine import IrbColumns
 from regcap.errors import CoreModelError
-from regcap.model import Portfolio, parse_rating
+from regcap.model import _CONTROL_CHARACTER, Portfolio, parse_rating
 from regcap.standardized import ResolvedKey, StandardizedColumns
 
 from conftest import DATA_DIR, eur
@@ -216,6 +219,14 @@ class TestValidatePortfolio:
             Portfolio((bad_id,), (corporate,), (unrated,), (1,), (None,), (False,),
                       (None,), (None,), (None,), (None,), "EUR")
         assert excinfo.value.violations == [violation]
+
+    def test_the_control_characters_are_the_regex_class_they_replace(self):
+        # Every code point, surrogates included: the set holds exactly what the
+        # class matched, and the CLI's table escapes each one as repr does.
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        old = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+        assert _CONTROL_CHARACTER == set(old.findall(every))
+        assert every.translate(_ESCAPES) == old.sub(lambda match: repr(match[0])[1:-1], every)
 
     @pytest.mark.parametrize("column,value,violation", [
         ("ids", "B", "duplicate id 'B'"),

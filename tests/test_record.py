@@ -242,6 +242,15 @@ def test_a_clean_interpreter_importing_the_cli_loads_no_typing():
     assert [name for name in ("typing", "dataclasses", "inspect") if name in loaded] == []
 
 
+def test_a_clean_interpreter_importing_the_cli_loads_no_json_package():
+    # The JSON writer takes only json's C escaper, from _json.
+    script = "import sys, regcap.cli; print(' '.join(sys.modules))"
+    loaded = run_python(script, "-S").split()
+    assert "regcap.reporting" in loaded and "site" not in loaded
+    json_modules = ("json", "json.decoder", "json.scanner", "json.encoder")
+    assert [name for name in json_modules if name in loaded] == []
+
+
 class TestBinder:
     """``Record.__init__`` binds a record without an ``__init__`` of its own."""
 

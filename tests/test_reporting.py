@@ -124,8 +124,23 @@ class TestComputeText:
             [row] = [row for row in _config_rows(config, tables) if row[0] == "bank option:"]
             return row[2:]
 
+        # The echo names where the range cells are: three cells on three rows.
         assert echoed(cells) == (
-            f"bank-row range cells resolved to {echo}, both cells together", policy.key
+            f"3 range cells on the sovereign, bank and corporate rows resolved to {echo}",
+            policy.key,
+        )
+        corporate = (CounterpartyClass.CORPORATE, RatingBucket.UNRATED)
+        one = {key: cell if key == corporate else WeightCell.fixed(cell.low)
+               for key, cell in cells.items()}
+        assert echoed(one)[0].startswith("1 range cell on the corporate row resolved to")
+        # Two on the bank row, as in the built-in table, keep its wording.
+        bank = {**one, corporate: WeightCell.fixed(Fraction(1)),
+                (CounterpartyClass.BANK, RatingBucket.UNRATED): thirds,
+                (CounterpartyClass.BANK, RatingBucket.AAA_TO_AA_MINUS): thirds}
+        assert echoed(bank)[0] == (
+            f"bank-row range cells resolved to the {policy.key.replace('_', ' ')}"
+            f" ({format_percent(thirds.resolve(policy)).replace('.00%', '%')}),"
+            " both cells together"
         )
         fixed = {key: WeightCell.fixed(cell.low) for key, cell in cells.items()}
         assert echoed(fixed) == ("the weights table has no range cell", policy.key)
@@ -521,8 +536,11 @@ def reference_json(document) -> str:
 # code point.
 ESCAPED = '"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'
 json_text = st.text(st.one_of(st.sampled_from(ESCAPED), st.characters()), max_size=8)
+# Floats include NaN, both infinities and -0.0, and ints reach past 2**64.
 json_scalars = st.one_of(
-    json_text, st.booleans(), st.none(), st.integers(-(10**20), 10**20)
+    json_text, st.booleans(), st.none(), st.integers(-(2**80), 2**80),
+    st.sampled_from([-(2**64) - 1, 2**64, 2**200]),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324]),
 )
 # Keys of the dicts in a list come from a small alphabet, so that
 # neighbouring dicts often have the same keys, in the same or another
@@ -591,6 +609,14 @@ class TestRenderJson:
     @given(document=json_documents)
     def test_matches_json_dumps(self, document):
         assert render_json(document) == reference_json(document)
+
+    def test_every_kind_of_scalar_matches_json_dumps(self):
+        scalars = ["caf\u00e9\u2028", None, True, False, 0, -1, 2**64, -(2**70), 1.5,
+                   -0.0, math.nan, math.inf, -math.inf, 1e300, RatingBucket.UNRATED]
+        document = {"list": scalars, "dict": {str(i): v for i, v in enumerate(scalars)}}
+        assert render_json(document) == reference_json(document)
+        with pytest.raises(TypeError, match="^Object of type Fraction is not JSON serializable$"):
+            render_json({"ratio": Fraction(1, 2)})
 
     def test_report_documents_match_json_dumps(self):
         documents = list(_fixture_documents())
