@@ -248,7 +248,8 @@ def _write(stream, text: str) -> None:
     Unbuffered (``python -u``), a stream drops what a short write leaves over,
     so its file is written here until it has taken every byte. A stream that
     failed is pointed at os.devnull, since the interpreter's flush at exit
-    would fail again and change the exit status.
+    would fail again and change the exit status. A text that the stream's
+    encoding cannot take fails before any of it is written.
     """
     if stream is None:  # its descriptor was closed before start, so Python set None
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
@@ -261,6 +262,8 @@ def _write(stream, text: str) -> None:
         else:
             stream.write(text)
             stream.flush()
+    except UnicodeEncodeError as exc:
+        raise OSError(f"the output cannot be encoded: {exc}") from None
     except OSError:
         with contextlib.suppress(OSError):  # a stream with no descriptor is left alone
             os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())

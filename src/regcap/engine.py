@@ -5,7 +5,8 @@ compute the credit block per the configured approach, the operational block
 per its approach, fold in the market input, and judge compliance. run_compare
 puts the credit-only regime next to the full one, and run_disclose shapes a
 computed result into the semiannual disclosure document. Each result keeps
-only what its run produced; what the config decides is read from the config.
+only the figures its run produced and the inputs it priced; what the config
+decides is read from the config, and reporting words them all.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .irb import (
     rwa_irb,  # noqa: F401  not called here; perfbench's tracer spans it by this name
 )
 from .model import CapitalBase, Portfolio
-from .money import Money, _divide_half_even, format_percent, fraction_to_decimal_text
+from .money import Money, _divide_half_even, fraction_to_decimal_text
 from .oprisk import (
     ApproachKind,
     DEFAULT_BETAS,
@@ -83,17 +84,18 @@ class CreditResult(Record):
     __slots__ = ("total_rwa", "lines")
 
 
-class OpRiskResult(
-    Record, defaults=dict(average_income=None, tsa=None, income_span=None, note=None)
-):
-    """Operational block outcome; note explains a zero-by-absence charge."""
+class OpRiskResult(Record, defaults=dict(average_income=None, tsa=None)):
+    """Operational block outcome: the charge and the figures it came from."""
 
-    __slots__ = ("charge", "average_income", "tsa", "income_span", "note")
+    __slots__ = ("charge", "average_income", "tsa")
 
 
 class ComputeResult(Record):
+    """A priced run: its inputs (``income`` is None when none was given) and
+    the blocks and judgement computed from them."""
+
     __slots__ = (
-        "config", "portfolio", "capital", "tables", "credit", "oprisk",
+        "config", "portfolio", "capital", "income", "tables", "credit", "oprisk",
         "market_charge", "report",
     )
 
@@ -183,30 +185,19 @@ def _oprisk_block(
     if approach.kind is ApproachKind.ADVANCED:  # an unregistered hook fails on any run
         estimator = advanced_hook(approach.hook)
     if income is None:
-        return OpRiskResult(
-            charge=Money.zero(currency),
-            note="no income history supplied; operational charge taken as zero",
-        )
+        return OpRiskResult(charge=Money.zero(currency))
     if approach.kind is ApproachKind.BASIC_INDICATOR:
         average = average_gross_income(income, config.negative_gi_policy)
-        return OpRiskResult(
-            charge=bia_capital(average),
-            average_income=average,
-            income_span=income.span(),
-        )
+        return OpRiskResult(charge=bia_capital(average), average_income=average)
     if approach.kind is ApproachKind.STANDARDIZED:
         result = tsa_capital(income, tables.betas, config.negative_gi_policy)
-        return OpRiskResult(
-            charge=result.total,
-            tsa=result,
-            income_span=income.span(),
-        )
+        return OpRiskResult(charge=result.total, tsa=result)
     charge = estimator(income)
     if charge.is_negative:
         raise ConfigError(
             f"advanced estimator {approach.hook!r} returned a negative charge"
         )
-    return OpRiskResult(charge=charge, income_span=income.span())
+    return OpRiskResult(charge=charge)
 
 
 def run_compute(
@@ -261,6 +252,7 @@ def _complete(
         config=config,
         portfolio=portfolio,
         capital=capital,
+        income=income,
         tables=tables,
         credit=credit,
         oprisk=oprisk,
@@ -269,66 +261,15 @@ def _complete(
     )
 
 
-class Novelty(Record):
-    """One reform marker in the regime comparison."""
-
-    __slots__ = ("name", "applied", "note")
-
-
 class CompareResult(Record):
     """Side-by-side of the credit-only and full regimes on the same book."""
 
-    __slots__ = ("credit_only", "full", "required_delta", "novelties")
+    __slots__ = ("credit_only", "full", "required_delta")
 
     @property
     def exit_status(self) -> int:
         both = self.credit_only.report.compliant and self.full.report.compliant
         return 0 if both else 1
-
-
-def _novelties(result: ComputeResult) -> tuple[Novelty, ...]:
-    config = result.config
-    oprisk = result.oprisk
-    adjustment_active = config.adjustment() is not None
-    market_units = result.market_charge.units if result.market_charge else 0
-    return (
-        Novelty(
-            name="operational risk enters the denominator",
-            applied=oprisk is not None and oprisk.charge.units > 0,
-            note=(
-                f"charge {oprisk.charge}" if oprisk is not None else "no charge"
-            ),
-        ),
-        Novelty(
-            name="choice of methods per risk type",
-            applied=True,
-            note=(
-                f"credit: {config.credit_approach.key};"
-                f" operational: {config.oprisk_approach.key if oprisk else 'none'};"
-                f" market: {'input figure' if market_units else 'none'}"
-            ),
-        ),
-        Novelty(
-            name="recognition of risk-mitigation techniques",
-            applied=False,
-            note="not modeled by this engine",
-        ),
-        Novelty(
-            name="individual supervisory requirements above the floor",
-            applied=adjustment_active,
-            note=(
-                f"minimum ratio {format_percent(result.report.minimum_ratio)},"
-                f" add-on {result.report.addon}"
-                if adjustment_active
-                else "none configured"
-            ),
-        ),
-        Novelty(
-            name="semiannual public disclosure",
-            applied=config.disclosure_period is not None,
-            note=config.disclosure_period or "no period configured",
-        ),
-    )
 
 
 def run_compare(
@@ -365,12 +306,7 @@ def run_compare(
         credit_only_config, portfolio, capital, None, None, tables, credit
     )
     delta = full.report.min_required_capital - credit_only.report.min_required_capital
-    return CompareResult(
-        credit_only=credit_only,
-        full=full,
-        required_delta=delta,
-        novelties=_novelties(full),
-    )
+    return CompareResult(credit_only=credit_only, full=full, required_delta=delta)
 
 
 class DisclosureReport(Record):

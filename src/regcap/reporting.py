@@ -15,13 +15,7 @@ from fractions import Fraction
 
 from .aggregation import REFERENCE_ALLOCATION
 from .config import CreditApproach, EngineConfig, Regime
-from .engine import (
-    CompareResult,
-    ComputeResult,
-    DisclosureReport,
-    OpRiskResult,
-    TableSet,
-)
+from .engine import CompareResult, ComputeResult, DisclosureReport, TableSet
 from .model import CapitalBase, CounterpartyClass
 from .money import Money, format_percent, units_text
 from .oprisk import ApproachKind, BusinessLine, OpRiskApproach
@@ -52,6 +46,8 @@ TSA_FOOTNOTE = (
     " the published per-line activity measures (average assets, volumes) are"
     " not used by the charge formula."
 )
+
+NO_INCOME_NOTE = "no income history supplied; operational charge taken as zero"
 
 
 def _ratio_text(ratio: Fraction | None) -> str:
@@ -196,17 +192,17 @@ def _credit_section(result: ComputeResult) -> list[str]:
     return lines
 
 
-def _oprisk_rows(oprisk: OpRiskResult, config: EngineConfig) -> list:
-    """The JSON leaves out what the run has no figure for."""
+def _oprisk_rows(result: ComputeResult) -> list:
+    """The JSON leaves out what the run has no figure for; a run without an
+    income history notes why its charge is zero."""
+    config, oprisk = result.config, result.oprisk
     approach = config.oprisk_approach
     rows = [
         ("approach:", "approach", _oprisk_label(approach), approach.key),
         (None, "negative_gi_policy", None, config.negative_gi_policy.key),
+        _same("note:", "note", NO_INCOME_NOTE) if result.income is None
+        else _same("income years:", "income_years", result.income.span()),
     ]
-    if oprisk.income_span:
-        rows.append(_same("income years:", "income_years", oprisk.income_span))
-    if oprisk.note:
-        rows.append(_same("note:", "note", oprisk.note))
     if oprisk.average_income is not None:
         rows.append(_money("average income:", "average_income", oprisk.average_income))
     if oprisk.tsa is not None:
@@ -281,8 +277,7 @@ def render_compute_text(result: ComputeResult) -> str:
         "REGULATORY CAPITAL REPORT",
         _lines(_config_rows(result.config, result.tables)),
         _credit_section(result),
-        result.oprisk and _section(
-            "OPERATIONAL RISK", _oprisk_rows(result.oprisk, result.config)),
+        result.oprisk and _section("OPERATIONAL RISK", _oprisk_rows(result)),
         _section(
             "SOLVENCY",
             _capital_rows(result.capital) + _market_rows(result) + _solvency_rows(result),
@@ -305,7 +300,7 @@ def compute_document(result: ComputeResult) -> dict:
         "solvency": _members(_solvency_rows(result)),
     }
     if result.oprisk is not None:
-        doc["oprisk"] = _members(_oprisk_rows(result.oprisk, config))
+        doc["oprisk"] = _members(_oprisk_rows(result))
     if result.market_charge is not None:
         doc["market"] = _members(_market_rows(result))
     return doc
@@ -411,6 +406,26 @@ def render_json(document: dict) -> str:
     return "".join(out)
 
 
+def _reform_markers(result: ComputeResult) -> list[tuple[str, bool, str]]:
+    """The (name, applied, note) of each reform marker of a full-regime run."""
+    config, oprisk, report = result.config, result.oprisk, result.report
+    adjusted = config.adjustment() is not None
+    market = "input figure" if result.market_charge.units else "none"
+    return [
+        ("operational risk enters the denominator", oprisk.charge.units > 0,
+         f"charge {oprisk.charge}"),
+        ("choice of methods per risk type", True,
+         f"credit: {config.credit_approach.key};"
+         f" operational: {config.oprisk_approach.key}; market: {market}"),
+        ("recognition of risk-mitigation techniques", False, "not modeled by this engine"),
+        ("individual supervisory requirements above the floor", adjusted,
+         f"minimum ratio {format_percent(report.minimum_ratio)}, add-on {report.addon}"
+         if adjusted else "none configured"),
+        ("semiannual public disclosure", config.disclosure_period is not None,
+         config.disclosure_period or "no period configured"),
+    ]
+
+
 def render_compare_text(comparison: CompareResult) -> str:
     """Side-by-side regime report with the reform markers."""
     credit_only = comparison.credit_only.report
@@ -433,8 +448,8 @@ def render_compare_text(comparison: CompareResult) -> str:
         [f"additional capital required by the full regime:"
          f" {'' if delta.is_negative else '+'}{delta.formatted()}"],
         ["reform markers applied in this run:"] + [
-            f"  {'[x]' if novelty.applied else '[ ]'} {novelty.name}: {novelty.note}"
-            for novelty in comparison.novelties
+            f"  {'[x]' if applied else '[ ]'} {name}: {note}"
+            for name, applied, note in _reform_markers(comparison.full)
         ],
     )
 
@@ -445,8 +460,8 @@ def compare_document(comparison: CompareResult) -> dict:
         "full": compute_document(comparison.full),
         "required_delta": comparison.required_delta.text(),
         "novelties": [
-            {"name": n.name, "applied": n.applied, "note": n.note}
-            for n in comparison.novelties
+            {"name": name, "applied": applied, "note": note}
+            for name, applied, note in _reform_markers(comparison.full)
         ],
     }
 

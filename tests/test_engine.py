@@ -32,6 +32,7 @@ from regcap.errors import ConfigError, CoreModelError, OperationalRiskError
 from regcap.irb import _FUNCTIONS
 from regcap.model import Portfolio
 from regcap.oprisk import IncomeHistory, _ADVANCED_HOOKS, register_advanced_hook
+from regcap.reporting import compute_document
 
 from conftest import DATA_DIR, eur
 
@@ -81,7 +82,8 @@ class TestCompute:
             EngineConfig(), worked_portfolio, CapitalBase(eur("80000.00"))
         )
         assert result.oprisk.charge == eur("0")
-        assert "zero" in result.oprisk.note
+        assert result.income is None
+        assert "zero" in compute_document(result)["oprisk"]["note"]
 
     def test_bia_income_enters_denominator(self, worked_portfolio, income):
         result = run_compute(
@@ -92,7 +94,8 @@ class TestCompute:
         )
         assert result.oprisk.charge == eur("150.00")
         assert result.oprisk.average_income == eur("1000.00")
-        assert result.oprisk.income_span == "2004-2006"
+        assert result.income is income
+        assert compute_document(result)["oprisk"]["income_years"] == "2004-2006"
         # 1,000,000 + 12.5 x 150 = 1,001,875
         assert result.report.denominator == eur("1001875.00")
         assert not result.report.compliant
@@ -427,32 +430,6 @@ class TestCompare:
             run_compare(
                 EngineConfig.basel1(), worked_portfolio, CapitalBase(eur("1"))
             )
-
-    def test_novelty_markers(self, worked_portfolio, income):
-        compare = run_compare(
-            EngineConfig(disclosure_period="2006-H1"),
-            worked_portfolio,
-            CapitalBase(eur("81000.00")),
-            income=income,
-        )
-        applied = {n.name: n.applied for n in compare.novelties}
-        assert applied["operational risk enters the denominator"]
-        assert applied["choice of methods per risk type"]
-        assert not applied["recognition of risk-mitigation techniques"]
-        assert not applied["individual supervisory requirements above the floor"]
-        assert applied["semiannual public disclosure"]
-        assert len(compare.novelties) == 5
-
-    def test_supervisory_novelty_prints_the_floor_as_a_percent(self, worked_portfolio):
-        compare = run_compare(
-            EngineConfig(min_ratio_override=Fraction(1, 10), capital_addon=eur("5000.00")),
-            worked_portfolio,
-            CapitalBase(eur("81000.00")),
-        )
-        notes = {n.name: (n.applied, n.note) for n in compare.novelties}
-        assert notes["individual supervisory requirements above the floor"] == (
-            True, "minimum ratio 10.00%, add-on 5000.00 EUR"
-        )
 
     def test_exit_zero_only_when_both_legs_comply(self, worked_portfolio, income):
         short = run_compare(

@@ -39,7 +39,7 @@ from regcap import (
     run_disclose,
 )
 from regcap.config import SETTINGS, Regime, Setting
-from regcap.engine import Novelty, OpRiskResult
+from regcap.engine import OpRiskResult, TableSet
 from regcap.errors import (
     AggregationError,
     ConfigError,
@@ -64,7 +64,7 @@ from regcap.standardized import CcfTable, RiskWeightTable, WeightCell
 from conftest import DATA_DIR, eur, run_python
 
 # Every record class in the package; a new one must join the walk below.
-RECORD_CLASSES = 29
+RECORD_CLASSES = 28
 
 
 def _subclasses(cls: type) -> list[type]:
@@ -255,15 +255,15 @@ class TestBinder:
     """``Record.__init__`` binds a record without an ``__init__`` of its own."""
 
     def test_by_position_by_name_or_both(self):
-        built = Novelty("basel2", True, "applied")
-        assert (built.name, built.applied, built.note) == ("basel2", True, "applied")
-        assert Novelty(note="applied", applied=True, name="basel2") == built
-        assert Novelty("basel2", note="applied", applied=True) == built
+        built = TableSet("weights", "ccf", "betas")
+        assert (built.risk_weights, built.ccf, built.betas) == ("weights", "ccf", "betas")
+        assert TableSet(betas="betas", ccf="ccf", risk_weights="weights") == built
+        assert TableSet("weights", betas="betas", ccf="ccf") == built
 
     def test_an_omitted_field_takes_its_declared_default(self):
         charge = OpRiskResult(eur("5.00"))
-        assert [getattr(charge, name) for name in charge.__slots__[1:]] == [None] * 4
-        assert OpRiskResult(eur("5.00"), note="none").note == "none"
+        assert [getattr(charge, name) for name in charge.__slots__[1:]] == [None] * 2
+        assert OpRiskResult(eur("5.00"), tsa="none").tsa == "none"
         assert RiskWeightTable({}).source == "builtin"
         assert Setting("k", "--k", "field", str).help is None
         assert Exposure("E", CounterpartyClass.BANK, RatingBucket.UNRATED, eur("1.00")) == (
@@ -274,19 +274,19 @@ class TestBinder:
     @pytest.mark.parametrize(
         "args, named, message",
         [
-            (("basel2", True), {}, "Novelty: missing field 'note'"),
-            ((), {"name": "basel2", "note": "x"}, "Novelty: missing field 'applied'"),
-            (("basel2", True, "x", "y"), {},
-             r"Novelty takes 3 fields \('name', 'applied', 'note'\), got 4"),
-            (("basel2", True, "x"), {"notes": "y"}, "Novelty: field 'notes' unknown"),
-            (("basel2", True), {"name": "other", "note": "x"},
-             "Novelty: field 'name' given twice"),
+            (("w", "c"), {}, "TableSet: missing field 'betas'"),
+            ((), {"risk_weights": "w", "betas": "b"}, "TableSet: missing field 'ccf'"),
+            (("w", "c", "b", "y"), {},
+             r"TableSet takes 3 fields \('risk_weights', 'ccf', 'betas'\), got 4"),
+            (("w", "c", "b"), {"beta": "y"}, "TableSet: field 'beta' unknown"),
+            (("w", "c"), {"risk_weights": "other", "betas": "b"},
+             "TableSet: field 'risk_weights' given twice"),
         ],
         ids=["missing", "missing-by-name", "too-many", "unknown", "twice"],
     )
     def test_a_bad_binding_raises_type_error_naming_the_field(self, args, named, message):
         with pytest.raises(TypeError, match=f"^{message}$"):
-            Novelty(*args, **named)
+            TableSet(*args, **named)
 
     def test_a_mutable_default_is_refused(self):
         script = (

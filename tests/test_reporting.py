@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import re
+import textwrap
 import tracemalloc
 from fractions import Fraction
 
@@ -71,7 +72,7 @@ from regcap.reporting import (
 )
 from regcap.standardized import CcfTable, RiskWeightTable, WeightCell
 
-from conftest import DATA_DIR, eur, write_bench_book
+from conftest import DATA_DIR, eur, run_python, write_bench_book
 
 
 def fresh_worked_result(period: str | None = None):
@@ -196,6 +197,30 @@ class TestComputeText:
 
 
 class TestComputeJson:
+    @pytest.mark.parametrize("approach", [
+        OpRiskApproach.basic_indicator(), OpRiskApproach.standardized(),
+        OpRiskApproach.advanced_hook("fixed"),
+    ], ids=["basic_indicator", "standardized", "advanced"])
+    def test_the_oprisk_block_names_its_income_years_or_why_it_is_zero(
+        self, approach, monkeypatch
+    ):
+        monkeypatch.setattr("regcap.oprisk._ADVANCED_HOOKS",
+                            {"fixed": lambda history: eur("500.00")})
+        portfolio = load_portfolio(DATA_DIR / "worked_example.csv")
+        income = load_income(DATA_DIR / "income_3yr.csv")
+        for given, label, key, text, absent in (
+            (income, "income years:", "income_years", "2004-2006", "note"),
+            (None, "note:", "note",
+             "no income history supplied; operational charge taken as zero",
+             "income_years"),
+        ):
+            result = run_compute(EngineConfig(oprisk_approach=approach), portfolio,
+                                 CapitalBase(eur("90000.00")), income=given)
+            assert result.income is given
+            oprisk = compute_document(result)["oprisk"]
+            assert oprisk[key] == text and absent not in oprisk
+            assert f"{label:<18} {text}" in render_compute_text(result).splitlines()
+
     def test_json_is_sorted_and_stable(self, worked_result):
         doc = compute_document(worked_result)
         rendered = render_json(doc)
@@ -254,7 +279,7 @@ def _summary_sections(result) -> list[tuple[str, list]]:
         ("solvency", _solvency_rows(result)),
     ]
     if result.oprisk is not None:
-        sections.append(("oprisk", _oprisk_rows(result.oprisk, result.config)))
+        sections.append(("oprisk", _oprisk_rows(result)))
     if result.market_charge is not None:
         sections.append(("market", _market_rows(result)))
     return sections
@@ -645,6 +670,40 @@ class TestRenderJson:
         assert output.isascii()
         assert [line["id"] for line in json.loads(output)["credit"]["lines"]] == ids
 
+    def test_the_json_escaper_fallback_writes_the_same_bytes(self):
+        # A priced book whose ids need every kind of escape, and the control
+        # characters that an id may not hold.
+        build = textwrap.dedent(r"""
+            from regcap import (CapitalBase, CounterpartyClass, EngineConfig, Exposure,
+                                Money, RatingBucket, run_compute, validate_portfolio)
+            from regcap.reporting import compute_document
+            ids = ['q"uote', "back\\slash", "a/b", "caf\u00e9", "smile\U0001f600"]
+            book = validate_portfolio([
+                Exposure(exposure_id, CounterpartyClass.BANK, RatingBucket.UNRATED,
+                         Money(100, "EUR"))
+                for exposure_id in ids
+            ])
+            result = run_compute(EngineConfig(), book, CapitalBase(Money(100, "EUR")))
+            document = {"c0": "".join(map(chr, range(32))), "report": compute_document(result)}
+        """)
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["_json"] = None  # the C escaper's import fails; json.encoder's runs
+            import json.encoder
+            from regcap import reporting
+        """) + build + textwrap.dedent("""
+            fallback = json.encoder.py_encode_basestring_ascii
+            print(reporting.encode_basestring_ascii is fallback)
+            sys.stdout.write(reporting.render_json(document))
+        """)
+        fell_back, output = run_python(script).split("\n", 1)
+        scope: dict = {}
+        exec(build, scope)
+        expected = render_json(scope["document"])
+        assert fell_back == "True"
+        assert output == expected == reference_json(json.loads(expected))
+        assert '"q\\"uote"' in output and "\\ud83d\\ude00" in output and "\\u001f" in output
+
     @pytest.mark.parametrize(
         "workload, irb", [("std_book_100k", False), ("irb_book_100k", True)],
         ids=["standardized", "irb"],
@@ -687,6 +746,21 @@ class TestRenderJson:
         ]
 
 
+def _markers(comparison) -> list[tuple[str, bool, str]]:
+    """The (name, applied, note) of each reform marker, read from the compare
+    document and checked to be printed alike, and alone, in the compare text."""
+    markers = [
+        (marker["name"], marker["applied"], marker["note"])
+        for marker in compare_document(comparison)["novelties"]
+    ]
+    lines = render_compare_text(comparison).splitlines()
+    start = lines.index("reform markers applied in this run:") + 1
+    assert lines[start:] == [
+        f"  [{'x' if applied else ' '}] {name}: {note}" for name, applied, note in markers
+    ] + ["=" * 72]
+    return markers
+
+
 class TestCompareText:
     def test_columns_and_markers(self):
         portfolio = load_portfolio(DATA_DIR / "worked_example.csv")
@@ -706,6 +780,33 @@ class TestCompareText:
         doc = compare_document(compare)
         assert len(doc["novelties"]) == 5
         assert doc["required_delta"] == "0.00"
+
+    def test_novelty_markers(self):
+        compare = run_compare(
+            EngineConfig(disclosure_period="2006-H1"),
+            load_portfolio(DATA_DIR / "worked_example.csv"),
+            CapitalBase(eur("81000.00")),
+            income=load_income(DATA_DIR / "income_3yr.csv"),
+        )
+        markers = _markers(compare)
+        applied = {name: flag for name, flag, _ in markers}
+        assert applied["operational risk enters the denominator"]
+        assert applied["choice of methods per risk type"]
+        assert not applied["recognition of risk-mitigation techniques"]
+        assert not applied["individual supervisory requirements above the floor"]
+        assert applied["semiannual public disclosure"]
+        assert len(markers) == 5
+
+    def test_supervisory_novelty_prints_the_floor_as_a_percent(self):
+        compare = run_compare(
+            EngineConfig(min_ratio_override=Fraction(1, 10), capital_addon=eur("5000.00")),
+            load_portfolio(DATA_DIR / "worked_example.csv"),
+            CapitalBase(eur("81000.00")),
+        )
+        notes = {name: (flag, note) for name, flag, note in _markers(compare)}
+        assert notes["individual supervisory requirements above the floor"] == (
+            True, "minimum ratio 10.00%, add-on 5000.00 EUR"
+        )
 
 
 class TestDisclosureText:
