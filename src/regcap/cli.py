@@ -41,10 +41,10 @@ from .reporting import (
     compare_document,
     compute_document,
     disclosure_document,
+    json_chunks,
     render_compare_text,
     render_compute_text,
     render_disclosure_text,
-    render_json,
 )
 
 # True only for a type checker: importing typing would cost every cold start
@@ -131,14 +131,14 @@ def _cmd_compute(args: argparse.Namespace) -> tuple[int, str]:
     result = run_compute(*_run_inputs(args))
     # the document first: a run that cannot write it prints no report
     if args.json_out is not None:
-        write_whole(args.json_out, render_json(compute_document(result)))
+        write_whole(args.json_out, json_chunks(compute_document(result)))
     return result.exit_status, render_compute_text(result)
 
 
 def _cmd_compare(args: argparse.Namespace) -> tuple[int, str]:
     comparison = run_compare(*_run_inputs(args))
     if args.json_out is not None:
-        write_whole(args.json_out, render_json(compare_document(comparison)))
+        write_whole(args.json_out, json_chunks(compare_document(comparison)))
     return comparison.exit_status, render_compare_text(comparison)
 
 
@@ -146,7 +146,7 @@ def _cmd_disclose(args: argparse.Namespace) -> tuple[int, str]:
     result = run_compute(*_run_inputs(args))
     disclosure = run_disclose(result)
     if args.json_out is not None:
-        write_whole(args.json_out, render_json(disclosure_document(disclosure)))
+        write_whole(args.json_out, json_chunks(disclosure_document(disclosure)))
     return result.exit_status, render_disclosure_text(disclosure)
 
 

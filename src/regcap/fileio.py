@@ -29,6 +29,7 @@ import errno
 import io
 import os
 import stat
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
@@ -82,8 +83,8 @@ def table_source(path: str | Path, data: bytes) -> str:
     return f"{path}#{sha256(data).hexdigest()[:12]}"
 
 
-def write_whole(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, whole or not at all.
+def write_whole(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or each of its pieces in turn, to ``path`` as UTF-8, whole or not at all.
 
     A regular file, through any symlink, is replaced by a complete temporary file
     with its mode, so a write that fails in the run leaves it as it was; a device
@@ -93,15 +94,18 @@ def write_whole(path: str | Path, text: str) -> None:
     if path == "":
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     path = Path(path)
+    pieces = (text,) if isinstance(text, str) else text
     try:
         mode = path.stat().st_mode if path.exists() else None
         if mode is not None and not stat.S_ISREG(mode):
-            path.write_text(text, encoding="utf-8")
+            with open(path, "w", encoding="utf-8") as stream:
+                stream.writelines(pieces)
             return
         target = Path(os.path.realpath(path))
         temporary = target.parent / f".{target.name}.{os.getpid()}.tmp"
         try:
-            temporary.write_text(text, encoding="utf-8")
+            with open(temporary, "w", encoding="utf-8") as stream:
+                stream.writelines(pieces)
             if mode is not None:
                 os.chmod(temporary, stat.S_IMODE(mode))
             os.replace(temporary, target)

@@ -11,8 +11,8 @@ reproducible bit-for-bit. Ratios between amounts are returned as exact
 ``Fraction`` values and only formatted (2-decimal percentages, again by
 integer half-even division) at render time.
 
-Decimal input cells are bounded: a non-zero value must lie within
-``10**-MAX_DECIMAL_EXPONENT`` and ``10**(MAX_DECIMAL_EXPONENT + 1)`` in
+Decimal input cells are bounded: a non-zero value must be at least
+``10**-MAX_DECIMAL_EXPONENT`` and below ``10**(MAX_DECIMAL_EXPONENT + 1)`` in
 magnitude, so no cell can make the integer conversion run unbounded.
 """
 
@@ -56,7 +56,7 @@ def _integer_ratio(dec: Decimal, text: str) -> tuple[int, int]:
     if dec and not -MAX_DECIMAL_EXPONENT <= dec.adjusted() <= MAX_DECIMAL_EXPONENT:
         raise ValueError(
             f"magnitude of {text!r} outside 1e-{MAX_DECIMAL_EXPONENT}"
-            f"..1e{MAX_DECIMAL_EXPONENT + 1}"
+            f" to 1e{MAX_DECIMAL_EXPONENT + 1}, 1e{MAX_DECIMAL_EXPONENT + 1} excluded"
         )
     return dec.as_integer_ratio()
 

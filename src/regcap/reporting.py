@@ -336,7 +336,7 @@ def _line_texts(view, start: int, stop: int, indent: str):
 
 class _CreditLines(Sequence):
     """A credit view as a sequence of line dicts, each made from its JSON text when
-    asked for and kept; render_json writes the view by template until one is kept."""
+    asked for and kept; json_chunks writes the view by template until one is kept."""
 
     def __init__(self, view) -> None:
         self.view, self.kept = view, {}
@@ -357,53 +357,57 @@ _CHUNK = 1024  # credit lines joined into one string at a time
 _INFINITY = float("inf")
 
 
-def _write(value, indent: str, out: list[str]) -> None:
-    """Append one JSON value to ``out``, laid out as json.dumps(sort_keys=True,
-    indent=2) lays it out. Every finished text goes straight into ``out``: no
+def _pieces(value, indent: str):
+    """Yield one JSON value's text, laid out as json.dumps(sort_keys=True,
+    indent=2) lays it out. Each finished text is yielded as it is made: no
     container is copied into a text of its own."""
     inner = indent + "  "
     if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        yield encode_basestring_ascii(value)
     elif value is None or value is True or value is False:
-        out.append("null" if value is None else "true" if value else "false")
+        yield "null" if value is None else "true" if value else "false"
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        yield int.__repr__(value)
     elif isinstance(value, float):  # json.dumps's names for the non-finite ones
-        out.append("NaN" if value != value else "Infinity" if value == _INFINITY
-                   else "-Infinity" if value == -_INFINITY else float.__repr__(value))
+        yield ("NaN" if value != value else "Infinity" if value == _INFINITY
+               else "-Infinity" if value == -_INFINITY else float.__repr__(value))
     elif not isinstance(value, (dict, list, tuple, _CreditLines)):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     elif not value:
-        out.append("{}" if isinstance(value, dict) else "[]")
+        yield "{}" if isinstance(value, dict) else "[]"
     elif isinstance(value, dict):
         separator = "{"
         for key in sorted(value):
-            out.append(f"{separator}\n{inner}{encode_basestring_ascii(key)}: ")
-            _write(value[key], inner, out)
+            yield f"{separator}\n{inner}{encode_basestring_ascii(key)}: "
+            yield from _pieces(value[key], inner)
             separator = ","
-        out.append(f"\n{indent}}}")
+        yield f"\n{indent}}}"
     elif isinstance(value, _CreditLines) and not value.kept:
         separator = "[\n"
         for start in range(0, len(value), _CHUNK):
-            out += separator, ",\n".join(_line_texts(value.view, start, start + _CHUNK, inner))
+            yield separator
+            yield ",\n".join(_line_texts(value.view, start, start + _CHUNK, inner))
             separator = ",\n"
-        out.append(f"\n{indent}]")
+        yield f"\n{indent}]"
     else:
         separator = "["
         for member in value:
-            out.append(f"{separator}\n{inner}")
-            _write(member, inner, out)
+            yield f"{separator}\n{inner}"
+            yield from _pieces(member, inner)
             separator = ","
-        out.append(f"\n{indent}]")
+        yield f"\n{indent}]"
+
+
+def json_chunks(document: dict):
+    """json.dumps(document, sort_keys=True, indent=2) plus a final newline, byte for
+    byte, with credit lines written as a list, in pieces: no text of the whole."""
+    yield from _pieces(document, "")
+    yield "\n"
 
 
 def render_json(document: dict) -> str:
-    """json.dumps(document, sort_keys=True, indent=2) plus a final newline, byte
-    for byte, with credit lines written as a list. Its text is joined once."""
-    out: list[str] = []
-    _write(document, "", out)
-    out.append("\n")
-    return "".join(out)
+    """The text of json_chunks(document), joined once."""
+    return "".join(json_chunks(document))
 
 
 def _reform_markers(result: ComputeResult) -> list[tuple[str, bool, str]]:

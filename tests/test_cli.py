@@ -14,15 +14,26 @@ import signal
 import stat
 import subprocess
 import sys
+import threading
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regcap import DEFAULT_BETAS, DEFAULT_CCF, DEFAULT_RISK_WEIGHTS
+from regcap import (
+    DEFAULT_BETAS,
+    DEFAULT_CCF,
+    DEFAULT_RISK_WEIGHTS,
+    CapitalBase,
+    Money,
+    load_portfolio,
+    run_compare,
+    run_compute,
+    run_disclose,
+)
 from regcap.cli import main
-from regcap.config import SETTINGS
+from regcap.config import SETTINGS, load_config
 from regcap.fileio import (
     dump_betas,
     dump_ccf,
@@ -32,8 +43,16 @@ from regcap.fileio import (
     load_risk_weights,
 )
 from regcap.irb import _FUNCTIONS
+from regcap.reporting import (
+    _CHUNK,
+    compare_document,
+    compute_document,
+    disclosure_document,
+    json_chunks,
+    render_json,
+)
 
-from conftest import DATA_DIR, run_python
+from conftest import DATA_DIR, run_python, write_bench_book
 
 WORKED = str(DATA_DIR / "worked_example.csv")
 GOLDEN = str(DATA_DIR / "portfolio_golden.csv")
@@ -527,6 +546,83 @@ class TestDumpTables:
         ) in out
 
 
+# Run inputs that make the benchmark books' --json-out documents more than one
+# credit chunk long; the IRB book gets the benchmark's weight function.
+_LONG_LINES = 2500
+
+
+@pytest.fixture(scope="module")
+def long_books(bench_weight, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("long")
+    return {
+        "standardized": (write_bench_book(directory / "std.csv", _LONG_LINES, "std_book_100k"),
+                         {}),
+        "irb": (write_bench_book(directory / "irb.csv", _LONG_LINES, "irb_book_100k"),
+                {"credit.approach": "irb_advanced", "irb.function": bench_weight}),
+    }
+
+
+def _long_run(command: str, book, overrides: dict) -> tuple[object, list[str]]:
+    """The library's result of ``command`` on ``book``, and the same run's argv."""
+    overrides = {**overrides, "disclosure.period": "2006-H1"}
+    config = load_config(None, overrides)
+    inputs = (config, load_portfolio(book, config.currency),
+              CapitalBase(Money.from_decimal("1000000.00", config.currency)))
+    result = run_compare(*inputs) if command == "compare" else run_compute(*inputs)
+    flags = {s.key: s.flag for s in SETTINGS}
+    argv = [command, "--portfolio", str(book), "--capital", "1000000.00"]
+    for key, value in overrides.items():
+        argv += [flags[key], value]
+    return result, argv
+
+
+_DOCUMENTS = {
+    "compute": compute_document,
+    "compare": compare_document,
+    "disclose": lambda result: disclosure_document(run_disclose(result)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DOCUMENTS))
+@pytest.mark.parametrize("book", ["standardized", "irb"])
+@pytest.mark.parametrize("target", ["file", "fifo"])
+def test_a_document_of_many_chunks_is_written_whole(
+    tmp_path, capsys, long_books, command, book, target
+):
+    result, argv = _long_run(command, *long_books[book])
+    expected = render_json(_DOCUMENTS[command](result))
+    assert expected.count('"id": ') >= 2 * _CHUNK
+    path = tmp_path / "out.json"
+    if target == "file":
+        assert main([*argv, "--json-out", str(path)]) in (0, 1)
+        assert path.read_text(encoding="utf-8") == expected
+        return
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("named pipes")
+    os.mkfifo(path)
+    # Both ends open before the run: the reader cannot see an end of file
+    # until the held write end is closed after the run.
+    reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    held = os.open(path, os.O_WRONLY)
+    os.set_blocking(reader, True)
+    received: list[bytes] = []
+
+    def drain() -> None:
+        while chunk := os.read(reader, 1 << 16):
+            received.append(chunk)
+
+    drainer = threading.Thread(target=drain)
+    drainer.start()
+    try:
+        status = main([*argv, "--json-out", str(path)])
+    finally:
+        os.close(held)
+        drainer.join(timeout=60)
+        os.close(reader)
+    assert not drainer.is_alive() and status in (0, 1)
+    assert b"".join(received).decode("utf-8") == expected
+
+
 # Runs main(argv) under a file-size limit, with SIGXFSZ ignored so that a
 # write past the limit fails with EFBIG; prints [status, stdout, stderr].
 _LIMITED_RUN = """
@@ -544,16 +640,26 @@ print(json.dumps([status, out.getvalue(), err.getvalue()]))
 @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="POSIX file-size limits")
 @pytest.mark.parametrize(
     "command, limit, target",
-    [("compute", 2000, "out.json"), ("dump-tables", 200, "risk_weights.tbl")],
+    [("compute", 2000, "out.json"), ("dump-tables", 200, "risk_weights.tbl"),
+     # a document of many credit chunks, cut short after its first
+     ("compute-long", 200_000, "prev.json")],
 )
-def test_a_write_cut_short_leaves_the_file_as_it_was(tmp_path, command, limit, target):
+def test_a_write_cut_short_leaves_the_file_as_it_was(
+    tmp_path, long_books, command, limit, target
+):
     path = tmp_path / target
     path.write_text("previous\n")
     argv = {
-        "compute": ["compute", "--portfolio", GOLDEN, "--capital", "100",
-                    "--json-out", str(path)],
+        "compute": ["compute", "--portfolio", GOLDEN, "--capital", "100"],
         "dump-tables": ["dump-tables", "--out-dir", str(tmp_path)],
-    }[command]
+    }.get(command)
+    if command == "compute-long":
+        result, argv = _long_run("compute", *long_books["standardized"])
+        pieces = list(json_chunks(compute_document(result)))
+        first_chunk = next(i for i, piece in enumerate(pieces) if piece.count("\n") > _CHUNK)
+        assert sum(map(len, pieces[:first_chunk + 1])) < limit < sum(map(len, pieces))
+    if command != "dump-tables":
+        argv = [*argv, "--json-out", str(path)]
     status, out, err = json.loads(run_python(_LIMITED_RUN.format(limit=limit, argv=argv)))
     assert (status, out) == (2, "")
     reason = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"

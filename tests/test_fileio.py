@@ -386,9 +386,9 @@ class TestPortfolioCsv:
         ("pd", "100.00,Infinity", "not a finite number: 'Infinity'"),
         ("pd", "100.00,inf%", "not a finite number: 'inf%'"),
         ("pd", "100.00,NaN", "not a finite number: 'NaN'"),
-        ("pd", "100.00,1e5000", "magnitude of '1e5000' outside 1e-30..1e31"),
-        ("pd", "100.00,1e-5000", "magnitude of '1e-5000' outside 1e-30..1e31"),
-        ("nominal", "1e5000,1%", "magnitude of '1e5000' outside 1e-30..1e31"),
+        ("pd", "100.00,1e5000", "magnitude of '1e5000' outside 1e-30 to 1e31, 1e31 excluded"),
+        ("pd", "100.00,1e-5000", "magnitude of '1e-5000' outside 1e-30 to 1e31, 1e31 excluded"),
+        ("nominal", "1e5000,1%", "magnitude of '1e5000' outside 1e-30 to 1e31, 1e31 excluded"),
         ("nominal", "-Infinity,1%", "not a finite number: '-Infinity'"),
         ("nominal", "1.234,1%", "amount '1.234' has more than 2 decimal places"),
     ]
@@ -648,7 +648,7 @@ class TestIncomeCsv:
         ("extraordinary_items", {"extraordinary_items": "NaN"},
          "not a finite number: 'NaN'"),
         ("insurance_income", {"insurance_income": "1e5000"},
-         "magnitude of '1e5000' outside 1e-30..1e31"),
+         "magnitude of '1e5000' outside 1e-30 to 1e31, 1e31 excluded"),
     ]
 
     @pytest.mark.parametrize(

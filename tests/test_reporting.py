@@ -50,6 +50,7 @@ from regcap.errors import (
     StandardizedCreditError,
     UsageError,
 )
+from regcap.fileio import write_whole
 from regcap.irb import _FUNCTIONS, IrbParams, evaluate_weight, risk_weight_function
 from regcap.money import format_percent, fraction_to_decimal_text, units_text
 from regcap.oprisk import ApproachKind, BetaTable, BusinessLine
@@ -65,6 +66,7 @@ from regcap.reporting import (
     compare_document,
     compute_document,
     disclosure_document,
+    json_chunks,
     render_compare_text,
     render_compute_text,
     render_disclosure_text,
@@ -724,6 +726,30 @@ class TestRenderJson:
             tracemalloc.stop()
         assert len(json.loads(rendered)["credit"]["lines"]) == 5000
         assert peak <= 2.1 * len(rendered)
+
+    @pytest.mark.parametrize(
+        "workload, irb", [("std_book_100k", False), ("irb_book_100k", True)],
+        ids=["standardized", "irb"],
+    )
+    def test_a_written_document_is_never_held_whole(
+        self, workload, irb, bench_weight, tmp_path
+    ):
+        # write_whole takes the pieces as json_chunks makes them, so the peak
+        # is one credit chunk, the lines it is joined from and its encoding,
+        # about 0.5 times the file; the whole text and its bytes took 2.0.
+        path = write_bench_book(tmp_path / "portfolio.csv", 5000, workload)
+        document = compute_document(_credit_run(load_portfolio(path), irb, bench_weight))
+        out = tmp_path / "out.json"
+        tracemalloc.start()
+        try:
+            write_whole(out, json_chunks(document))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert out.read_bytes() == render_json(document).encode("utf-8")
+        assert size > 4 * _CHUNK * 100
+        assert peak <= 0.6 * size
 
     @pytest.mark.parametrize("irb", [False, True], ids=["standardized", "irb"])
     def test_credit_lines_read_and_change_as_a_list_of_dicts(self, irb, float_function):
